@@ -11,9 +11,8 @@ Two things live here:
    SRAM-class memory (``memory_latency=1``, the paper's evaluation
    systems) and a DRAM-class memory (``memory_latency=100``), under both
    data policies (``DataPolicy.FULL`` and the timing-only
-   ``DataPolicy.ELIDE``), for FULL once more on the seed-behaviour
-   tick-every-cycle engine (``event_driven=False``), and in both policies
-   once more on the seed scalar datapath (``REPRO_SIM_DATAPATH=scalar``).
+   ``DataPolicy.ELIDE``), and for FULL once more on the seed-behaviour
+   tick-every-cycle engine (``event_driven=False``).
    On top of the single-engine grid, ``MULTI_ENGINE_GRID`` adds contention
    points (rows sharded across 2 engines behind the cycle-level AXI mux,
    BASE and PACK, SRAM class), each A/B'd across the policy and engine
@@ -165,7 +164,7 @@ DEFAULT_ELIDE_SPEEDUP_FLOOR = float(
 
 
 def _run_point(workload, spec_kwargs, kind, latency, event_driven, verify,
-               data_policy="full", datapath=None, engines=1):
+               data_policy="full", engines=1):
     """One grid point: build, simulate, return (cycles, stats, result, wall).
 
     ``engines > 1`` runs the point on the multi-engine topology (the
@@ -176,41 +175,30 @@ def _run_point(workload, spec_kwargs, kind, latency, event_driven, verify,
 
     from repro.axi.transaction import reset_txn_ids
     from repro.orchestrate.spec import WorkloadSpec
-    from repro.sim.datapath import DATAPATH_ENV
     from repro.system.soc import build_system
 
     reset_txn_ids()
-    saved_datapath = os.environ.get(DATAPATH_ENV)
-    if datapath is not None:
-        os.environ[DATAPATH_ENV] = datapath
-    try:
-        instance = WorkloadSpec.create(workload, **spec_kwargs).build()
-        config = point_system_config(kind, latency, data_policy)
-        if engines != 1:
-            config = replace(config, num_engines=engines)
-        soc = build_system(config)
-        instance.initialize(soc.storage)
-        if engines == 1:
-            program = instance.build_program(config.lowering,
-                                             config.vector_config())
-            start = time.perf_counter()
-            cycles, result = soc.run_program(program, event_driven=event_driven)
-        else:
-            programs = instance.build_sharded_programs(
-                config.lowering, config.vector_config(), engines
-            )
-            start = time.perf_counter()
-            cycles, result = soc.run_programs(programs,
-                                              event_driven=event_driven)
-        wall = time.perf_counter() - start
-        verified = instance.verify(soc.storage) if verify else None
-        return cycles, dict(soc.stats.as_dict()), result, wall, verified
-    finally:
-        if datapath is not None:
-            if saved_datapath is None:
-                os.environ.pop(DATAPATH_ENV, None)
-            else:
-                os.environ[DATAPATH_ENV] = saved_datapath
+    instance = WorkloadSpec.create(workload, **spec_kwargs).build()
+    config = point_system_config(kind, latency, data_policy)
+    if engines != 1:
+        config = replace(config, num_engines=engines)
+    soc = build_system(config)
+    instance.initialize(soc.storage)
+    if engines == 1:
+        program = instance.build_program(config.lowering,
+                                         config.vector_config())
+        start = time.perf_counter()
+        cycles, result = soc.run_program(program, event_driven=event_driven)
+    else:
+        programs = instance.build_sharded_programs(
+            config.lowering, config.vector_config(), engines
+        )
+        start = time.perf_counter()
+        cycles, result = soc.run_programs(programs,
+                                          event_driven=event_driven)
+    wall = time.perf_counter() - start
+    verified = instance.verify(soc.storage) if verify else None
+    return cycles, dict(soc.stats.as_dict()), result, wall, verified
 
 
 def supervised_sweep_counters(jobs: int = 2) -> dict:
@@ -264,7 +252,6 @@ MULTI_ENGINE_KINDS = ("base", "pack")
 def run_engine_benchmark(
     scale: str = "small",
     compare_naive: bool = True,
-    compare_scalar: bool = True,
     verify: bool = False,
     elide_speedup_floor: float = DEFAULT_ELIDE_SPEEDUP_FLOOR,
 ) -> dict:
@@ -274,22 +261,16 @@ def run_engine_benchmark(
     engine and asserts cycle counts, statistics and engine measurements
     byte-identical — the core ELIDE invariant.  With ``compare_naive`` the
     FULL point is also run on the tick-every-cycle compatibility engine,
-    and with ``compare_scalar`` under the seed scalar datapath
-    (``REPRO_SIM_DATAPATH=scalar``) in both policies — all asserted
-    identical: neither the event-driven scheduler nor the batch
-    struct-of-arrays datapath may ever change simulated behaviour, only
-    wall time.  (The remaining scalar×naive corners of the full
-    scalar/batch × event/naive × FULL/ELIDE cube are pinned by
+    asserted identical too: the event-driven scheduler may never change
+    simulated behaviour, only wall time.  (The naive × ELIDE corner of the
+    event/naive × FULL/ELIDE cube is pinned by
     ``tests/test_datapath_parity.py``.)  The aggregate ELIDE-vs-FULL
     wall-clock speedup is asserted to be at least ``elide_speedup_floor``.
     """
     grid = []
     total_full_wall = 0.0
-    total_full_wall_single = 0.0  #: engines=1 points only (scalar A/B basis)
     total_elide_wall = 0.0
     total_naive_wall = 0.0
-    total_scalar_wall = 0.0
-    total_scalar_elide_wall = 0.0
     total_cycles = 0
     for workload, spec_kwargs, kind, mem_name, latency in _grid_points(scale):
         cycles, stats, result, wall, verified = _run_point(
@@ -320,7 +301,6 @@ def run_engine_benchmark(
         if verify:
             point["verified"] = bool(verified)
         total_full_wall += wall
-        total_full_wall_single += wall
         total_elide_wall += e_wall
         total_cycles += cycles
         if not identical_policies:
@@ -344,40 +324,11 @@ def run_engine_benchmark(
                     f"{workload}/{kind.value}/{mem_name}: "
                     f"cycles {cycles} vs {n_cycles}"
                 )
-        if compare_scalar:
-            s_cycles, s_stats, s_result, s_wall, _ = _run_point(
-                workload, spec_kwargs, kind, latency, True, False,
-                datapath="scalar",
-            )
-            se_cycles, se_stats, se_result, se_wall, _ = _run_point(
-                workload, spec_kwargs, kind, latency, True, False,
-                data_policy="elide", datapath="scalar",
-            )
-            identical_scalar = (
-                s_cycles == cycles and s_stats == stats and s_result == result
-                and se_cycles == cycles and se_stats == stats
-                and se_result == result
-            )
-            point["scalar_wall_s"] = round(s_wall, 6)
-            point["scalar_elide_wall_s"] = round(se_wall, 6)
-            point["datapath_speedup"] = (
-                round(s_wall / wall, 3) if wall > 0 else None
-            )
-            point["identical_to_scalar"] = identical_scalar
-            total_scalar_wall += s_wall
-            total_scalar_elide_wall += se_wall
-            if not identical_scalar:
-                raise AssertionError(
-                    f"scalar-datapath run diverged from batch run for "
-                    f"{workload}/{kind.value}/{mem_name}: "
-                    f"cycles {cycles} vs {s_cycles}/{se_cycles}"
-                )
         grid.append(point)
     # ---------------------------------------------------------- multi-engine
     # Contention points: rows sharded across N engines behind the cycle-level
     # mux, SRAM memory class.  The policy and engine axes are asserted
-    # identical exactly like the single-engine points; the scalar-datapath
-    # axis is covered suite-wide by the scalar-parity CI job instead.
+    # identical exactly like the single-engine points.
     from repro.system.config import SystemKind
 
     for workload, engines in MULTI_ENGINE_GRID:
@@ -472,16 +423,6 @@ def run_engine_benchmark(
         payload["totals"]["speedup_vs_naive"] = round(
             total_naive_wall / total_full_wall, 3
         )
-    if compare_scalar:
-        payload["totals"]["scalar_wall_s"] = round(total_scalar_wall, 6)
-        payload["totals"]["scalar_elide_wall_s"] = round(
-            total_scalar_elide_wall, 6
-        )
-        # The scalar A/B only covers the engines=1 points, so its speedup is
-        # measured against the single-engine FULL wall time alone.
-        payload["totals"]["datapath_speedup"] = round(
-            total_scalar_wall / total_full_wall_single, 3
-        )
     if elide_speedup is not None and elide_speedup < elide_speedup_floor:
         raise AssertionError(
             f"ELIDE wall-clock speedup {elide_speedup:.3f}x fell below the "
@@ -493,14 +434,14 @@ def run_engine_benchmark(
 
 
 def test_engine_benchmark_parity_and_speedup(benchmark):
-    """Engine, policy and datapath A/B: identical results, faster wall clock.
+    """Engine and policy A/B: identical results, faster wall clock.
 
     The strict headline targets are measured against the seed engine and
     enforced by the CI bench gate via cycles/sec; the in-process assertions
     use conservative floors because the in-tree naive mode shares this
     tree's optimized component models, tiny-scale points are tiny, and CI
-    machines are noisy.  The parity assertions (policy axis, engine axis
-    and datapath axis) are exact.
+    machines are noisy.  The parity assertions (policy axis and engine
+    axis) are exact.
     """
     payload = run_once(benchmark, run_engine_benchmark, scale="tiny",
                        elide_speedup_floor=0.8)
@@ -509,16 +450,10 @@ def test_engine_benchmark_parity_and_speedup(benchmark):
     print(f"event wall (FULL)    : {payload['totals']['event_wall_s']:.3f}s")
     print(f"event wall (ELIDE)   : {payload['totals']['elide_wall_s']:.3f}s")
     print(f"naive wall           : {payload['totals']['naive_wall_s']:.3f}s")
-    print(f"scalar-datapath wall : {payload['totals']['scalar_wall_s']:.3f}s")
     print(f"speedup vs naive mode: {payload['totals']['speedup_vs_naive']:.2f}x")
     print(f"ELIDE speedup        : {payload['totals']['elide_speedup']:.2f}x")
-    print(f"datapath speedup     : {payload['totals']['datapath_speedup']:.2f}x")
     assert all(point["identical_to_naive"] for point in payload["grid"])
     assert all(point["identical_to_full"] for point in payload["grid"])
-    # Multi-engine points skip the scalar A/B (scalar-parity CI covers it):
-    # absent keys default to passing.
-    assert all(point.get("identical_to_scalar", True)
-               for point in payload["grid"])
     multi = [point for point in payload["grid"] if point.get("engines", 1) > 1]
     assert len(multi) == len(MULTI_ENGINE_GRID) * len(MULTI_ENGINE_KINDS)
     assert payload["totals"]["speedup_vs_naive"] > 1.2
@@ -571,8 +506,6 @@ def main(argv=None) -> int:
                         help="problem scale (tiny/small/medium/paper)")
     parser.add_argument("--no-compare-naive", action="store_true",
                         help="skip the tick-every-cycle A/B runs")
-    parser.add_argument("--no-compare-scalar", action="store_true",
-                        help="skip the scalar-datapath A/B runs")
     parser.add_argument("--verify", action="store_true",
                         help="also verify workload results against references")
     parser.add_argument("--history", metavar="PATH", default=None,
@@ -589,7 +522,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     payload = run_engine_benchmark(
         scale=args.scale, compare_naive=not args.no_compare_naive,
-        compare_scalar=not args.no_compare_scalar,
         verify=args.verify, elide_speedup_floor=args.elide_speedup_floor,
     )
     with open(args.output, "w") as handle:
@@ -605,9 +537,6 @@ def main(argv=None) -> int:
           "(byte-identical cycles and stats)")
     if "speedup_vs_naive" in totals:
         print(f"speedup vs tick-every-cycle mode: {totals['speedup_vs_naive']:.2f}x "
-              "(byte-identical results)")
-    if "datapath_speedup" in totals:
-        print(f"speedup vs scalar datapath: {totals['datapath_speedup']:.2f}x "
               "(byte-identical results)")
     print("supervised fault-free sweep: all counters zero "
           f"({payload['supervision']})")

@@ -91,16 +91,6 @@ def main(argv=None) -> int:
         failures.append(
             f"ELIDE results diverged from FULL results: {policy_diverged}"
         )
-    datapath_diverged = [
-        f"{p['workload']}/{p['system']}/{p['memory']}"
-        for p in current.get("grid", [])
-        if p.get("identical_to_scalar") is False
-    ]
-    if datapath_diverged:
-        failures.append(
-            f"batch-datapath results diverged from the scalar datapath: "
-            f"{datapath_diverged}"
-        )
     # Cycle-identity gate: simulated cycle counts are deterministic, so any
     # change on a grid point present in the baseline means the simulated
     # behaviour changed — which must be deliberate (regenerate the baseline)
@@ -157,9 +147,6 @@ def main(argv=None) -> int:
     elide_speedup = current["totals"].get("elide_speedup")
     if elide_speedup is not None:
         print(f"ELIDE speedup over FULL: {elide_speedup:.2f}x")
-    datapath_speedup = current["totals"].get("datapath_speedup")
-    if datapath_speedup is not None:
-        print(f"batch-datapath speedup over scalar: {datapath_speedup:.2f}x")
 
     if failures:
         for failure in failures:

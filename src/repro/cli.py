@@ -227,10 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                 help="memory class (latency 1 or 100 cycles)")
     profile_parser.add_argument("--policy", choices=["full", "elide"],
                                 default="full", help="data policy")
-    profile_parser.add_argument("--datapath", choices=["batch", "scalar"],
-                                default=None,
-                                help="datapath mode (default: "
-                                     "$REPRO_SIM_DATAPATH or batch)")
     profile_parser.add_argument("--top", type=int, default=25, metavar="N",
                                 help="number of functions to report")
     profile_parser.add_argument("--sort", choices=["cumulative", "tottime"],
@@ -637,27 +633,23 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
     from repro.axi.transaction import reset_txn_ids
     from repro.orchestrate.spec import WorkloadSpec
-    from repro.sim.datapath import datapath_override
     from repro.system.config import SystemKind
     from repro.system.soc import build_system
 
     spec_kwargs = workload_spec_kwargs(args.workload, args.scale)
     latency = MEMORY_LATENCY[args.memory]
-    with datapath_override(args.datapath) as datapath:
-        reset_txn_ids()
-        instance = WorkloadSpec.create(args.workload, **spec_kwargs).build()
-        config = point_system_config(
-            SystemKind(args.system), latency, args.policy
-        )
-        soc = build_system(config)
-        instance.initialize(soc.storage)
-        program = instance.build_program(config.lowering, config.vector_config())
-        profiler = cProfile.Profile()
-        start = time.perf_counter()
-        profiler.enable()
-        cycles, _result = soc.run_program(program)
-        profiler.disable()
-        wall = time.perf_counter() - start
+    reset_txn_ids()
+    instance = WorkloadSpec.create(args.workload, **spec_kwargs).build()
+    config = point_system_config(SystemKind(args.system), latency, args.policy)
+    soc = build_system(config)
+    instance.initialize(soc.storage)
+    program = instance.build_program(config.lowering, config.vector_config())
+    profiler = cProfile.Profile()
+    start = time.perf_counter()
+    profiler.enable()
+    cycles, _result = soc.run_program(program)
+    profiler.disable()
+    wall = time.perf_counter() - start
 
     stats = pstats.Stats(profiler)
     if args.json:
@@ -683,7 +675,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             "scale": args.scale,
             "memory": args.memory,
             "policy": args.policy,
-            "datapath": datapath.value,
             "cycles": cycles,
             "wall_s": round(wall, 6),
             "cycles_per_sec": round(cycles / wall, 1) if wall > 0 else None,
@@ -691,8 +682,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         }, indent=2))
         return 0
     print(f"profiled {args.workload}/{args.system}/{args.memory} at "
-          f"scale={args.scale} policy={args.policy} "
-          f"datapath={datapath.value}: {cycles} cycles in {wall:.3f}s "
+          f"scale={args.scale} policy={args.policy}: "
+          f"{cycles} cycles in {wall:.3f}s "
           f"({cycles / wall:,.0f} cycles/sec)")
     buffer = io.StringIO()
     pstats.Stats(profiler, stream=buffer).sort_stats(args.sort).print_stats(

@@ -35,7 +35,6 @@ from repro.controller.strided_write import StridedWriteConverter
 from repro.errors import ProtocolError
 from repro.mem.banked import BankedMemory
 from repro.sim.component import IDLE, Component, WakeHint
-from repro.sim.datapath import DatapathMode
 from repro.sim.policy import DataPolicy
 from repro.sim.stats import StatsRegistry
 
@@ -54,7 +53,6 @@ class AxiPackAdapter(Component):
         config: Optional[AdapterConfig] = None,
         stats: Optional[StatsRegistry] = None,
         data_policy: DataPolicy = DataPolicy.FULL,
-        datapath: Optional[DatapathMode] = None,
     ) -> None:
         super().__init__(name)
         self.port = port
@@ -78,9 +76,8 @@ class AxiPackAdapter(Component):
         self.stats = stats if stats is not None else StatsRegistry()
         self.ctx = AdapterContext(
             self.config, self.stats, data_policy=data_policy,
-            storage=memory.storage, datapath=datapath,
+            storage=memory.storage,
         )
-        self.datapath = self.ctx.datapath
         self.r_monitor = ChannelMonitor("R", self.config.bus_bytes)
         self.w_monitor = ChannelMonitor("W", self.config.bus_bytes)
 
@@ -432,7 +429,6 @@ class AxiPackAdapter(Component):
         for converter in self.converters:
             converter.reset()
         self._w_routing.clear()
-        self.ctx.reset()
         self.r_monitor.reset()
         self.w_monitor.reset()
         self._issue_rr = 0

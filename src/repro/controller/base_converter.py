@@ -21,8 +21,6 @@ from repro.controller.lanes import (
     batch_contiguous,
     batch_narrow,
 )
-from repro.controller.pipes import ReadPipe, WritePipe
-from repro.controller.planners import plan_contiguous_beats, plan_narrow_beats
 from repro.mem.words import WordRequest
 
 #: Upper bound on beats buffered in the read pipe before new bursts stall.
@@ -34,13 +32,8 @@ class BaseAxi4Converter(Converter):
 
     def __init__(self, name: str, ctx: AdapterContext) -> None:
         super().__init__(name, ctx)
-        self._batch = ctx.datapath.is_batch
-        read_cls = LaneReadPipe if self._batch else ReadPipe
-        write_cls = LaneWritePipe if self._batch else WritePipe
-        self._reads = read_cls(f"{name}.read", ctx.config, ctx.stats, ctx.data_policy)
-        self._writes = write_cls(f"{name}.write", ctx.config, ctx.stats, ctx.data_policy)
-        self._read_seq = 0
-        self._write_seq = 0
+        self._reads = LaneReadPipe(f"{name}.read", ctx.config, ctx.data_policy)
+        self._writes = LaneWritePipe(f"{name}.write", ctx.config, ctx.data_policy)
         # Prebound hot-path counters (see repro.sim.stats).
         self._c_read_bursts = ctx.stats.counter("controller.base.read_bursts")
         self._c_write_bursts = ctx.stats.counter("controller.base.write_bursts")
@@ -53,18 +46,10 @@ class BaseAxi4Converter(Converter):
 
     def accept_read(self, request: BusRequest) -> None:
         config = self.ctx.config
-        if self._batch:
-            kernel = batch_contiguous if request.contiguous else batch_narrow
-            self._reads.accept(
-                request, kernel(request, config.word_bytes, config.bus_words)
-            )
-        else:
-            planner = plan_contiguous_beats if request.contiguous else plan_narrow_beats
-            plans = planner(
-                request, config.word_bytes, config.bus_words, self._read_seq
-            )
-            self._reads.accept(request, plans)
-        self._read_seq += 1
+        kernel = batch_contiguous if request.contiguous else batch_narrow
+        self._reads.accept(
+            request, kernel(request, config.word_bytes, config.bus_words)
+        )
         self._c_read_bursts.value += 1
 
     def can_accept_write(self, request: BusRequest) -> bool:
@@ -74,18 +59,10 @@ class BaseAxi4Converter(Converter):
 
     def accept_write(self, request: BusRequest) -> None:
         config = self.ctx.config
-        if self._batch:
-            kernel = batch_contiguous if request.contiguous else batch_narrow
-            self._writes.accept(
-                request, kernel(request, config.word_bytes, config.bus_words)
-            )
-        else:
-            planner = plan_contiguous_beats if request.contiguous else plan_narrow_beats
-            plans = planner(
-                request, config.word_bytes, config.bus_words, self._write_seq
-            )
-            self._writes.accept(request, iter(plans))
-        self._write_seq += 1
+        kernel = batch_contiguous if request.contiguous else batch_narrow
+        self._writes.accept(
+            request, kernel(request, config.word_bytes, config.bus_words)
+        )
         self._c_write_bursts.value += 1
 
     def take_w_beat(self, payload: bytes) -> None:

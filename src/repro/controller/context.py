@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError
-from repro.sim.datapath import DatapathMode, resolve_datapath_mode
 from repro.sim.policy import DataPolicy
 from repro.sim.stats import StatsRegistry
 from repro.utils.bitutils import is_power_of_two
@@ -56,23 +55,15 @@ class AdapterConfig:
 
 
 class AdapterContext:
-    """Mutable state shared between the adapter and its converters.
+    """Configuration and handles shared between the adapter and its converters.
 
-    The context tracks, per word lane, how many word accesses are currently
-    in flight.  This is the *request regulator* of Fig. 2c: it prevents the
-    decoupling queues from overflowing by refusing to issue more requests
-    than the queues can absorb.
-
-    It also carries the adapter-wide :class:`~repro.sim.policy.DataPolicy`
-    and, under ``ELIDE``, a handle to the backing storage so the indirect
-    converters can resolve index values functionally (address-forming data
-    still determines timing) while all payload movement is skipped.
-
-    ``datapath`` selects the converter pipes' representation (see
-    :mod:`repro.sim.datapath`): ``BATCH`` plans with the struct-of-arrays
-    numpy lane kernels, ``SCALAR`` with the seed per-object planners.  Both
-    produce bit-identical cycles and statistics; ``None`` resolves the
-    ``$REPRO_SIM_DATAPATH`` environment default.
+    It carries the static :class:`AdapterConfig`, the statistics registry,
+    the adapter-wide :class:`~repro.sim.policy.DataPolicy` and, under
+    ``ELIDE``, a handle to the backing storage so the indirect converters
+    can resolve index values functionally (address-forming data still
+    determines timing) while all payload movement is skipped.  The request
+    regulator of Fig. 2c is per pipe: every converter pipe owns a
+    :class:`~repro.controller.regulator.RequestRegulator`.
     """
 
     def __init__(
@@ -81,36 +72,8 @@ class AdapterContext:
         stats: Optional[StatsRegistry] = None,
         data_policy: DataPolicy = DataPolicy.FULL,
         storage=None,
-        datapath: Optional[DatapathMode] = None,
     ) -> None:
         self.config = config
         self.stats = stats if stats is not None else StatsRegistry()
         self.data_policy = data_policy
         self.storage = storage
-        self.datapath = resolve_datapath_mode(datapath)
-        self._in_flight = [0] * config.bus_words
-
-    # ----------------------------------------------------------- regulation
-    def can_issue(self, port: int) -> bool:
-        """True if the regulator allows another word access on ``port``."""
-        return self._in_flight[port] < self.config.queue_depth
-
-    def note_issue(self, port: int) -> None:
-        """Record that a word access was issued on ``port``."""
-        self._in_flight[port] += 1
-
-    def note_retire(self, port: int) -> None:
-        """Record that a word access on ``port`` completed."""
-        if self._in_flight[port] <= 0:
-            raise ConfigurationError(
-                f"request regulator underflow on port {port}"
-            )
-        self._in_flight[port] -= 1
-
-    def in_flight(self, port: int) -> int:
-        """Number of word accesses currently in flight on ``port``."""
-        return self._in_flight[port]
-
-    def reset(self) -> None:
-        """Clear all in-flight counters."""
-        self._in_flight = [0] * self.config.bus_words

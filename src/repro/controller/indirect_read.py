@@ -32,8 +32,6 @@ from repro.controller.lanes import (
     batch_index_fetch,
     batch_indexed_beat,
 )
-from repro.controller.pipes import ReadPipe
-from repro.controller.planners import plan_index_fetch_beats, plan_indexed_beat
 from repro.errors import SimulationError
 from repro.mem.words import WordRequest
 
@@ -79,8 +77,8 @@ def read_index_oracle(ctx: AdapterContext, request: BusRequest) -> np.ndarray:
     return values
 
 
-def index_line_values(active, plan, data, request: BusRequest,
-                      elide: bool, resp: Resp = _RESP_OKAY) -> np.ndarray:
+def index_line_values(active, useful_bytes: int, data, request: BusRequest,
+                      elide: bool, resp: Resp = _RESP_OKAY) -> list:
     """The index values carried by one completed index-fetch line.
 
     In FULL mode they are decoded from the line's payload bytes; under
@@ -90,25 +88,8 @@ def index_line_values(active, plan, data, request: BusRequest,
     :func:`read_index_oracle`).  ``oracle_pos`` advances for every line in
     both policies so a mid-burst fault slices the oracle at the right
     position.  Shared by the indirect read and write converters so the two
-    stay in lock-step.
-    """
-    count = plan.useful_bytes // request.pack.index_bytes
-    pos = active.oracle_pos
-    active.oracle_pos = pos + count
-    if elide or resp is not _RESP_OKAY:
-        return active.index_oracle[pos : pos + count]
-    dtype = _INDEX_DTYPES[request.pack.index_bytes]
-    return np.frombuffer(data, dtype=dtype)
-
-
-def index_line_values_batch(active, useful_bytes: int, data, request: BusRequest,
-                            elide: bool, resp: Resp = _RESP_OKAY) -> list:
-    """Batch-datapath twin of :func:`index_line_values`: plain int list.
-
-    The lane pipes report a completed line as ``(useful_bytes, data,
-    request, resp)`` rather than a plan object; the decoded values are
-    returned as a Python list so the element planner slices them without
-    per-element ``int()`` boxing.
+    stay in lock-step.  The values come back as a Python list so the
+    element planner slices them without per-element ``int()`` boxing.
     """
     count = useful_bytes // request.pack.index_bytes
     pos = active.oracle_pos
@@ -122,14 +103,12 @@ def index_line_values_batch(active, useful_bytes: int, data, request: BusRequest
 class _ActiveIndirectRead:
     """Per-burst progress of the two-stage indirect read.
 
-    The scalar datapath buffers extracted indices in ``index_buffer`` (a
-    deque popped one element at a time); the batch datapath appends decoded
-    lines to ``index_list`` and consumes them by slice via ``index_pos``.
+    Decoded index lines are appended to ``index_list`` and consumed by
+    slice via ``index_pos``.
     """
 
     __slots__ = (
         "request",
-        "index_buffer",
         "index_list",
         "index_pos",
         "elements_planned",
@@ -141,7 +120,6 @@ class _ActiveIndirectRead:
 
     def __init__(self, request: BusRequest) -> None:
         self.request = request
-        self.index_buffer: Deque[int] = deque()
         self.index_list: List[int] = []
         self.index_pos = 0
         self.elements_planned = 0
@@ -164,17 +142,10 @@ class IndirectReadConverter(Converter):
     def __init__(self, name: str, ctx: AdapterContext) -> None:
         super().__init__(name, ctx)
         self._elide = ctx.data_policy.elides_data
-        self._batch = ctx.datapath.is_batch
-        pipe_cls = LaneReadPipe if self._batch else ReadPipe
-        self._index_pipe = pipe_cls(
-            f"{name}.index", ctx.config, ctx.stats, ctx.data_policy
-        )
-        self._element_pipe = pipe_cls(
-            f"{name}.element", ctx.config, ctx.stats, ctx.data_policy
-        )
+        self._index_pipe = LaneReadPipe(f"{name}.index", ctx.config, ctx.data_policy)
+        self._element_pipe = LaneReadPipe(f"{name}.element", ctx.config, ctx.data_policy)
         self._bursts: Deque[_ActiveIndirectRead] = deque()
         self._by_txn: Dict[int, _ActiveIndirectRead] = {}
-        self._seq = 0
         # Prebound hot-path counters (see repro.sim.stats).
         self._c_bursts = ctx.stats.counter("controller.indirect_read.bursts")
         self._c_index_lines = ctx.stats.counter("controller.indirect_read.index_lines")
@@ -192,53 +163,21 @@ class IndirectReadConverter(Converter):
         self._bursts.append(active)
         self._by_txn[request.txn_id] = active
         config = self.ctx.config
-        if self._batch:
-            index_plans = batch_index_fetch(
+        self._index_pipe.accept(
+            request,
+            batch_index_fetch(
                 request, config.bus_bytes, config.word_bytes, config.bus_words
-            )
-        else:
-            index_plans = plan_index_fetch_beats(
-                index_base=request.index_base,
-                num_indices=request.num_elements,
-                index_bytes=request.pack.index_bytes,
-                bus_bytes=config.bus_bytes,
-                word_bytes=config.word_bytes,
-                bus_words=config.bus_words,
-                txn_id=request.txn_id,
-                burst_seq=self._seq,
-            )
-        self._seq += 1
-        self._index_pipe.accept(request, index_plans)
+            ),
+        )
         self._c_bursts.value += 1
 
     # ----------------------------------------------------------------- cycle
     def step(self, cycle: int) -> None:
-        if self._batch:
-            self._extract_indices_batch()
-            self._plan_element_beats_batch()
-        else:
-            self._extract_indices()
-            self._plan_element_beats()
+        self._extract_indices()
+        self._plan_element_beats()
 
     def _extract_indices(self) -> None:
-        """Offsets extraction: turn returned index lines into index values."""
-        while True:
-            ready = self._index_pipe.pop_ready_beat()
-            if ready is None:
-                return
-            plan, data, request, resp = ready
-            active = self._by_txn.get(request.txn_id)
-            if active is not None:
-                if resp is not _RESP_OKAY:
-                    self._note_index_fault(active, resp)
-                values = index_line_values(
-                    active, plan, data, request, self._elide, resp
-                )
-                active.index_buffer.extend(int(i) for i in values)
-            self._c_index_lines.value += 1
-
-    def _extract_indices_batch(self) -> None:
-        """Batch-datapath index extraction: decode whole lines into lists."""
+        """Offsets extraction: decode returned index lines into index lists."""
         pipe = self._index_pipe
         elide = self._elide
         while True:
@@ -251,9 +190,7 @@ class IndirectReadConverter(Converter):
                 if resp is not _RESP_OKAY:
                     self._note_index_fault(active, resp)
                 active.index_list.extend(
-                    index_line_values_batch(
-                        active, useful, data, request, elide, resp
-                    )
+                    index_line_values(active, useful, data, request, elide, resp)
                 )
             self._c_index_lines.value += 1
 
@@ -266,32 +203,6 @@ class IndirectReadConverter(Converter):
 
     def _plan_element_beats(self) -> None:
         """Element request generation for the oldest incompletely planned burst."""
-        for active in self._bursts:
-            if active.fully_planned:
-                continue
-            request = active.request
-            elems_per_beat = request.bus_bytes // request.elem_bytes
-            while not active.fully_planned:
-                remaining = request.num_elements - active.elements_planned
-                beat_elems = min(elems_per_beat, remaining)
-                if len(active.index_buffer) < beat_elems:
-                    return  # wait for more indices before planning further
-                offsets = [active.index_buffer.popleft() for _ in range(beat_elems)]
-                plan = plan_indexed_beat(
-                    request=request,
-                    beat=active.next_beat,
-                    element_offsets=offsets,
-                    word_bytes=self.ctx.config.word_bytes,
-                    bus_words=self.ctx.config.bus_words,
-                    burst_seq=0,
-                )
-                self._element_pipe.add_plans(request, [plan], active.index_resp)
-                active.elements_planned += beat_elems
-                active.next_beat += 1
-            return  # keep burst order: never plan burst k+1 before k is done
-
-    def _plan_element_beats_batch(self) -> None:
-        """Element planning over the list-backed index buffer (batch mode)."""
         config = self.ctx.config
         word_bytes = config.word_bytes
         bus_words = config.bus_words

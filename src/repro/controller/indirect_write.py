@@ -18,19 +18,13 @@ from repro.axi.transaction import BusRequest
 from repro.axi.types import Resp
 from repro.controller.context import AdapterContext
 from repro.controller.converter import Converter
-from repro.controller.indirect_read import (
-    index_line_values,
-    index_line_values_batch,
-    read_index_oracle,
-)
+from repro.controller.indirect_read import index_line_values, read_index_oracle
 from repro.controller.lanes import (
     LaneReadPipe,
     LaneWritePipe,
     batch_index_fetch,
     batch_indexed_beat,
 )
-from repro.controller.pipes import ReadPipe, WritePipe
-from repro.controller.planners import plan_index_fetch_beats, plan_indexed_beat
 from repro.mem.words import WordRequest
 
 #: Prebound: compared once per completed index line.
@@ -40,15 +34,13 @@ _RESP_OKAY = Resp.OKAY
 class _ActiveIndirectWrite:
     """Per-burst progress of the two-stage indirect write.
 
-    Like the read side, the scalar datapath pops indices one at a time from
-    ``index_buffer`` while the batch datapath slices ``index_list`` via
-    ``index_pos``.
+    Like the read side, decoded index lines are appended to ``index_list``
+    and consumed by slice via ``index_pos``.
     """
 
     __slots__ = (
         "request",
         "wpipe_burst",
-        "index_buffer",
         "index_list",
         "index_pos",
         "payloads",
@@ -62,7 +54,6 @@ class _ActiveIndirectWrite:
     def __init__(self, request: BusRequest, wpipe_burst) -> None:
         self.request = request
         self.wpipe_burst = wpipe_burst
-        self.index_buffer: Deque[int] = deque()
         self.index_list: List[int] = []
         self.index_pos = 0
         self.payloads: Deque[bytes] = deque()
@@ -85,16 +76,10 @@ class IndirectWriteConverter(Converter):
     def __init__(self, name: str, ctx: AdapterContext) -> None:
         super().__init__(name, ctx)
         self._elide = ctx.data_policy.elides_data
-        self._batch = ctx.datapath.is_batch
-        self._index_pipe = (LaneReadPipe if self._batch else ReadPipe)(
-            f"{name}.index", ctx.config, ctx.stats, ctx.data_policy
-        )
-        self._write_pipe = (LaneWritePipe if self._batch else WritePipe)(
-            f"{name}.element", ctx.config, ctx.stats, ctx.data_policy
-        )
+        self._index_pipe = LaneReadPipe(f"{name}.index", ctx.config, ctx.data_policy)
+        self._write_pipe = LaneWritePipe(f"{name}.element", ctx.config, ctx.data_policy)
         self._bursts: Deque[_ActiveIndirectWrite] = deque()
         self._by_txn: Dict[int, _ActiveIndirectWrite] = {}
-        self._seq = 0
         # Prebound hot-path counters (see repro.sim.stats).
         self._c_bursts = ctx.stats.counter("controller.indirect_write.bursts")
         self._c_index_lines = ctx.stats.counter("controller.indirect_write.index_lines")
@@ -106,33 +91,19 @@ class IndirectWriteConverter(Converter):
         return len(self._bursts) < self.ctx.config.max_pipelined_bursts
 
     def accept_write(self, request: BusRequest) -> None:
-        if self._batch:
-            wpipe_burst = self._write_pipe.accept(request, None)
-        else:
-            wpipe_burst = self._write_pipe.accept(request, planner=None)
+        wpipe_burst = self._write_pipe.accept(request, None)
         active = _ActiveIndirectWrite(request, wpipe_burst)
         if self._elide:
             active.index_oracle = read_index_oracle(self.ctx, request)
         self._bursts.append(active)
         self._by_txn[request.txn_id] = active
         config = self.ctx.config
-        if self._batch:
-            index_plans = batch_index_fetch(
+        self._index_pipe.accept(
+            request,
+            batch_index_fetch(
                 request, config.bus_bytes, config.word_bytes, config.bus_words
-            )
-        else:
-            index_plans = plan_index_fetch_beats(
-                index_base=request.index_base,
-                num_indices=request.num_elements,
-                index_bytes=request.pack.index_bytes,
-                bus_bytes=config.bus_bytes,
-                word_bytes=config.word_bytes,
-                bus_words=config.bus_words,
-                txn_id=request.txn_id,
-                burst_seq=self._seq,
-            )
-        self._seq += 1
-        self._index_pipe.accept(request, index_plans)
+            ),
+        )
         self._c_bursts.value += 1
 
     def take_w_beat(self, payload: bytes) -> None:
@@ -147,30 +118,10 @@ class IndirectWriteConverter(Converter):
 
     # ----------------------------------------------------------------- cycle
     def step(self, cycle: int) -> None:
-        if self._batch:
-            self._extract_indices_batch()
-            self._plan_write_beats_batch()
-        else:
-            self._extract_indices()
-            self._plan_write_beats()
+        self._extract_indices()
+        self._plan_write_beats()
 
     def _extract_indices(self) -> None:
-        while True:
-            ready = self._index_pipe.pop_ready_beat()
-            if ready is None:
-                return
-            plan, data, request, resp = ready
-            active = self._by_txn.get(request.txn_id)
-            if active is not None:
-                if resp is not _RESP_OKAY:
-                    self._note_index_fault(active, resp)
-                values = index_line_values(
-                    active, plan, data, request, self._elide, resp
-                )
-                active.index_buffer.extend(int(i) for i in values)
-            self._c_index_lines.value += 1
-
-    def _extract_indices_batch(self) -> None:
         pipe = self._index_pipe
         elide = self._elide
         while True:
@@ -183,9 +134,7 @@ class IndirectWriteConverter(Converter):
                 if resp is not _RESP_OKAY:
                     self._note_index_fault(active, resp)
                 active.index_list.extend(
-                    index_line_values_batch(
-                        active, useful, data, request, elide, resp
-                    )
+                    index_line_values(active, useful, data, request, elide, resp)
                 )
             self._c_index_lines.value += 1
 
@@ -197,34 +146,6 @@ class IndirectWriteConverter(Converter):
             active.index_resp = resp
 
     def _plan_write_beats(self) -> None:
-        for active in self._bursts:
-            if active.fully_planned:
-                continue
-            request = active.request
-            elems_per_beat = request.bus_bytes // request.elem_bytes
-            while not active.fully_planned:
-                remaining = request.num_elements - active.elements_planned
-                beat_elems = min(elems_per_beat, remaining)
-                if len(active.index_buffer) < beat_elems or not active.payloads:
-                    return
-                offsets = [active.index_buffer.popleft() for _ in range(beat_elems)]
-                plan = plan_indexed_beat(
-                    request=request,
-                    beat=active.next_beat,
-                    element_offsets=offsets,
-                    word_bytes=self.ctx.config.word_bytes,
-                    bus_words=self.ctx.config.bus_words,
-                    burst_seq=0,
-                )
-                payload = active.payloads.popleft()
-                self._write_pipe.add_beat(
-                    plan, payload, active.wpipe_burst, active.index_resp
-                )
-                active.elements_planned += beat_elems
-                active.next_beat += 1
-            return
-
-    def _plan_write_beats_batch(self) -> None:
         config = self.ctx.config
         word_bytes = config.word_bytes
         bus_words = config.bus_words

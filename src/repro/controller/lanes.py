@@ -1,31 +1,31 @@
-"""Struct-of-arrays lane buffers and numpy plan kernels (batch datapath).
+"""Struct-of-arrays lane buffers, plan kernels and the converter pipes.
 
-This is the :data:`~repro.sim.datapath.DatapathMode.BATCH` implementation of
-the converter pipes.  Where the scalar datapath builds one
-:class:`~repro.controller.plans.BeatPlan` object per beat holding one
-:class:`~repro.controller.plans.WordSlot` object per word access, the batch
-datapath plans a whole burst (or, for the indirect element stage, a whole
-beat) in one vectorized numpy kernel and stores the result as a
-:class:`SlotBatch`: flat parallel arrays of ports, word addresses, payload
-offsets, byte counts and shifts, converted once to plain Python lists so the
-per-cycle issue/response loops index integers instead of dereferencing
-objects.
+Every converter is a plan kernel plus a generic pipe.  A kernel turns a
+whole burst (or, for the indirect element stage, a whole beat) into a
+:class:`SlotBatch`: flat parallel arrays of word-lane ports, word addresses,
+payload offsets, byte counts and shifts, plus per-beat prefix/useful/last
+tables.  Kernels use numpy where a batch is large and C-level
+``range``/``extend`` constructions where numpy call overhead would dominate;
+either way the arrays end up as plain Python lists, so the per-cycle
+issue/response loops of :class:`LaneReadPipe` and :class:`LaneWritePipe`
+index integers instead of dereferencing objects.  The pipes issue word
+accesses in order under the per-lane :class:`RequestRegulator` and re-pack
+(reads) or unpack (writes) bus-wide beats — the request generator, info
+queue and beat packer of the RTL converters.
 
-Equivalence contract
---------------------
-The slot sequence of a :class:`SlotBatch` is *defined* to be exactly the
-concatenated ``plan.slots`` of the scalar planners in
-:mod:`repro.controller.planners`, in beat order — same ports, same word
-addresses, same payload offsets, same issue order, same regulator
-interaction.  ``tests/test_datapath_parity.py`` pins this property directly
-(kernel vs generator output) and end to end (identical cycle counts and
-statistics through the full testbench and SoC grids).
+Slot order contract
+-------------------
+A kernel's slot sequence is, beat by beat, exactly the word accesses the
+RTL request generator issues: same ports, same word addresses, same payload
+offsets, same issue order.  ``tests/test_datapath_parity.py`` checks every
+kernel slot for slot against the readable beat-at-a-time reference planners
+in ``tests/reference_planners.py``.
 
-Payload movement under ``DataPolicy.FULL`` intentionally stays scalar: the
-per-beat byte scatter/gather of :meth:`LaneReadPipe.take_response` and
-:meth:`LaneWritePipe.issue` is the same slice-assignment the scalar pipes
-perform, just indexed through the flat arrays.  Only the *geometry* work
-(planning, issue bookkeeping, completion tracking) is batched.
+Payload movement under ``DataPolicy.FULL`` stays per word: the byte
+scatter/gather of :meth:`LaneReadPipe.take_response` and
+:meth:`LaneWritePipe.issue` is a slice assignment indexed through the flat
+arrays.  Only the *geometry* work (planning, issue bookkeeping, completion
+tracking) is batched.
 """
 
 from __future__ import annotations
@@ -39,12 +39,10 @@ from repro.axi.signals import BBeat, RBeat
 from repro.axi.transaction import BusRequest
 from repro.axi.types import Resp
 from repro.controller.context import AdapterConfig
-from repro.controller.pipes import _ActiveWriteBurst
 from repro.controller.regulator import RequestRegulator
 from repro.errors import ProtocolError, SimulationError
 from repro.mem.words import WordRequest
 from repro.sim.policy import DataPolicy
-from repro.sim.stats import StatsRegistry
 
 #: Prebound default: checked once per word response on the hot path.
 _RESP_OKAY = Resp.OKAY
@@ -133,16 +131,16 @@ class SlotBatch:
         """Switch the per-beat counters to write-pipe semantics."""
         # For writes ``beat_remaining`` counts unissued slots and
         # ``beat_acks`` counts issued-but-unacknowledged ones; a beat is
-        # complete when both reach zero (mirrors WriteBeatState.complete).
+        # complete when both reach zero.
         self.beat_acks = [0] * self.num_beats
         self.beat_payload = [None] * self.num_beats
 
 
 # --------------------------------------------------------------------------
-# numpy plan kernels
+# plan kernels
 #
-# Each kernel is the vectorized twin of one generator planner in
-# repro.controller.planners and produces the identical flat slot sequence.
+# One kernel per traffic pattern: contiguous, narrow, strided, indexed
+# (one beat at a time) and index fetch.
 # --------------------------------------------------------------------------
 
 
@@ -157,8 +155,7 @@ def _batch_from_ranges(
     """Split per-beat byte ranges at word boundaries into a slot batch.
 
     ``starts[k] .. ends[k]`` is beat *k*'s absolute byte range; payload
-    offsets restart at zero for every beat, exactly like the scalar
-    contiguous/narrow/index-fetch planners.  Word-aligned ranges (the
+    offsets restart at zero for every beat.  Word-aligned ranges (the
     overwhelmingly common case) take a fast path built entirely from
     C-level ``range``/``extend`` operations; misaligned edges fall back to
     the generic splitter.
@@ -219,7 +216,7 @@ def _batch_from_ranges(
 def batch_contiguous(
     request: BusRequest, word_bytes: int, bus_words: int
 ) -> SlotBatch:
-    """Batch twin of :func:`~repro.controller.planners.plan_contiguous_beats`."""
+    """Plan a plain full-width AXI4 INCR burst, striped across the lanes."""
     num_beats = request.num_beats
     addr = request.addr
     bus_bytes = request.bus_bytes
@@ -242,7 +239,11 @@ def batch_contiguous(
 def batch_narrow(
     request: BusRequest, word_bytes: int, bus_words: int
 ) -> SlotBatch:
-    """Batch twin of :func:`~repro.controller.planners.plan_narrow_beats`."""
+    """Plan a narrow (element-per-beat) plain AXI4 burst.
+
+    This is the BASE system's strided/indexed fallback: every beat carries a
+    single element, however wide the bus is.
+    """
     num_beats = request.num_beats
     elem_bytes = request.elem_bytes
     addr = request.addr
@@ -276,7 +277,12 @@ def batch_index_fetch(
     word_bytes: int,
     bus_words: int,
 ) -> SlotBatch:
-    """Batch twin of :func:`~repro.controller.planners.plan_index_fetch_beats`."""
+    """Plan the index stage of an indirect burst: whole bus-wide lines.
+
+    The paper fetches "indices as whole bus lines"; each line becomes one
+    beat of contiguous word reads.  These beats never reach the R channel —
+    they feed the converter's offsets-extraction logic.
+    """
     index_base = request.index_base
     total_bytes = request.num_elements * request.pack.index_bytes
     num_lines = -(-(index_base % bus_bytes + total_bytes) // bus_bytes)
@@ -307,9 +313,9 @@ def _packed_element_batch(
 ) -> SlotBatch:
     """Expand word-aligned packed elements into a slot batch.
 
-    Mirrors :func:`~repro.controller.planners._element_word_slots` over every
-    element at once: element ``e`` contributes ``elem_bytes // word_bytes``
-    full-word slots on lanes ``(local(e) * wpe + w) % bus_words``.
+    Element ``e`` contributes ``wpe = elem_bytes // word_bytes`` full-word
+    slots on lanes ``(local(e) * wpe + w) % bus_words``: in the RTL the
+    packed position of an element inside its beat fixes its word lanes.
     """
     if elem_bytes % word_bytes != 0:
         raise ProtocolError(
@@ -352,7 +358,11 @@ def _packed_element_batch(
 def batch_strided(
     request: BusRequest, word_bytes: int, bus_words: int
 ) -> SlotBatch:
-    """Batch twin of :func:`~repro.controller.planners.plan_strided_beats`."""
+    """Plan an AXI-Pack strided burst.
+
+    Beat *b* packs elements ``b*epb .. (b+1)*epb - 1`` (``epb`` elements per
+    beat); element *e* lives at ``addr + e * stride * elem_bytes``.
+    """
     elem_bytes = request.elem_bytes
     stride_bytes = request.pack.stride_elems * elem_bytes
     num_elements = request.num_elements
@@ -421,12 +431,15 @@ def batch_indexed_beat(
     word_bytes: int,
     bus_words: int,
 ) -> SlotBatch:
-    """Vectorized twin of :func:`~repro.controller.planners.plan_indexed_beat`.
+    """Plan one beat of an indirect burst once its indices are known.
 
-    One single-beat batch per call, because the indirect converters only
-    learn a beat's indices once its index-line fetches complete.  The common
-    word-sized-element case takes a scalar fast path: for a handful of
-    elements plain list arithmetic beats the numpy call overhead.
+    ``element_offsets`` are the beat's resolved index values in stream
+    order; element addresses are ``addr + index * elem_bytes`` (the "shift
+    and add" of Fig. 2d).  One single-beat batch per call, because the
+    indirect converters only learn a beat's indices once its index-line
+    fetches complete.  The common word-sized-element case takes a list fast
+    path: for a handful of elements plain list arithmetic beats the numpy
+    call overhead.
     """
     elem_bytes = request.elem_bytes
     count = len(element_offsets)
@@ -478,33 +491,33 @@ def batch_indexed_beat(
 
 
 class LaneReadPipe:
-    """Batch-datapath twin of :class:`~repro.controller.pipes.ReadPipe`.
+    """Issues word reads beat by beat and re-packs the returned words.
 
-    Issue, regulation, completion and emission follow the scalar pipe's
-    discipline slot for slot; the difference is purely representational
-    (flat arrays + integer cursors instead of per-object dispatch).
+    Beats are issued and completed strictly in order, which keeps the R
+    channel ordering rules trivially satisfied and matches the info-queue
+    discipline of the RTL beat packer.
+
+    Under ``DataPolicy.ELIDE`` no payload buffers exist: word responses only
+    decrement the beat's completion count, and completed beats emit empty
+    payloads with their geometry (``useful_bytes``) intact.
     """
 
-    __slots__ = ("name", "config", "stats", "_elide", "regulator",
-                 "_beats", "_unissued", "_accepted_bursts")
+    __slots__ = ("name", "config", "_elide", "regulator", "_beats", "_unissued")
 
     def __init__(
         self,
         name: str,
         config: AdapterConfig,
-        stats: StatsRegistry,
         data_policy: DataPolicy = DataPolicy.FULL,
     ) -> None:
         self.name = name
         self.config = config
-        self.stats = stats
         self._elide = data_policy.elides_data
         self.regulator = RequestRegulator(config.bus_words, config.queue_depth)
         #: (batch, beat index, request) in plan order, oldest first
         self._beats: Deque[Tuple[SlotBatch, int, BusRequest]] = deque()
         #: batches with unissued slots, oldest first: [batch, flat cursor]
         self._unissued: Deque[List] = deque()
-        self._accepted_bursts = 0
 
     # -------------------------------------------------------------- planning
     def add_batch(
@@ -530,15 +543,16 @@ class LaneReadPipe:
 
     def accept(self, request: BusRequest, batch: SlotBatch) -> None:
         """Accept a burst whose beats are fully described by ``batch``."""
-        self._accepted_bursts += 1
         self.add_batch(request, batch)
 
     # --------------------------------------------------------------- issuing
     def issue(self, free_ports: Set[int], out: List[WordRequest]) -> None:
         """Issue word reads in order, using only ``free_ports``.
 
-        Same in-order discipline as the scalar pipe: stop at the first slot
-        whose port is unavailable or regulator-blocked.
+        Ports used are removed from ``free_ports`` so other pipes sharing the
+        memory ports this cycle cannot double-book them.  Issue stops at the
+        first slot whose port is unavailable or regulator-blocked, preserving
+        the in-order request discipline of the RTL request generator.
         """
         unissued = self._unissued
         regulator = self.regulator
@@ -602,8 +616,8 @@ class LaneReadPipe:
         in_flight[port] -= 1
 
     def _check_issued(self, batch: SlotBatch, k: int) -> None:
-        """Same consistency guard as the scalar pipe: a beat with word
-        accesses cannot complete before all of them were issued."""
+        """Consistency guard: a beat with word accesses cannot complete
+        before all of them were issued."""
         unissued = self._unissued
         if (
             unissued
@@ -676,30 +690,51 @@ class LaneReadPipe:
         self.regulator.reset()
 
 
-class LaneWritePipe:
-    """Batch-datapath twin of :class:`~repro.controller.pipes.WritePipe`.
+class _ActiveWriteBurst:
+    """Book-keeping for one write burst travelling through a LaneWritePipe.
 
-    Planner-driven bursts (strided / contiguous / narrow) carry one
-    whole-burst :class:`SlotBatch` built at acceptance; each beat is *armed*
-    when its W data arrives, which is when its slot range joins the issue
-    queue — the same point the scalar pipe materializes the beat's plan.
-    Indirect bursts pass ``batch=None`` and add armed single-beat batches
-    explicitly once indices and payload are both known.
+    ``resp`` accumulates the worst response of the burst's retired beats
+    and becomes the B response when the burst completes.
     """
 
-    __slots__ = ("name", "config", "stats", "_elide", "regulator",
+    __slots__ = ("request", "w_beats_received", "beats_completed", "resp")
+
+    def __init__(self, request: BusRequest) -> None:
+        self.request = request
+        self.w_beats_received = 0
+        self.beats_completed = 0
+        self.resp = _RESP_OKAY
+
+    @property
+    def all_w_received(self) -> bool:
+        return self.w_beats_received >= self.request.num_beats
+
+    @property
+    def complete(self) -> bool:
+        return self.beats_completed >= self.request.num_beats
+
+
+class LaneWritePipe:
+    """Unpacks W beats into word writes and tracks their acknowledgements.
+
+    Bursts planned up front (strided / contiguous / narrow) carry one
+    whole-burst :class:`SlotBatch` built at acceptance; each beat is *armed*
+    when its W data arrives, which is when its slot range joins the issue
+    queue.  Indirect bursts pass ``batch=None`` and add armed single-beat
+    batches explicitly once indices and payload are both known.
+    """
+
+    __slots__ = ("name", "config", "_elide", "regulator",
                  "_bursts", "_beats", "_unissued", "_burst_batches")
 
     def __init__(
         self,
         name: str,
         config: AdapterConfig,
-        stats: StatsRegistry,
         data_policy: DataPolicy = DataPolicy.FULL,
     ) -> None:
         self.name = name
         self.config = config
-        self.stats = stats
         self._elide = data_policy.elides_data
         self.regulator = RequestRegulator(config.bus_words, config.queue_depth)
         self._bursts: Deque[_ActiveWriteBurst] = deque()
@@ -707,7 +742,7 @@ class LaneWritePipe:
         self._beats: Deque[Tuple[SlotBatch, int, _ActiveWriteBurst]] = deque()
         #: armed beats with unissued slots: [batch, cursor, end, beat index]
         self._unissued: Deque[List] = deque()
-        #: whole-burst batches of planner-driven bursts, by burst identity
+        #: whole-burst batches of bursts planned up front, by burst identity
         self._burst_batches: dict = {}
 
     # -------------------------------------------------------------- planning
@@ -715,16 +750,12 @@ class LaneWritePipe:
         self, request: BusRequest, batch: Optional[SlotBatch]
     ) -> _ActiveWriteBurst:
         """Accept a write burst; ``batch`` covers it fully or is None."""
-        burst = _ActiveWriteBurst(request, planner=None)
+        burst = _ActiveWriteBurst(request)
         self._bursts.append(burst)
         if batch is not None:
             batch.init_write_state()
             self._burst_batches[id(burst)] = batch
         return burst
-
-    def expecting_w_data(self) -> bool:
-        """True if some accepted burst still waits for W beats."""
-        return any(not burst.all_w_received for burst in self._bursts)
 
     def take_w_beat(self, payload: bytes) -> Optional[_ActiveWriteBurst]:
         """Deliver one W data beat to the oldest burst still expecting data."""
@@ -795,8 +826,9 @@ class LaneWritePipe:
                 if check_partial and (
                     batch.nbytes[i] != word_bytes or batch.shifts[i] != 0
                 ):
-                    # Same geometry guard (and message) as the scalar pipe,
-                    # raised when the offending slot reaches the issue stage.
+                    # Geometry-only guard, raised when the offending slot
+                    # reaches the issue stage, so FULL and ELIDE reject the
+                    # same malformed bursts at the same point.
                     raise SimulationError(
                         f"{self.name}: partial-word write at word "
                         f"{words[i]:#x} — the model requires word-aligned "

@@ -2,7 +2,7 @@
 
 For every beat of a packed strided burst, the request generator issues the
 parallel word reads of the elements to be packed; the info queue (modelled by
-the ordered beat states inside :class:`~repro.controller.pipes.ReadPipe`)
+the ordered beat records inside :class:`~repro.controller.lanes.LaneReadPipe`)
 remembers how to pack them; the beat packer assembles full R beats as the
 words return from the banks.
 """
@@ -17,8 +17,6 @@ from repro.axi.transaction import BusRequest
 from repro.controller.context import AdapterContext
 from repro.controller.converter import Converter
 from repro.controller.lanes import LaneReadPipe, batch_strided
-from repro.controller.pipes import ReadPipe
-from repro.controller.planners import plan_strided_beats
 from repro.mem.words import WordRequest
 
 #: Upper bound on beats buffered in the pipe before new bursts stall.
@@ -30,10 +28,7 @@ class StridedReadConverter(Converter):
 
     def __init__(self, name: str, ctx: AdapterContext) -> None:
         super().__init__(name, ctx)
-        self._batch = ctx.datapath.is_batch
-        pipe_cls = LaneReadPipe if self._batch else ReadPipe
-        self._pipe = pipe_cls(name, ctx.config, ctx.stats, ctx.data_policy)
-        self._seq = 0
+        self._pipe = LaneReadPipe(name, ctx.config, ctx.data_policy)
         self._c_bursts = ctx.stats.counter("controller.strided_read.bursts")
 
     def can_accept_read(self, request: BusRequest) -> bool:
@@ -43,14 +38,9 @@ class StridedReadConverter(Converter):
 
     def accept_read(self, request: BusRequest) -> None:
         config = self.ctx.config
-        if self._batch:
-            plans = batch_strided(request, config.word_bytes, config.bus_words)
-        else:
-            plans = plan_strided_beats(
-                request, config.word_bytes, config.bus_words, self._seq
-            )
-        self._seq += 1
-        self._pipe.accept(request, plans)
+        self._pipe.accept(
+            request, batch_strided(request, config.word_bytes, config.bus_words)
+        )
         self._c_bursts.value += 1
 
     def issue(self, free_ports: Set[int], out: List[WordRequest]) -> None:

@@ -15,8 +15,6 @@ from repro.axi.transaction import BusRequest
 from repro.controller.context import AdapterContext
 from repro.controller.converter import Converter
 from repro.controller.lanes import LaneWritePipe, batch_strided
-from repro.controller.pipes import WritePipe
-from repro.controller.planners import plan_strided_beats
 from repro.mem.words import WordRequest
 
 
@@ -25,9 +23,7 @@ class StridedWriteConverter(Converter):
 
     def __init__(self, name: str, ctx: AdapterContext) -> None:
         super().__init__(name, ctx)
-        self._batch = ctx.datapath.is_batch
-        pipe_cls = LaneWritePipe if self._batch else WritePipe
-        self._pipe = pipe_cls(name, ctx.config, ctx.stats, ctx.data_policy)
+        self._pipe = LaneWritePipe(name, ctx.config, ctx.data_policy)
         self._c_bursts = ctx.stats.counter("controller.strided_write.bursts")
 
     def can_accept_write(self, request: BusRequest) -> bool:
@@ -37,15 +33,9 @@ class StridedWriteConverter(Converter):
 
     def accept_write(self, request: BusRequest) -> None:
         config = self.ctx.config
-        if self._batch:
-            self._pipe.accept(
-                request, batch_strided(request, config.word_bytes, config.bus_words)
-            )
-        else:
-            plans = plan_strided_beats(
-                request, config.word_bytes, config.bus_words, burst_seq=0
-            )
-            self._pipe.accept(request, iter(plans))
+        self._pipe.accept(
+            request, batch_strided(request, config.word_bytes, config.bus_words)
+        )
         self._c_bursts.value += 1
 
     def take_w_beat(self, payload: bytes) -> None:

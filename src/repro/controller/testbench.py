@@ -24,7 +24,6 @@ from repro.errors import SimulationError
 from repro.mem.banked import BankedMemory, BankedMemoryConfig
 from repro.mem.storage import MemoryStorage
 from repro.sim.component import IDLE, Component, WakeHint
-from repro.sim.datapath import DatapathMode
 from repro.sim.engine import Engine
 from repro.sim.policy import DataPolicy
 from repro.sim.stats import StatsRegistry
@@ -192,7 +191,6 @@ class ControllerTestbench:
         memory_bytes: int = 1 << 22,
         port_config: Optional[AxiPortConfig] = None,
         data_policy: DataPolicy = DataPolicy.FULL,
-        datapath: Optional[DatapathMode] = None,
     ) -> None:
         self.adapter_config = adapter_config or AdapterConfig()
         self.memory_config = memory_config or BankedMemoryConfig(
@@ -208,7 +206,7 @@ class ControllerTestbench:
         )
         self.adapter = AxiPackAdapter(
             "adapter", self.port, self.memory, self.adapter_config, self.stats,
-            data_policy=data_policy, datapath=datapath,
+            data_policy=data_policy,
         )
 
     def run(

@@ -1,10 +1,10 @@
 """Differential fuzz harness: one case, every point of the config cube.
 
 ``run_fuzz_case`` executes a :class:`~repro.fuzz.case.FuzzCase` on every
-cube point — event-driven/naive engine x scalar/batch datapath x FULL/ELIDE
-data policy, on the single-engine topology and (when the case has at least
-two segments) a two-engine sharded topology over one shared channel plus
-the two-engine x two-channel crossbar — and checks:
+cube point — event-driven/naive engine x FULL/ELIDE data policy, on the
+single-engine topology and (when the case has at least two segments) a
+two-engine sharded topology over one shared channel plus the two-engine x
+two-channel crossbar — and checks:
 
 * FULL points reproduce the functional oracle's final memory image and
   per-engine register files byte for byte;
@@ -50,24 +50,15 @@ from repro.fuzz.case import (
 )
 from repro.fuzz.oracle import interpret_program
 from repro.mem.storage import MemoryStorage
-from repro.sim.datapath import datapath_override
 from repro.system.config import SystemConfig, SystemKind
 from repro.system.soc import build_system
 
 #: Memory image size for fuzz SoCs (2 MiB keeps snapshots cheap to compare).
 FUZZ_MEMORY_BYTES = 1 << 21
 
-#: (datapath, event_driven, policy) points for the single-engine topology.
-CUBE_SINGLE: Tuple[Tuple[str, bool, str], ...] = tuple(
-    (datapath, event, policy)
-    for datapath in ("batch", "scalar")
-    for event in (True, False)
-    for policy in ("full", "elide")
-)
-
-#: Multi-engine subset: batch datapath only, to bound per-case runtime.
-CUBE_DUAL: Tuple[Tuple[str, bool, str], ...] = tuple(
-    ("batch", event, policy)
+#: (event_driven, policy) points every topology runs.
+CUBE: Tuple[Tuple[bool, str], ...] = tuple(
+    (event, policy)
     for event in (True, False)
     for policy in ("full", "elide")
 )
@@ -236,29 +227,26 @@ def run_fuzz_case(case: FuzzCase, max_cycles: int = 5_000_000) -> FuzzCaseReport
 
     for num_engines, num_channels in topologies:
         programs = build_case_programs(plan, num_engines)
-        cube = CUBE_SINGLE if (num_engines, num_channels) == (1, 1) else CUBE_DUAL
         topo_tag = (f"{num_engines}eng" if num_channels == 1
                     else f"{num_engines}eng{num_channels}ch")
         baseline: Optional[Tuple[str, tuple]] = None
         abort_mem: Optional[Tuple[str, np.ndarray]] = None
-        for datapath, event, policy in cube:
-            point = (f"{topo_tag}/{datapath}/"
-                     f"{'event' if event else 'naive'}/{policy}")
-            with datapath_override(datapath):
-                reset_txn_ids()
-                config = SystemConfig(
-                    memory_bytes=FUZZ_MEMORY_BYTES, data_policy=policy,
-                ).with_kind(SystemKind(case.kind))
-                if num_engines > 1:
-                    config = config.with_engines(num_engines)
-                if num_channels > 1:
-                    config = config.with_channels(num_channels)
-                if fault_plan is not None:
-                    config = config.with_bus_faults(fault_plan)
-                soc = build_system(config)
-                initialize_image(soc.storage, plan)
-                cycles, results = soc.run_programs(
-                    programs, max_cycles=max_cycles, event_driven=event)
+        for event, policy in CUBE:
+            point = f"{topo_tag}/{'event' if event else 'naive'}/{policy}"
+            reset_txn_ids()
+            config = SystemConfig(
+                memory_bytes=FUZZ_MEMORY_BYTES, data_policy=policy,
+            ).with_kind(SystemKind(case.kind))
+            if num_engines > 1:
+                config = config.with_engines(num_engines)
+            if num_channels > 1:
+                config = config.with_channels(num_channels)
+            if fault_plan is not None:
+                config = config.with_bus_faults(fault_plan)
+            soc = build_system(config)
+            initialize_image(soc.storage, plan)
+            cycles, results = soc.run_programs(
+                programs, max_cycles=max_cycles, event_driven=event)
             fault_report = soc.last_fault_report
             if fault_aborts and fault_report is None:
                 raise FuzzDivergence(

@@ -19,11 +19,6 @@ for the full contract.
 from repro.sim.component import IDLE, Component, WakeHint
 from repro.sim.queue import DecoupledQueue, LatencyPipe
 from repro.sim.arbiter import RoundRobinArbiter
-from repro.sim.datapath import (
-    DatapathMode,
-    default_datapath_mode,
-    resolve_datapath_mode,
-)
 from repro.sim.engine import Engine
 from repro.sim.policy import DataPolicy, default_data_policy, resolve_data_policy
 from repro.sim.stats import Counter, StatsRegistry
@@ -33,7 +28,6 @@ __all__ = [
     "Component",
     "WakeHint",
     "DataPolicy",
-    "DatapathMode",
     "DecoupledQueue",
     "LatencyPipe",
     "RoundRobinArbiter",
@@ -41,7 +35,5 @@ __all__ = [
     "Counter",
     "StatsRegistry",
     "default_data_policy",
-    "default_datapath_mode",
     "resolve_data_policy",
-    "resolve_datapath_mode",
 ]

@@ -13,7 +13,7 @@ length.  This variant computes the same ``y = A @ x`` in two passes:
    and reduce it to ``y[row]``.
 
 The long irregular index streams of pass 1 are exactly the traffic shape the
-batch datapath's indexed-beat kernels see least of elsewhere in the headline
+controller's indexed-beat lane kernels see least of elsewhere in the headline
 grid, which is why this workload rides in it (PR 4).
 """
 

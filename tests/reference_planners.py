@@ -1,18 +1,96 @@
-"""Beat planners: turn a burst request into per-beat word-access plans.
+"""Reference beat planners: the readable twin of the lane plan kernels.
 
-Planners are pure functions (generators) so they can be unit tested in
-isolation from the cycle-level machinery.  Each converter pairs one planner
-with the generic read/write pipe from :mod:`repro.controller.pipes`.
+Each planner turns a burst request into one :class:`BeatPlan` per beat,
+holding one :class:`WordSlot` per word access, one object at a time.  The
+simulator plans with the struct-of-arrays kernels of
+:mod:`repro.controller.lanes`; these generators stay here as the oracle
+that ``tests/test_datapath_parity.py`` checks those kernels against, slot
+for slot.  Naming convention: ``plan_<stem>[_beats]`` is the reference for
+``batch_<stem>``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from repro.axi.transaction import BusRequest
-from repro.controller.plans import BeatPlan, WordSlot
 from repro.errors import ProtocolError
 from repro.utils.math import ceil_div
+
+
+class WordSlot:
+    """One word access belonging to a beat.
+
+    Attributes
+    ----------
+    port:
+        Word lane the access is issued on (0 .. n-1).
+    word_addr:
+        Target word address (byte address // word size).
+    offset:
+        Byte offset of this word's data inside the beat payload.
+    nbytes:
+        Number of bytes of this word that belong to the payload (normally the
+        full word; smaller only for unaligned contiguous edges).
+    byte_shift:
+        Offset inside the memory word where the payload bytes start (non-zero
+        only for unaligned contiguous edges).
+    """
+
+    __slots__ = ("port", "word_addr", "offset", "nbytes", "byte_shift")
+
+    def __init__(
+        self,
+        port: int,
+        word_addr: int,
+        offset: int,
+        nbytes: int,
+        byte_shift: int = 0,
+    ) -> None:
+        self.port = port
+        self.word_addr = word_addr
+        self.offset = offset
+        self.nbytes = nbytes
+        self.byte_shift = byte_shift
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"WordSlot(port={self.port}, word_addr={self.word_addr:#x}, "
+            f"offset={self.offset}, nbytes={self.nbytes}, "
+            f"byte_shift={self.byte_shift})"
+        )
+
+
+class BeatPlan:
+    """All word accesses of one beat plus packing bookkeeping."""
+
+    __slots__ = ("beat_index", "txn_id", "useful_bytes", "last", "slots")
+
+    def __init__(
+        self,
+        beat_index: int,
+        txn_id: int,
+        useful_bytes: int,
+        last: bool,
+        slots: Optional[List[WordSlot]] = None,
+    ) -> None:
+        self.beat_index = beat_index
+        self.txn_id = txn_id
+        self.useful_bytes = useful_bytes
+        self.last = last
+        self.slots = slots if slots is not None else []
+
+    @property
+    def num_words(self) -> int:
+        """Number of word accesses the beat requires."""
+        return len(self.slots)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"BeatPlan(beat_index={self.beat_index}, txn_id={self.txn_id}, "
+            f"useful_bytes={self.useful_bytes}, last={self.last}, "
+            f"slots={self.slots!r})"
+        )
 
 
 def _element_word_slots(
@@ -54,7 +132,7 @@ def _element_word_slots(
 
 
 def plan_strided_beats(
-    request: BusRequest, word_bytes: int, bus_words: int, burst_seq: int
+    request: BusRequest, word_bytes: int, bus_words: int
 ) -> Iterator[BeatPlan]:
     """Plan the beats of an AXI-Pack strided burst.
 
@@ -63,7 +141,6 @@ def plan_strided_beats(
     """
     elem_bytes = request.elem_bytes
     stride_bytes = request.pack.stride_elems * elem_bytes
-    elems_per_beat = request.bus_bytes // elem_bytes
     words_per_elem = elem_bytes // word_bytes
     for beat in range(request.num_beats):
         first, last_excl = request.beat_elements(beat)
@@ -80,7 +157,6 @@ def plan_strided_beats(
                 )
             )
         yield BeatPlan(
-            burst_seq=burst_seq,
             beat_index=beat,
             txn_id=request.txn_id,
             useful_bytes=(last_excl - first) * elem_bytes,
@@ -95,7 +171,6 @@ def plan_indexed_beat(
     element_offsets: Sequence[int],
     word_bytes: int,
     bus_words: int,
-    burst_seq: int,
 ) -> BeatPlan:
     """Plan one beat of an indirect burst once its indices are known.
 
@@ -118,7 +193,6 @@ def plan_indexed_beat(
             )
         )
     return BeatPlan(
-        burst_seq=burst_seq,
         beat_index=beat,
         txn_id=request.txn_id,
         useful_bytes=len(element_offsets) * elem_bytes,
@@ -128,7 +202,7 @@ def plan_indexed_beat(
 
 
 def plan_contiguous_beats(
-    request: BusRequest, word_bytes: int, bus_words: int, burst_seq: int
+    request: BusRequest, word_bytes: int, bus_words: int
 ) -> Iterator[BeatPlan]:
     """Plan the beats of a plain full-width AXI4 INCR burst."""
     for beat in range(request.num_beats):
@@ -152,7 +226,6 @@ def plan_contiguous_beats(
             offset += nbytes
             addr += nbytes
         yield BeatPlan(
-            burst_seq=burst_seq,
             beat_index=beat,
             txn_id=request.txn_id,
             useful_bytes=end - start,
@@ -162,7 +235,7 @@ def plan_contiguous_beats(
 
 
 def plan_narrow_beats(
-    request: BusRequest, word_bytes: int, bus_words: int, burst_seq: int
+    request: BusRequest, word_bytes: int, bus_words: int
 ) -> Iterator[BeatPlan]:
     """Plan the beats of a narrow (element-per-beat) plain AXI4 burst.
 
@@ -193,7 +266,6 @@ def plan_narrow_beats(
             offset += nbytes
             addr += nbytes
         yield BeatPlan(
-            burst_seq=burst_seq,
             beat_index=beat,
             txn_id=request.txn_id,
             useful_bytes=elem_bytes,
@@ -210,7 +282,6 @@ def plan_index_fetch_beats(
     word_bytes: int,
     bus_words: int,
     txn_id: int,
-    burst_seq: int,
 ) -> Iterator[BeatPlan]:
     """Plan the contiguous word fetches of an indirect burst's index stage.
 
@@ -244,7 +315,6 @@ def plan_index_fetch_beats(
             offset += nbytes
             addr += nbytes
         yield BeatPlan(
-            burst_seq=burst_seq,
             beat_index=line,
             txn_id=txn_id,
             useful_bytes=end - start,

@@ -12,7 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.axi.builder import BuilderConfig, RequestBuilder
 from repro.axi.stream import ContiguousStream, IndirectStream, StridedStream
+from repro.controller.base_converter import BaseAxi4Converter
 from repro.controller.context import AdapterConfig
+from repro.controller.indirect_read import IndirectReadConverter
+from repro.controller.indirect_write import IndirectWriteConverter
+from repro.controller.lanes import LaneReadPipe, LaneWritePipe
+from repro.controller.strided_read import StridedReadConverter
+from repro.controller.strided_write import StridedWriteConverter
 from repro.controller.testbench import ControllerTestbench
 from repro.mem.banked import BankedMemoryConfig
 from repro.mem.functional import read_burst_payload
@@ -254,3 +260,78 @@ class TestRandomizedAgainstGoldenModel:
         for request in requests:
             expected = read_burst_payload(tb.storage, request).tobytes()
             assert result.outcomes[request.txn_id].payload == expected
+
+
+#: (converter class, method) entry points the adapter calls per cycle.  A
+#: per-layer profiler wraps them on the class itself (``cls.__dict__``), so
+#: each must be defined on its own class and reached through the class.
+ENTRY_POINTS = [
+    (BaseAxi4Converter, "issue"),
+    (StridedReadConverter, "issue"),
+    (StridedWriteConverter, "issue"),
+    (IndirectReadConverter, "issue"),
+    (IndirectReadConverter, "step"),
+    (IndirectWriteConverter, "issue"),
+    (IndirectWriteConverter, "step"),
+]
+
+#: Lane pipes each converter drives its word accesses through.
+CONVERTER_PIPES = {
+    "base": ["LaneReadPipe", "LaneWritePipe"],
+    "strided_read": ["LaneReadPipe"],
+    "strided_write": ["LaneWritePipe"],
+    "indirect_read": ["LaneReadPipe", "LaneReadPipe"],
+    "indirect_write": ["LaneReadPipe", "LaneWritePipe"],
+}
+
+
+def _every_converter_stream(tb, builder):
+    """Plain, strided and indirect reads and writes: every converter's bursts."""
+    fill(tb)
+    tb.storage.write_array(0x20000, np.arange(100, 132, dtype=np.uint32))
+    requests = []
+    for base, is_write in ((0, False), (0x40000, True)):
+        requests += builder.contiguous(ContiguousStream(base, 32, 4), is_write)
+        requests += builder.pack_strided(
+            StridedStream(base=base, num_elements=32, elem_bytes=4,
+                          stride_elems=3), is_write
+        )
+        requests += builder.pack_indirect(
+            IndirectStream(base=base, num_elements=32, elem_bytes=4,
+                           index_base=0x20000, index_bytes=4), is_write
+        )
+    payloads = {
+        request.txn_id: bytes(request.payload_bytes)
+        for request in requests if request.is_write
+    }
+    return requests, payloads
+
+
+class TestConverterEntryPoints:
+    @pytest.mark.parametrize(
+        "cls,method", ENTRY_POINTS,
+        ids=[f"{cls.__name__}.{method}" for cls, method in ENTRY_POINTS],
+    )
+    def test_class_wrapper_sees_calls(self, cls, method, builder, monkeypatch):
+        assert method in cls.__dict__, f"{cls.__name__} inherits {method}"
+        original = cls.__dict__[method]
+        calls = []
+
+        def wrapper(self, *args):
+            calls.append(self.name)
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, method, wrapper)
+        tb = make_testbench()
+        requests, payloads = _every_converter_stream(tb, builder)
+        tb.run(requests, write_payloads=payloads)
+        assert calls
+
+    @pytest.mark.parametrize("attr", sorted(CONVERTER_PIPES))
+    def test_converter_runs_on_lane_pipes(self, attr):
+        converter = getattr(make_testbench().adapter, attr)
+        pipes = sorted(
+            type(value).__name__ for value in vars(converter).values()
+            if isinstance(value, (LaneReadPipe, LaneWritePipe))
+        )
+        assert pipes == CONVERTER_PIPES[attr]

@@ -1,4 +1,4 @@
-"""Unit tests for the request regulator and the generic read/write pipes."""
+"""Unit tests for the request regulator and the lane read/write pipes."""
 
 import pytest
 
@@ -6,11 +6,9 @@ from repro.axi.pack import PackUserField
 from repro.axi.transaction import BusRequest
 from repro.axi.types import Resp
 from repro.controller.context import AdapterConfig
-from repro.controller.pipes import ReadPipe, WritePipe
-from repro.controller.planners import plan_strided_beats
+from repro.controller.lanes import LaneReadPipe, LaneWritePipe, batch_strided
 from repro.controller.regulator import RequestRegulator
 from repro.errors import SimulationError
-from repro.sim.stats import StatsRegistry
 
 
 class TestRegulator:
@@ -58,11 +56,22 @@ def _config(queue_depth=4):
     return AdapterConfig(bus_bytes=32, queue_depth=queue_depth)
 
 
+def _read_pipe(request, queue_depth=4):
+    pipe = LaneReadPipe("p", _config(queue_depth))
+    pipe.accept(request, batch_strided(request, 4, 8))
+    return pipe
+
+
+def _respond(pipe, words, data_of):
+    """Deliver each issued word's response; ``data_of(port)`` is its word."""
+    for word in words:
+        _, batch, slot = word.tag
+        pipe.take_response(batch, slot, data_of(batch.ports[slot]))
+
+
 class TestReadPipe:
     def test_issue_respects_free_ports(self):
-        pipe = ReadPipe("p", _config(), StatsRegistry())
-        request = _strided_request(8)
-        pipe.accept(request, plan_strided_beats(request, 4, 8, 0))
+        pipe = _read_pipe(_strided_request(8))
         out = []
         pipe.issue({0, 1, 2}, out)
         # In-order issue stops at the first unavailable port (port 3).
@@ -70,9 +79,7 @@ class TestReadPipe:
         assert [r.port for r in out] == [0, 1, 2]
 
     def test_issue_respects_regulator(self):
-        pipe = ReadPipe("p", _config(queue_depth=1), StatsRegistry())
-        request = _strided_request(16)
-        pipe.accept(request, plan_strided_beats(request, 4, 8, 0))
+        pipe = _read_pipe(_strided_request(16), queue_depth=1)
         out = []
         pipe.issue(set(range(8)), out)
         assert len(out) == 8  # one per lane
@@ -81,95 +88,87 @@ class TestReadPipe:
         assert out2 == []  # regulator full until responses retire
 
     def test_beat_completion_and_packing(self):
-        pipe = ReadPipe("p", _config(), StatsRegistry())
         request = _strided_request(8)
-        pipe.accept(request, plan_strided_beats(request, 4, 8, 0))
+        pipe = _read_pipe(request)
         out = []
         pipe.issue(set(range(8)), out)
         assert pipe.pop_ready_beat() is None
-        for word in out:
-            _, state, slot = word.tag
-            pipe.take_response(state, slot, bytes([slot.port] * 4))
-        plan, data, req, resp = pipe.pop_ready_beat()
+        _respond(pipe, out, lambda port: bytes([port] * 4))
+        useful, data, req, resp = pipe.pop_ready_beat()
         assert req is request
-        assert plan.useful_bytes == 32
+        assert useful == 32
         assert data == bytes(sum([[p] * 4 for p in range(8)], []))
         assert resp is Resp.OKAY
 
     def test_beats_emitted_in_order(self):
-        pipe = ReadPipe("p", _config(queue_depth=8), StatsRegistry())
-        request = _strided_request(16)
-        pipe.accept(request, plan_strided_beats(request, 4, 8, 0))
+        pipe = _read_pipe(_strided_request(16), queue_depth=8)
         out = []
         pipe.issue(set(range(8)), out)
         pipe.issue(set(range(8)), out)
         assert len(out) == 16
         # Answer the second beat's words first: nothing can be emitted yet.
-        for word in out[8:]:
-            _, state, slot = word.tag
-            pipe.take_response(state, slot, b"\x00" * 4)
+        _respond(pipe, out[8:], lambda port: b"\x01" * 4)
         assert pipe.pop_ready_beat() is None
-        for word in out[:8]:
-            _, state, slot = word.tag
-            pipe.take_response(state, slot, b"\x00" * 4)
+        _respond(pipe, out[:8], lambda port: b"\x00" * 4)
         first = pipe.pop_ready_beat()
         second = pipe.pop_ready_beat()
-        assert first[0].beat_index == 0 and second[0].beat_index == 1
+        # Each beat's payload identifies it: beat 0 carries zeros.
+        assert first[1] == b"\x00" * 32 and second[1] == b"\x01" * 32
 
     def test_r_beat_wrapper(self):
-        pipe = ReadPipe("p", _config(), StatsRegistry())
         request = _strided_request(4)
-        pipe.accept(request, plan_strided_beats(request, 4, 8, 0))
+        pipe = _read_pipe(request)
         out = []
         pipe.issue(set(range(8)), out)
-        for word in out:
-            _, state, slot = word.tag
-            pipe.take_response(state, slot, b"\xAA" * 4)
+        _respond(pipe, out, lambda port: b"\xAA" * 4)
         beat = pipe.pop_ready_r_beat()
         assert beat.txn_id == request.txn_id
         assert beat.useful_bytes == 16
         assert beat.last
 
     def test_busy_tracking(self):
-        pipe = ReadPipe("p", _config(), StatsRegistry())
+        pipe = LaneReadPipe("p", _config())
         assert not pipe.busy()
         request = _strided_request(8)
-        pipe.accept(request, plan_strided_beats(request, 4, 8, 0))
+        pipe.accept(request, batch_strided(request, 4, 8))
         assert pipe.busy()
         pipe.reset()
         assert not pipe.busy()
 
 
+def _strided_write(stride):
+    request = BusRequest(addr=0, is_write=True, num_elements=8, elem_bytes=4,
+                         bus_bytes=32, pack=PackUserField.strided(stride))
+    pipe = LaneWritePipe("w", _config())
+    burst = pipe.accept(request, batch_strided(request, 4, 8))
+    return request, pipe, burst
+
+
 class TestWritePipe:
     def test_write_flow_and_b_response(self):
-        config = _config()
-        pipe = WritePipe("w", config, StatsRegistry())
-        request = BusRequest(addr=0, is_write=True, num_elements=8, elem_bytes=4,
-                             bus_bytes=32, pack=PackUserField.strided(2))
-        pipe.accept(request, iter(plan_strided_beats(request, 4, 8, 0)))
-        assert pipe.expecting_w_data()
-        pipe.take_w_beat(bytes(range(32)))
+        request, pipe, burst = _strided_write(2)
+        assert not burst.all_w_received  # the burst still expects W data
+        assert pipe.take_w_beat(bytes(range(32))) is burst
+        assert burst.all_w_received
         out = []
         pipe.issue(set(range(8)), out)
         assert len(out) == 8
         assert all(word.is_write and word.data is not None for word in out)
         assert pipe.pop_ready_b_beat() is None
         for word in out:
-            _, state, slot = word.tag
-            pipe.take_ack(state, slot)
+            _, batch, slot = word.tag
+            pipe.take_ack(batch, slot)
         beat = pipe.pop_ready_b_beat()
         assert beat is not None and beat.txn_id == request.txn_id
         assert not pipe.busy()
 
     def test_word_write_data_matches_payload_slots(self):
-        pipe = WritePipe("w", _config(), StatsRegistry())
-        request = BusRequest(addr=0, is_write=True, num_elements=8, elem_bytes=4,
-                             bus_bytes=32, pack=PackUserField.strided(1))
-        pipe.accept(request, iter(plan_strided_beats(request, 4, 8, 0)))
+        _, pipe, _ = _strided_write(1)
         payload = bytes(range(32))
         pipe.take_w_beat(payload)
         out = []
         pipe.issue(set(range(8)), out)
         for word in out:
-            _, _, slot = word.tag
-            assert word.data == payload[slot.offset:slot.offset + 4]
+            _, batch, slot = word.tag
+            offset = batch.offsets[slot]
+            assert word.data == payload[offset:offset + 4]

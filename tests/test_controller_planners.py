@@ -1,15 +1,15 @@
-"""Unit tests for the converter beat planners."""
+"""Unit tests for the converter plan kernels (``batch_*`` in lanes.py)."""
 
 import pytest
 
 from repro.axi.pack import PackUserField
 from repro.axi.transaction import BusRequest
-from repro.controller.planners import (
-    plan_contiguous_beats,
-    plan_index_fetch_beats,
-    plan_indexed_beat,
-    plan_narrow_beats,
-    plan_strided_beats,
+from repro.controller.lanes import (
+    batch_contiguous,
+    batch_index_fetch,
+    batch_indexed_beat,
+    batch_narrow,
+    batch_strided,
 )
 from repro.errors import ProtocolError
 
@@ -20,119 +20,120 @@ def strided_request(elems=16, stride=3, elem_bytes=4):
                       pack=PackUserField.strided(stride))
 
 
+def indirect_request(elems, index_base, index_bytes=4, addr=0):
+    return BusRequest(addr=addr, is_write=False, num_elements=elems,
+                      elem_bytes=4, bus_bytes=32,
+                      pack=PackUserField.indirect(index_bytes, index_base),
+                      index_base=index_base)
+
+
+def beat_slots(batch, beat):
+    """Flat slot indices belonging to ``beat``."""
+    return range(batch.beat_start[beat], batch.beat_start[beat + 1])
+
+
+def beat_words(batch, beat):
+    return len(beat_slots(batch, beat))
+
+
 class TestStridedPlanner:
     def test_beat_count_and_slots(self):
-        plans = list(plan_strided_beats(strided_request(16, 3), 4, 8, 0))
-        assert len(plans) == 2
-        assert all(plan.num_words == 8 for plan in plans)
-        assert plans[0].useful_bytes == 32
-        assert plans[-1].last
+        batch = batch_strided(strided_request(16, 3), 4, 8)
+        assert batch.num_beats == 2
+        assert all(beat_words(batch, b) == 8 for b in range(batch.num_beats))
+        assert batch.beat_useful[0] == 32
+        assert batch.beat_last[-1]
 
     def test_word_addresses_follow_stride(self):
-        plans = list(plan_strided_beats(strided_request(8, 5), 4, 8, 0))
-        addrs = [slot.word_addr * 4 for slot in plans[0].slots]
+        batch = batch_strided(strided_request(8, 5), 4, 8)
+        addrs = [batch.words[i] * 4 for i in beat_slots(batch, 0)]
         assert addrs == [0x100 + i * 20 for i in range(8)]
 
     def test_ports_are_distinct_within_beat(self):
-        plans = list(plan_strided_beats(strided_request(8, 2), 4, 8, 0))
-        ports = [slot.port for slot in plans[0].slots]
+        batch = batch_strided(strided_request(8, 2), 4, 8)
+        ports = [batch.ports[i] for i in beat_slots(batch, 0)]
         assert sorted(ports) == list(range(8))
 
     def test_multi_word_elements(self):
         request = BusRequest(addr=0, is_write=False, num_elements=4, elem_bytes=8,
                              bus_bytes=32, pack=PackUserField.strided(2))
-        plans = list(plan_strided_beats(request, 4, 8, 0))
-        assert len(plans) == 1
-        assert plans[0].num_words == 8
+        batch = batch_strided(request, 4, 8)
+        assert batch.num_beats == 1
+        assert beat_words(batch, 0) == 8
         # Each element contributes two consecutive words.
-        offsets = [slot.offset for slot in plans[0].slots]
+        offsets = [batch.offsets[i] for i in beat_slots(batch, 0)]
         assert offsets == [0, 4, 8, 12, 16, 20, 24, 28]
 
     def test_partial_last_beat(self):
-        plans = list(plan_strided_beats(strided_request(11, 1), 4, 8, 0))
-        assert plans[1].useful_bytes == 12
-        assert plans[1].num_words == 3
+        batch = batch_strided(strided_request(11, 1), 4, 8)
+        assert batch.beat_useful[1] == 12
+        assert beat_words(batch, 1) == 3
 
     def test_unaligned_element_rejected(self):
         request = BusRequest(addr=2, is_write=False, num_elements=2, elem_bytes=4,
                              bus_bytes=32, pack=PackUserField.strided(1))
         with pytest.raises(ProtocolError):
-            list(plan_strided_beats(request, 4, 8, 0))
+            batch_strided(request, 4, 8)
 
 
 class TestIndexedPlanner:
     def test_indexed_beat_addresses(self):
-        request = BusRequest(addr=0x1000, is_write=False, num_elements=16, elem_bytes=4,
-                             bus_bytes=32, pack=PackUserField.indirect(4, 0x2000),
-                             index_base=0x2000)
-        plan = plan_indexed_beat(request, 0, [3, 7, 1, 0, 2, 9, 4, 8], 4, 8, 0)
-        addrs = [slot.word_addr * 4 for slot in plan.slots]
+        request = indirect_request(16, 0x2000, addr=0x1000)
+        batch = batch_indexed_beat(request, 0, [3, 7, 1, 0, 2, 9, 4, 8], 4, 8)
+        addrs = [word * 4 for word in batch.words]
         assert addrs == [0x1000 + i * 4 for i in (3, 7, 1, 0, 2, 9, 4, 8)]
-        assert plan.useful_bytes == 32
+        assert batch.beat_useful == [32]
 
     def test_partial_indexed_beat(self):
-        request = BusRequest(addr=0, is_write=False, num_elements=3, elem_bytes=4,
-                             bus_bytes=32, pack=PackUserField.indirect(4, 0),
-                             index_base=0)
-        plan = plan_indexed_beat(request, 0, [5, 6, 7], 4, 8, 0)
-        assert plan.useful_bytes == 12
-        assert plan.last
+        request = indirect_request(3, 0)
+        batch = batch_indexed_beat(request, 0, [5, 6, 7], 4, 8)
+        assert batch.beat_useful == [12]
+        assert batch.beat_last == [True]
 
 
 class TestContiguousPlanner:
     def test_aligned_burst(self):
         request = BusRequest(addr=0, is_write=False, num_elements=16, elem_bytes=4,
                              bus_bytes=32, contiguous=True)
-        plans = list(plan_contiguous_beats(request, 4, 8, 0))
-        assert len(plans) == 2
-        assert all(plan.useful_bytes == 32 for plan in plans)
-        assert [slot.word_addr for slot in plans[1].slots] == list(range(8, 16))
+        batch = batch_contiguous(request, 4, 8)
+        assert batch.num_beats == 2
+        assert batch.beat_useful == [32, 32]
+        assert [batch.words[i] for i in beat_slots(batch, 1)] == list(range(8, 16))
 
     def test_misaligned_burst_edges(self):
         request = BusRequest(addr=8, is_write=False, num_elements=16, elem_bytes=4,
                              bus_bytes=32, contiguous=True)
-        plans = list(plan_contiguous_beats(request, 4, 8, 0))
-        assert plans[0].useful_bytes == 24
-        assert plans[-1].useful_bytes == 8
-        total = sum(plan.useful_bytes for plan in plans)
-        assert total == 64
+        batch = batch_contiguous(request, 4, 8)
+        assert batch.beat_useful[0] == 24
+        assert batch.beat_useful[-1] == 8
+        assert sum(batch.beat_useful) == 64
 
 
 class TestNarrowPlanner:
     def test_one_element_per_beat(self):
         request = BusRequest(addr=0x40, is_write=False, num_elements=3, elem_bytes=4,
                              bus_bytes=32, contiguous=False)
-        plans = list(plan_narrow_beats(request, 4, 8, 0))
-        assert len(plans) == 3
-        assert all(plan.num_words == 1 for plan in plans)
-        assert all(plan.useful_bytes == 4 for plan in plans)
+        batch = batch_narrow(request, 4, 8)
+        assert batch.num_beats == 3
+        assert all(beat_words(batch, b) == 1 for b in range(3))
+        assert batch.beat_useful == [4, 4, 4]
 
 
 class TestIndexFetchPlanner:
     def test_index_lines_cover_index_array(self):
-        plans = list(plan_index_fetch_beats(
-            index_base=0x100, num_indices=40, index_bytes=4,
-            bus_bytes=32, word_bytes=4, bus_words=8, txn_id=1, burst_seq=0,
-        ))
-        assert sum(plan.useful_bytes for plan in plans) == 160
-        assert len(plans) == 5
-        assert plans[-1].last
+        batch = batch_index_fetch(indirect_request(40, 0x100), 32, 4, 8)
+        assert sum(batch.beat_useful) == 160
+        assert batch.num_beats == 5
+        assert batch.beat_last[-1]
 
     def test_unaligned_index_base(self):
-        plans = list(plan_index_fetch_beats(
-            index_base=0x104, num_indices=8, index_bytes=4,
-            bus_bytes=32, word_bytes=4, bus_words=8, txn_id=1, burst_seq=0,
-        ))
+        batch = batch_index_fetch(indirect_request(8, 0x104), 32, 4, 8)
         # 8 indices starting one word into a line need two lines.
-        assert len(plans) == 2
-        assert plans[0].useful_bytes == 28
-        assert plans[1].useful_bytes == 4
+        assert batch.num_beats == 2
+        assert batch.beat_useful == [28, 4]
 
     def test_small_index_sizes_pack_per_word(self):
-        plans = list(plan_index_fetch_beats(
-            index_base=0, num_indices=16, index_bytes=1,
-            bus_bytes=32, word_bytes=4, bus_words=8, txn_id=0, burst_seq=0,
-        ))
-        assert len(plans) == 1
-        assert plans[0].num_words == 4
-        assert plans[0].useful_bytes == 16
+        batch = batch_index_fetch(indirect_request(16, 0, index_bytes=1), 32, 4, 8)
+        assert batch.num_beats == 1
+        assert beat_words(batch, 0) == 4
+        assert batch.beat_useful == [16]

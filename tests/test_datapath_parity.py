@@ -1,20 +1,18 @@
-"""Scalar/batch datapath parity: kernels, pipes and whole-system A/B.
+"""Lane-kernel, controller-stream and whole-system parity.
 
-The batch (struct-of-arrays) datapath of :mod:`repro.controller.lanes` is a
-pure re-representation of the scalar per-object datapath: same word slots in
-the same order, same regulator interaction, same cycle counts and statistics.
-These tests pin that three ways:
+The struct-of-arrays plan kernels of :mod:`repro.controller.lanes` are the
+simulator's only datapath.  These tests pin them three ways:
 
 * **kernel properties** — for random burst geometry, the flat slot arrays of
-  every batch plan kernel equal the concatenated ``WordSlot`` sequences of
-  its scalar generator planner;
+  every plan kernel equal the concatenated ``WordSlot`` sequences of its
+  readable beat-at-a-time reference planner (``reference_planners.py``);
 * **stream properties** — random burst streams through the controller
   testbench produce identical cycle counts, statistics, per-burst latencies
-  and (FULL-policy) payloads under both datapaths, both engines and both
-  data policies — including the scalar×naive×ELIDE corners the headline
-  benchmark does not run;
-* **system A/B** — representative workloads on all three evaluation systems
-  match between the datapaths.
+  and (FULL-policy) payloads on both engines and under both data policies,
+  including the naive × ELIDE corner the headline benchmark does not run;
+* **system pins** — representative workloads on all three evaluation
+  systems match across the engines and reproduce the cycle and beat counts
+  recorded from the retired scalar per-object datapath.
 """
 
 from __future__ import annotations
@@ -26,6 +24,13 @@ hypothesis = pytest.importorskip("hypothesis")
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_planners import (
+    plan_contiguous_beats,
+    plan_index_fetch_beats,
+    plan_indexed_beat,
+    plan_narrow_beats,
+    plan_strided_beats,
+)
 
 from repro.axi.pack import PackUserField
 from repro.axi.transaction import BusRequest, reset_txn_ids
@@ -37,20 +42,8 @@ from repro.controller.lanes import (
     batch_narrow,
     batch_strided,
 )
-from repro.controller.planners import (
-    plan_contiguous_beats,
-    plan_index_fetch_beats,
-    plan_indexed_beat,
-    plan_narrow_beats,
-    plan_strided_beats,
-)
 from repro.controller.testbench import ControllerTestbench
 from repro.errors import ProtocolError
-from repro.sim.datapath import (
-    DatapathMode,
-    default_datapath_mode,
-    resolve_datapath_mode,
-)
 from repro.sim.policy import DataPolicy
 
 WORD = 4
@@ -64,7 +57,7 @@ BUS_WORDS = BUS // WORD
 
 
 def flatten_plans(plans):
-    """Scalar planner output as (slot tuples, per-beat metadata)."""
+    """Reference planner output as (slot tuples, per-beat metadata)."""
     slots = []
     beats = []
     for index, plan in enumerate(plans):
@@ -78,7 +71,7 @@ def flatten_plans(plans):
 
 
 def flatten_batch(batch: SlotBatch):
-    """Batch kernel output in the same shape as :func:`flatten_plans`."""
+    """Plan kernel output in the same shape as :func:`flatten_plans`."""
     slots = [
         (batch.beat_of[i], batch.ports[i], batch.words[i], batch.offsets[i],
          batch.nbytes[i], batch.shifts[i])
@@ -130,7 +123,7 @@ def indirect_request(base: int, num_elements: int, elem_bytes: int,
 
 
 # --------------------------------------------------------------------------
-# kernel vs scalar planner properties
+# kernel vs reference planner properties
 # --------------------------------------------------------------------------
 
 
@@ -145,9 +138,9 @@ class TestPlanKernelEquivalence:
         if addr + num_elements * elem_bytes > 4096:
             num_elements = max(1, (4096 - addr) // elem_bytes)
         request = contiguous_request(addr, num_elements, elem_bytes)
-        scalar = flatten_plans(plan_contiguous_beats(request, WORD, BUS_WORDS, 0))
+        reference = flatten_plans(plan_contiguous_beats(request, WORD, BUS_WORDS))
         batch = flatten_batch(batch_contiguous(request, WORD, BUS_WORDS))
-        assert scalar == batch
+        assert reference == batch
 
     @given(
         addr=st.integers(min_value=0, max_value=100_000),
@@ -157,9 +150,9 @@ class TestPlanKernelEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_narrow(self, addr, num_elements, elem_bytes):
         request = narrow_request(addr, num_elements, elem_bytes)
-        scalar = flatten_plans(plan_narrow_beats(request, WORD, BUS_WORDS, 0))
+        reference = flatten_plans(plan_narrow_beats(request, WORD, BUS_WORDS))
         batch = flatten_batch(batch_narrow(request, WORD, BUS_WORDS))
-        assert scalar == batch
+        assert reference == batch
 
     @given(
         addr_words=st.integers(min_value=0, max_value=25_000),
@@ -172,9 +165,9 @@ class TestPlanKernelEquivalence:
         request = strided_request(
             addr_words * WORD, num_elements, elem_bytes, stride_elems
         )
-        scalar = flatten_plans(plan_strided_beats(request, WORD, BUS_WORDS, 0))
+        reference = flatten_plans(plan_strided_beats(request, WORD, BUS_WORDS))
         batch = flatten_batch(batch_strided(request, WORD, BUS_WORDS))
-        assert scalar == batch
+        assert reference == batch
 
     @given(
         base_words=st.integers(min_value=0, max_value=25_000),
@@ -191,12 +184,12 @@ class TestPlanKernelEquivalence:
         count = max(len(offsets) + beat * epb, 1)
         request = indirect_request(base_words * WORD, count, elem_bytes, 0)
         beat = min(beat, request.num_beats - 1)
-        plan = plan_indexed_beat(request, beat, offsets, WORD, BUS_WORDS, 0)
-        scalar = flatten_plans([plan])
+        plan = plan_indexed_beat(request, beat, offsets, WORD, BUS_WORDS)
+        reference = flatten_plans([plan])
         batch = flatten_batch(
             batch_indexed_beat(request, beat, offsets, WORD, BUS_WORDS)
         )
-        assert scalar == batch
+        assert reference == batch
 
     @given(
         index_units=st.integers(min_value=0, max_value=12_000),
@@ -207,7 +200,7 @@ class TestPlanKernelEquivalence:
     def test_index_fetch(self, index_units, num_indices, index_bytes):
         index_base = index_units * index_bytes  # must be index-size aligned
         request = indirect_request(0, num_indices, 4, index_base, index_bytes)
-        scalar = flatten_plans(
+        reference = flatten_plans(
             plan_index_fetch_beats(
                 index_base=index_base,
                 num_indices=num_indices,
@@ -216,24 +209,23 @@ class TestPlanKernelEquivalence:
                 word_bytes=WORD,
                 bus_words=BUS_WORDS,
                 txn_id=request.txn_id,
-                burst_seq=0,
             )
         )
         batch = flatten_batch(batch_index_fetch(request, BUS, WORD, BUS_WORDS))
-        assert scalar == batch
+        assert reference == batch
 
     def test_strided_misalignment_raises_like_scalar(self):
         request = strided_request(addr=2, num_elements=4, elem_bytes=4,
                                   stride_elems=2)
         with pytest.raises(ProtocolError):
-            list(plan_strided_beats(request, WORD, BUS_WORDS, 0))
+            list(plan_strided_beats(request, WORD, BUS_WORDS))
         with pytest.raises(ProtocolError):
             batch_strided(request, WORD, BUS_WORDS)
 
     def test_indexed_misalignment_raises_like_scalar(self):
         request = indirect_request(2, 4, 4, 0)
         with pytest.raises(ProtocolError):
-            plan_indexed_beat(request, 0, [0, 1], WORD, BUS_WORDS, 0)
+            plan_indexed_beat(request, 0, [0, 1], WORD, BUS_WORDS)
         with pytest.raises(ProtocolError):
             batch_indexed_beat(request, 0, [0, 1], WORD, BUS_WORDS)
 
@@ -309,11 +301,9 @@ def _build_stream(specs, seed):
     return requests, arrays, payloads
 
 
-def _run_stream(requests, arrays, payloads, datapath, event_driven, policy):
+def _run_stream(requests, arrays, payloads, event_driven, policy):
     reset_txn_ids()
-    bench = ControllerTestbench(
-        data_policy=policy, datapath=DatapathMode(datapath)
-    )
+    bench = ControllerTestbench(data_policy=policy)
     for addr, array in arrays:
         bench.storage.write_array(addr, array)
     result = bench.run(
@@ -337,79 +327,80 @@ class TestStreamParity:
     @given(specs=_request_specs, seed=_seeds)
     @settings(max_examples=12, deadline=None)
     def test_full_policy_both_engines(self, specs, seed):
-        """Random streams: scalar and batch agree, on both engines (FULL)."""
+        """Random streams: the event and naive engines agree (FULL)."""
         requests, arrays, payloads = _build_stream(specs, seed)
-        reference = _run_stream(requests, arrays, payloads, "scalar", True,
+        reference = _run_stream(requests, arrays, payloads, True,
                                 DataPolicy.FULL)
-        for datapath, event in (("batch", True), ("batch", False),
-                                ("scalar", False)):
-            observed = _run_stream(requests, arrays, payloads, datapath,
-                                   event, DataPolicy.FULL)
-            assert observed == reference, (datapath, event)
+        observed = _run_stream(requests, arrays, payloads, False,
+                               DataPolicy.FULL)
+        assert observed == reference
 
     @given(specs=_request_specs, seed=_seeds)
     @settings(max_examples=8, deadline=None)
     def test_elide_policy_matches_full_geometry(self, specs, seed):
-        """ELIDE runs (both datapaths, both engines) keep FULL's timing.
+        """ELIDE runs (both engines) keep FULL's timing.
 
-        This covers the scalar×naive×ELIDE corner of the parity cube, which
-        the headline benchmark does not run.  Payloads are empty under
-        ELIDE, so only the geometry-and-timing fields are compared.
+        This covers the naive×ELIDE corner of the parity cube, which the
+        headline benchmark does not run.  Payloads are empty under ELIDE,
+        so only the geometry-and-timing fields are compared.
         """
         requests, arrays, payloads = _build_stream(specs, seed)
-        full = _run_stream(requests, arrays, payloads, "batch", True,
-                           DataPolicy.FULL)
+        full = _run_stream(requests, arrays, payloads, True, DataPolicy.FULL)
         full_timing = full[:4] + (
             {txn: o[:3] for txn, o in full[4].items()},
         )
-        for datapath, event in (("batch", True), ("scalar", True),
-                                ("batch", False), ("scalar", False)):
-            observed = _run_stream(requests, arrays, payloads, datapath,
-                                   event, DataPolicy.ELIDE)
+        for event in (True, False):
+            observed = _run_stream(requests, arrays, payloads, event,
+                                   DataPolicy.ELIDE)
             observed_timing = observed[:4] + (
                 {txn: o[:3] for txn, o in observed[4].items()},
             )
-            assert observed_timing == full_timing, (datapath, event)
+            assert observed_timing == full_timing, event
 
 
 # --------------------------------------------------------------------------
-# whole-system A/B
+# whole-system pins against the retired scalar reference
 # --------------------------------------------------------------------------
 
+#: (cycles, R beats, W beats) per (system, workload) at size 16, recorded
+#: from the scalar per-object datapath before the lane kernels replaced it.
+SCALAR_REFERENCE = {
+    ("base", "ismt"): (595, 142, 142),
+    ("base", "spmv"): (994, 187, 16),
+    ("base", "csrspmv"): (824, 200, 33),
+    ("pack", "ismt"): (431, 44, 44),
+    ("pack", "spmv"): (739, 52, 16),
+    ("pack", "csrspmv"): (700, 64, 33),
+    ("ideal", "ismt"): (326, 44, 44),
+    ("ideal", "spmv"): (855, 83, 16),
+    ("ideal", "csrspmv"): (681, 81, 33),
+}
 
-def _run_workload(name, kind, datapath, policy="full", event_driven=True):
-    import os
 
+def _run_workload(name, kind, policy="full", event_driven=True):
     from repro.orchestrate.spec import WorkloadSpec
-    from repro.sim.datapath import DATAPATH_ENV
     from repro.system.config import SystemConfig
     from repro.system.soc import build_system
 
     reset_txn_ids()
-    saved = os.environ.get(DATAPATH_ENV)
-    os.environ[DATAPATH_ENV] = datapath
-    try:
-        workload = WorkloadSpec.create(name, size=16, **(
-            {} if name in ("ismt", "gemv", "trmv")
-            else {"avg_nnz_per_row": 8.0}
-        )).build()
-        config = SystemConfig(
-            memory_bytes=1 << 22, data_policy=policy
-        ).with_kind(kind)
-        soc = build_system(config)
-        workload.initialize(soc.storage)
-        program = workload.build_program(config.lowering, config.vector_config())
-        cycles, result = soc.run_program(program, event_driven=event_driven)
-        verified = (
-            workload.verify(soc.storage)
-            if policy == "full" else None
-        )
-        return cycles, dict(soc.stats.as_dict()), result, verified
-    finally:
-        if saved is None:
-            os.environ.pop(DATAPATH_ENV, None)
-        else:
-            os.environ[DATAPATH_ENV] = saved
+    workload = WorkloadSpec.create(name, size=16, **(
+        {} if name in ("ismt", "gemv", "trmv")
+        else {"avg_nnz_per_row": 8.0}
+    )).build()
+    config = SystemConfig(
+        memory_bytes=1 << 22, data_policy=policy
+    ).with_kind(kind)
+    soc = build_system(config)
+    workload.initialize(soc.storage)
+    program = workload.build_program(config.lowering, config.vector_config())
+    cycles, result = soc.run_program(program, event_driven=event_driven)
+    verified = workload.verify(soc.storage) if policy == "full" else None
+    return cycles, dict(soc.stats.as_dict()), result, verified
+
+
+def _pinned(run):
+    cycles, _, result, _ = run
+    return cycles, result.r_beats, result.w_beats
 
 
 class TestSystemParity:
@@ -418,52 +409,28 @@ class TestSystemParity:
     @pytest.mark.parametrize("name", ["ismt", "spmv", "csrspmv"])
     @pytest.mark.parametrize("kind_name", KINDS)
     def test_workload_parity(self, name, kind_name):
+        """Both engines reproduce the scalar reference and verify."""
         from repro.system.config import SystemKind
 
         kind = SystemKind(kind_name)
-        batch = _run_workload(name, kind, "batch")
-        scalar = _run_workload(name, kind, "scalar")
-        assert batch[:3] == scalar[:3]
-        assert batch[3] is True and scalar[3] is True
+        event = _run_workload(name, kind)
+        naive = _run_workload(name, kind, event_driven=False)
+        assert naive[:3] == event[:3]
+        assert _pinned(event) == SCALAR_REFERENCE[(kind_name, name)]
+        assert event[3] is True and naive[3] is True
 
     @pytest.mark.parametrize("kind_name", KINDS)
     def test_cube_corner_scalar_naive_elide(self, kind_name):
-        """spmv at the corner the bench never runs: scalar × naive × ELIDE."""
+        """spmv at the naive × ELIDE corner the bench never runs.
+
+        It must keep event × FULL's cycles, statistics and engine result,
+        and the beat counts the scalar reference recorded at this corner.
+        """
         from repro.system.config import SystemKind
 
         kind = SystemKind(kind_name)
-        reference = _run_workload("spmv", kind, "batch")
-        corner = _run_workload("spmv", kind, "scalar", policy="elide",
+        reference = _run_workload("spmv", kind)
+        corner = _run_workload("spmv", kind, policy="elide",
                                event_driven=False)
         assert corner[:3] == reference[:3]
-
-
-# --------------------------------------------------------------------------
-# mode plumbing
-# --------------------------------------------------------------------------
-
-
-class TestDatapathMode:
-    def test_default_is_batch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_DATAPATH", raising=False)
-        assert default_datapath_mode() is DatapathMode.BATCH
-
-    def test_env_selects_scalar(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_DATAPATH", "scalar")
-        assert default_datapath_mode() is DatapathMode.SCALAR
-
-    def test_resolve_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            resolve_datapath_mode("vectorised")
-
-    def test_resolve_accepts_mode_and_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_DATAPATH", raising=False)
-        assert resolve_datapath_mode(DatapathMode.SCALAR) is DatapathMode.SCALAR
-        assert resolve_datapath_mode(None) is DatapathMode.BATCH
-        assert resolve_datapath_mode(" Scalar ") is DatapathMode.SCALAR
-
-    def test_adapter_exposes_mode(self):
-        bench = ControllerTestbench(datapath=DatapathMode.SCALAR)
-        assert bench.adapter.datapath is DatapathMode.SCALAR
-        bench = ControllerTestbench()
-        assert bench.adapter.datapath is default_datapath_mode()
+        assert _pinned(corner) == SCALAR_REFERENCE[(kind_name, "spmv")]

@@ -248,7 +248,7 @@ class TestDifferentialRunner:
              OpSpec("vse", src=0, count=3)),
         ))
         report = run_fuzz_case(case)
-        assert len(report.points) == 16
+        assert len(report.points) == 12
         assert set(report.cycles_by_topology) == {(1, 1), (2, 1), (2, 2)}
 
     def test_divergence_carries_the_case_for_shrinking(self):
@@ -256,9 +256,9 @@ class TestDifferentialRunner:
         # cycle budget on one point is racy; instead check the exception
         # shape directly.
         case = FuzzCase(segments=((OpSpec("vle"),),))
-        failure = FuzzDivergence(case, "1eng/batch/event/full", "boom")
+        failure = FuzzDivergence(case, "1eng/event/full", "boom")
         assert failure.case is case
-        assert "boom" in str(failure) and "1eng/batch/event/full" in str(failure)
+        assert "boom" in str(failure) and "1eng/event/full" in str(failure)
 
 
 def test_bounded_hypothesis_sweep():

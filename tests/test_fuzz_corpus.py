@@ -25,8 +25,8 @@ def test_corpus_is_not_empty():
 def test_corpus_case_stays_clean(path):
     case = load_corpus_case(path)
     report = run_fuzz_case(case)
-    # Single-segment cases cover the 8 single-engine points; multi-segment
-    # ones additionally cover the 4-point batch-only subset at each of the
-    # 2-engine mux and 2-engine x 2-channel crossbar topologies.
-    expected = 8 if len(case.segments) == 1 else 16
+    # Every topology runs the 4 event/naive x FULL/ELIDE points: single-
+    # segment cases on the single-engine topology only, multi-segment ones
+    # also on the 2-engine mux and 2-engine x 2-channel crossbar topologies.
+    expected = 4 if len(case.segments) == 1 else 12
     assert len(report.points) == expected

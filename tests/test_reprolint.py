@@ -154,36 +154,6 @@ class TestFingerprintRules:
         assert "FPR05" in codes(lint([], ["fingerprint"], fingerprint=fp))
 
 
-# ------------------------------------------------------------ twin-coverage
-class TestTwinCoverageRules:
-    def test_good_pair_is_clean(self):
-        manifest = {"twins": {
-            "planners": f"{FIXTURES}/twn_planners_good.py",
-            "lanes": f"{FIXTURES}/twn_lanes_good.py",
-        }}
-        assert codes(lint([], ["twin-coverage"], manifest=manifest)) == []
-
-    def test_orphans_both_ways(self):
-        manifest = {"twins": {
-            "planners": f"{FIXTURES}/twn_planners_bad.py",
-            "lanes": f"{FIXTURES}/twn_lanes_bad.py",
-        }}
-        result = lint([], ["twin-coverage"], manifest=manifest)
-        assert sorted(codes(result)) == ["TWN01", "TWN02"]
-        by_code = {v.code: v.message for v in result.violations}
-        assert "plan_orphan_beats" in by_code["TWN01"]
-        assert "batch_rogue" in by_code["TWN02"]
-
-    def test_exemption_silences_a_deliberate_singleton(self):
-        manifest = {"twins": {
-            "planners": f"{FIXTURES}/twn_planners_bad.py",
-            "lanes": f"{FIXTURES}/twn_lanes_bad.py",
-            "exempt": {"plan_orphan_beats": "scalar-only by design (test)",
-                       "batch_rogue": "batch-only by design (test)"},
-        }}
-        assert codes(lint([], ["twin-coverage"], manifest=manifest)) == []
-
-
 # -------------------------------------------------------------- deprecation
 class TestDeprecationRule:
     def test_import_and_use_both_flagged(self):

@@ -2,17 +2,17 @@
 
 The simulator's correctness story rests on invariants that used to be
 enforced only by reviewer vigilance: bit-identical determinism across the
-event/naive x scalar/batch x FULL/ELIDE cube, cache fingerprints that cover
-every ``SystemConfig`` field, ``__slots__`` discipline on hot-path records,
-and a lane-kernel twin for every scalar planner.  This package turns each of
-those hand-kept rules into a machine-checked analysis pass:
+event/naive x FULL/ELIDE cube, cache fingerprints that cover every
+``SystemConfig`` field, and ``__slots__`` discipline on hot-path records.
+This package turns each of those hand-kept rules into a machine-checked
+analysis pass:
 
 * :mod:`tools.reprolint.core` — the driver: file contexts, the rule
   registry, per-line ``# reprolint: disable=RULE[: reason]`` suppressions
   (themselves reported), human and ``--json`` output, stable exit codes.
 * :mod:`tools.reprolint.rules` — the rule battery (determinism, ordering,
-  fingerprint completeness, hot-path contracts, twin coverage, deprecation,
-  documentation drift).
+  fingerprint completeness, hot-path contracts, deprecation, documentation
+  drift).
 * ``manifest.json`` / ``fingerprint_manifest.json`` — committed manifests:
   the explicit allowlists and the fingerprint field-set pin, kept in the
   tree so every exemption shows up in diff review.

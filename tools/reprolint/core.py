@@ -5,9 +5,8 @@ Design
 Every rule is *repo-level*: it receives a :class:`RepoContext` (parsed ASTs
 of every file in scope plus the committed manifests) and yields
 :class:`Violation` records.  Per-file rules simply loop over
-``repo.files`` internally; repo-level rules (fingerprint completeness, twin
-coverage, docs drift) read the specific modules they govern through the
-same context.  Keeping one rule signature makes registration, suppression
+``repo.files`` internally; repo-level rules (fingerprint completeness, docs
+drift) read the specific modules they govern through the same context.  Keeping one rule signature makes registration, suppression
 handling and JSON reporting uniform — and makes adding a rule a one-file
 change (see ``docs/testing.md``, "Adding a rule").
 
@@ -132,7 +131,6 @@ class LintConfig:
             "wallclock_allowlist", {}
         )
         self.deprecated: Dict[str, str] = manifest.get("deprecated_names", {})
-        self.twins: Dict = manifest.get("twins", {})
         self.docs: Dict = manifest.get("docs", {})
         self.fingerprint: Dict = fingerprint
 

@@ -12,5 +12,4 @@ from tools.reprolint.rules import (
     fingerprint,
     hotpath,
     order,
-    twins,
 )

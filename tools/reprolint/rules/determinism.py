@@ -1,7 +1,7 @@
 """Determinism rules: no ambient nondeterminism in the simulation core.
 
 Every correctness claim in this reproduction is an *identity* claim —
-event/naive, scalar/batch and FULL/ELIDE runs must agree bit for bit, and a
+event/naive and FULL/ELIDE runs must agree bit for bit, and a
 cached result must be reproducible from its spec alone.  Ambient inputs
 (wall-clock time, unseeded RNGs, environment variables) are the ways that
 property silently rots:
@@ -16,7 +16,7 @@ property silently rots:
     generators must take an explicit seed (they do — this rule keeps it so).
 ``DET03`` — environment reads (``os.environ``, ``os.getenv``) outside the
     committed ``env_allowlist``.  Environment seams are config-resolution
-    points (``$REPRO_DATA_POLICY``, ``$REPRO_SIM_DATAPATH``, ...); each one
+    points (``$REPRO_DATA_POLICY``, ``$REPRO_SIM_ENGINE``, ...); each one
     is named in the manifest with the variable it may read and why.
 """
 
@@ -95,7 +95,7 @@ def _env_var_literal(call: ast.AST, consts: dict) -> Optional[str]:
     """The variable name an environ access names, when extractable.
 
     Resolves both string literals and module-level constants
-    (``os.environ.get(DATAPATH_ENV)``).
+    (``os.environ.get(DATA_POLICY_ENV)``).
     """
     key: Optional[ast.AST] = None
     if isinstance(call, ast.Call) and call.args:
