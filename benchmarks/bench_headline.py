@@ -9,21 +9,20 @@ Two things live here:
 2. The **engine headline benchmark**: run the full workload × system grid
    (the paper's six kernels plus the streaming ``csrspmv``) on both an
    SRAM-class memory (``memory_latency=1``, the paper's evaluation
-   systems) and a DRAM-class memory (``memory_latency=100``), under both
-   data policies (``DataPolicy.FULL`` and the timing-only
-   ``DataPolicy.ELIDE``), and for FULL once more on the seed-behaviour
+   systems) and a DRAM-class memory (``memory_latency=100``) on the
+   event-driven engine, and once more on the seed-behaviour
    tick-every-cycle engine (``event_driven=False``).
    On top of the single-engine grid, ``MULTI_ENGINE_GRID`` adds contention
    points (rows sharded across 2 engines behind the cycle-level AXI mux,
-   BASE and PACK, SRAM class), each A/B'd across the policy and engine
-   axes.  Every grid point asserts that cycle counts, statistics and
-   engine measurements are byte-identical across all compared axes, and
-   the run emits a machine-readable ``BENCH_headline.json`` with
-   per-policy cycles/sec and wall time per figure grid point, plus — with
-   ``--history BENCH_history.jsonl``, which CI passes — one JSONL line
-   appended to the cross-PR perf trajectory.  CI uploads both as artifacts
-   and gates on per-policy cycles/sec regressions *and per-point cycle
-   identity in both directions* against ``benchmarks/baseline.json`` (see
+   BASE and PACK, SRAM class), A/B'd across the engine axis the same way.
+   Every grid point asserts that cycle counts, statistics and engine
+   measurements are byte-identical across the two engines, and the run
+   emits a machine-readable ``BENCH_headline.json`` with cycles/sec and
+   wall time per figure grid point, plus — with ``--history
+   BENCH_history.jsonl``, which CI passes — one JSONL line appended to the
+   cross-PR perf trajectory.  CI uploads both as artifacts and gates on
+   cycles/sec regressions *and per-point cycle identity in both
+   directions* against ``benchmarks/baseline.json`` (see
    ``check_bench_regression.py``) — the cycle-identity gate is what pins
    the ``num_engines=1`` topology bit-identical to the committed tree on
    every grid point.
@@ -36,17 +35,6 @@ Measured on the seed commit (tick-every-cycle engine, before PR 2) the same
 grid took 3.6x longer wall-clock than the event-driven engine emits here;
 the in-tree ``--compare-naive`` A/B understates that because the
 compatibility mode shares this tree's cheaper component models.
-
-On ELIDE wall-clock: profiling this tree shows payload movement is ~12% of
-grid wall time after PR 2's hot-path work (per-cycle control flow and
-per-word request routing dominate, and those are timing-relevant in both
-policies), so whole-grid elision lands around 1.15-1.25x with the largest
-wins on the IDEAL-system points (~1.4-2x, whose FULL mode pays per-element
-Python scatter/gathers).  The ``--elide-speedup-floor`` gate (default
-``$REPRO_ELIDE_SPEEDUP_FLOOR`` or 1.05) asserts the elision never loses
-money; the ISSUE's original ≥2x whole-grid target is not reachable without
-rewriting the shared per-cycle machinery and is documented as such in
-``docs/simulation.md``.
 """
 
 from __future__ import annotations
@@ -146,7 +134,18 @@ def calibration_score(duration: float = 0.25) -> float:
 EXTRA_GRID_WORKLOADS = ("csrspmv",)
 
 
+#: Multi-engine grid points: (workload, engines) x systems, SRAM class.
+#: One packed-strided kernel that is bus-bound under PACK plus two indirect
+#: kernels with contention headroom (see repro.analysis.contention).
+MULTI_ENGINE_GRID = (("gemv", 2), ("spmv", 2), ("csrspmv", 2))
+
+#: Systems the multi-engine points cover (IDEAL's exclusive memory is
+#: contention-free by definition).
+MULTI_ENGINE_KINDS = ("base", "pack")
+
+
 def _grid_points(scale: str):
+    """Every grid point: the single-engine grid, then the contention points."""
     from repro.system.config import SystemKind
     from repro.workloads.registry import WORKLOAD_ORDER
 
@@ -154,17 +153,16 @@ def _grid_points(scale: str):
         spec_kwargs = workload_spec_kwargs(workload, scale)
         for kind in (SystemKind.BASE, SystemKind.PACK, SystemKind.IDEAL):
             for mem_name, latency in LATENCY_GRID:
-                yield workload, spec_kwargs, kind, mem_name, latency
-
-
-#: Default floor for the whole-grid ELIDE-vs-FULL wall-clock speedup gate.
-DEFAULT_ELIDE_SPEEDUP_FLOOR = float(
-    os.environ.get("REPRO_ELIDE_SPEEDUP_FLOOR", "1.05")
-)
+                yield workload, spec_kwargs, kind, mem_name, latency, 1
+    for workload, engines in MULTI_ENGINE_GRID:
+        spec_kwargs = workload_spec_kwargs(workload, scale)
+        for system in MULTI_ENGINE_KINDS:
+            yield (workload, spec_kwargs, SystemKind(system), "sram",
+                   MEMORY_LATENCY["sram"], engines)
 
 
 def _run_point(workload, spec_kwargs, kind, latency, event_driven, verify,
-               data_policy="full", engines=1):
+               engines=1):
     """One grid point: build, simulate, return (cycles, stats, result, wall).
 
     ``engines > 1`` runs the point on the multi-engine topology (the
@@ -179,7 +177,7 @@ def _run_point(workload, spec_kwargs, kind, latency, event_driven, verify,
 
     reset_txn_ids()
     instance = WorkloadSpec.create(workload, **spec_kwargs).build()
-    config = point_system_config(kind, latency, data_policy)
+    config = point_system_config(kind, latency)
     if engines != 1:
         config = replace(config, num_engines=engines)
     soc = build_system(config)
@@ -239,79 +237,47 @@ def supervised_sweep_counters(jobs: int = 2) -> dict:
     return counters
 
 
-#: Multi-engine grid points: (workload, engines) x systems, SRAM class.
-#: One packed-strided kernel that is bus-bound under PACK plus two indirect
-#: kernels with contention headroom (see repro.analysis.contention).
-MULTI_ENGINE_GRID = (("gemv", 2), ("spmv", 2), ("csrspmv", 2))
-
-#: Systems the multi-engine points cover (IDEAL's exclusive memory is
-#: contention-free by definition).
-MULTI_ENGINE_KINDS = ("base", "pack")
-
-
 def run_engine_benchmark(
     scale: str = "small",
     compare_naive: bool = True,
     verify: bool = False,
-    elide_speedup_floor: float = DEFAULT_ELIDE_SPEEDUP_FLOOR,
 ) -> dict:
     """Run the headline grid; return the BENCH_headline.json payload.
 
-    Every grid point runs under both data policies on the event-driven
-    engine and asserts cycle counts, statistics and engine measurements
-    byte-identical — the core ELIDE invariant.  With ``compare_naive`` the
-    FULL point is also run on the tick-every-cycle compatibility engine,
-    asserted identical too: the event-driven scheduler may never change
-    simulated behaviour, only wall time.  (The naive × ELIDE corner of the
-    event/naive × FULL/ELIDE cube is pinned by
-    ``tests/test_datapath_parity.py``.)  The aggregate ELIDE-vs-FULL
-    wall-clock speedup is asserted to be at least ``elide_speedup_floor``.
+    Every grid point runs on the event-driven engine.  With
+    ``compare_naive`` it is also run on the tick-every-cycle compatibility
+    engine, and cycle counts, statistics and engine measurements are
+    asserted byte-identical: the event-driven scheduler may never change
+    simulated behaviour, only wall time.
     """
     grid = []
-    total_full_wall = 0.0
-    total_elide_wall = 0.0
+    total_wall = 0.0
     total_naive_wall = 0.0
     total_cycles = 0
-    for workload, spec_kwargs, kind, mem_name, latency in _grid_points(scale):
+    for workload, spec_kwargs, kind, mem_name, latency, engines in _grid_points(
+        scale
+    ):
         cycles, stats, result, wall, verified = _run_point(
-            workload, spec_kwargs, kind, latency, True, verify
-        )
-        e_cycles, e_stats, e_result, e_wall, _ = _run_point(
-            workload, spec_kwargs, kind, latency, True, False, data_policy="elide"
-        )
-        identical_policies = (
-            e_cycles == cycles and e_stats == stats and e_result == result
+            workload, spec_kwargs, kind, latency, True, verify, engines=engines
         )
         point = {
             "workload": workload,
             "system": kind.value,
             "memory": mem_name,
             "memory_latency": latency,
-            "engines": 1,
+            "engines": engines,
             "cycles": cycles,
             "wall_s": round(wall, 6),
             "cycles_per_sec": round(cycles / wall, 1) if wall > 0 else None,
-            "elide_wall_s": round(e_wall, 6),
-            "elide_cycles_per_sec": (
-                round(cycles / e_wall, 1) if e_wall > 0 else None
-            ),
-            "elide_speedup": round(wall / e_wall, 3) if e_wall > 0 else None,
-            "identical_to_full": identical_policies,
         }
         if verify:
             point["verified"] = bool(verified)
-        total_full_wall += wall
-        total_elide_wall += e_wall
+        total_wall += wall
         total_cycles += cycles
-        if not identical_policies:
-            raise AssertionError(
-                f"ELIDE run diverged from FULL run for "
-                f"{workload}/{kind.value}/{mem_name}: "
-                f"cycles {cycles} vs {e_cycles}"
-            )
         if compare_naive:
             n_cycles, n_stats, n_result, n_wall, _ = _run_point(
-                workload, spec_kwargs, kind, latency, False, False
+                workload, spec_kwargs, kind, latency, False, False,
+                engines=engines,
             )
             identical = n_cycles == cycles and n_stats == stats and n_result == result
             point["naive_wall_s"] = round(n_wall, 6)
@@ -319,86 +285,14 @@ def run_engine_benchmark(
             point["identical_to_naive"] = identical
             total_naive_wall += n_wall
             if not identical:
+                label = f"{workload}/{kind.value}/{mem_name}"
+                if engines != 1:
+                    label += f"/engines={engines}"
                 raise AssertionError(
                     f"event-driven run diverged from tick-every-cycle run for "
-                    f"{workload}/{kind.value}/{mem_name}: "
-                    f"cycles {cycles} vs {n_cycles}"
+                    f"{label}: cycles {cycles} vs {n_cycles}"
                 )
         grid.append(point)
-    # ---------------------------------------------------------- multi-engine
-    # Contention points: rows sharded across N engines behind the cycle-level
-    # mux, SRAM memory class.  The policy and engine axes are asserted
-    # identical exactly like the single-engine points.
-    from repro.system.config import SystemKind
-
-    for workload, engines in MULTI_ENGINE_GRID:
-        spec_kwargs = workload_spec_kwargs(workload, scale)
-        for system in MULTI_ENGINE_KINDS:
-            kind = SystemKind(system)
-            latency = MEMORY_LATENCY["sram"]
-            cycles, stats, result, wall, verified = _run_point(
-                workload, spec_kwargs, kind, latency, True, verify,
-                engines=engines,
-            )
-            e_cycles, e_stats, e_result, e_wall, _ = _run_point(
-                workload, spec_kwargs, kind, latency, True, False,
-                data_policy="elide", engines=engines,
-            )
-            identical_policies = (
-                e_cycles == cycles and e_stats == stats and e_result == result
-            )
-            point = {
-                "workload": workload,
-                "system": system,
-                "memory": "sram",
-                "memory_latency": latency,
-                "engines": engines,
-                "cycles": cycles,
-                "wall_s": round(wall, 6),
-                "cycles_per_sec": round(cycles / wall, 1) if wall > 0 else None,
-                "elide_wall_s": round(e_wall, 6),
-                "elide_cycles_per_sec": (
-                    round(cycles / e_wall, 1) if e_wall > 0 else None
-                ),
-                "elide_speedup": round(wall / e_wall, 3) if e_wall > 0 else None,
-                "identical_to_full": identical_policies,
-            }
-            if verify:
-                point["verified"] = bool(verified)
-            total_full_wall += wall
-            total_elide_wall += e_wall
-            total_cycles += cycles
-            if not identical_policies:
-                raise AssertionError(
-                    f"ELIDE run diverged from FULL run for "
-                    f"{workload}/{system}/sram/engines={engines}: "
-                    f"cycles {cycles} vs {e_cycles}"
-                )
-            if compare_naive:
-                n_cycles, n_stats, n_result, n_wall, _ = _run_point(
-                    workload, spec_kwargs, kind, latency, False, False,
-                    engines=engines,
-                )
-                identical = (
-                    n_cycles == cycles and n_stats == stats
-                    and n_result == result
-                )
-                point["naive_wall_s"] = round(n_wall, 6)
-                point["speedup_vs_naive"] = (
-                    round(n_wall / wall, 3) if wall > 0 else None
-                )
-                point["identical_to_naive"] = identical
-                total_naive_wall += n_wall
-                if not identical:
-                    raise AssertionError(
-                        f"event-driven run diverged from tick-every-cycle run "
-                        f"for {workload}/{system}/sram/engines={engines}: "
-                        f"cycles {cycles} vs {n_cycles}"
-                    )
-            grid.append(point)
-    elide_speedup = (
-        total_full_wall / total_elide_wall if total_elide_wall > 0 else None
-    )
     payload = {
         "meta": {
             "benchmark": "headline",
@@ -411,49 +305,35 @@ def run_engine_benchmark(
         "totals": {
             "grid_points": len(grid),
             "cycles": total_cycles,
-            "event_wall_s": round(total_full_wall, 6),
-            "cycles_per_sec": round(total_cycles / total_full_wall, 1),
-            "elide_wall_s": round(total_elide_wall, 6),
-            "elide_cycles_per_sec": round(total_cycles / total_elide_wall, 1),
-            "elide_speedup": round(elide_speedup, 3),
+            "event_wall_s": round(total_wall, 6),
+            "cycles_per_sec": round(total_cycles / total_wall, 1),
         },
     }
     if compare_naive:
         payload["totals"]["naive_wall_s"] = round(total_naive_wall, 6)
         payload["totals"]["speedup_vs_naive"] = round(
-            total_naive_wall / total_full_wall, 3
-        )
-    if elide_speedup is not None and elide_speedup < elide_speedup_floor:
-        raise AssertionError(
-            f"ELIDE wall-clock speedup {elide_speedup:.3f}x fell below the "
-            f"{elide_speedup_floor:.2f}x floor (FULL {total_full_wall:.3f}s, "
-            f"ELIDE {total_elide_wall:.3f}s)"
+            total_naive_wall / total_wall, 3
         )
     payload["supervision"] = supervised_sweep_counters()
     return payload
 
 
 def test_engine_benchmark_parity_and_speedup(benchmark):
-    """Engine and policy A/B: identical results, faster wall clock.
+    """Engine A/B: identical results, faster wall clock.
 
     The strict headline targets are measured against the seed engine and
     enforced by the CI bench gate via cycles/sec; the in-process assertions
     use conservative floors because the in-tree naive mode shares this
     tree's optimized component models, tiny-scale points are tiny, and CI
-    machines are noisy.  The parity assertions (policy axis and engine
-    axis) are exact.
+    machines are noisy.  The engine-axis parity assertion is exact.
     """
-    payload = run_once(benchmark, run_engine_benchmark, scale="tiny",
-                       elide_speedup_floor=0.8)
+    payload = run_once(benchmark, run_engine_benchmark, scale="tiny")
     print()
     print(f"grid points          : {payload['totals']['grid_points']}")
-    print(f"event wall (FULL)    : {payload['totals']['event_wall_s']:.3f}s")
-    print(f"event wall (ELIDE)   : {payload['totals']['elide_wall_s']:.3f}s")
+    print(f"event wall           : {payload['totals']['event_wall_s']:.3f}s")
     print(f"naive wall           : {payload['totals']['naive_wall_s']:.3f}s")
     print(f"speedup vs naive mode: {payload['totals']['speedup_vs_naive']:.2f}x")
-    print(f"ELIDE speedup        : {payload['totals']['elide_speedup']:.2f}x")
     assert all(point["identical_to_naive"] for point in payload["grid"])
-    assert all(point["identical_to_full"] for point in payload["grid"])
     multi = [point for point in payload["grid"] if point.get("engines", 1) > 1]
     assert len(multi) == len(MULTI_ENGINE_GRID) * len(MULTI_ENGINE_KINDS)
     assert payload["totals"]["speedup_vs_naive"] > 1.2
@@ -465,7 +345,7 @@ def append_history(payload: dict, history_path: str) -> dict:
     """Append one JSONL trajectory entry for this run to ``history_path``.
 
     The trajectory file makes the perf trend across PRs queryable (one line
-    per bench run: commit, date, calibration score, per-policy totals)
+    per bench run: commit, date, calibration score, totals)
     instead of a single overwritten snapshot.
     """
     import datetime
@@ -514,27 +394,18 @@ def main(argv=None) -> int:
                              "BENCH_history.jsonl — ad-hoc local runs should "
                              "leave it off so laptop noise stays out of the "
                              "committed trend)")
-    parser.add_argument("--elide-speedup-floor", type=float,
-                        default=DEFAULT_ELIDE_SPEEDUP_FLOOR,
-                        help="minimum aggregate ELIDE-vs-FULL wall-clock "
-                             "speedup (default: $REPRO_ELIDE_SPEEDUP_FLOOR "
-                             "or 1.05)")
     args = parser.parse_args(argv)
     payload = run_engine_benchmark(
         scale=args.scale, compare_naive=not args.no_compare_naive,
-        verify=args.verify, elide_speedup_floor=args.elide_speedup_floor,
+        verify=args.verify,
     )
     with open(args.output, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     totals = payload["totals"]
     print(f"wrote {args.output}: {totals['grid_points']} grid points, "
-          f"{totals['cycles']} cycles in {totals['event_wall_s']:.3f}s FULL "
-          f"({totals['cycles_per_sec']:.0f} cycles/sec), "
-          f"{totals['elide_wall_s']:.3f}s ELIDE "
-          f"({totals['elide_cycles_per_sec']:.0f} cycles/sec)")
-    print(f"ELIDE speedup over FULL: {totals['elide_speedup']:.2f}x "
-          "(byte-identical cycles and stats)")
+          f"{totals['cycles']} cycles in {totals['event_wall_s']:.3f}s "
+          f"({totals['cycles_per_sec']:.0f} cycles/sec)")
     if "speedup_vs_naive" in totals:
         print(f"speedup vs tick-every-cycle mode: {totals['speedup_vs_naive']:.2f}x "
               "(byte-identical results)")

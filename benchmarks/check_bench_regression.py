@@ -5,15 +5,12 @@ Compares a freshly emitted ``BENCH_headline.json`` against the checked-in
 files carry a *calibration score* (a fixed pure-Python loop, see
 ``bench_headline.calibration_score``); the expected throughput on the
 current machine is the baseline throughput scaled by the ratio of
-calibration scores.  Both data policies are gated: the FULL-mode
-(``cycles_per_sec``) and ELIDE-mode (``elide_cycles_per_sec``) aggregate
-throughputs must each stay within ``--threshold-pct`` (default 20, override
-with ``$REPRO_BENCH_GATE_PCT``) of their calibrated expectations.  The gate
-also fails when any grid point diverged from the tick-every-cycle engine,
-between the two data policies, or between the ``num_engines=1`` topology and
-the single-program path — and when any grid point's *cycle count* differs
-from the baseline's (simulated behaviour is deterministic; a cycle change
-must be deliberate and come with a regenerated baseline).
+calibration scores.  The aggregate throughput (``cycles_per_sec``) must stay
+within ``--threshold-pct`` (default 20) of that calibrated expectation.  The
+gate also fails when any grid point diverged from the tick-every-cycle
+engine — and when any grid point's *cycle count* differs from the
+baseline's (simulated behaviour is deterministic; a cycle change must be
+deliberate and come with a regenerated baseline).
 
 Usage::
 
@@ -24,36 +21,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 
 def load(path: str) -> dict:
     with open(path) as handle:
         return json.load(handle)
-
-
-def gate_throughput(label, current, baseline, key, machine_ratio, threshold_pct,
-                    failures):
-    """Gate one policy's aggregate cycles/sec against the scaled baseline."""
-    cur_cps = current["totals"].get(key)
-    base_cps = baseline["totals"].get(key)
-    if base_cps is None:
-        print(f"{label:<6s}: no baseline entry ({key}); skipping")
-        return
-    if cur_cps is None:
-        failures.append(f"{label}: current run has no {key} total")
-        return
-    expected_cps = base_cps * machine_ratio
-    change_pct = 100.0 * (cur_cps - expected_cps) / expected_cps
-    print(f"{label:<6s}: baseline {base_cps:12.0f} cycles/sec, "
-          f"current {cur_cps:12.0f}, expected here {expected_cps:12.0f} "
-          f"({change_pct:+.1f}%, gate: -{threshold_pct:.0f}%)")
-    if cur_cps < expected_cps * (1.0 - threshold_pct / 100.0):
-        failures.append(
-            f"{label} cycles/sec regressed {-change_pct:.1f}% vs calibrated "
-            f"baseline (allowed: {threshold_pct:.0f}%)"
-        )
 
 
 def main(argv=None) -> int:
@@ -63,7 +36,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--threshold-pct",
         type=float,
-        default=float(os.environ.get("REPRO_BENCH_GATE_PCT", "20")),
+        default=20.0,
         help="maximum allowed regression in percent (default 20)",
     )
     args = parser.parse_args(argv)
@@ -73,8 +46,8 @@ def main(argv=None) -> int:
 
     failures = []
 
-    # Correctness gates: the event-driven engine must match the seed
-    # behaviour, and the ELIDE policy must match FULL bit for bit.
+    # Correctness gate: the event-driven engine must match the seed
+    # behaviour bit for bit.
     diverged = [
         f"{p['workload']}/{p['system']}/{p['memory']}"
         for p in current.get("grid", [])
@@ -82,15 +55,6 @@ def main(argv=None) -> int:
     ]
     if diverged:
         failures.append(f"results diverged from the seed-behaviour engine: {diverged}")
-    policy_diverged = [
-        f"{p['workload']}/{p['system']}/{p['memory']}"
-        for p in current.get("grid", [])
-        if p.get("identical_to_full") is False
-    ]
-    if policy_diverged:
-        failures.append(
-            f"ELIDE results diverged from FULL results: {policy_diverged}"
-        )
     # Cycle-identity gate: simulated cycle counts are deterministic, so any
     # change on a grid point present in the baseline means the simulated
     # behaviour changed — which must be deliberate (regenerate the baseline)
@@ -126,10 +90,18 @@ def main(argv=None) -> int:
     machine_ratio = cur_cal / base_cal
     print(f"machine speed ratio: {machine_ratio:.3f}x "
           f"(calibration {cur_cal:.0f} vs baseline {base_cal:.0f})")
-    gate_throughput("FULL", current, baseline, "cycles_per_sec",
-                    machine_ratio, args.threshold_pct, failures)
-    gate_throughput("ELIDE", current, baseline, "elide_cycles_per_sec",
-                    machine_ratio, args.threshold_pct, failures)
+    base_cps = baseline["totals"]["cycles_per_sec"]
+    cur_cps = current["totals"]["cycles_per_sec"]
+    expected_cps = base_cps * machine_ratio
+    change_pct = 100.0 * (cur_cps - expected_cps) / expected_cps
+    print(f"throughput: baseline {base_cps:12.0f} cycles/sec, "
+          f"current {cur_cps:12.0f}, expected here {expected_cps:12.0f} "
+          f"({change_pct:+.1f}%, gate: -{args.threshold_pct:.0f}%)")
+    if cur_cps < expected_cps * (1.0 - args.threshold_pct / 100.0):
+        failures.append(
+            f"cycles/sec regressed {-change_pct:.1f}% vs calibrated "
+            f"baseline (allowed: {args.threshold_pct:.0f}%)"
+        )
 
     # Supervision gate: the bench run's fault-free supervised sweep must
     # record zero retries/timeouts/rebuilds (supervision never perturbs the
@@ -143,10 +115,6 @@ def main(argv=None) -> int:
             )
         else:
             print("supervision: fault-free sweep, all counters zero")
-
-    elide_speedup = current["totals"].get("elide_speedup")
-    if elide_speedup is not None:
-        print(f"ELIDE speedup over FULL: {elide_speedup:.2f}x")
 
     if failures:
         for failure in failures:

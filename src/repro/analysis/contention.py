@@ -65,7 +65,6 @@ def figure_contention(
     engines = tuple(engines)
     if 1 not in engines:
         engines = (1,) + engines  # the speedup baseline must be swept
-    verify = verify and not config.elides_data
     specs = []
     points = []
     for name in workloads:

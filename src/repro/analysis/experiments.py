@@ -42,8 +42,7 @@ def run_experiment(name: str, scale: str = "small", runner=None, config=None,
     :class:`~repro.orchestrate.supervisor.RetryPolicy` and optional
     :class:`~repro.orchestrate.checkpoint.SweepManifest` — supervised,
     crash-resumable execution) and ``config`` (a
-    :class:`repro.system.config.SystemConfig`, e.g. carrying
-    ``DataPolicy.ELIDE`` for timing-only sweeps) are forwarded to every
+    :class:`repro.system.config.SystemConfig`) are forwarded to every
     driver whose signature accepts them — the simulation-based ones; the
     analytic area / timing figures compute in microseconds, take none of
     them, and stay serial.  Drivers need no fault-handling code of their

@@ -32,10 +32,7 @@ FIG5_BANK_COUNTS = (8, 11, 16, 17, 31, 32)
 
 
 def _testbench(num_banks: int, conflict_free: bool, queue_depth: int,
-               bus_bytes: int = 32,
-               data_policy: str = "full") -> ControllerTestbench:
-    from repro.sim.policy import resolve_data_policy
-
+               bus_bytes: int = 32) -> ControllerTestbench:
     adapter = AdapterConfig(bus_bytes=bus_bytes, queue_depth=queue_depth)
     memory = BankedMemoryConfig(
         num_ports=adapter.bus_words,
@@ -44,27 +41,18 @@ def _testbench(num_banks: int, conflict_free: bool, queue_depth: int,
         response_queue_depth=queue_depth,
         conflict_free=conflict_free,
     )
-    return ControllerTestbench(adapter, memory, memory_bytes=1 << 23,
-                               data_policy=resolve_data_policy(data_policy))
+    return ControllerTestbench(adapter, memory, memory_bytes=1 << 23)
 
 
 def measure_indirect_utilization(
     elem_bits: int, index_bits: int, num_banks: int,
     num_beats: int = 64, queue_depth: int = 32, conflict_free: bool = False,
     num_bursts: int = 4, seed: int = 0, bus_bytes: int = 32,
-    data_policy: str = "full",
 ) -> float:
-    """R utilization of back-to-back packed indirect reads with random indices.
-
-    ``data_policy`` selects the datapath mode (``"full"``/``"elide"``); the
-    measured utilization is identical by construction, timing-only runs are
-    just faster.  It is part of the measure signature so
-    :class:`~repro.orchestrate.spec.UtilizationSpec` fingerprints (and thus
-    cache keys) distinguish the two policies.
-    """
+    """R utilization of back-to-back packed indirect reads with random indices."""
     elem_bytes = elem_bits // 8
     index_bytes = index_bits // 8
-    tb = _testbench(num_banks, conflict_free, queue_depth, bus_bytes, data_policy)
+    tb = _testbench(num_banks, conflict_free, queue_depth, bus_bytes)
     rng = np.random.default_rng(seed)
     elems_per_beat = bus_bytes // elem_bytes
     elems_per_burst = num_beats * elems_per_beat
@@ -97,14 +85,10 @@ def measure_strided_utilization(
     elem_bits: int, stride_elems: int, num_banks: int,
     num_beats: int = 64, queue_depth: int = 32, conflict_free: bool = False,
     num_bursts: int = 2, bus_bytes: int = 32,
-    data_policy: str = "full",
 ) -> float:
-    """R utilization of back-to-back packed strided reads for one stride.
-
-    ``data_policy`` as in :func:`measure_indirect_utilization`.
-    """
+    """R utilization of back-to-back packed strided reads for one stride."""
     elem_bytes = elem_bits // 8
-    tb = _testbench(num_banks, conflict_free, queue_depth, bus_bytes, data_policy)
+    tb = _testbench(num_banks, conflict_free, queue_depth, bus_bytes)
     elems_per_beat = bus_bytes // elem_bytes
     elems_per_burst = num_beats * elems_per_beat
     requests = []
@@ -123,11 +107,6 @@ def measure_strided_utilization(
     return result.r_utilization
 
 
-def _policy_name(config) -> str:
-    """The data-policy name a driver's ``config`` implies (default full)."""
-    return config.data_policy.value if config is not None else "full"
-
-
 def figure_5a(
     size_pairs: Sequence[Tuple[int, int]] = FIG5A_SIZE_PAIRS,
     bank_counts: Sequence[int] = FIG5_BANK_COUNTS,
@@ -135,19 +114,12 @@ def figure_5a(
     num_beats: int = 64,
     queue_depth: int = 32,
     runner=None,
-    config=None,
 ) -> ExperimentTable:
-    """Fig. 5a: indirect-read utilization vs element/index sizes and banks.
-
-    ``config`` (a :class:`~repro.system.config.SystemConfig`) contributes
-    only its ``data_policy`` here — the testbench geometry is fixed by the
-    sweep parameters — so ``--timing-only`` reaches this driver too.
-    """
+    """Fig. 5a: indirect-read utilization vs element/index sizes and banks."""
     from repro.orchestrate.parallel import ParallelRunner
     from repro.orchestrate.spec import UtilizationSpec
 
     runner = runner or ParallelRunner()
-    policy = _policy_name(config)
     table = ExperimentTable(
         experiment="fig5a",
         caption="Indirect read R utilization vs element/index size and bank count",
@@ -161,7 +133,6 @@ def figure_5a(
             specs.append(UtilizationSpec.indirect(
                 elem_bits=elem_bits, index_bits=index_bits, num_banks=banks,
                 num_beats=num_beats, queue_depth=queue_depth,
-                data_policy=policy,
             ))
         if include_ideal:
             rows.append((elem_bits, index_bits, "ideal"))
@@ -169,7 +140,6 @@ def figure_5a(
                 elem_bits=elem_bits, index_bits=index_bits,
                 num_banks=max(bank_counts),
                 num_beats=num_beats, queue_depth=queue_depth, conflict_free=True,
-                data_policy=policy,
             ))
     for (elem_bits, index_bits, banks), utilization in zip(rows, runner.run(specs)):
         bound = ideal_indirect_utilization(elem_bits // 8, index_bits // 8)
@@ -186,20 +156,17 @@ def figure_5b(
     num_beats: int = 16,
     queue_depth: int = 32,
     runner=None,
-    config=None,
 ) -> ExperimentTable:
     """Fig. 5b: strided-read utilization vs element size and bank count.
 
     The paper averages over element strides 0 to 63; restricting ``strides``
     to an even-only subset would bias power-of-two bank counts pessimistically,
-    so the default sweeps every stride in that range.  ``config`` contributes
-    its ``data_policy`` as in :func:`figure_5a`.
+    so the default sweeps every stride in that range.
     """
     from repro.orchestrate.parallel import ParallelRunner
     from repro.orchestrate.spec import UtilizationSpec
 
     runner = runner or ParallelRunner()
-    policy = _policy_name(config)
     stride_list = list(strides) if strides is not None else list(range(0, 64))
     table = ExperimentTable(
         experiment="fig5b",
@@ -213,7 +180,6 @@ def figure_5b(
         UtilizationSpec.strided(
             elem_bits=elem_bits, stride_elems=stride, num_banks=banks,
             num_beats=num_beats, queue_depth=queue_depth,
-            data_policy=policy,
         )
         for elem_bits, banks in cells
         for stride in stride_list

@@ -13,6 +13,7 @@ from dataclasses import replace
 from typing import Dict
 
 from repro.analysis.fig3 import SCALES
+from repro.errors import ConfigurationError
 from repro.system.config import SystemConfig, SystemKind
 
 #: Workloads sized by dense matrix dimension (the rest take sparse rows).
@@ -31,11 +32,20 @@ def workload_spec_kwargs(workload: str, scale: str) -> dict:
 
 
 def point_system_config(
-    kind: SystemKind, latency: int, data_policy="full"
+    kind: SystemKind, latency: int, data_policy: str = "full"
 ) -> SystemConfig:
-    """The system configuration of one headline grid point."""
+    """The system configuration of one headline grid point.
+
+    The third parameter is kept for callers that still pass ``"full"``
+    positionally; that is the simulator's only data plane, and any other
+    value is rejected.
+    """
+    if data_policy != "full":
+        raise ConfigurationError(
+            f"unknown data policy {data_policy!r}; only 'full' is simulated"
+        )
     return replace(
-        SystemConfig(data_policy=data_policy),
+        SystemConfig(),
         memory_latency=latency,
         ideal_latency=max(2, latency),
     ).with_kind(kind)

@@ -140,7 +140,6 @@ def figure_pareto(
     kinds = tuple(kinds)
     if SystemKind.BASE not in kinds:
         kinds = (SystemKind.BASE,) + kinds
-    verify = verify and not config.elides_data
 
     specs = []
     points = []

@@ -4,7 +4,6 @@ Examples::
 
     axi-pack-repro list
     axi-pack-repro run fig3a --scale small --jobs 4
-    axi-pack-repro run fig3a --scale paper --timing-only
     axi-pack-repro run fig5c --csv fig5c.csv
     axi-pack-repro run contention --engines 4 --csv contention.csv
     axi-pack-repro workloads --size 48 --jobs 8
@@ -24,11 +23,6 @@ multiplexer, and every workload's rows are sharded across the engines (the
 memory stack) behind an N×M stripe-interleaved crossbar; the ``pareto``
 subcommand sweeps both axes and joins the measured performance with the
 hardware area/energy models (see ``docs/hardware.md``).
-
-``--timing-only`` selects ``DataPolicy.ELIDE``: the simulated datapath moves
-no bytes, only geometry, which is markedly faster and produces bit-identical
-cycle counts and statistics; result verification is skipped (``verified`` is
-reported False).  Full and timing-only runs never share cache entries.
 
 Simulation runs are orchestrated (see :mod:`repro.orchestrate`): ``--jobs N``
 fans independent simulations out over ``N`` worker processes, and the result
@@ -68,12 +62,6 @@ def _add_orchestration_options(parser: argparse.ArgumentParser,
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for simulation runs "
                              "(0 = one per CPU; default: 1, serial)")
-    parser.add_argument("--timing-only", action="store_true",
-                        help="simulate with DataPolicy.ELIDE: identical cycle "
-                             "counts and statistics, no data movement, no "
-                             "result verification (results are marked "
-                             "verified=False); cached separately from full "
-                             "runs")
     if topology:
         parser.add_argument("--engines", type=int, default=1, metavar="N",
                             help="vector engines per SoC: N > 1 shards each "
@@ -225,8 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
     profile_parser.add_argument("--memory", choices=["sram", "dram"],
                                 default="sram",
                                 help="memory class (latency 1 or 100 cycles)")
-    profile_parser.add_argument("--policy", choices=["full", "elide"],
-                                default="full", help="data policy")
     profile_parser.add_argument("--top", type=int, default=25, metavar="N",
                                 help="number of functions to report")
     profile_parser.add_argument("--sort", choices=["cumulative", "tottime"],
@@ -291,11 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _system_config(args: argparse.Namespace) -> SystemConfig:
     """The system configuration implied by the CLI flags."""
-    from repro.sim.policy import DataPolicy
-
     kwargs = {}
-    if getattr(args, "timing_only", False):
-        kwargs["data_policy"] = DataPolicy.ELIDE
     if getattr(args, "engines", 1) != 1:
         kwargs["num_engines"] = args.engines
     if getattr(args, "channels", 1) != 1:
@@ -407,7 +389,6 @@ def _apply_resume_request(args: argparse.Namespace, manifest: SweepManifest) -> 
         return 2
     args.experiments = list(request["experiments"])
     args.scale = request.get("scale", args.scale)
-    args.timing_only = bool(request.get("timing_only", False))
     args.engines = request.get("engines", 1)
     args.channels = request.get("channels", 1)
     args.arbitration = request.get("arbitration", "rr")
@@ -450,7 +431,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             manifest = SweepManifest.create(args.manifest, request={
                 "experiments": list(args.experiments),
                 "scale": args.scale,
-                "timing_only": bool(getattr(args, "timing_only", False)),
                 "engines": getattr(args, "engines", 1),
                 "channels": getattr(args, "channels", 1),
                 "arbitration": getattr(args, "arbitration", "rr"),
@@ -547,9 +527,9 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
               f"available: {sorted(WORKLOADS)}", file=sys.stderr)
         return 2
     config = _system_config(args)
-    policy_note = " [timing-only]" if config.elides_data else ""
+    fault_note = ""
     if config.bus_faults is not None:
-        policy_note += (
+        fault_note = (
             f" [bus-fault injection: {len(config.bus_faults.faults)} spec(s), "
             f"watchdog {config.bus_faults.watchdog_cycles} cycles]"
         )
@@ -558,7 +538,7 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
         engine_note += f", {config.num_channels} channels"
     print(f"Running {len(names)} workloads at size {args.size} "
           f"on BASE / PACK / IDEAL ({config.bus_bits}-bit bus, "
-          f"{config.num_banks} banks{engine_note}){policy_note}")
+          f"{config.num_banks} banks{engine_note}){fault_note}")
     extras = [name for name in names if name not in WORKLOAD_ORDER]
     if extras:
         print("  note: excluded from the paper-figure grids (fig3*/fig4c run "
@@ -566,7 +546,7 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
     specs = [WorkloadSpec.create(name, size=args.size) for name in names]
     with _make_runner(args) as runner:
         comparisons = compare_systems_many(
-            specs, config, verify=not args.no_verify and not config.elides_data,
+            specs, config, verify=not args.no_verify,
             runner=runner,
         )
         for name in names:
@@ -586,7 +566,6 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
 
 def _cmd_pareto(args: argparse.Namespace) -> int:
     from repro.analysis.pareto import figure_pareto
-    from repro.sim.policy import DataPolicy
     from repro.workloads.registry import WORKLOADS
 
     if args.workloads:
@@ -596,8 +575,6 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
                   f"available: {sorted(WORKLOADS)}", file=sys.stderr)
             return 2
     kwargs = {}
-    if args.timing_only:
-        kwargs["data_policy"] = DataPolicy.ELIDE
     if args.arbitration != "rr":
         kwargs["arbitration"] = args.arbitration
     config = SystemConfig(**kwargs)
@@ -640,7 +617,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     latency = MEMORY_LATENCY[args.memory]
     reset_txn_ids()
     instance = WorkloadSpec.create(args.workload, **spec_kwargs).build()
-    config = point_system_config(SystemKind(args.system), latency, args.policy)
+    config = point_system_config(SystemKind(args.system), latency)
     soc = build_system(config)
     instance.initialize(soc.storage)
     program = instance.build_program(config.lowering, config.vector_config())
@@ -674,7 +651,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             "system": args.system,
             "scale": args.scale,
             "memory": args.memory,
-            "policy": args.policy,
             "cycles": cycles,
             "wall_s": round(wall, 6),
             "cycles_per_sec": round(cycles / wall, 1) if wall > 0 else None,
@@ -682,7 +658,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         }, indent=2))
         return 0
     print(f"profiled {args.workload}/{args.system}/{args.memory} at "
-          f"scale={args.scale} policy={args.policy}: "
+          f"scale={args.scale}: "
           f"{cycles} cycles in {wall:.3f}s "
           f"({cycles / wall:,.0f} cycles/sec)")
     buffer = io.StringIO()

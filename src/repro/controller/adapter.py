@@ -35,7 +35,6 @@ from repro.controller.strided_write import StridedWriteConverter
 from repro.errors import ProtocolError
 from repro.mem.banked import BankedMemory
 from repro.sim.component import IDLE, Component, WakeHint
-from repro.sim.policy import DataPolicy
 from repro.sim.stats import StatsRegistry
 
 #: Prebound: compared per word response on the hottest routing path.
@@ -52,12 +51,10 @@ class AxiPackAdapter(Component):
         memory: BankedMemory,
         config: Optional[AdapterConfig] = None,
         stats: Optional[StatsRegistry] = None,
-        data_policy: DataPolicy = DataPolicy.FULL,
     ) -> None:
         super().__init__(name)
         self.port = port
         self.memory = memory
-        self.data_policy = data_policy
         self.config = config or AdapterConfig(bus_bytes=port.bus_bytes)
         if self.config.bus_bytes != port.bus_bytes:
             raise ProtocolError(
@@ -74,10 +71,7 @@ class AxiPackAdapter(Component):
                 f"memory provides only {memory.config.num_ports}"
             )
         self.stats = stats if stats is not None else StatsRegistry()
-        self.ctx = AdapterContext(
-            self.config, self.stats, data_policy=data_policy,
-            storage=memory.storage,
-        )
+        self.ctx = AdapterContext(self.config, self.stats, storage=memory.storage)
         self.r_monitor = ChannelMonitor("R", self.config.bus_bytes)
         self.w_monitor = ChannelMonitor("W", self.config.bus_bytes)
 

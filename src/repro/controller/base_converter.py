@@ -32,8 +32,8 @@ class BaseAxi4Converter(Converter):
 
     def __init__(self, name: str, ctx: AdapterContext) -> None:
         super().__init__(name, ctx)
-        self._reads = LaneReadPipe(f"{name}.read", ctx.config, ctx.data_policy)
-        self._writes = LaneWritePipe(f"{name}.write", ctx.config, ctx.data_policy)
+        self._reads = LaneReadPipe(f"{name}.read", ctx.config)
+        self._writes = LaneWritePipe(f"{name}.write", ctx.config)
         # Prebound hot-path counters (see repro.sim.stats).
         self._c_read_bursts = ctx.stats.counter("controller.base.read_bursts")
         self._c_write_bursts = ctx.stats.counter("controller.base.write_bursts")

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError
-from repro.sim.policy import DataPolicy
 from repro.sim.stats import StatsRegistry
 from repro.utils.bitutils import is_power_of_two
 from repro.utils.validation import check_positive
@@ -57,11 +56,10 @@ class AdapterConfig:
 class AdapterContext:
     """Configuration and handles shared between the adapter and its converters.
 
-    It carries the static :class:`AdapterConfig`, the statistics registry,
-    the adapter-wide :class:`~repro.sim.policy.DataPolicy` and, under
-    ``ELIDE``, a handle to the backing storage so the indirect converters
-    can resolve index values functionally (address-forming data still
-    determines timing) while all payload movement is skipped.  The request
+    It carries the static :class:`AdapterConfig`, the statistics registry
+    and a handle to the backing storage, from which the indirect converters
+    resolve the index values of a poisoned index line functionally (see
+    :func:`~repro.controller.indirect_read.read_index_oracle`).  The request
     regulator of Fig. 2c is per pipe: every converter pipe owns a
     :class:`~repro.controller.regulator.RequestRegulator`.
     """
@@ -70,10 +68,8 @@ class AdapterContext:
         self,
         config: AdapterConfig,
         stats: Optional[StatsRegistry] = None,
-        data_policy: DataPolicy = DataPolicy.FULL,
         storage=None,
     ) -> None:
         self.config = config
         self.stats = stats if stats is not None else StatsRegistry()
-        self.data_policy = data_policy
         self.storage = storage

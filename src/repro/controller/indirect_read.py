@@ -44,14 +44,12 @@ _RESP_OKAY = Resp.OKAY
 def read_index_oracle(ctx: AdapterContext, request: BusRequest) -> np.ndarray:
     """Resolve a burst's index values functionally.
 
-    Under ELIDE the index fetch beats carry no bytes, but the index *values*
-    still determine the element addresses — and therefore the bank conflicts
-    and cycle count.  They are read once from the backing storage the
-    workload initialized; the per-line fetch timing is still simulated by
-    the index pipe, values are just consumed from this oracle instead of the
-    returned line payloads.  FULL mode falls back to the oracle for
-    *poisoned* index lines, so both policies resolve identical element
-    addresses under faults.
+    A *poisoned* index line carries invalid bytes, but the burst still has
+    to plan (and fail) its element accesses at deterministic addresses.  The
+    values are then read once from the backing storage the workload
+    initialized; the per-line fetch timing is still simulated by the index
+    pipe, values are just consumed from this oracle instead of the returned
+    line payloads.
 
     Index elements that fall outside the storage resolve to zero — the bus
     reports the error in band (the fetch words answer ``SLVERR``), so the
@@ -59,8 +57,8 @@ def read_index_oracle(ctx: AdapterContext, request: BusRequest) -> np.ndarray:
     """
     if ctx.storage is None:
         raise SimulationError(
-            "DataPolicy.ELIDE needs the adapter context to carry the backing "
-            "storage to resolve indirect-burst indices"
+            "a poisoned index line needs the adapter context to carry the "
+            "backing storage to resolve indirect-burst indices"
         )
     index_bytes = request.pack.index_bytes
     dtype = _INDEX_DTYPES[index_bytes]
@@ -78,23 +76,22 @@ def read_index_oracle(ctx: AdapterContext, request: BusRequest) -> np.ndarray:
 
 
 def index_line_values(active, useful_bytes: int, data, request: BusRequest,
-                      elide: bool, resp: Resp = _RESP_OKAY) -> list:
+                      resp: Resp = _RESP_OKAY) -> list:
     """The index values carried by one completed index-fetch line.
 
-    In FULL mode they are decoded from the line's payload bytes; under
-    ``DataPolicy.ELIDE`` — and for *poisoned* lines in FULL mode, whose
-    payload bytes are invalid — the next ``useful_bytes // index_bytes``
-    values are consumed from the burst's oracle (see
-    :func:`read_index_oracle`).  ``oracle_pos`` advances for every line in
-    both policies so a mid-burst fault slices the oracle at the right
-    position.  Shared by the indirect read and write converters so the two
-    stay in lock-step.  The values come back as a Python list so the
-    element planner slices them without per-element ``int()`` boxing.
+    They are decoded from the line's payload bytes, except for *poisoned*
+    lines, whose payload bytes are invalid: those consume the next
+    ``useful_bytes // index_bytes`` values from the burst's oracle (see
+    :func:`read_index_oracle`).  ``oracle_pos`` advances for every line so
+    a mid-burst fault slices the oracle at the right position.  Shared by
+    the indirect read and write converters so the two stay in lock-step.
+    The values come back as a Python list so the element planner slices
+    them without per-element ``int()`` boxing.
     """
     count = useful_bytes // request.pack.index_bytes
     pos = active.oracle_pos
     active.oracle_pos = pos + count
-    if elide or resp is not _RESP_OKAY:
+    if resp is not _RESP_OKAY:
         return active.index_oracle[pos : pos + count].tolist()
     dtype = _INDEX_DTYPES[request.pack.index_bytes]
     return np.frombuffer(data, dtype=dtype).tolist()
@@ -124,7 +121,7 @@ class _ActiveIndirectRead:
         self.index_pos = 0
         self.elements_planned = 0
         self.next_beat = 0
-        #: ELIDE always; FULL materializes it lazily on a poisoned line
+        #: materialized lazily on the first poisoned index line
         self.index_oracle: Optional[np.ndarray] = None
         self.oracle_pos = 0
         #: worst response over the burst's index-fetch lines so far; element
@@ -141,9 +138,8 @@ class IndirectReadConverter(Converter):
 
     def __init__(self, name: str, ctx: AdapterContext) -> None:
         super().__init__(name, ctx)
-        self._elide = ctx.data_policy.elides_data
-        self._index_pipe = LaneReadPipe(f"{name}.index", ctx.config, ctx.data_policy)
-        self._element_pipe = LaneReadPipe(f"{name}.element", ctx.config, ctx.data_policy)
+        self._index_pipe = LaneReadPipe(f"{name}.index", ctx.config)
+        self._element_pipe = LaneReadPipe(f"{name}.element", ctx.config)
         self._bursts: Deque[_ActiveIndirectRead] = deque()
         self._by_txn: Dict[int, _ActiveIndirectRead] = {}
         # Prebound hot-path counters (see repro.sim.stats).
@@ -158,8 +154,6 @@ class IndirectReadConverter(Converter):
 
     def accept_read(self, request: BusRequest) -> None:
         active = _ActiveIndirectRead(request)
-        if self._elide:
-            active.index_oracle = read_index_oracle(self.ctx, request)
         self._bursts.append(active)
         self._by_txn[request.txn_id] = active
         config = self.ctx.config
@@ -179,7 +173,6 @@ class IndirectReadConverter(Converter):
     def _extract_indices(self) -> None:
         """Offsets extraction: decode returned index lines into index lists."""
         pipe = self._index_pipe
-        elide = self._elide
         while True:
             ready = pipe.pop_ready_beat()
             if ready is None:
@@ -190,7 +183,7 @@ class IndirectReadConverter(Converter):
                 if resp is not _RESP_OKAY:
                     self._note_index_fault(active, resp)
                 active.index_list.extend(
-                    index_line_values(active, useful, data, request, elide, resp)
+                    index_line_values(active, useful, data, request, resp)
                 )
             self._c_index_lines.value += 1
 

@@ -59,7 +59,7 @@ class _ActiveIndirectWrite:
         self.payloads: Deque[bytes] = deque()
         self.elements_planned = 0
         self.next_beat = 0
-        #: ELIDE always; FULL materializes it lazily on a poisoned line
+        #: materialized lazily on the first poisoned index line
         self.index_oracle: Optional[np.ndarray] = None
         self.oracle_pos = 0
         #: worst response over the burst's index-fetch lines so far
@@ -75,9 +75,8 @@ class IndirectWriteConverter(Converter):
 
     def __init__(self, name: str, ctx: AdapterContext) -> None:
         super().__init__(name, ctx)
-        self._elide = ctx.data_policy.elides_data
-        self._index_pipe = LaneReadPipe(f"{name}.index", ctx.config, ctx.data_policy)
-        self._write_pipe = LaneWritePipe(f"{name}.element", ctx.config, ctx.data_policy)
+        self._index_pipe = LaneReadPipe(f"{name}.index", ctx.config)
+        self._write_pipe = LaneWritePipe(f"{name}.element", ctx.config)
         self._bursts: Deque[_ActiveIndirectWrite] = deque()
         self._by_txn: Dict[int, _ActiveIndirectWrite] = {}
         # Prebound hot-path counters (see repro.sim.stats).
@@ -93,8 +92,6 @@ class IndirectWriteConverter(Converter):
     def accept_write(self, request: BusRequest) -> None:
         wpipe_burst = self._write_pipe.accept(request, None)
         active = _ActiveIndirectWrite(request, wpipe_burst)
-        if self._elide:
-            active.index_oracle = read_index_oracle(self.ctx, request)
         self._bursts.append(active)
         self._by_txn[request.txn_id] = active
         config = self.ctx.config
@@ -110,10 +107,7 @@ class IndirectWriteConverter(Converter):
         burst = self._write_pipe.take_w_beat(payload)
         for active in self._bursts:
             if active.wpipe_burst is burst:
-                # Under ELIDE the payload is empty; it is still queued so
-                # `_plan_write_beats` sees the W beat's arrival (planning is
-                # gated on data presence, which is a timing property).
-                active.payloads.append(b"" if self._elide else bytes(payload))
+                active.payloads.append(bytes(payload))
                 return
 
     # ----------------------------------------------------------------- cycle
@@ -123,7 +117,6 @@ class IndirectWriteConverter(Converter):
 
     def _extract_indices(self) -> None:
         pipe = self._index_pipe
-        elide = self._elide
         while True:
             ready = pipe.pop_ready_beat()
             if ready is None:
@@ -134,7 +127,7 @@ class IndirectWriteConverter(Converter):
                 if resp is not _RESP_OKAY:
                     self._note_index_fault(active, resp)
                 active.index_list.extend(
-                    index_line_values(active, useful, data, request, elide, resp)
+                    index_line_values(active, useful, data, request, resp)
                 )
             self._c_index_lines.value += 1
 

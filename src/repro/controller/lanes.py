@@ -21,11 +21,10 @@ offsets, same issue order.  ``tests/test_datapath_parity.py`` checks every
 kernel slot for slot against the readable beat-at-a-time reference planners
 in ``tests/reference_planners.py``.
 
-Payload movement under ``DataPolicy.FULL`` stays per word: the byte
-scatter/gather of :meth:`LaneReadPipe.take_response` and
-:meth:`LaneWritePipe.issue` is a slice assignment indexed through the flat
-arrays.  Only the *geometry* work (planning, issue bookkeeping, completion
-tracking) is batched.
+Payload movement stays per word: the byte scatter/gather of
+:meth:`LaneReadPipe.take_response` and :meth:`LaneWritePipe.issue` is a
+slice assignment indexed through the flat arrays.  Only the *geometry*
+work (planning, issue bookkeeping, completion tracking) is batched.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from repro.controller.context import AdapterConfig
 from repro.controller.regulator import RequestRegulator
 from repro.errors import ProtocolError, SimulationError
 from repro.mem.words import WordRequest
-from repro.sim.policy import DataPolicy
 
 #: Prebound default: checked once per word response on the hot path.
 _RESP_OKAY = Resp.OKAY
@@ -107,7 +105,7 @@ class SlotBatch:
             b - a for a, b in zip(beat_start, beat_start[1:])
         ]
         self.beat_acks: Optional[List[int]] = None  #: write pipes only
-        self.beat_data: Optional[List[bytearray]] = None  #: FULL reads only
+        self.beat_data: Optional[List[bytearray]] = None  #: read pipes only
         self.beat_payload: Optional[List[Optional[bytes]]] = None  #: writes
         #: per-beat worst response — None until a beat is first poisoned, so
         #: the fault-free hot path pays one attribute check, no list
@@ -124,7 +122,7 @@ class SlotBatch:
             table[beat] = resp
 
     def alloc_read_buffers(self) -> None:
-        """Allocate per-beat payload assembly buffers (FULL policy reads)."""
+        """Allocate per-beat payload assembly buffers (read pipes)."""
         self.beat_data = [bytearray(useful) for useful in self.beat_useful]
 
     def init_write_state(self) -> None:
@@ -496,23 +494,13 @@ class LaneReadPipe:
     Beats are issued and completed strictly in order, which keeps the R
     channel ordering rules trivially satisfied and matches the info-queue
     discipline of the RTL beat packer.
-
-    Under ``DataPolicy.ELIDE`` no payload buffers exist: word responses only
-    decrement the beat's completion count, and completed beats emit empty
-    payloads with their geometry (``useful_bytes``) intact.
     """
 
-    __slots__ = ("name", "config", "_elide", "regulator", "_beats", "_unissued")
+    __slots__ = ("name", "config", "regulator", "_beats", "_unissued")
 
-    def __init__(
-        self,
-        name: str,
-        config: AdapterConfig,
-        data_policy: DataPolicy = DataPolicy.FULL,
-    ) -> None:
+    def __init__(self, name: str, config: AdapterConfig) -> None:
         self.name = name
         self.config = config
-        self._elide = data_policy.elides_data
         self.regulator = RequestRegulator(config.bus_words, config.queue_depth)
         #: (batch, beat index, request) in plan order, oldest first
         self._beats: Deque[Tuple[SlotBatch, int, BusRequest]] = deque()
@@ -531,8 +519,7 @@ class LaneReadPipe:
         ``resp`` pre-poisons every beat of the batch (element beats planned
         from a poisoned index fetch).
         """
-        if not self._elide:
-            batch.alloc_read_buffers()
+        batch.alloc_read_buffers()
         if resp is not _RESP_OKAY:
             batch.beat_resp = [resp] * batch.num_beats
         beats = self._beats
@@ -591,13 +578,11 @@ class LaneReadPipe:
     def take_response(self, batch: SlotBatch, i: int, data: bytes) -> None:
         """Deliver one returned word to its beat (hot path)."""
         beat = batch.beat_of[i]
-        buffers = batch.beat_data
-        if buffers is not None:
-            shift = batch.shifts[i]
-            nbytes = batch.nbytes[i]
-            buffers[beat][
-                batch.offsets[i] : batch.offsets[i] + nbytes
-            ] = data[shift : shift + nbytes]
+        shift = batch.shifts[i]
+        nbytes = batch.nbytes[i]
+        batch.beat_data[beat][
+            batch.offsets[i] : batch.offsets[i] + nbytes
+        ] = data[shift : shift + nbytes]
         batch.beat_remaining[beat] -= 1
         in_flight = self.regulator._in_flight
         port = batch.ports[i]
@@ -640,14 +625,12 @@ class LaneReadPipe:
             return None
         beats.popleft()
         self._check_issued(batch, k)
-        buffers = batch.beat_data
         # The assembly buffer is complete and never written again, so it is
         # handed out without a defensive copy.
-        data = b"" if buffers is None else buffers[k]
         resps = batch.beat_resp
         return (
             batch.beat_useful[k],
-            data,
+            batch.beat_data[k],
             request,
             _RESP_OKAY if resps is None else resps[k],
         )
@@ -662,13 +645,11 @@ class LaneReadPipe:
             return None
         beats.popleft()
         self._check_issued(batch, k)
-        buffers = batch.beat_data
-        # Complete and never written again — no defensive copy.
-        data = b"" if buffers is None else buffers[k]
         resps = batch.beat_resp
         return RBeat(
             txn_id=request.txn_id,
-            data=data,
+            # Complete and never written again — no defensive copy.
+            data=batch.beat_data[k],
             useful_bytes=batch.beat_useful[k],
             last=batch.beat_last[k],
             resp=_RESP_OKAY if resps is None else resps[k],
@@ -724,18 +705,12 @@ class LaneWritePipe:
     batches explicitly once indices and payload are both known.
     """
 
-    __slots__ = ("name", "config", "_elide", "regulator",
+    __slots__ = ("name", "config", "regulator",
                  "_bursts", "_beats", "_unissued", "_burst_batches")
 
-    def __init__(
-        self,
-        name: str,
-        config: AdapterConfig,
-        data_policy: DataPolicy = DataPolicy.FULL,
-    ) -> None:
+    def __init__(self, name: str, config: AdapterConfig) -> None:
         self.name = name
         self.config = config
-        self._elide = data_policy.elides_data
         self.regulator = RequestRegulator(config.bus_words, config.queue_depth)
         self._bursts: Deque[_ActiveWriteBurst] = deque()
         #: (batch, beat index, burst) in arming order, oldest first
@@ -789,8 +764,7 @@ class LaneWritePipe:
     def _arm_beat(
         self, batch: SlotBatch, beat: int, payload: bytes, burst: _ActiveWriteBurst
     ) -> None:
-        if not self._elide:
-            batch.beat_payload[beat] = bytes(payload)
+        batch.beat_payload[beat] = bytes(payload)
         self._beats.append((batch, beat, burst))
         start = batch.beat_start[beat]
         end = batch.beat_start[beat + 1]
@@ -814,7 +788,7 @@ class LaneWritePipe:
             i = entry[1]
             end = entry[2]
             beat = entry[3]
-            payload = None if batch.beat_payload is None else batch.beat_payload[beat]
+            payload = batch.beat_payload[beat]
             check_partial = not batch.all_full_words
             remaining = batch.beat_remaining
             acks = batch.beat_acks
@@ -827,8 +801,7 @@ class LaneWritePipe:
                     batch.nbytes[i] != word_bytes or batch.shifts[i] != 0
                 ):
                     # Geometry-only guard, raised when the offending slot
-                    # reaches the issue stage, so FULL and ELIDE reject the
-                    # same malformed bursts at the same point.
+                    # reaches the issue stage.
                     raise SimulationError(
                         f"{self.name}: partial-word write at word "
                         f"{words[i]:#x} — the model requires word-aligned "
@@ -836,11 +809,8 @@ class LaneWritePipe:
                     )
                 free_ports.discard(port)
                 in_flight[port] += 1
-                if payload is None:
-                    data = None
-                else:
-                    offset = offsets[i]
-                    data = payload[offset : offset + word_bytes]
+                offset = offsets[i]
+                data = payload[offset : offset + word_bytes]
                 out.append(
                     WordRequest(
                         port=port,

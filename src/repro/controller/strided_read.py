@@ -28,7 +28,7 @@ class StridedReadConverter(Converter):
 
     def __init__(self, name: str, ctx: AdapterContext) -> None:
         super().__init__(name, ctx)
-        self._pipe = LaneReadPipe(name, ctx.config, ctx.data_policy)
+        self._pipe = LaneReadPipe(name, ctx.config)
         self._c_bursts = ctx.stats.counter("controller.strided_read.bursts")
 
     def can_accept_read(self, request: BusRequest) -> bool:

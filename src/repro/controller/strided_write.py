@@ -23,7 +23,7 @@ class StridedWriteConverter(Converter):
 
     def __init__(self, name: str, ctx: AdapterContext) -> None:
         super().__init__(name, ctx)
-        self._pipe = LaneWritePipe(name, ctx.config, ctx.data_policy)
+        self._pipe = LaneWritePipe(name, ctx.config)
         self._c_bursts = ctx.stats.counter("controller.strided_write.bursts")
 
     def can_accept_write(self, request: BusRequest) -> bool:

@@ -25,7 +25,6 @@ from repro.mem.banked import BankedMemory, BankedMemoryConfig
 from repro.mem.storage import MemoryStorage
 from repro.sim.component import IDLE, Component, WakeHint
 from repro.sim.engine import Engine
-from repro.sim.policy import DataPolicy
 from repro.sim.stats import StatsRegistry
 
 
@@ -190,7 +189,6 @@ class ControllerTestbench:
         memory_config: Optional[BankedMemoryConfig] = None,
         memory_bytes: int = 1 << 22,
         port_config: Optional[AxiPortConfig] = None,
-        data_policy: DataPolicy = DataPolicy.FULL,
     ) -> None:
         self.adapter_config = adapter_config or AdapterConfig()
         self.memory_config = memory_config or BankedMemoryConfig(
@@ -198,15 +196,12 @@ class ControllerTestbench:
         )
         self.storage = MemoryStorage(memory_bytes)
         self.stats = StatsRegistry()
-        self.data_policy = data_policy
         self.port = AxiPort("tb", self.adapter_config.bus_bytes, port_config)
         self.memory = BankedMemory(
-            "mem", self.memory_config, self.storage, self.stats,
-            data_policy=data_policy,
+            "mem", self.memory_config, self.storage, self.stats
         )
         self.adapter = AxiPackAdapter(
-            "adapter", self.port, self.memory, self.adapter_config, self.stats,
-            data_policy=data_policy,
+            "adapter", self.port, self.memory, self.adapter_config, self.stats
         )
 
     def run(
@@ -215,12 +210,11 @@ class ControllerTestbench:
         write_payloads: Optional[Dict[int, bytes]] = None,
         max_outstanding: int = 8,
         max_cycles: int = 5_000_000,
-        event_driven: Optional[bool] = None,
+        event_driven: bool = True,
     ) -> TestbenchResult:
         """Drive the given requests to completion and return measurements.
 
-        ``event_driven`` selects the engine mode (None = the
-        ``REPRO_SIM_ENGINE`` environment default); both modes produce
+        ``event_driven`` selects the engine mode; both modes produce
         identical measurements.
         """
         engine = Engine(event_driven=event_driven)

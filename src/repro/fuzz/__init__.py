@@ -8,8 +8,8 @@ The package has four layers:
 * :mod:`repro.fuzz.oracle` — a pure-python functional interpreter that
   predicts final memory and register-file contents with zero timing;
 * :mod:`repro.fuzz.runner` — the differential harness that executes a case
-  across the configuration cube (event/naive engine x FULL/ELIDE policy on
-  the 1-engine, 2-engine and 2-engine x 2-channel topologies) and checks
+  across the configuration cube (event/naive engine on the 1-engine,
+  2-engine and 2-engine x 2-channel topologies) and checks
   every point against the oracle and against each other;
 * :mod:`repro.fuzz.strategies` — seeded hypothesis strategies over the
   case space (imported lazily so the core harness works without hypothesis,

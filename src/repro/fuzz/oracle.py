@@ -7,7 +7,7 @@ reuses the op's own ``fn`` for computes and
 :func:`~repro.mem.functional.stream_element_addresses` for memory ops, so
 there is no second implementation of the ISA semantics to drift — the
 contract it checks is purely that the cycle-level machinery (dispatch,
-chaining, lowering, banking, arbitration, batching, elision) moves the
+chaining, lowering, banking, arbitration, batching) moves the
 right bytes, not *what* the right bytes are.
 
 Program order is exact for the fuzzer's cases: the engine may reorder
@@ -39,7 +39,7 @@ def interpret_program(program: Program,
     """Execute ``program`` functionally, mutating ``storage`` in place.
 
     Returns the final register file as a dict of register name to value
-    array — exactly what the engine's ``regfile`` should hold after a FULL
+    array — exactly what the engine's ``regfile`` should hold after the
     run.  Scalar work is a timing-only no-op.
     """
     regs: Dict[str, np.ndarray] = {}

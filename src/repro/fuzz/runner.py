@@ -1,15 +1,14 @@
 """Differential fuzz harness: one case, every point of the config cube.
 
 ``run_fuzz_case`` executes a :class:`~repro.fuzz.case.FuzzCase` on every
-cube point — event-driven/naive engine x FULL/ELIDE data policy, on the
-single-engine topology and (when the case has at least two segments) a
-two-engine sharded topology over one shared channel plus the two-engine x
-two-channel crossbar — and checks:
+cube point — event-driven/naive engine, on the single-engine topology and
+(when the case has at least two segments) a two-engine sharded topology over
+one shared channel plus the two-engine x two-channel crossbar — and checks:
 
-* FULL points reproduce the functional oracle's final memory image and
+* every point reproduces the functional oracle's final memory image and
   per-engine register files byte for byte;
 * every point within a topology reports bit-identical cycles, stats and
-  per-engine results (ELIDE included: data elision must be timing-exact).
+  per-engine results.
 
 Cycle counts are *not* compared across topologies — adding an interconnect
 changes timing by design; each ``(engines, channels)`` topology is its own
@@ -19,7 +18,7 @@ Cases may carry a **bus-fault axis** (``FuzzCase.bus_fault``): the runner
 lowers it to a :class:`~repro.axi.faults.BusFaultPlan` keyed on one store
 op's output byte-address region (topology-stable) and then demands that
 every point of a topology agrees bit-identically on the structured fault
-report *and* the final FULL memory image, and that the aborted image is
+report *and* the final memory image, and that the aborted image is
 sane: every non-faulted store region is all-oracle (the op completed) or
 all-initial (the op was never dispatched), and nothing outside the case's
 store regions moved.  ``stall`` faults are absorbed by back-pressure, so
@@ -56,12 +55,8 @@ from repro.system.soc import build_system
 #: Memory image size for fuzz SoCs (2 MiB keeps snapshots cheap to compare).
 FUZZ_MEMORY_BYTES = 1 << 21
 
-#: (event_driven, policy) points every topology runs.
-CUBE: Tuple[Tuple[bool, str], ...] = tuple(
-    (event, policy)
-    for event in (True, False)
-    for policy in ("full", "elide")
-)
+#: Engine modes (``event_driven``) every topology runs.
+CUBE: Tuple[bool, ...] = (True, False)
 
 #: (engines, channels) topologies the cube covers.  (2, 2) exercises the
 #: M×N demux/mux crossbar with stripe-interleaved channel routing; like the
@@ -133,7 +128,7 @@ def _check_aborted_memory(case: FuzzCase, point: str,
                           faulted: Tuple[int, int],
                           initial: np.ndarray, expected: np.ndarray,
                           actual: np.ndarray) -> None:
-    """Sanity-check a FULL image after a graceful abort.
+    """Sanity-check a memory image after a graceful abort.
 
     Which ops beyond the faulting one still ran is timing-dependent across
     topologies, but every individual outcome is all-or-nothing: an op
@@ -231,11 +226,11 @@ def run_fuzz_case(case: FuzzCase, max_cycles: int = 5_000_000) -> FuzzCaseReport
                     else f"{num_engines}eng{num_channels}ch")
         baseline: Optional[Tuple[str, tuple]] = None
         abort_mem: Optional[Tuple[str, np.ndarray]] = None
-        for event, policy in CUBE:
-            point = f"{topo_tag}/{'event' if event else 'naive'}/{policy}"
+        for event in CUBE:
+            point = f"{topo_tag}/{'event' if event else 'naive'}"
             reset_txn_ids()
             config = SystemConfig(
-                memory_bytes=FUZZ_MEMORY_BYTES, data_policy=policy,
+                memory_bytes=FUZZ_MEMORY_BYTES,
             ).with_kind(SystemKind(case.kind))
             if num_engines > 1:
                 config = config.with_engines(num_engines)
@@ -283,34 +278,33 @@ def run_fuzz_case(case: FuzzCase, max_cycles: int = 5_000_000) -> FuzzCaseReport
                 raise FuzzDivergence(
                     case, point,
                     f"not bit-identical to [{base_point}]: {'; '.join(parts)}")
-            if policy == "full":
-                actual_mem = soc.storage.snapshot()
-                if fault_aborts:
-                    # Aborted runs cannot match the oracle wholesale; demand
-                    # instead that every FULL point of this topology lands
-                    # on the same image and that the image decomposes into
-                    # completed-vs-dropped ops cleanly.
-                    if abort_mem is None:
-                        abort_mem = (point, actual_mem)
-                        _check_aborted_memory(
-                            case, point, _store_regions(plan), faulted_region,
-                            initial_mem, expected_mem, actual_mem)
-                    elif not np.array_equal(abort_mem[1], actual_mem):
-                        raise FuzzDivergence(
-                            case, point,
-                            f"aborted memory image differs from "
-                            f"[{abort_mem[0]}]: "
-                            + _first_diff(abort_mem[1], actual_mem))
-                else:
-                    if not np.array_equal(expected_mem, actual_mem):
-                        raise FuzzDivergence(
-                            case, point,
-                            "memory image differs from oracle: "
-                            + _first_diff(expected_mem, actual_mem))
-                    for engine, expected in zip(soc.last_engines,
-                                                oracle_regs[num_engines]):
-                        _compare_regfile(point, case, engine.name, expected,
-                                         engine.regfile._vector)
+            actual_mem = soc.storage.snapshot()
+            if fault_aborts:
+                # Aborted runs cannot match the oracle wholesale; demand
+                # instead that every point of this topology lands on the
+                # same image and that the image decomposes into
+                # completed-vs-dropped ops cleanly.
+                if abort_mem is None:
+                    abort_mem = (point, actual_mem)
+                    _check_aborted_memory(
+                        case, point, _store_regions(plan), faulted_region,
+                        initial_mem, expected_mem, actual_mem)
+                elif not np.array_equal(abort_mem[1], actual_mem):
+                    raise FuzzDivergence(
+                        case, point,
+                        f"aborted memory image differs from "
+                        f"[{abort_mem[0]}]: "
+                        + _first_diff(abort_mem[1], actual_mem))
+            else:
+                if not np.array_equal(expected_mem, actual_mem):
+                    raise FuzzDivergence(
+                        case, point,
+                        "memory image differs from oracle: "
+                        + _first_diff(expected_mem, actual_mem))
+                for engine, expected in zip(soc.last_engines,
+                                            oracle_regs[num_engines]):
+                    _compare_regfile(point, case, engine.name, expected,
+                                     engine.regfile._vector)
             report.points.append(point)
     return report
 

@@ -18,9 +18,9 @@ resolved in.  Array-side formulations (``BankAddressMap.banks_of_words``
 over the claim words, or a full lexsort on ``(bank, rotated priority)`` plus
 first-of-run masking) compute the same winners but were measured slower
 than plain modulo over claim lists bounded by ``num_ports``; the property
-test in ``tests/test_data_policy.py`` pins the equivalence.  Granted
-requests double as their own responses (FULL reads deposit the word into
-the request's ``data`` field), and response delivery advances the engine's
+test in ``tests/test_mem_banked.py`` pins the equivalence.  Granted
+requests double as their own responses (reads deposit the word into the
+request's ``data`` field), and response delivery advances the engine's
 activity counter by the exact batch size per port.
 """
 
@@ -36,7 +36,6 @@ from repro.errors import ConfigurationError
 from repro.mem.storage import MemoryStorage
 from repro.mem.words import BankAddressMap, WordRequest, WordResponse
 from repro.sim.component import IDLE, Component, WakeHint
-from repro.sim.policy import DataPolicy
 from repro.sim.queue import DecoupledQueue
 from repro.sim.stats import StatsRegistry
 from repro.utils.validation import check_positive
@@ -77,11 +76,6 @@ class BankedMemory(Component):
     ``request_queues[port]`` and receive :class:`WordResponse` items from
     ``response_queues[port]``.  Responses on one port always return in
     request order (fixed bank latency plus in-order issue per port).
-
-    Under ``DataPolicy.ELIDE`` the banks never touch the backing
-    :class:`MemoryStorage`: accesses are granted, counted and timed exactly
-    as in FULL mode, but read responses carry no bytes and writes discard
-    their (absent) payloads.
     """
 
     def __init__(
@@ -90,15 +84,12 @@ class BankedMemory(Component):
         config: BankedMemoryConfig,
         storage: MemoryStorage,
         stats: Optional[StatsRegistry] = None,
-        data_policy: DataPolicy = DataPolicy.FULL,
         bus_faults: Optional[BusFaultPlan] = None,
     ) -> None:
         super().__init__(name)
         self.config = config
         self.storage = storage
         self.stats = stats if stats is not None else StatsRegistry()
-        self.data_policy = data_policy
-        self._elide = data_policy.elides_data
         # Fault-injection choke point: prefiltered by port name so the plan
         # is consulted per *granted word* only when it could ever fire here.
         self._fault_plan = (
@@ -124,11 +115,11 @@ class BankedMemory(Component):
         self._port_pairs = list(zip(self.request_queues, self._in_flight))
         self._bank_last_grant: List[int] = [config.num_ports - 1] * config.num_banks
         #: writable view of the memory image for single-word accesses — the
-        #: FULL-policy word read/write fast path (aliases storage._data)
+        #: word read/write fast path (aliases storage._data)
         self._mem_view = storage._data.data
         self._mem_size = storage.size_bytes
         #: number of whole words in the image — the word-granular range
-        #: check is two integer compares, policy-independent by design
+        #: check is two integer compares
         self._num_words = storage.size_bytes // config.word_bytes
         # Prebound hot-path counters (see repro.sim.stats).
         self._c_conflicts = self.stats.counter("mem.bank_conflicts")
@@ -231,7 +222,7 @@ class BankedMemory(Component):
             # selection — lexsort on (bank, rotated priority) +
             # first-of-run masking — were measured slower than plain modulo
             # over a claim list bounded by num_ports; see
-            # tests/test_data_policy.py for the equivalence property test.)
+            # tests/test_mem_banked.py for the equivalence property test.)
             num_banks = config.num_banks
             banks = [word % num_banks for word in batch_words]
             last_grant = self._bank_last_grant
@@ -268,13 +259,12 @@ class BankedMemory(Component):
         # Grant phase: pop each winner's request and start the bank access.
         # Per-port state is independent, so grant order across banks cannot
         # affect simulated behaviour.  The request object doubles as its own
-        # response in both policies (it already carries the port, routing
-        # tag and is_write flag; FULL reads deposit their word into its
-        # ``data`` field), and single-word storage accesses go straight
-        # through a cached writable view of the memory image — the same
-        # bytes `storage.read_bytes`/`storage.write` would touch, minus the
+        # response (it already carries the port, routing tag and is_write
+        # flag; reads deposit their word into its ``data`` field), and
+        # single-word storage accesses go straight through a cached writable
+        # view of the memory image — the same bytes
+        # `storage.read_bytes`/`storage.write` would touch, minus the
         # per-call layers.
-        elide = self._elide
         latency = config.latency
         word_bytes = config.word_bytes
         num_words = self._num_words
@@ -296,10 +286,9 @@ class BankedMemory(Component):
                     queue._touched = True
                     engine._touched_queues.append(queue)
             request = queue._storage.popleft()
-            # Word-granular range check in *both* policies (two integer
-            # compares): a bad address completes with SLVERR in-band and
-            # never touches the storage, so FULL and ELIDE stay bit-equal
-            # on faulting programs too.
+            # Word-granular range check (two integer compares): a bad
+            # address completes with SLVERR in-band and never touches the
+            # storage.
             serve = 0 <= request.word_addr < num_words
             if not serve:
                 request.resp = Resp.SLVERR
@@ -324,46 +313,26 @@ class BankedMemory(Component):
                     else:
                         request.resp = worst_resp(request.resp, fault.resp)
                         serve = False
-            if elide:
-                # Timing-only fast path: no storage access at all.
-                if request.is_write:
-                    writes += 1
-            else:
-                if request.is_write:
-                    data = request.data
-                    if data is None:
-                        raise ConfigurationError("write word request without data")
-                    if serve:
-                        byte_addr = request.word_addr * word_bytes
-                        end = byte_addr + word_bytes
-                        if isinstance(data, (bytes, bytearray, memoryview)):
-                            view[byte_addr:end] = data
-                        else:
-                            self.storage.write(byte_addr, data)
-                    writes += 1
-                elif serve:
+            if request.is_write:
+                data = request.data
+                if data is None:
+                    raise ConfigurationError("write word request without data")
+                if serve:
                     byte_addr = request.word_addr * word_bytes
-                    request.data = view[byte_addr : byte_addr + word_bytes].tobytes()
+                    end = byte_addr + word_bytes
+                    if isinstance(data, (bytes, bytearray, memoryview)):
+                        view[byte_addr:end] = data
+                    else:
+                        self.storage.write(byte_addr, data)
+                writes += 1
+            elif serve:
+                byte_addr = request.word_addr * word_bytes
+                request.data = view[byte_addr : byte_addr + word_bytes].tobytes()
             all_in_flight[port].append((port_ready, request))
         self._flight_count += len(granted) - lost
         self._c_accesses.value += len(granted)
         self._c_writes.value += writes
         self._c_reads.value += len(granted) - writes
-
-    def _perform_access(self, request: WordRequest, word_bytes: int) -> WordResponse:
-        """Single word access against the backing storage (reference path).
-
-        The grant loop above inlines this logic; this method is kept for
-        unit tests and subclasses that exercise one access at a time.
-        """
-        byte_addr = request.word_addr * word_bytes
-        if request.is_write:
-            if request.data is None:
-                raise ConfigurationError("write word request without data")
-            self.storage.write(byte_addr, request.data)
-            return WordResponse(port=request.port, tag=request.tag, is_write=True)
-        data = self.storage.read_bytes(byte_addr, word_bytes)
-        return WordResponse(port=request.port, tag=request.tag, data=data)
 
     # ------------------------------------------------------------------ state
     def busy(self) -> bool:

@@ -74,10 +74,9 @@ def burst_fault_address(storage: MemoryStorage,
 
     The cycle-level endpoints use this *before* moving any data to decide
     whether a burst completes with ``SLVERR`` instead of raising — the
-    check is purely functional (element addresses only), so it gives the
-    same verdict under ``DataPolicy.ELIDE``, where no payload exists to
-    trip over.  An indirect burst whose index array itself lies outside
-    memory faults at its ``index_base``.
+    check is purely functional (element addresses only).  An indirect
+    burst whose index array itself lies outside memory faults at its
+    ``index_base``.
     """
     size = storage.size_bytes
     if request.contiguous and not request.is_packed:

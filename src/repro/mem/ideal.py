@@ -28,24 +28,18 @@ from repro.mem.functional import (
 )
 from repro.mem.storage import MemoryStorage
 from repro.sim.component import IDLE, Component, WakeHint
-from repro.sim.policy import DataPolicy
 from repro.sim.stats import StatsRegistry
 
 
 class IdealMemoryEndpoint(Component):
     """Serves AXI/AXI-Pack bursts at one fully packed beat per cycle.
 
-    Under ``DataPolicy.ELIDE`` the endpoint never touches the backing
-    storage: read beats carry empty payloads with the exact ``useful_bytes``
-    geometry of FULL mode, and write bursts are consumed and acknowledged
-    without applying their (absent) payloads.
-
     Error semantics: a burst touching any byte outside the storage — or one
     matched by an injected :class:`~repro.axi.faults.BusFaultSpec` — never
     moves data.  Reads deliver the full burst length as phantom beats
     (``useful_bytes=0``, ``resp=SLVERR``/``DECERR``); writes consume every
     W beat, discard the payload and answer an error B.  The range check is
-    functional (element addresses only), so FULL and ELIDE agree on it.
+    functional (element addresses only).
     """
 
     def __init__(
@@ -55,7 +49,6 @@ class IdealMemoryEndpoint(Component):
         storage: MemoryStorage,
         latency: int = 2,
         stats: Optional[StatsRegistry] = None,
-        data_policy: DataPolicy = DataPolicy.FULL,
         bus_faults: Optional[BusFaultPlan] = None,
     ) -> None:
         super().__init__(name)
@@ -63,14 +56,12 @@ class IdealMemoryEndpoint(Component):
         self.storage = storage
         self.latency = max(1, latency)
         self.stats = stats if stats is not None else StatsRegistry()
-        self.data_policy = data_policy
-        self._elide = data_policy.elides_data
         self._fault_plan = (
             bus_faults if bus_faults is not None
             and bus_faults.touches_port(name) else None
         )
-        # Active read: [request, payload bytes | None, next beat index,
-        # ready cycle, per-beat useful-byte table (ELIDE/error only), resp]
+        # Active read: [request, payload bytes (None for an error burst),
+        # next beat index, ready cycle, resp]
         self._read: Optional[list] = None
         self._read_backlog: Deque[BusRequest] = deque()
         # Active write: [request, collected payload bytes, beats received,
@@ -124,17 +115,16 @@ class IdealMemoryEndpoint(Component):
             self._start_read(self._read_backlog.popleft(), cycle)
         if self._read is None:
             return
-        request, payload, beat_index, ready_cycle, usefuls, resp = self._read
+        request, payload, beat_index, ready_cycle, resp = self._read
         if cycle < ready_cycle or not self.port.r.can_push():
             return
-        bus_bytes = request.bus_bytes
-        start = beat_index * bus_bytes
         if payload is None:
-            # Timing-only (or phantom error) beat: geometry without bytes,
-            # from the per-burst useful-byte table precomputed at burst start.
+            # Phantom error beat: no bytes, no useful payload.
             chunk = b""
-            useful = usefuls[beat_index]
+            useful = 0
         else:
+            bus_bytes = request.bus_bytes
+            start = beat_index * bus_bytes
             chunk = payload[start : start + bus_bytes]
             useful = len(chunk)
         last = beat_index == request.num_beats - 1
@@ -171,28 +161,13 @@ class IdealMemoryEndpoint(Component):
                 stall = fault.stall_cycles
             else:
                 resp = fault.resp
-        if resp is not Resp.OKAY:
-            # Error burst: full burst length as phantom beats, no data read.
-            payload = None
-            usefuls = [0] * request.num_beats
-        elif self._elide:
-            # Batch geometry precompute: the whole burst's per-beat
-            # useful-byte counts in one pass (they match the FULL-mode
-            # payload slices exactly — a misaligned contiguous burst's
-            # trailing beats can slice past the payload end, yielding empty
-            # FULL-mode chunks, hence the clamp to zero).
-            payload = None
-            bus_bytes = request.bus_bytes
-            payload_bytes = request.payload_bytes
-            usefuls = [
-                min(bus_bytes, max(0, payload_bytes - beat * bus_bytes))
-                for beat in range(request.num_beats)
-            ]
-        else:
-            payload = read_burst_payload(self.storage, request)
-            usefuls = None
-        self._read = [request, payload, 0, cycle + self.latency + stall,
-                      usefuls, resp]
+        # An error burst delivers its full length as phantom beats and
+        # reads no data.
+        payload = (
+            read_burst_payload(self.storage, request)
+            if resp is Resp.OKAY else None
+        )
+        self._read = [request, payload, 0, cycle + self.latency + stall, resp]
 
     # ----------------------------------------------------------------- writes
     def _serve_writes(self, cycle: int) -> None:
@@ -218,7 +193,7 @@ class IdealMemoryEndpoint(Component):
         # Consume at most one W beat per cycle (one bus width of bandwidth).
         if beats < request.num_beats and self.port.w.can_pop():
             beat = self.port.w.pop()
-            if not self._elide and resp is Resp.OKAY and not lost:
+            if resp is Resp.OKAY and not lost:
                 data = beat.data
                 if isinstance(data, (bytes, bytearray, memoryview)):
                     chunk = np.frombuffer(data, dtype=np.uint8)[: beat.useful_bytes]
@@ -240,7 +215,7 @@ class IdealMemoryEndpoint(Component):
             b_ready = cycle + stall
             self._write[6] = b_ready
         if cycle >= b_ready and self.port.b.can_push():
-            if not self._elide and resp is Resp.OKAY:
+            if resp is Resp.OKAY:
                 payload = np.concatenate(chunks)[: request.payload_bytes]
                 write_burst_payload(self.storage, request, payload)
             self.port.b.push(BBeat(txn_id=request.txn_id, resp=resp))

@@ -48,7 +48,10 @@ from repro.version import __version__
 #: carry a ``fault_report``, and ``bus_faults=None`` runs get fresh keys so a
 #: faulted result can never serve a fault-free request; pre-fault entries are
 #: unreachable/prunable.
-CACHE_SCHEMA_VERSION = 5
+#: 6: ``SystemConfig`` lost ``data_policy`` (the timing-only ELIDE policy is
+#: gone; every run moves real bytes) — fingerprints no longer name a policy,
+#: so schema-5 entries and sweep manifests are unreachable/prunable.
+CACHE_SCHEMA_VERSION = 6
 
 
 def canonicalize(value: Any) -> Any:
@@ -209,8 +212,7 @@ class RunSpec:
 
     def label(self) -> str:
         """Short human-readable description for progress reporting."""
-        suffix = "/elide" if self.config.elides_data else ""
-        return f"{self.workload.name}/{self.kind.value}{suffix}"
+        return f"{self.workload.name}/{self.kind.value}"
 
 
 def _measure_function(mode: str):

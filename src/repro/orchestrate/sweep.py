@@ -66,8 +66,7 @@ def run_sweep(names: Sequence[str], scale: str = "small",
     :class:`~repro.orchestrate.checkpoint.SweepManifest` to get supervised,
     crash-resumable execution (the CLI's ``--spec-timeout``, ``--retries``,
     ``--manifest`` and ``--resume`` flags do exactly that).  ``config``
-    (e.g. a :class:`~repro.system.config.SystemConfig` with
-    ``DataPolicy.ELIDE`` for a timing-only sweep) is forwarded to every
+    (a :class:`~repro.system.config.SystemConfig`) is forwarded to every
     driver that accepts one.
     """
     from repro.analysis.experiments import run_experiment

@@ -20,20 +20,16 @@ from repro.sim.component import IDLE, Component, WakeHint
 from repro.sim.queue import DecoupledQueue, LatencyPipe
 from repro.sim.arbiter import RoundRobinArbiter
 from repro.sim.engine import Engine
-from repro.sim.policy import DataPolicy, default_data_policy, resolve_data_policy
 from repro.sim.stats import Counter, StatsRegistry
 
 __all__ = [
     "IDLE",
     "Component",
     "WakeHint",
-    "DataPolicy",
     "DecoupledQueue",
     "LatencyPipe",
     "RoundRobinArbiter",
     "Engine",
     "Counter",
     "StatsRegistry",
-    "default_data_policy",
-    "resolve_data_policy",
 ]

@@ -26,27 +26,20 @@ totals each cycle): if no item is pushed or popped anywhere for
 with a snapshot of component states to aid debugging.
 
 For A/B comparison and regression hunting the seed behaviour is still
-available: construct ``Engine(event_driven=False)`` or set the environment
-variable ``REPRO_SIM_ENGINE=naive`` to tick every component and commit every
-queue on every cycle.  Both modes produce identical cycle counts and
-statistics; the event-driven mode is simply faster.
+available: construct ``Engine(event_driven=False)`` to tick every component
+and commit every queue on every cycle.  Both modes produce identical cycle
+counts and statistics; the event-driven mode is simply faster.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.component import IDLE, Component
 from repro.sim.queue import DecoupledQueue, LatencyPipe
-
-
-def _default_event_driven() -> bool:
-    """Engine mode default: event-driven unless REPRO_SIM_ENGINE=naive."""
-    return os.environ.get("REPRO_SIM_ENGINE", "event").strip().lower() != "naive"
 
 
 @dataclass(frozen=True)
@@ -131,12 +124,10 @@ class Engine:
     def __init__(
         self,
         deadlock_window: int = 10_000,
-        event_driven: Optional[bool] = None,
+        event_driven: bool = True,
     ) -> None:
         from repro.sim.stats import StatsRegistry
 
-        if event_driven is None:
-            event_driven = _default_event_driven()
         self.event_driven = event_driven
         self.cycle = 0
         self.stats = StatsRegistry()

@@ -1,6 +1,5 @@
 """Evaluation systems: BASE, PACK and IDEAL SoC models (paper §III-A)."""
 
-from repro.sim.policy import DataPolicy
 from repro.system.config import SystemConfig, SystemKind
 from repro.system.soc import Soc, build_system
 from repro.system.results import SystemRunResult
@@ -12,7 +11,6 @@ from repro.system.runner import (
 )
 
 __all__ = [
-    "DataPolicy",
     "SystemConfig",
     "SystemKind",
     "Soc",

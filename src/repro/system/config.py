@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from repro.axi.faults import BusFaultPlan
 from repro.controller.context import AdapterConfig
 from repro.errors import ConfigurationError
 from repro.mem.banked import BankedMemoryConfig
-from repro.sim.policy import DataPolicy, default_data_policy, resolve_data_policy
 from repro.utils.bitutils import is_power_of_two
 from repro.vector.config import LoweringMode, VectorEngineConfig
 
@@ -44,13 +43,6 @@ class SystemConfig:
     64-bit lanes), 32-bit memory words, 17 banks, FP32 elements and
     decoupling queues of depth four.
 
-    ``data_policy`` selects how much of the data plane the simulation
-    materializes (see :mod:`repro.sim.policy`): ``FULL`` moves real bytes
-    end to end and supports result verification; ``ELIDE`` is timing-only
-    with bit-identical cycle counts and statistics.  The default honours
-    ``$REPRO_DATA_POLICY``; a policy name string (``"elide"``) is accepted
-    and coerced.
-
     ``num_engines`` and ``num_channels`` select the SoC topology: with the
     defaults (``1`` × ``1``) the vector engine connects directly to the
     memory system, exactly as in the paper's evaluation.  With ``N > 1``
@@ -75,7 +67,6 @@ class SystemConfig:
     memory_latency: int = 1
     ideal_latency: int = 2
     vector: Optional[VectorEngineConfig] = None
-    data_policy: Union[DataPolicy, str] = field(default_factory=default_data_policy)
     num_engines: int = 1
     arbitration: str = "rr"
     num_channels: int = 1
@@ -113,12 +104,6 @@ class SystemConfig:
                 "memory smaller than one stripe per channel; shrink the "
                 "stripe or the channel count"
             )
-        if not isinstance(self.data_policy, DataPolicy):
-            try:
-                resolved = resolve_data_policy(self.data_policy)
-            except ValueError as exc:
-                raise ConfigurationError(str(exc)) from None
-            object.__setattr__(self, "data_policy", resolved)
         if self.bus_faults is not None and not isinstance(
             self.bus_faults, BusFaultPlan
         ):
@@ -168,18 +153,9 @@ class SystemConfig:
             response_queue_depth=self.queue_depth,
         )
 
-    @property
-    def elides_data(self) -> bool:
-        """True when the datapath runs timing-only (``DataPolicy.ELIDE``)."""
-        return self.data_policy.elides_data
-
     def with_kind(self, kind: SystemKind) -> "SystemConfig":
         """A copy of this configuration targeting a different system kind."""
         return replace(self, kind=kind)
-
-    def with_data_policy(self, policy: Union[DataPolicy, str]) -> "SystemConfig":
-        """A copy of this configuration under a different data policy."""
-        return replace(self, data_policy=resolve_data_policy(policy))
 
     def with_engines(self, num_engines: int,
                      arbitration: Optional[str] = None) -> "SystemConfig":

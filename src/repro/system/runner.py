@@ -41,10 +41,8 @@ def run_workload(
         system.  ``kind`` overrides the configuration's system kind.
     verify:
         If True, the workload's results in simulated memory are checked
-        against its reference implementation after the run.  Under
-        ``DataPolicy.ELIDE`` no results exist to check: verification is
-        skipped regardless and the result is explicitly marked
-        ``verified=False``.
+        against its reference implementation after the run.  A run aborted
+        by a bus fault is explicitly marked ``verified=False``.
     """
     from repro.vector.engine import EngineResult
 
@@ -66,9 +64,9 @@ def run_workload(
         cycles, engines = soc.run_programs(programs, max_cycles=max_cycles)
         engine_result = EngineResult.aggregate(engines, cycles)
     fault_report = soc.last_fault_report
-    if config.elides_data or fault_report is not None:
-        # Nothing to check (ELIDE) or the run aborted mid-program (bus
-        # faults): either way the memory image cannot match the reference.
+    if fault_report is not None:
+        # The run aborted mid-program (bus faults): the memory image cannot
+        # match the reference.
         verified: Optional[bool] = False
     else:
         verified = workload.verify(soc.storage) if verify else None

@@ -66,7 +66,6 @@ class Soc:
 
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
-        self.data_policy = config.data_policy
         self.num_engines = config.num_engines
         self.num_channels = config.num_channels
         self.storage = MemoryStorage(config.memory_bytes)
@@ -174,16 +173,15 @@ class Soc:
             endpoint = IdealMemoryEndpoint(
                 f"ideal_mem{suffix}", port, self.storage,
                 latency=config.ideal_latency, stats=stats,
-                data_policy=self.data_policy, bus_faults=config.bus_faults,
+                bus_faults=config.bus_faults,
             )
             return None, endpoint
         memory = BankedMemory(
             f"banked_mem{suffix}", config.memory_config(), self.storage, stats,
-            data_policy=self.data_policy, bus_faults=config.bus_faults,
+            bus_faults=config.bus_faults,
         )
         endpoint = AxiPackAdapter(
-            f"adapter{suffix}", port, memory, config.adapter_config(),
-            stats, data_policy=self.data_policy,
+            f"adapter{suffix}", port, memory, config.adapter_config(), stats
         )
         return memory, endpoint
 
@@ -269,7 +267,7 @@ class Soc:
         self,
         program: Union[Program, Sequence[Program]],
         max_cycles: int = 50_000_000,
-        event_driven: Optional[bool] = None,
+        event_driven: bool = True,
     ) -> Tuple[int, Union[EngineResult, List[EngineResult]]]:
         """Execute vector program(s) to completion; return (cycles, result).
 
@@ -277,8 +275,7 @@ class Soc:
         the result is one :class:`EngineResult`, exactly the historical API)
         or a sequence of per-engine programs, one per vector engine (the
         result is a list of per-engine :class:`EngineResult` in engine
-        order).  ``event_driven`` selects the engine mode (None = the
-        ``REPRO_SIM_ENGINE`` environment default); both modes produce
+        order).  ``event_driven`` selects the engine mode; both modes produce
         identical cycle counts and statistics.
         """
         if isinstance(program, Program):
@@ -295,7 +292,7 @@ class Soc:
         self,
         programs: Sequence[Program],
         max_cycles: int = 50_000_000,
-        event_driven: Optional[bool] = None,
+        event_driven: bool = True,
     ) -> Tuple[int, List[EngineResult]]:
         """Execute one program per vector engine; return (cycles, results).
 
@@ -331,8 +328,7 @@ class Soc:
         vectors = [
             VectorEngine(
                 name, program, port, vector_config,
-                self.config.lowering, data_policy=self.data_policy,
-                storage=self.storage, watchdog_cycles=watchdog,
+                self.config.lowering, watchdog_cycles=watchdog,
             )
             for name, program, port in zip(names, programs, self.ports)
         ]

@@ -27,13 +27,6 @@ Loads deposit real bytes into the register file, stores write register
 contents back to the memory model, and arithmetic ops with an ``fn`` compute
 real numpy results — so every workload's output can be checked against a
 reference implementation.
-
-Under :class:`~repro.sim.policy.DataPolicy.ELIDE` the functional model is
-switched off: beats carry geometry only, the register file stays untouched
-and results cannot be verified.  The one exception is index loads (``kind ==
-"index"``), whose values feed address generation on the BASE system — they
-are resolved functionally against the backing storage so cycle counts stay
-bit-identical to FULL mode.
 """
 
 from __future__ import annotations
@@ -55,7 +48,6 @@ from repro.axi.transaction import BusRequest
 from repro.axi.types import Resp
 from repro.errors import SimulationError, WorkloadError
 from repro.sim.component import IDLE, Component, WakeHint
-from repro.sim.policy import DataPolicy
 from repro.vector.builder import Program
 from repro.vector.config import LoweringMode, VectorEngineConfig
 from repro.vector.ops import (
@@ -129,7 +121,6 @@ class _MemOpState:
         op: VectorOp,
         requests: List[BusRequest],
         is_load: bool,
-        elide: bool = False,
     ) -> None:
         self.op = op
         self.requests = requests
@@ -142,16 +133,12 @@ class _MemOpState:
         if len(requests) == 1:
             request = requests[0]
             self.total_beats = request.num_beats
-            #: collected R payload per transaction (None under DataPolicy.ELIDE)
-            self.chunks: Optional[Dict[int, List[bytes]]] = (
-                None if elide else {request.txn_id: []}
-            )
+            #: collected R payload per transaction
+            self.chunks: Dict[int, List[bytes]] = {request.txn_id: []}
             self.positions: Dict[int, int] = {request.txn_id: 0}
         else:
             self.total_beats = sum(request.num_beats for request in requests)
-            self.chunks = (
-                None if elide else {request.txn_id: [] for request in requests}
-            )
+            self.chunks = {request.txn_id: [] for request in requests}
             self.positions = {
                 request.txn_id: index for index, request in enumerate(requests)
             }
@@ -247,8 +234,6 @@ class VectorEngine(Component):
         port: AxiPort,
         config: Optional[VectorEngineConfig] = None,
         mode: Optional[LoweringMode] = None,
-        data_policy: DataPolicy = DataPolicy.FULL,
-        storage=None,
         watchdog_cycles: int = 0,
     ) -> None:
         super().__init__(name)
@@ -256,11 +241,6 @@ class VectorEngine(Component):
         self.port = port
         self.config = config or VectorEngineConfig(bus_bytes=port.bus_bytes)
         self.mode = mode or program.mode
-        self.data_policy = data_policy
-        self._elide = data_policy.elides_data
-        #: backing storage, used under ELIDE as the oracle for index loads
-        #: (``kind == "index"``) whose values feed address generation
-        self._storage = storage
         self.regfile = VectorRegisterFile(self.config.register_group_bytes)
         self.request_builder = RequestBuilder(BuilderConfig(bus_bytes=port.bus_bytes))
         self.r_monitor = ChannelMonitor("R", port.bus_bytes)
@@ -286,8 +266,8 @@ class VectorEngine(Component):
         self._unissued_requests = 0
         self._by_txn: Dict[int, _MemOpState] = {}
         self._txn_kind: Dict[int, str] = {}
-        #: pending W beats: (request, beat index, payload chunk | None, useful)
-        self._w_backlog: Deque[Tuple[BusRequest, int, Optional[bytes], int]] = deque()
+        #: pending W beats: (request, beat index, payload chunk, useful)
+        self._w_backlog: Deque[Tuple[BusRequest, int, bytes, int]] = deque()
         self._pending_computes: List = []
         self._scheduled_computes: set = set()
         self._alu_busy_until = 0
@@ -474,8 +454,7 @@ class VectorEngine(Component):
         self._alu_busy_until = end
         self._mark_done(op.op_id, end)
         self._scheduled_computes.add(op.op_id)
-        if not self._elide:
-            self._apply_compute(op)
+        self._apply_compute(op)
 
     def _apply_compute(self, op: VectorCompute) -> None:
         if op.fn is None:
@@ -521,7 +500,7 @@ class VectorEngine(Component):
         if len(active) >= limit:
             return False
         requests = self._lower(op, is_load)
-        state = _MemOpState(op, requests, is_load, self._elide)
+        state = _MemOpState(op, requests, is_load)
         state.ready_cycle = cycle + self.config.addr_setup_cycles
         if state.ready_cycle > cycle and state.ready_cycle not in self._timer_set:
             self._timer_set.add(state.ready_cycle)
@@ -569,13 +548,6 @@ class VectorEngine(Component):
 
     def _queue_write_data(self, state: _MemOpState) -> None:
         op = state.op
-        if self._elide:
-            # Timing-only: queue every W beat with its geometry, no payload.
-            for request in state.requests:
-                for beat in range(request.num_beats):
-                    useful = request.beat_useful_bytes(beat)
-                    self._w_backlog.append((request, beat, None, useful))
-            return
         values = self.regfile.read_vector(op.src)
         dtype = _DTYPES[op.dtype]
         payload = np.ascontiguousarray(values, dtype=dtype).tobytes()
@@ -625,10 +597,7 @@ class VectorEngine(Component):
         # W data may only flow for requests whose AW has been issued.
         if owner.positions[request.txn_id] >= owner.next_request:
             return
-        if chunk is None:
-            padded = b""
-        else:
-            padded = chunk + b"\x00" * (request.bus_bytes - useful)
+        padded = chunk + b"\x00" * (request.bus_bytes - useful)
         self.port.w.push(
             WBeat(data=padded, useful_bytes=useful, last=beat == request.num_beats - 1)
         )
@@ -649,11 +618,10 @@ class VectorEngine(Component):
             self._arm_watchdog(state, cycle)
         useful = beat.useful_bytes
         self.r_monitor.record_beat(useful, kind=self._txn_kind.get(txn_id, "data"))
-        if not self._elide:
-            data = beat.data
-            if len(data) != useful:
-                data = bytes(data)[:useful]
-            state.chunks[txn_id].append(data)
+        data = beat.data
+        if len(data) != useful:
+            data = bytes(data)[:useful]
+        state.chunks[txn_id].append(data)
         done = state.beats_done + 1
         state.beats_done = done
         if state.first_beat_cycle is None:
@@ -663,50 +631,21 @@ class VectorEngine(Component):
 
     def _finish_load(self, state: _MemOpState, cycle: int) -> None:
         op = state.op
-        faulted = state.resp is not _RESP_OKAY
-        if self._elide:
-            if getattr(op, "kind", "data") == "index":
-                # Index values feed address generation (the BASE system's
-                # register-indexed gathers); resolve them functionally so
-                # later lowering produces FULL-identical requests.  Faulted
-                # index loads deposit zeros — identically in both policies —
-                # though dispatch has already stopped at the faulting op.
-                if faulted:
-                    payload = np.zeros(op.stream.num_elements, _DTYPES[op.dtype])
-                else:
-                    payload = self._oracle_payload(state)
-                self.regfile.write_vector(op.dest, payload)
+        dtype = _DTYPES[op.dtype]
+        if state.resp is not _RESP_OKAY:
+            # Error beats are phantoms (no payload); deposit a full-length
+            # zero vector so any already-chained consumer stays
+            # deterministic instead of reading a short buffer.
+            values = np.zeros(op.stream.num_elements, dtype=dtype)
+            self.regfile.write_vector(op.dest, values)
         else:
-            dtype = _DTYPES[op.dtype]
-            if faulted:
-                # Error beats are phantoms (no payload); deposit a full-length
-                # zero vector so any already-chained consumer stays
-                # deterministic instead of reading a short buffer.
-                values = np.zeros(op.stream.num_elements, dtype=dtype)
-                self.regfile.write_vector(op.dest, values)
-            else:
-                values = np.frombuffer(state.payload(), dtype=dtype)[
-                    : op.stream.num_elements
-                ]
-                self.regfile.write_vector(op.dest, values.copy())
+            values = np.frombuffer(state.payload(), dtype=dtype)[
+                : op.stream.num_elements
+            ]
+            self.regfile.write_vector(op.dest, values.copy())
         self._mark_done(op.op_id, cycle + self.config.memory_latency_slack)
         self._active_loads.remove(state)
         self._forget(state)
-
-    def _oracle_payload(self, state: _MemOpState) -> np.ndarray:
-        """Resolve a load's values from the backing storage (ELIDE only)."""
-        from repro.mem.functional import read_burst_payload
-
-        if self._storage is None:
-            raise WorkloadError(
-                "DataPolicy.ELIDE needs the vector engine to carry the backing "
-                "storage to resolve index loads"
-            )
-        op = state.op
-        parts = [read_burst_payload(self._storage, r) for r in state.requests]
-        raw = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        dtype = _DTYPES[op.dtype]
-        return raw.view(dtype)[: op.stream.num_elements].copy()
 
     def _consume_b(self, cycle: int) -> None:
         beat = self._b_queue.pop()
@@ -796,9 +735,7 @@ class VectorEngine(Component):
                 )
             )
         self._aborting = True
-        if state.is_load and (
-            not self._elide or getattr(op, "kind", "data") == "index"
-        ):
+        if state.is_load:
             # The dest register will never be filled; deposit zeros so any
             # already-chained consumer stays deterministic (same contract as
             # the in-band-error path in _finish_load).

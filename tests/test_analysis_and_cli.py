@@ -62,6 +62,16 @@ class TestExperimentRegistry:
     def test_scales_defined(self):
         assert {"tiny", "small", "medium", "paper"} <= set(SCALES)
 
+    def test_headline_point_config_accepts_only_full(self):
+        # perfbench passes "full" as the third positional argument.
+        from repro.analysis.headline import point_system_config
+        from repro.system.config import SystemKind
+
+        assert (point_system_config(SystemKind.PACK, 100, "full")
+                == point_system_config(SystemKind.PACK, 100))
+        with pytest.raises(ConfigurationError):
+            point_system_config(SystemKind.PACK, 100, "half")
+
     def test_run_analytic_experiment(self):
         table = run_experiment("fig5c")
         assert table.experiment == "fig5c"

@@ -8,7 +8,7 @@ Covers the full error path introduced with :mod:`repro.axi.faults`:
 * injected faults on every system kind (banked *and* ideal endpoints),
   surfaced as structured, JSON-serializable fault reports instead of
   exceptions;
-* bit-identical fault reports across the event/naive x FULL/ELIDE cube;
+* bit-identical fault reports across the event/naive engine modes;
 * the per-transaction watchdog turning lost responses into TIMEOUT aborts;
 * post-abort SoC reuse (graceful quiesce);
 * ``SystemRunResult.fault_report`` serialization;
@@ -216,22 +216,18 @@ class TestInjectedFaults:
         assert result.cycles < 10_000
 
     def test_fault_reports_identical_across_engine_and_policy(self):
-        # event/naive x FULL/ELIDE must agree bit-identically on the
-        # structured report (the fuzz corpus extends this to scalar/batch
-        # and the multi-engine topologies).
+        # event/naive must agree bit-identically on the structured report
+        # (the fuzz corpus extends this to the multi-engine topologies).
         reports = {}
         for event in (True, False):
-            for policy in ("full", "elide"):
-                config = SystemConfig(data_policy=policy,
-                                      bus_faults=GEMV_FAULT)
-                soc = build_system(config)
-                workload = make_workload("gemv", size=24)
-                workload.initialize(soc.storage)
-                program = workload.build_program(config.lowering,
-                                                 config.vector_config())
-                soc.run_program(program, event_driven=event)
-                reports[(event, policy)] = json.dumps(
-                    soc.last_fault_report, sort_keys=True)
+            config = SystemConfig(bus_faults=GEMV_FAULT)
+            soc = build_system(config)
+            workload = make_workload("gemv", size=24)
+            workload.initialize(soc.storage)
+            program = workload.build_program(config.lowering,
+                                             config.vector_config())
+            soc.run_program(program, event_driven=event)
+            reports[event] = json.dumps(soc.last_fault_report, sort_keys=True)
         assert len(set(reports.values())) == 1, reports
 
     def test_post_abort_soc_is_reusable(self):

@@ -11,17 +11,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.axi.builder import BuilderConfig, RequestBuilder
+from repro.axi.pack import PackUserField
 from repro.axi.stream import ContiguousStream, IndirectStream, StridedStream
+from repro.axi.transaction import BusRequest
 from repro.controller.base_converter import BaseAxi4Converter
-from repro.controller.context import AdapterConfig
-from repro.controller.indirect_read import IndirectReadConverter
+from repro.controller.context import AdapterConfig, AdapterContext
+from repro.controller.indirect_read import IndirectReadConverter, read_index_oracle
 from repro.controller.indirect_write import IndirectWriteConverter
 from repro.controller.lanes import LaneReadPipe, LaneWritePipe
 from repro.controller.strided_read import StridedReadConverter
 from repro.controller.strided_write import StridedWriteConverter
 from repro.controller.testbench import ControllerTestbench
+from repro.errors import SimulationError
 from repro.mem.banked import BankedMemoryConfig
 from repro.mem.functional import read_burst_payload
+from repro.mem.storage import MemoryStorage
 
 
 def make_testbench(num_banks: int = 17, queue_depth: int = 4, bus_bytes: int = 32,
@@ -335,3 +339,35 @@ class TestConverterEntryPoints:
             if isinstance(value, (LaneReadPipe, LaneWritePipe))
         )
         assert pipes == CONVERTER_PIPES[attr]
+
+
+class TestIndexOracle:
+    """``read_index_oracle``: functional index values for a poisoned line."""
+
+    @staticmethod
+    def _request(index_base, num_elements=8, index_bytes=2):
+        return BusRequest(addr=0, is_write=False, num_elements=num_elements,
+                          elem_bytes=4, bus_bytes=32,
+                          pack=PackUserField.indirect(index_bytes, index_base),
+                          index_base=index_base)
+
+    def test_reads_indices_from_backing_storage(self):
+        storage = MemoryStorage(1 << 12)
+        indices = np.arange(100, 108, dtype=np.uint16)
+        storage.write_array(0x200, indices)
+        ctx = AdapterContext(AdapterConfig(), storage=storage)
+        values = read_index_oracle(ctx, self._request(0x200))
+        assert values.dtype == np.uint16
+        assert values.tolist() == indices.tolist()
+
+    def test_indices_past_the_storage_resolve_to_zero(self):
+        storage = MemoryStorage(1 << 12)
+        storage.write_array((1 << 12) - 6, np.array([7, 8, 9], dtype=np.uint16))
+        ctx = AdapterContext(AdapterConfig(), storage=storage)
+        values = read_index_oracle(ctx, self._request((1 << 12) - 6))
+        assert values.tolist() == [7, 8, 9, 0, 0, 0, 0, 0]
+
+    def test_context_without_storage_raises(self):
+        ctx = AdapterContext(AdapterConfig())
+        with pytest.raises(SimulationError, match="backing storage"):
+            read_index_oracle(ctx, self._request(0x200))

@@ -8,11 +8,10 @@ simulator's only datapath.  These tests pin them three ways:
   readable beat-at-a-time reference planner (``reference_planners.py``);
 * **stream properties** — random burst streams through the controller
   testbench produce identical cycle counts, statistics, per-burst latencies
-  and (FULL-policy) payloads on both engines and under both data policies,
-  including the naive × ELIDE corner the headline benchmark does not run;
-* **system pins** — representative workloads on all three evaluation
-  systems match across the engines and reproduce the cycle and beat counts
-  recorded from the retired scalar per-object datapath.
+  and payloads on both engines;
+* **system pins** — every workload on all three evaluation systems matches
+  across the engines and reproduces the cycle and beat counts recorded from
+  the retired scalar per-object datapath.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from repro.controller.lanes import (
 )
 from repro.controller.testbench import ControllerTestbench
 from repro.errors import ProtocolError
-from repro.sim.policy import DataPolicy
 
 WORD = 4
 BUS = 32
@@ -301,9 +299,9 @@ def _build_stream(specs, seed):
     return requests, arrays, payloads
 
 
-def _run_stream(requests, arrays, payloads, event_driven, policy):
+def _run_stream(requests, arrays, payloads, event_driven):
     reset_txn_ids()
-    bench = ControllerTestbench(data_policy=policy)
+    bench = ControllerTestbench()
     for addr, array in arrays:
         bench.storage.write_array(addr, array)
     result = bench.run(
@@ -327,35 +325,11 @@ class TestStreamParity:
     @given(specs=_request_specs, seed=_seeds)
     @settings(max_examples=12, deadline=None)
     def test_full_policy_both_engines(self, specs, seed):
-        """Random streams: the event and naive engines agree (FULL)."""
+        """Random streams: the event and naive engines agree."""
         requests, arrays, payloads = _build_stream(specs, seed)
-        reference = _run_stream(requests, arrays, payloads, True,
-                                DataPolicy.FULL)
-        observed = _run_stream(requests, arrays, payloads, False,
-                               DataPolicy.FULL)
+        reference = _run_stream(requests, arrays, payloads, True)
+        observed = _run_stream(requests, arrays, payloads, False)
         assert observed == reference
-
-    @given(specs=_request_specs, seed=_seeds)
-    @settings(max_examples=8, deadline=None)
-    def test_elide_policy_matches_full_geometry(self, specs, seed):
-        """ELIDE runs (both engines) keep FULL's timing.
-
-        This covers the naive×ELIDE corner of the parity cube, which the
-        headline benchmark does not run.  Payloads are empty under ELIDE,
-        so only the geometry-and-timing fields are compared.
-        """
-        requests, arrays, payloads = _build_stream(specs, seed)
-        full = _run_stream(requests, arrays, payloads, True, DataPolicy.FULL)
-        full_timing = full[:4] + (
-            {txn: o[:3] for txn, o in full[4].items()},
-        )
-        for event in (True, False):
-            observed = _run_stream(requests, arrays, payloads, event,
-                                   DataPolicy.ELIDE)
-            observed_timing = observed[:4] + (
-                {txn: o[:3] for txn, o in observed[4].items()},
-            )
-            assert observed_timing == full_timing, event
 
 
 # --------------------------------------------------------------------------
@@ -366,18 +340,30 @@ class TestStreamParity:
 #: from the scalar per-object datapath before the lane kernels replaced it.
 SCALAR_REFERENCE = {
     ("base", "ismt"): (595, 142, 142),
+    ("base", "gemv"): (697, 34, 16),
+    ("base", "trmv"): (647, 26, 16),
     ("base", "spmv"): (994, 187, 16),
+    ("base", "prank"): (1070, 180, 16),
+    ("base", "sssp"): (1068, 178, 16),
     ("base", "csrspmv"): (824, 200, 33),
     ("pack", "ismt"): (431, 44, 44),
+    ("pack", "gemv"): (121, 32, 2),
+    ("pack", "trmv"): (117, 24, 2),
     ("pack", "spmv"): (739, 52, 16),
+    ("pack", "prank"): (824, 47, 16),
+    ("pack", "sssp"): (825, 48, 16),
     ("pack", "csrspmv"): (700, 64, 33),
     ("ideal", "ismt"): (326, 44, 44),
+    ("ideal", "gemv"): (110, 32, 2),
+    ("ideal", "trmv"): (106, 24, 2),
     ("ideal", "spmv"): (855, 83, 16),
+    ("ideal", "prank"): (927, 72, 16),
+    ("ideal", "sssp"): (929, 74, 16),
     ("ideal", "csrspmv"): (681, 81, 33),
 }
 
 
-def _run_workload(name, kind, policy="full", event_driven=True):
+def _run_workload(name, kind, event_driven=True):
     from repro.orchestrate.spec import WorkloadSpec
     from repro.system.config import SystemConfig
     from repro.system.soc import build_system
@@ -387,14 +373,12 @@ def _run_workload(name, kind, policy="full", event_driven=True):
         {} if name in ("ismt", "gemv", "trmv")
         else {"avg_nnz_per_row": 8.0}
     )).build()
-    config = SystemConfig(
-        memory_bytes=1 << 22, data_policy=policy
-    ).with_kind(kind)
+    config = SystemConfig(memory_bytes=1 << 22).with_kind(kind)
     soc = build_system(config)
     workload.initialize(soc.storage)
     program = workload.build_program(config.lowering, config.vector_config())
     cycles, result = soc.run_program(program, event_driven=event_driven)
-    verified = workload.verify(soc.storage) if policy == "full" else None
+    verified = workload.verify(soc.storage)
     return cycles, dict(soc.stats.as_dict()), result, verified
 
 
@@ -406,7 +390,9 @@ def _pinned(run):
 class TestSystemParity:
     KINDS = ("base", "pack", "ideal")
 
-    @pytest.mark.parametrize("name", ["ismt", "spmv", "csrspmv"])
+    @pytest.mark.parametrize(
+        "name", ["ismt", "gemv", "trmv", "spmv", "prank", "sssp", "csrspmv"]
+    )
     @pytest.mark.parametrize("kind_name", KINDS)
     def test_workload_parity(self, name, kind_name):
         """Both engines reproduce the scalar reference and verify."""
@@ -418,19 +404,3 @@ class TestSystemParity:
         assert naive[:3] == event[:3]
         assert _pinned(event) == SCALAR_REFERENCE[(kind_name, name)]
         assert event[3] is True and naive[3] is True
-
-    @pytest.mark.parametrize("kind_name", KINDS)
-    def test_cube_corner_scalar_naive_elide(self, kind_name):
-        """spmv at the naive × ELIDE corner the bench never runs.
-
-        It must keep event × FULL's cycles, statistics and engine result,
-        and the beat counts the scalar reference recorded at this corner.
-        """
-        from repro.system.config import SystemKind
-
-        kind = SystemKind(kind_name)
-        reference = _run_workload("spmv", kind)
-        corner = _run_workload("spmv", kind, policy="elide",
-                               event_driven=False)
-        assert corner[:3] == reference[:3]
-        assert _pinned(corner) == SCALAR_REFERENCE[(kind_name, "spmv")]

@@ -9,6 +9,9 @@ it is a scheduling optimization, never a semantic change.
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
+from repro.mem.banked import BankedMemory, BankedMemoryConfig
+from repro.mem.storage import MemoryStorage
+from repro.mem.words import WordRequest
 from repro.sim.component import IDLE, Component
 from repro.sim.engine import Engine
 from repro.sim.queue import LatencyPipe
@@ -116,6 +119,14 @@ class TestIdleSkipCorrectness:
         # The producer runs at its period, not every cycle.
         assert len(producer.tick_cycles) < 20
         assert len(consumer.tick_cycles) < 20
+
+    def test_default_engine_skips_idle_windows(self):
+        engine = Engine()
+        queue = engine.new_queue("q", 4)
+        producer = engine.add_component(PeriodicProducer(queue, 5, 50))
+        engine.add_component(SleepyConsumer(queue))
+        assert engine.drain() > 200
+        assert len(producer.tick_cycles) < 20
 
     def test_hinted_component_ticks_exactly_at_wake_cycles(self):
         event, _, producer, _ = build(event_driven=True, count=3, period=10)
@@ -272,18 +283,52 @@ class TestFractionalHints:
         assert waker.tick_cycles[:4] == [0, 2, 4, 6]
 
 
-class TestEngineModeSelection:
-    def test_env_var_selects_naive_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "naive")
-        assert Engine().event_driven is False
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "event")
-        assert Engine().event_driven is True
-        monkeypatch.delenv("REPRO_SIM_ENGINE")
-        assert Engine().event_driven is True
+class TestSystemErrorParity:
+    """Error behaviour of real components does not depend on the engine mode."""
 
-    def test_explicit_flag_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "naive")
-        assert Engine(event_driven=True).event_driven is True
+    @pytest.mark.parametrize("event_driven", [True, False],
+                             ids=["event", "naive"])
+    def test_soc_max_cycles_exceeded(self, event_driven):
+        """A too-small cycle budget raises on a whole SoC in both modes."""
+        from repro.axi.transaction import reset_txn_ids
+        from repro.orchestrate.spec import WorkloadSpec
+        from repro.system.config import SystemConfig
+        from repro.system.soc import build_system
+
+        reset_txn_ids()
+        workload = WorkloadSpec.create("gemv", size=16).build()
+        config = SystemConfig(memory_bytes=1 << 22)
+        soc = build_system(config)
+        workload.initialize(soc.storage)
+        program = workload.build_program(config.lowering, config.vector_config())
+        with pytest.raises(SimulationError):
+            soc.run_program(program, max_cycles=10, event_driven=event_driven)
+
+    def test_banked_memory_deadlock_cycle(self):
+        """An undrained banked memory deadlocks at the same cycle in both
+        modes."""
+
+        def deadlock_cycle(event_driven):
+            storage = MemoryStorage(1 << 16)
+            config = BankedMemoryConfig(num_ports=2, num_banks=3,
+                                        response_queue_depth=1)
+            memory = BankedMemory("mem", config, storage)
+            engine = Engine(deadlock_window=50, event_driven=event_driven)
+            engine.add_component(memory)
+            for queue in memory.all_queues():
+                engine.add_queue(queue)
+            for i in range(2):
+                memory.request_queues[0].push(
+                    WordRequest(port=0, word_addr=i, is_write=True,
+                                data=b"\x01\x02\x03\x04")
+                )
+            with pytest.raises(DeadlockError):
+                # Nobody pops the response queue: progress stops once
+                # responses back up.
+                engine.run_until(lambda: False, max_cycles=10_000)
+            return engine.cycle
+
+        assert deadlock_cycle(True) == deadlock_cycle(False)
 
 
 class TestSystemParity:

@@ -248,17 +248,45 @@ class TestDifferentialRunner:
              OpSpec("vse", src=0, count=3)),
         ))
         report = run_fuzz_case(case)
-        assert len(report.points) == 12
+        assert len(report.points) == 6
         assert set(report.cycles_by_topology) == {(1, 1), (2, 1), (2, 2)}
 
+    @pytest.mark.parametrize("corrupt", ["memory", "registers"])
+    def test_naive_point_checks_the_oracle(self, monkeypatch, corrupt):
+        """A naive run that drifts from the oracle alone is caught there."""
+        from repro.system.soc import Soc
+
+        run_programs = Soc.run_programs
+
+        def drifting(soc, programs, **kwargs):
+            outcome = run_programs(soc, programs, **kwargs)
+            if not kwargs["event_driven"]:
+                if corrupt == "memory":
+                    byte = soc.storage.read_array(OUTPUT_BASE, 1, np.uint8)
+                    soc.storage.write_array(OUTPUT_BASE, byte ^ 0xFF)
+                else:
+                    regs = soc.last_engines[0].regfile._vector
+                    name = sorted(regs)[0]
+                    regs[name] = regs[name][:-1]
+            return outcome
+
+        monkeypatch.setattr(Soc, "run_programs", drifting)
+        case = FuzzCase(kind="pack", seed=2, segments=(
+            (OpSpec("vle", dest=0, count=12), OpSpec("vse", src=0, count=12)),
+        ))
+        with pytest.raises(FuzzDivergence) as failure:
+            run_fuzz_case(case)
+        assert "1eng/naive" in str(failure.value)
+        expected = "memory image" if corrupt == "memory" else "register"
+        assert expected in str(failure.value)
+
     def test_divergence_carries_the_case_for_shrinking(self):
-        # Sabotage: claim ELIDE cycles differ by asking for an absurdly low
-        # cycle budget on one point is racy; instead check the exception
-        # shape directly.
+        # Sabotaging one point's cycle budget would be racy; instead check
+        # the exception shape directly.
         case = FuzzCase(segments=((OpSpec("vle"),),))
-        failure = FuzzDivergence(case, "1eng/event/full", "boom")
+        failure = FuzzDivergence(case, "1eng/event", "boom")
         assert failure.case is case
-        assert "boom" in str(failure) and "1eng/event/full" in str(failure)
+        assert "boom" in str(failure) and "1eng/event" in str(failure)
 
 
 def test_bounded_hypothesis_sweep():

@@ -25,8 +25,8 @@ def test_corpus_is_not_empty():
 def test_corpus_case_stays_clean(path):
     case = load_corpus_case(path)
     report = run_fuzz_case(case)
-    # Every topology runs the 4 event/naive x FULL/ELIDE points: single-
-    # segment cases on the single-engine topology only, multi-segment ones
-    # also on the 2-engine mux and 2-engine x 2-channel crossbar topologies.
-    expected = 4 if len(case.segments) == 1 else 12
+    # Every topology runs the 2 event/naive points: single-segment cases on
+    # the single-engine topology only, multi-segment ones also on the
+    # 2-engine mux and 2-engine x 2-channel crossbar topologies.
+    expected = 2 if len(case.segments) == 1 else 6
     assert len(report.points) == expected

@@ -7,6 +7,7 @@ from repro.axi.pack import PackUserField
 from repro.axi.port import AxiPort
 from repro.axi.signals import WBeat
 from repro.axi.transaction import BusRequest
+from repro.axi.types import Resp
 from repro.errors import ProtocolError
 from repro.mem.functional import (
     element_addresses,
@@ -127,6 +128,30 @@ class TestIdealEndpoint:
         assert done_b == [request.txn_id]
         back = filled_storage.read_array(0x8000, 16, np.float32)[::2]
         assert back.tolist() == values.tolist()
+
+    def test_out_of_range_read_answers_phantom_beats(self):
+        storage = MemoryStorage(1 << 12)
+        request = BusRequest(addr=1 << 12, is_write=False,
+                             num_elements=32, elem_bytes=4, bus_bytes=32,
+                             contiguous=True)
+        port = AxiPort("p", 32)
+        endpoint = IdealMemoryEndpoint("ideal", port, storage)
+        engine = Engine()
+        engine.add_component(endpoint)
+        for queue in port.all_queues():
+            engine.add_queue(queue)
+        port.ar.push(request)
+        beats = []
+        while len(beats) < request.num_beats and engine.cycle < 100:
+            if port.r.can_pop():
+                beats.append(port.r.pop())
+            engine.step()
+        # The whole burst answers SLVERR, one phantom beat per planned beat.
+        assert len(beats) == request.num_beats
+        assert all(b.resp is Resp.SLVERR and b.useful_bytes == 0
+                   and b.data == b"" for b in beats)
+        assert beats[-1].last
+        assert endpoint.stats.get("ideal.r_useful_bytes") == 0
 
     def test_back_to_back_reads_stream_efficiently(self, filled_storage):
         requests = [

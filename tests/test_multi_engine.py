@@ -331,11 +331,10 @@ class TestMultiEngineSoc:
     def test_event_naive_and_policy_parity(self, engines):
         from repro.axi.transaction import reset_txn_ids
 
-        def run(event, policy):
+        def run(event):
             reset_txn_ids()
             workload = make_workload("csrspmv", size=16)
-            config = _config(SystemKind.PACK, engines=engines,
-                             data_policy=policy)
+            config = _config(SystemKind.PACK, engines=engines)
             soc = build_system(config)
             workload.initialize(soc.storage)
             programs = workload.build_sharded_programs(
@@ -344,11 +343,7 @@ class TestMultiEngineSoc:
             cycles, results = soc.run_programs(programs, event_driven=event)
             return cycles, soc.stats.as_dict(), results
 
-        event = run(True, "full")
-        naive = run(False, "full")
-        elide = run(True, "elide")
-        assert event == naive
-        assert event == elide
+        assert run(True) == run(False)
 
     def test_wrong_program_count_rejected(self):
         config = _config(SystemKind.PACK, engines=2)

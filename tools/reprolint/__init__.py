@@ -2,7 +2,7 @@
 
 The simulator's correctness story rests on invariants that used to be
 enforced only by reviewer vigilance: bit-identical determinism across the
-event/naive x FULL/ELIDE cube, cache fingerprints that cover every
+event/naive engine modes, cache fingerprints that cover every
 ``SystemConfig`` field, and ``__slots__`` discipline on hot-path records.
 This package turns each of those hand-kept rules into a machine-checked
 analysis pass:

@@ -1,10 +1,10 @@
 """Determinism rules: no ambient nondeterminism in the simulation core.
 
 Every correctness claim in this reproduction is an *identity* claim —
-event/naive and FULL/ELIDE runs must agree bit for bit, and a
-cached result must be reproducible from its spec alone.  Ambient inputs
-(wall-clock time, unseeded RNGs, environment variables) are the ways that
-property silently rots:
+event/naive runs must agree bit for bit, and a cached result must be
+reproducible from its spec alone.  Ambient inputs (wall-clock time,
+unseeded RNGs, environment variables) are the ways that property silently
+rots:
 
 ``DET01`` — wall-clock reads (``time.time``, ``time.monotonic``,
     ``datetime.now``, ...).  Allowed only in modules on the committed
@@ -15,9 +15,11 @@ property silently rots:
     no seed, or the legacy ``numpy.random.*`` global generator.  Workload
     generators must take an explicit seed (they do — this rule keeps it so).
 ``DET03`` — environment reads (``os.environ``, ``os.getenv``) outside the
-    committed ``env_allowlist``.  Environment seams are config-resolution
-    points (``$REPRO_DATA_POLICY``, ``$REPRO_SIM_ENGINE``, ...); each one
-    is named in the manifest with the variable it may read and why.
+    committed ``env_allowlist``.  The remaining seams never select a
+    simulation behaviour: the sweep fault-injection plan (``$REPRO_FAULTS``)
+    and the result-cache location (``$AXI_PACK_CACHE_DIR``,
+    ``$XDG_CACHE_HOME``); each one is named in the manifest with the
+    variable it may read and why.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ def _env_var_literal(call: ast.AST, consts: dict) -> Optional[str]:
     """The variable name an environ access names, when extractable.
 
     Resolves both string literals and module-level constants
-    (``os.environ.get(DATA_POLICY_ENV)``).
+    (``os.environ.get(FAULTS_ENV)``).
     """
     key: Optional[ast.AST] = None
     if isinstance(call, ast.Call) and call.args:

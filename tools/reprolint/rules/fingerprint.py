@@ -178,7 +178,7 @@ def check(repo: RepoContext) -> Iterator[Violation]:
             yield Violation(
                 "FPR05", spec_rel, spec_version[1],
                 "fingerprint field-set changed without a schema bump: "
-                f"digest is {digest[:16]}… but digest_history[{spec_version[0]}] "
+                f"digest is {digest} but digest_history[{spec_version[0]}] "
                 f"pins {str(pinned)[:16]}… — bump CACHE_SCHEMA_VERSION and "
                 "record the new digest in "
                 "tools/reprolint/fingerprint_manifest.json",
