@@ -199,44 +199,6 @@ def _run_point(workload, spec_kwargs, kind, latency, event_driven, verify,
     return cycles, dict(soc.stats.as_dict()), result, wall, verified
 
 
-def supervised_sweep_counters(jobs: int = 2) -> dict:
-    """Run a small fault-free supervised sweep; return its counters.
-
-    The supervised runner (see ``docs/orchestration.md``) promises it never
-    perturbs the happy path: with no faults injected, no spec ever retries,
-    times out, loses a worker or degrades to serial.  This runs a tiny
-    pooled sweep under a generous per-spec timeout and asserts every
-    supervision counter is zero — the counters land in the bench payload
-    and the cross-PR history so the regression gate pins the promise.
-    """
-    from repro.orchestrate.cache import MemoryCache
-    from repro.orchestrate.faults import FaultPlan
-    from repro.orchestrate.parallel import ParallelRunner
-    from repro.orchestrate.spec import RunSpec, WorkloadSpec
-    from repro.orchestrate.supervisor import RetryPolicy
-    from repro.system.config import SystemKind
-
-    specs = [RunSpec(workload=WorkloadSpec.create("gemv", size=16 + i),
-                     kind=SystemKind.PACK)
-             for i in range(4)]
-    # An explicit empty plan: the zero-assert is about supervision overhead,
-    # not whatever $REPRO_FAULTS happens to say in this shell.
-    runner = ParallelRunner(jobs=jobs, cache=MemoryCache(),
-                            policy=RetryPolicy(timeout_s=300.0),
-                            faults=FaultPlan())
-    try:
-        results = runner.run(specs)
-    finally:
-        runner.close()
-    assert len(results) == len(specs)
-    counters = runner.counters.to_json()
-    if runner.counters.any_activity():
-        raise AssertionError(
-            f"supervision perturbed a fault-free sweep: {counters}"
-        )
-    return counters
-
-
 def run_engine_benchmark(
     scale: str = "small",
     compare_naive: bool = True,
@@ -314,7 +276,6 @@ def run_engine_benchmark(
         payload["totals"]["speedup_vs_naive"] = round(
             total_naive_wall / total_wall, 3
         )
-    payload["supervision"] = supervised_sweep_counters()
     return payload
 
 
@@ -337,8 +298,6 @@ def test_engine_benchmark_parity_and_speedup(benchmark):
     multi = [point for point in payload["grid"] if point.get("engines", 1) > 1]
     assert len(multi) == len(MULTI_ENGINE_GRID) * len(MULTI_ENGINE_KINDS)
     assert payload["totals"]["speedup_vs_naive"] > 1.2
-    # Supervision must not perturb the happy path (see docs/orchestration.md).
-    assert not any(payload["supervision"].values())
 
 
 def append_history(payload: dict, history_path: str) -> dict:
@@ -369,8 +328,6 @@ def append_history(payload: dict, history_path: str) -> dict:
         "calibration_score": payload["calibration_score"],
         "totals": payload["totals"],
     }
-    if "supervision" in payload:
-        entry["supervision"] = payload["supervision"]
     with open(history_path, "a") as handle:
         handle.write(json.dumps(entry, sort_keys=True) + "\n")
     return entry
@@ -409,8 +366,6 @@ def main(argv=None) -> int:
     if "speedup_vs_naive" in totals:
         print(f"speedup vs tick-every-cycle mode: {totals['speedup_vs_naive']:.2f}x "
               "(byte-identical results)")
-    print("supervised fault-free sweep: all counters zero "
-          f"({payload['supervision']})")
     if args.history:
         entry = append_history(payload, args.history)
         print(f"appended {entry['commit']} @ {entry['date']} to {args.history}")

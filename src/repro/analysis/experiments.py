@@ -38,15 +38,12 @@ def run_experiment(name: str, scale: str = "small", runner=None, config=None,
 
     ``scale``, ``runner`` (a
     :class:`repro.orchestrate.parallel.ParallelRunner`, enabling result
-    caching, parallel execution, and — via its
-    :class:`~repro.orchestrate.supervisor.RetryPolicy` and optional
-    :class:`~repro.orchestrate.checkpoint.SweepManifest` — supervised,
-    crash-resumable execution) and ``config`` (a
+    caching, parallel execution and a per-spec timeout) and ``config`` (a
     :class:`repro.system.config.SystemConfig`) are forwarded to every
     driver whose signature accepts them — the simulation-based ones; the
     analytic area / timing figures compute in microseconds, take none of
     them, and stay serial.  Drivers need no fault-handling code of their
-    own: retries, timeouts and checkpointing all live behind ``runner.run``.
+    own: timeouts and lost workers are handled behind ``runner.run``.
     """
     if name not in EXPERIMENTS:
         raise ConfigurationError(

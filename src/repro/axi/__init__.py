@@ -16,7 +16,6 @@ from repro.axi.types import (
     BurstType,
     Resp,
     bytes_to_axsize,
-    axsize_to_bytes,
 )
 from repro.axi.pack import PackMode, PackUserField, PackUserLayout
 from repro.axi.signals import ARBeat, AWBeat, BBeat, RBeat, WBeat
@@ -37,7 +36,6 @@ __all__ = [
     "BurstType",
     "Resp",
     "bytes_to_axsize",
-    "axsize_to_bytes",
     "PackMode",
     "PackUserField",
     "PackUserLayout",

@@ -78,37 +78,6 @@ def bytes_to_axsize(num_bytes: int) -> int:
     return num_bytes.bit_length() - 1
 
 
-def axsize_to_bytes(axsize: int) -> int:
-    """Convert an AxSIZE field back to the number of bytes per beat."""
-    if not 0 <= axsize <= 7:
-        raise ProtocolError(f"AxSIZE must be in [0, 7], got {axsize}")
-    return 1 << axsize
-
-
-def check_incr_burst_legal(addr: int, num_beats: int, beat_bytes: int) -> None:
-    """Validate a plain AXI4 INCR burst against the protocol rules.
-
-    Raises :class:`~repro.errors.ProtocolError` if the burst is longer than
-    256 beats or crosses a 4 KiB boundary.  AXI-Pack bursts are exempt from
-    the boundary rule at the endpoint because the addresses they touch are
-    not contiguous; the request itself still respects the 256-beat limit.
-    """
-    if num_beats < 1:
-        raise ProtocolError(f"burst must have at least one beat, got {num_beats}")
-    if num_beats > AXI4_MAX_BURST_LEN:
-        raise ProtocolError(
-            f"AXI4 burst length {num_beats} exceeds the {AXI4_MAX_BURST_LEN}-beat limit"
-        )
-    first_page = addr // AXI4_BOUNDARY_BYTES
-    last_byte = addr + num_beats * beat_bytes - 1
-    last_page = last_byte // AXI4_BOUNDARY_BYTES
-    if first_page != last_page:
-        raise ProtocolError(
-            f"AXI4 INCR burst from {addr:#x} for {num_beats}x{beat_bytes}B crosses "
-            "a 4KiB boundary"
-        )
-
-
 def check_burst_len_legal(num_beats: int) -> None:
     """Validate only the 256-beat limit (applies to AXI-Pack bursts too)."""
     if num_beats < 1:

@@ -35,18 +35,17 @@ classic uncached behavior unless ``--cache`` is given.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from repro.analysis.experiments import EXPERIMENTS, run_experiment
 from repro.analysis.fig3 import SCALES
 from repro.analysis.report import write_csv
+from repro.errors import SpecFailedError
 from repro.orchestrate import (
-    ManifestError,
     ParallelRunner,
     ResultCache,
-    RetryPolicy,
-    SweepManifest,
     default_cache_dir,
     run_sweep,
 )
@@ -88,20 +87,15 @@ def _add_orchestration_options(parser: argparse.ArgumentParser,
                         help="print one line per finished simulation run")
     parser.add_argument("--spec-timeout", type=float, default=None,
                         metavar="SECONDS",
-                        help="wall-clock timeout per simulation run when "
-                             "jobs > 1: a hung worker is killed, the pool "
-                             "rebuilt, and the run retried with backoff "
-                             "(default: no timeout)")
-    parser.add_argument("--retries", type=int, default=3, metavar="N",
-                        help="retry budget: at most N attempts per simulation "
-                             "for retryable failures — its own timeouts and "
-                             "transient errors (default: 3); worker deaths "
-                             "are bounded separately by the pool-rebuild "
-                             "budget")
+                        help="wall-clock timeout per simulation run on the "
+                             "worker pool (jobs > 1): an overrunning run is "
+                             "killed and the command exits with status 4; "
+                             "finished runs stay cached (default: no "
+                             "timeout)")
     parser.add_argument("--journal", metavar="FILE",
-                        help="write a JSON supervision report (per-run "
-                             "attempts, durations, failure kinds, retry/"
-                             "timeout counters) after the command")
+                        help="write a JSON report with one record per "
+                             "simulation run (status, source, duration, "
+                             "error) after the command, also when it fails")
     parser.set_defaults(cache_default=cache_default)
 
 
@@ -136,29 +130,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_parser = subparsers.add_parser(
         "sweep", help="run several experiments through one shared cache and pool"
     )
-    sweep_parser.add_argument("experiments", nargs="*", metavar="EXPERIMENT",
+    sweep_parser.add_argument("experiments", nargs="+", metavar="EXPERIMENT",
                               help=f"figure ids to run ({', '.join(sorted(EXPERIMENTS))}) "
-                                   "or 'all' (omit only with --resume)")
+                                   "or 'all'")
     sweep_parser.add_argument("--scale", choices=sorted(SCALES), default="small",
                               help="problem size for simulation-based experiments")
     sweep_parser.add_argument("--csv-dir", metavar="DIR",
                               help="also write each table to DIR/<experiment>.csv")
     sweep_parser.add_argument("--json", action="store_true",
                               help="print a machine-readable JSON summary "
-                                   "(tables, cache and supervision statistics) "
+                                   "(tables and cache statistics; the failed "
+                                   "runs' records if the sweep fails) "
                                    "instead of text")
-    manifest_group = sweep_parser.add_mutually_exclusive_group()
-    manifest_group.add_argument("--manifest", metavar="FILE",
-                                help="record sweep progress in a crash-"
-                                     "consistent manifest so an interrupted "
-                                     "sweep can be resumed (requires the "
-                                     "persistent cache)")
-    manifest_group.add_argument("--resume", metavar="FILE",
-                                help="resume the sweep recorded in FILE: "
-                                     "re-runs only the simulations whose "
-                                     "results are not yet cached, using the "
-                                     "experiments/scale/config recorded at "
-                                     "--manifest time")
     _add_orchestration_options(sweep_parser, cache_default=True)
 
     wl_parser = subparsers.add_parser(
@@ -304,16 +287,9 @@ def _render_fault_report(result, indent: str = "    ") -> None:
               f"run aborted")
 
 
-def _retry_policy(args: argparse.Namespace) -> RetryPolicy:
-    kwargs = {}
-    if getattr(args, "spec_timeout", None) is not None:
-        kwargs["timeout_s"] = args.spec_timeout
-    if getattr(args, "retries", None) is not None:
-        kwargs["max_attempts"] = args.retries
-    return RetryPolicy(**kwargs)
-
-
-def _make_runner(args: argparse.Namespace) -> ParallelRunner:
+@contextlib.contextmanager
+def _make_runner(args: argparse.Namespace) -> Iterator[ParallelRunner]:
+    """The command's runner; ``--journal`` is written however the command ends."""
     if args.cache is not None:  # explicit --cache / --no-cache wins
         enabled = args.cache
         if not enabled and args.cache_dir is not None:
@@ -325,12 +301,16 @@ def _make_runner(args: argparse.Namespace) -> ParallelRunner:
     progress = None
     if args.progress:
         progress = lambda event: print(event.render(), file=sys.stderr)
-    return ParallelRunner(jobs=args.jobs, cache=cache, progress=progress,
-                          policy=_retry_policy(args))
+    with ParallelRunner(jobs=args.jobs, cache=cache, progress=progress,
+                        timeout_s=args.spec_timeout) as runner:
+        try:
+            yield runner
+        finally:
+            _write_journal(runner, args.journal)
 
 
 def _write_journal(runner: ParallelRunner, path: Optional[str]) -> None:
-    """Dump the runner's supervision journal (best effort, never fatal)."""
+    """Dump the runner's per-run journal (best effort, never fatal)."""
     if not path:
         return
     import json
@@ -372,29 +352,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             write_csv(table, args.csv)
             print(f"wrote {args.csv}")
         _report_cache(runner)
-        _write_journal(runner, args.journal)
-    return 0
-
-
-def _apply_resume_request(args: argparse.Namespace, manifest: SweepManifest) -> int:
-    """Overlay the sweep request recorded in ``manifest`` onto ``args``."""
-    request = manifest.request
-    if args.experiments:
-        print("error: --resume replays the recorded experiment list; "
-              "do not name experiments as well", file=sys.stderr)
-        return 2
-    if not request.get("experiments"):
-        print(f"error: manifest {args.resume} records no experiments",
-              file=sys.stderr)
-        return 2
-    args.experiments = list(request["experiments"])
-    args.scale = request.get("scale", args.scale)
-    args.engines = request.get("engines", 1)
-    args.channels = request.get("channels", 1)
-    args.arbitration = request.get("arbitration", "rr")
-    # Resume is only meaningful against the same persistent result cache.
-    args.cache = True
-    args.cache_dir = request.get("cache_dir") or args.cache_dir
     return 0
 
 
@@ -402,42 +359,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     import json
     import os
 
-    from repro.errors import ConfigurationError
     from repro.orchestrate.cache import MemoryCache
 
-    manifest: Optional[SweepManifest] = None
-    if args.resume:
-        try:
-            manifest = SweepManifest.load(args.resume)
-        except ManifestError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        status = _apply_resume_request(args, manifest)
-        if status:
-            return status
-        print(f"resuming sweep from {args.resume}: {manifest.summary()}",
-              file=sys.stderr)
-    elif not args.experiments:
-        print("error: name at least one experiment (or use --resume)",
-              file=sys.stderr)
-        return 2
-
     with _make_runner(args) as runner:
-        if args.manifest:
-            if runner.cache is None or not hasattr(runner.cache, "cache_dir"):
-                print("error: --manifest needs the persistent result cache; "
-                      "drop --no-cache", file=sys.stderr)
-                return 2
-            manifest = SweepManifest.create(args.manifest, request={
-                "experiments": list(args.experiments),
-                "scale": args.scale,
-                "engines": getattr(args, "engines", 1),
-                "channels": getattr(args, "channels", 1),
-                "arbitration": getattr(args, "arbitration", "rr"),
-                # Absolute, so --resume works from any working directory.
-                "cache_dir": os.path.abspath(str(runner.cache.cache_dir)),
-            })
-        runner.checkpoint = manifest
         if runner.cache is None:
             # Intra-sweep dedup even under --no-cache: identical runs across
             # the sweep's experiments execute once, nothing touches disk.
@@ -445,15 +369,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         try:
             tables = run_sweep(args.experiments, scale=args.scale, runner=runner,
                                config=_system_config(args))
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except ManifestError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        finally:
-            # The journal is most valuable precisely when the sweep died.
-            _write_journal(runner, args.journal)
+        except SpecFailedError as exc:
+            if args.json:
+                print(json.dumps({"failures": exc.failures}, indent=2,
+                                 sort_keys=True))
+            raise
         if args.csv_dir:
             os.makedirs(args.csv_dir, exist_ok=True)
         for name, table in tables.items():
@@ -485,26 +405,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     "corrupt": stats.corrupt,
                     "dir": getattr(runner.cache, "cache_dir", None),
                 },
-                "supervision": runner.counters.to_json(),
             }
-            if manifest is not None:
-                summary["manifest"] = {
-                    "path": str(manifest.path),
-                    "done": manifest.done_count(),
-                    "pending": manifest.pending_count(),
-                }
             print(json.dumps(summary, indent=2, sort_keys=True, default=str))
         else:
             print(f"swept {len(tables)} experiment{'s' if len(tables) != 1 else ''} "
                   f"at scale={args.scale} with jobs={args.jobs}")
-            if manifest is not None:
-                print(f"manifest: {manifest.summary()} ({manifest.path})")
-            if runner.counters.any_activity():
-                counters = runner.counters
-                print(f"supervision: {counters.retries} retries, "
-                      f"{counters.timeouts} timeouts, "
-                      f"{counters.worker_losses} worker losses, "
-                      f"{counters.pool_rebuilds} pool rebuilds")
             _report_cache(runner)
     return 0
 
@@ -560,7 +465,6 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
             for result in (comparison.base, comparison.pack, comparison.ideal):
                 _render_fault_report(result)
         _report_cache(runner)
-        _write_journal(runner, args.journal)
     return 0
 
 
@@ -591,7 +495,6 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
             write_csv(table, args.csv)
             print(f"wrote {args.csv}")
         _report_cache(runner)
-        _write_journal(runner, args.journal)
     return 0
 
 
@@ -785,6 +688,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             print(str(exc), file=sys.stderr)
         return 3
+    except SpecFailedError as exc:
+        for failure in exc.failures:
+            print(f"error: {failure['label']}: {failure['status']}: "
+                  f"{failure['error']}", file=sys.stderr)
+        return 4
     parser.print_help()
     return 1
 

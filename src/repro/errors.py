@@ -56,3 +56,19 @@ class MemoryAccessError(ReproError):
 
 class WorkloadError(ReproError):
     """A workload was built with invalid parameters or produced bad data."""
+
+
+class SpecFailedError(ReproError):
+    """A run in a parallel batch timed out or lost its worker process.
+
+    ``failures`` holds the journal record (a plain dict with ``label``,
+    ``status`` and ``error``, see
+    :class:`~repro.orchestrate.parallel.SpecOutcome`) of every run the
+    runner gave up on.
+    """
+
+    def __init__(self, failures) -> None:
+        self.failures = list(failures)
+        named = ", ".join(f"{failure['label']} ({failure['status']})"
+                          for failure in self.failures)
+        super().__init__(f"{len(self.failures)} run(s) failed: {named}")

@@ -1,4 +1,4 @@
-"""Experiment orchestration: cacheable run specs and a supervised runner.
+"""Experiment orchestration: cacheable run specs and a parallel runner.
 
 Every multi-run experiment in :mod:`repro.analysis` is a grid of independent
 simulations — (workload, system) pairs for the Fig. 3 drivers, controller
@@ -8,14 +8,9 @@ into a declarative, picklable *spec* that
 * canonically hashes to a stable cache key (:mod:`repro.orchestrate.spec`),
 * round-trips its result through JSON (:mod:`repro.orchestrate.serialize`),
 * can be persisted in an on-disk cache (:mod:`repro.orchestrate.cache`), and
-* can be fanned out across cores (:mod:`repro.orchestrate.parallel`).
-
-Fault tolerance lives in three sibling modules:
-:mod:`repro.orchestrate.supervisor` (per-spec timeouts, bounded retries
-with backoff, pool rebuilds after worker death),
-:mod:`repro.orchestrate.checkpoint` (crash-consistent sweep manifests
-behind ``repro sweep --resume``), and :mod:`repro.orchestrate.faults`
-(the deterministic fault-injection harness the guarantees are tested with).
+* can be fanned out across cores (:mod:`repro.orchestrate.parallel`), where
+  a per-spec timeout or a lost worker ends the batch with one structured
+  record per spec instead of a hang.
 
 :mod:`repro.orchestrate.sweep` ties it together: named experiment subsets
 runnable through one shared cache and process pool (the CLI ``sweep``
@@ -23,34 +18,18 @@ subcommand).
 """
 
 from repro.orchestrate.cache import CacheStats, ResultCache, default_cache_dir
-from repro.orchestrate.checkpoint import ManifestError, SweepManifest
-from repro.orchestrate.faults import FaultPlan, FaultSpec, TransientError
-from repro.orchestrate.parallel import ParallelRunner, RunProgress
+from repro.orchestrate.parallel import ParallelRunner, RunProgress, SpecOutcome
 from repro.orchestrate.spec import RunSpec, UtilizationSpec, WorkloadSpec
-from repro.orchestrate.supervisor import (
-    RetryPolicy,
-    SpecOutcome,
-    SpecTimeoutError,
-    SupervisionCounters,
-)
 from repro.orchestrate.sweep import expand_sweep, run_sweep
 
 __all__ = [
     "CacheStats",
     "ResultCache",
     "default_cache_dir",
-    "FaultPlan",
-    "FaultSpec",
-    "ManifestError",
     "ParallelRunner",
-    "RetryPolicy",
     "RunProgress",
     "RunSpec",
     "SpecOutcome",
-    "SpecTimeoutError",
-    "SupervisionCounters",
-    "SweepManifest",
-    "TransientError",
     "UtilizationSpec",
     "WorkloadSpec",
     "expand_sweep",

@@ -88,11 +88,11 @@ def fingerprint_key(fingerprint: Mapping[str, Any]) -> str:
 
 
 def spec_ref(spec: Any) -> Tuple[str, Any]:
-    """``(label, cache key)`` identifying a spec in journals and manifests.
+    """``(label, cache key)`` identifying a spec in the runner's journal.
 
     Works for any spec type, including foreign ones without ``label()`` or
     ``cache_key()`` (the label falls back to the type name, the key to
-    ``None``) — supervision records must never fail on an exotic spec.
+    ``None``) — recording a spec must never fail on an exotic one.
     """
     label = getattr(spec, "label", None)
     key = getattr(spec, "cache_key", None)

@@ -58,15 +58,13 @@ def run_sweep(names: Sequence[str], scale: str = "small",
     """Run a subset of experiments; returns ``{figure id: ExperimentTable}``.
 
     Tables come back in the order the (expanded) names were given.  The same
-    ``runner`` — and therefore the same cache statistics, process pool,
-    retry policy, and (if attached) sweep manifest — is used for every
-    experiment in the sweep.  Fault tolerance rides on the runner: pass a
-    :class:`~repro.orchestrate.parallel.ParallelRunner` built with a
-    :class:`~repro.orchestrate.supervisor.RetryPolicy` and/or a
-    :class:`~repro.orchestrate.checkpoint.SweepManifest` to get supervised,
-    crash-resumable execution (the CLI's ``--spec-timeout``, ``--retries``,
-    ``--manifest`` and ``--resume`` flags do exactly that).  ``config``
-    (a :class:`~repro.system.config.SystemConfig`) is forwarded to every
+    ``runner`` — and therefore the same cache statistics, process pool and
+    per-spec timeout — is used for every experiment in the sweep.  A spec
+    that times out or loses its worker raises
+    :class:`~repro.errors.SpecFailedError`; the results already in the
+    runner's cache survive, so running the same sweep again executes only
+    what is missing.  ``config`` (a
+    :class:`~repro.system.config.SystemConfig`) is forwarded to every
     driver that accepts one.
     """
     from repro.analysis.experiments import run_experiment

@@ -18,7 +18,6 @@ for the full contract.
 
 from repro.sim.component import IDLE, Component, WakeHint
 from repro.sim.queue import DecoupledQueue, LatencyPipe
-from repro.sim.arbiter import RoundRobinArbiter
 from repro.sim.engine import Engine
 from repro.sim.stats import Counter, StatsRegistry
 
@@ -28,7 +27,6 @@ __all__ = [
     "WakeHint",
     "DecoupledQueue",
     "LatencyPipe",
-    "RoundRobinArbiter",
     "Engine",
     "Counter",
     "StatsRegistry",

@@ -76,7 +76,7 @@ class HangDiagnosis:
     blame: Optional[QueueState]
 
     def to_dict(self) -> dict:
-        """Plain JSON-serializable form for logs and supervision journals."""
+        """Plain JSON-serializable form for logs and run journals."""
         return {
             "cycle": self.cycle,
             "window": self.window,

@@ -1,34 +1,22 @@
 """Small shared utilities: bit manipulation, validation and math helpers."""
 
 from repro.utils.bitutils import (
-    bit_length_for,
     clog2,
     extract_field,
     insert_field,
     is_power_of_two,
     mask,
-    next_power_of_two,
 )
-from repro.utils.validation import (
-    check_in_range,
-    check_multiple_of,
-    check_positive,
-    check_power_of_two,
-)
+from repro.utils.validation import check_positive
 from repro.utils.math import ceil_div, is_prime, mean, round_up_to
 
 __all__ = [
-    "bit_length_for",
     "clog2",
     "extract_field",
     "insert_field",
     "is_power_of_two",
     "mask",
-    "next_power_of_two",
-    "check_in_range",
-    "check_multiple_of",
     "check_positive",
-    "check_power_of_two",
     "ceil_div",
     "is_prime",
     "mean",

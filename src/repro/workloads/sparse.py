@@ -126,23 +126,3 @@ def heart1_like(num_rows: int = 256, seed: int = 11) -> CsrMatrix:
     num_rows = min(num_rows, 3557)
     avg = min(390.0, float(num_rows))
     return random_csr(num_rows, num_rows, avg_nnz_per_row=avg, seed=seed)
-
-
-def banded_csr(num_rows: int, bandwidth: int, seed: int = 3) -> CsrMatrix:
-    """A banded sparse matrix (high index locality, for ablation studies)."""
-    if bandwidth <= 0:
-        raise WorkloadError("bandwidth must be positive")
-    rng = np.random.default_rng(seed)
-    rows = []
-    cols = []
-    for row in range(num_rows):
-        lo = max(0, row - bandwidth)
-        hi = min(num_rows, row + bandwidth + 1)
-        for col in range(lo, hi):
-            rows.append(row)
-            cols.append(col)
-    counts = np.bincount(np.asarray(rows), minlength=num_rows)
-    row_ptr = np.zeros(num_rows + 1, dtype=np.uint32)
-    row_ptr[1:] = np.cumsum(counts)
-    values = rng.standard_normal(len(cols)).astype(np.float32)
-    return CsrMatrix(num_rows, num_rows, row_ptr, np.asarray(cols, dtype=np.uint32), values)

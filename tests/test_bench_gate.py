@@ -2,7 +2,7 @@
 
 The gate compares a fresh ``BENCH_headline.json`` against the checked-in
 ``benchmarks/baseline.json``: engine divergence, cycle identity per grid
-point (both directions), calibrated throughput and the supervision counters.
+point (both directions) and calibrated throughput.
 """
 
 from __future__ import annotations
@@ -10,8 +10,6 @@ from __future__ import annotations
 import importlib.util
 import json
 from pathlib import Path
-
-import pytest
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -108,16 +106,3 @@ class TestBenchGate:
         current = _payload(cycles_per_sec=700.0)
         assert _check(tmp_path, current, argv=["--threshold-pct", "40"]) == 0
         assert _check(tmp_path, current, argv=["--threshold-pct", "20"]) == 1
-
-    def test_supervision_activity_fails(self, tmp_path, capsys):
-        current = _payload(supervision={"retries": 1, "timeouts": 0})
-        assert _check(tmp_path, current) == 1
-        assert "'retries': 1" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("supervision", [None, {"retries": 0, "timeouts": 0}],
-                             ids=["absent", "all-zero"])
-    def test_quiet_supervision_passes(self, tmp_path, supervision):
-        current = _payload()
-        if supervision is not None:
-            current["supervision"] = supervision
-        assert _check(tmp_path, current) == 0

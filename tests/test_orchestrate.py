@@ -1,19 +1,30 @@
 """Tests for the experiment orchestrator: specs, cache, parallel runner, CLI."""
 
 import dataclasses
+import functools
 import json
+import multiprocessing
+import os
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.cli import main
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SpecFailedError
 from repro.orchestrate.cache import MISS, CacheStats, ResultCache
 from repro.orchestrate.parallel import ParallelRunner
 from repro.orchestrate.serialize import (
     system_run_result_from_dict,
     system_run_result_to_dict,
 )
-from repro.orchestrate.spec import RunSpec, UtilizationSpec, WorkloadSpec, canonicalize
+from repro.orchestrate.spec import (
+    RunSpec,
+    UtilizationSpec,
+    WorkloadSpec,
+    canonicalize,
+    fingerprint_key,
+)
 from repro.orchestrate.sweep import expand_sweep, run_sweep
 from repro.system.config import SystemConfig, SystemKind
 from repro.system.runner import compare_systems, compare_systems_many, run_workload
@@ -23,6 +34,68 @@ from repro.workloads.registry import make_workload
 def _tiny_spec(kind=SystemKind.PACK, size=16, verify=True, **kwargs) -> RunSpec:
     return RunSpec(workload=WorkloadSpec.create("gemv", size=size),
                    kind=kind, verify=verify, **kwargs)
+
+
+def _exit_worker() -> None:
+    """Kill the current pool worker abruptly — never the test process itself."""
+    if multiprocessing.parent_process() is None:
+        raise RuntimeError("refusing to os._exit the test process")
+    os._exit(13)
+
+
+@dataclasses.dataclass(frozen=True)
+class StubSpec:
+    """A picklable spec returning ``float(n)`` — unless it hangs, dies or raises.
+
+    ``behaviour`` stays out of the fingerprint, so rerunning with healthy
+    stubs finds exactly the results a failed batch cached.
+    """
+
+    n: int
+    behaviour: str = "ok"  # ok | hang | die | raise
+
+    def fingerprint(self):
+        return {"type": "stub", "n": self.n}
+
+    def cache_key(self):
+        return fingerprint_key(self.fingerprint())
+
+    def execute(self):
+        if self.behaviour == "hang":
+            time.sleep(60)
+        elif self.behaviour == "die":
+            _exit_worker()
+        elif self.behaviour == "raise":
+            raise ValueError(f"stub {self.n} failed")
+        return float(self.n)
+
+    def result_to_json(self, result):
+        return result
+
+    def result_from_json(self, data):
+        return float(data)
+
+    def label(self):
+        return f"stub/{self.n}"
+
+
+def _rerun_healthy(cache_dir, count):
+    """Rerun ``count`` healthy stubs serially; return (results, cache)."""
+    cache = ResultCache(cache_dir)
+    results = ParallelRunner(jobs=1, cache=cache).run(
+        [StubSpec(n) for n in range(count)])
+    return results, cache
+
+
+@pytest.fixture
+def fork_pool(monkeypatch):
+    """Fork the runner's workers, so patches a test makes reach them."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs the fork start method")
+    from repro.orchestrate import parallel as parallel_module
+
+    monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
 
 
 class TestSpecs:
@@ -257,32 +330,39 @@ class TestParallelRunner:
         assert ParallelRunner(jobs=0).jobs >= 1
         assert ParallelRunner(jobs=None).jobs >= 1
 
-    def test_broken_pool_degrades_to_serial(self, monkeypatch):
+    @pytest.mark.parametrize("where", ["future", "second-submit"])
+    def test_pool_breaking_under_work_is_a_worker_loss(self, monkeypatch, where):
+        # A pool that breaks after accepting work is a worker loss, not a
+        # platform without pools: no serial fallback, the batch fails.
         from concurrent.futures import Future
         from concurrent.futures.process import BrokenProcessPool
 
         from repro.orchestrate import parallel as parallel_module
 
-        class BrokenExecutor:
+        class BreakingExecutor:
             def __init__(self, max_workers):
-                pass
+                self.submits = 0
 
             def submit(self, fn, spec):
+                self.submits += 1
                 future = Future()
-                future.set_exception(BrokenProcessPool("worker died"))
+                if where == "future":
+                    future.set_exception(BrokenProcessPool("worker died"))
+                elif self.submits > 1:
+                    raise BrokenProcessPool("worker died")
                 return future
 
             def shutdown(self, wait=True, cancel_futures=False):
                 pass
 
-        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", BrokenExecutor)
-        specs = [_tiny_spec(kind=kind) for kind in SystemKind]
+        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", BreakingExecutor)
         runner = ParallelRunner(jobs=2)
-        results = runner.run(specs)
-        assert [r.cycles for r in results] == \
-            [r.cycles for r in ParallelRunner(jobs=1).run(specs)]
-        assert runner._pool_unavailable
-        runner.run(specs)  # later batches skip the pool without error
+        with pytest.raises(SpecFailedError) as failed:
+            runner.run([StubSpec(n) for n in range(3)])
+        assert [f["status"] for f in failed.value.failures] == ["worker-lost"] * 2
+        assert [o.status for o in runner.outcomes] == \
+            ["worker-lost", "worker-lost", "pending"]
+        assert runner._executor is None and not runner._pool_unavailable
 
     def test_pool_breaking_during_submit_degrades_to_serial(self, monkeypatch):
         from concurrent.futures.process import BrokenProcessPool
@@ -318,6 +398,115 @@ class TestParallelRunner:
             assert first_pool is not None
             assert runner._executor is first_pool
         assert runner._executor is None  # closed on exit
+
+
+class TestRunnerFailures:
+    """Timeouts, lost workers and Ctrl-C end in records, not hangs."""
+
+    def test_hung_spec_times_out(self, tmp_path):
+        specs = [StubSpec(n, "hang" if n == 0 else "ok") for n in range(4)]
+        runner = ParallelRunner(jobs=2, cache=ResultCache(tmp_path),
+                                timeout_s=1.0)
+        started = time.monotonic()
+        with pytest.raises(SpecFailedError) as failed:
+            runner.run(specs)
+        assert time.monotonic() - started < 5.0
+        [failure] = failed.value.failures
+        assert failure["label"] == "stub/0" and failure["status"] == "timeout"
+        assert "1s per-spec timeout" in failure["error"]
+        assert runner._executor is None
+        statuses = [outcome.status for outcome in runner.outcomes]
+        assert statuses[0] == "timeout"
+        assert set(statuses[1:]) <= {"completed", "pending"}
+        # Rerun to resume: only what the aborted batch did not cache runs.
+        results, cache = _rerun_healthy(tmp_path, len(specs))
+        assert results == [0.0, 1.0, 2.0, 3.0]
+        assert cache.stats.hits == statuses.count("completed")
+        assert cache.stats.stores == len(specs) - cache.stats.hits
+
+    def test_killed_worker_marks_in_flight_specs_lost(self, tmp_path):
+        specs = [StubSpec(n, "die" if n == 0 else "ok") for n in range(4)]
+        # The timeout turns a missed worker loss into a failure, not a hang.
+        runner = ParallelRunner(jobs=2, cache=ResultCache(tmp_path),
+                                timeout_s=30.0)
+        with pytest.raises(SpecFailedError) as failed:
+            runner.run(specs)
+        failures = failed.value.failures
+        assert "stub/0" in [failure["label"] for failure in failures]
+        assert {failure["status"] for failure in failures} == {"worker-lost"}
+        assert runner._executor is None
+        results, cache = _rerun_healthy(tmp_path, len(specs))
+        assert results == [0.0, 1.0, 2.0, 3.0]
+        completed = [o.status for o in runner.outcomes].count("completed")
+        assert cache.stats.hits == completed
+        assert cache.stats.stores == len(specs) - completed
+
+    def test_spec_error_propagates_unchanged(self):
+        with ParallelRunner(jobs=2) as runner:
+            with pytest.raises(ValueError, match="stub 1 failed"):
+                runner.run([StubSpec(0), StubSpec(1, "raise")])
+        record = runner.outcomes[1].to_json()
+        assert record["status"] == "error"
+        assert record["error"] == "ValueError: stub 1 failed"
+
+    def test_keyboard_interrupt_kills_pool_and_keeps_cache(self, tmp_path):
+        def interrupt(event):
+            if not event.cached:
+                raise KeyboardInterrupt
+
+        specs = [StubSpec(n) for n in range(4)]
+        cache = ResultCache(tmp_path)
+        runner = ParallelRunner(jobs=2, cache=cache, progress=interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            runner.run(specs)
+        assert runner._executor is None
+        assert len(cache) == 1  # stored before the progress callback fired
+        _results, rerun_cache = _rerun_healthy(tmp_path, len(specs))
+        assert rerun_cache.stats.hits == 1 and rerun_cache.stats.stores == 3
+
+    def test_journal_records_cached_and_completed(self, tmp_path):
+        specs = [StubSpec(0), StubSpec(1)]
+        with ParallelRunner(jobs=2, cache=ResultCache(tmp_path),
+                            timeout_s=30.0) as runner:
+            runner.run(specs)
+            runner.run(specs)
+        journal = json.loads(json.dumps(runner.journal()))
+        assert journal["journal_schema"] == 2 and journal["timeout_s"] == 30.0
+        records = journal["specs"]
+        assert [r["status"] for r in records] == ["completed"] * 2 + ["cached"] * 2
+        assert [r["source"] for r in records] == ["pool"] * 2 + ["cache"] * 2
+        assert [r["label"] for r in records] == ["stub/0", "stub/1"] * 2
+        assert [r["key"] for r in records] == [s.cache_key() for s in specs] * 2
+        assert all(r["duration_s"] >= 0 and "error" not in r for r in records)
+
+    def test_cli_reports_lost_worker_and_exits_4(self, fork_pool, monkeypatch,
+                                                 capsys, tmp_path):
+        from repro.orchestrate import spec as spec_module
+
+        victim = RunSpec(
+            workload=WorkloadSpec.create("gemv", size=16, dataflow="col"),
+            kind=SystemKind.PACK, verify=True,
+        ).cache_key()
+        original = spec_module.RunSpec.execute
+
+        def die_on_victim(self):
+            if self.cache_key() == victim:
+                _exit_worker()
+            return original(self)
+
+        monkeypatch.setattr(spec_module.RunSpec, "execute", die_on_victim)
+        journal_path = tmp_path / "journal.json"
+        assert main(["run", "fig3b", "--scale", "tiny", "--jobs", "2",
+                     "--journal", str(journal_path)]) == 4
+        assert "error: gemv/pack: worker-lost" in capsys.readouterr().err
+        records = json.loads(journal_path.read_text())["specs"]
+        [lost] = [r for r in records if r["key"] == victim]
+        assert lost["status"] == "worker-lost"
+
+        assert main(["sweep", "fig3b", "--scale", "tiny", "--jobs", "2",
+                     "--no-cache", "--json"]) == 4
+        failures = json.loads(capsys.readouterr().out)["failures"]
+        assert victim in [failure["key"] for failure in failures]
 
 
 class TestRunnerIntegration:

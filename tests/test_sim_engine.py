@@ -1,9 +1,8 @@
-"""Unit tests for the cycle engine, arbiter and statistics registry."""
+"""Unit tests for the cycle engine and statistics registry."""
 
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.arbiter import RoundRobinArbiter
 from repro.sim.component import Component
 from repro.sim.engine import Engine
 from repro.sim.stats import StatsRegistry
@@ -94,38 +93,6 @@ class TestEngine:
         engine = Engine()
         engine.step(5)
         assert engine.cycle == 5
-
-
-class TestRoundRobinArbiter:
-    def test_single_requestor(self):
-        arbiter = RoundRobinArbiter(4)
-        assert arbiter.grant([False, True, False, False]) == 1
-
-    def test_no_requestors(self):
-        arbiter = RoundRobinArbiter(2)
-        assert arbiter.grant([False, False]) is None
-
-    def test_fairness_rotates(self):
-        arbiter = RoundRobinArbiter(3)
-        grants = [arbiter.grant([True, True, True]) for _ in range(6)]
-        assert grants == [0, 1, 2, 0, 1, 2]
-
-    def test_skips_idle_requestors(self):
-        arbiter = RoundRobinArbiter(3)
-        assert arbiter.grant([True, False, True]) == 0
-        assert arbiter.grant([True, False, True]) == 2
-        assert arbiter.grant([True, False, True]) == 0
-
-    def test_wrong_width_rejected(self):
-        arbiter = RoundRobinArbiter(2)
-        with pytest.raises(ValueError):
-            arbiter.grant([True])
-
-    def test_reset(self):
-        arbiter = RoundRobinArbiter(2)
-        arbiter.grant([True, True])
-        arbiter.reset()
-        assert arbiter.grant([True, True]) == 0
 
 
 class TestStatsRegistry:

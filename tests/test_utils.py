@@ -5,21 +5,14 @@ from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.utils.bitutils import (
-    bit_length_for,
     clog2,
     extract_field,
     insert_field,
     is_power_of_two,
     mask,
-    next_power_of_two,
 )
-from repro.utils.math import ceil_div, geometric_mean, is_prime, mean, round_up_to
-from repro.utils.validation import (
-    check_in_range,
-    check_multiple_of,
-    check_positive,
-    check_power_of_two,
-)
+from repro.utils.math import ceil_div, is_prime, mean, round_up_to
+from repro.utils.validation import check_positive
 
 
 class TestMask:
@@ -57,15 +50,6 @@ class TestPowerOfTwo:
         assert not is_power_of_two(0)
         assert not is_power_of_two(12)
 
-    def test_next_power_of_two(self):
-        assert next_power_of_two(1) == 1
-        assert next_power_of_two(3) == 4
-        assert next_power_of_two(64) == 64
-
-    def test_next_power_of_two_rejects_zero(self):
-        with pytest.raises(ConfigurationError):
-            next_power_of_two(0)
-
 
 class TestFields:
     def test_insert_then_extract(self):
@@ -88,11 +72,6 @@ class TestFields:
     def test_roundtrip_property(self, offset, width, value):
         value = value & ((1 << width) - 1)
         assert extract_field(insert_field(0, offset, width, value), offset, width) == value
-
-    def test_bit_length_for(self):
-        assert bit_length_for(0) == 1
-        assert bit_length_for(255) == 8
-        assert bit_length_for(256) == 9
 
 
 class TestMath:
@@ -124,13 +103,6 @@ class TestMath:
         with pytest.raises(ConfigurationError):
             mean([])
 
-    def test_geometric_mean(self):
-        assert geometric_mean([1, 4]) == pytest.approx(2.0)
-
-    def test_geometric_mean_rejects_non_positive(self):
-        with pytest.raises(ConfigurationError):
-            geometric_mean([1.0, 0.0])
-
     @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=10**4))
     def test_ceil_div_property(self, numerator, denominator):
         result = ceil_div(numerator, denominator)
@@ -144,19 +116,3 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             check_positive("x", 0)
 
-    def test_check_in_range(self):
-        assert check_in_range("x", 5, 0, 10) == 5
-        with pytest.raises(ConfigurationError):
-            check_in_range("x", 11, 0, 10)
-
-    def test_check_power_of_two(self):
-        assert check_power_of_two("x", 8) == 8
-        with pytest.raises(ConfigurationError):
-            check_power_of_two("x", 6)
-
-    def test_check_multiple_of(self):
-        assert check_multiple_of("x", 12, 4) == 12
-        with pytest.raises(ConfigurationError):
-            check_multiple_of("x", 13, 4)
-        with pytest.raises(ConfigurationError):
-            check_multiple_of("x", 12, 0)

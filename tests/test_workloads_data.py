@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import WorkloadError
 from repro.workloads.dense import random_matrix, random_vector, upper_triangular
-from repro.workloads.sparse import CsrMatrix, banded_csr, heart1_like, random_csr
+from repro.workloads.sparse import CsrMatrix, heart1_like, random_csr
 
 
 class TestDenseGenerators:
@@ -85,12 +85,6 @@ class TestGenerators:
         assert matrix.num_rows == 64
         # The surrogate keeps the high per-row density of heart1 (capped by n).
         assert matrix.avg_nnz_per_row > 40
-
-    def test_banded_csr(self):
-        matrix = banded_csr(16, bandwidth=2)
-        dense = matrix.to_dense()
-        assert dense[0, 4] == 0
-        assert np.count_nonzero(dense[8]) <= 5
 
     @settings(max_examples=20)
     @given(st.integers(min_value=1, max_value=64),

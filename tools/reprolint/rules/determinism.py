@@ -8,18 +8,17 @@ rots:
 
 ``DET01`` — wall-clock reads (``time.time``, ``time.monotonic``,
     ``datetime.now``, ...).  Allowed only in modules on the committed
-    ``wallclock_allowlist`` (the sweep supervisor's timeout machinery is
+    ``wallclock_allowlist`` (the parallel runner's per-spec timeout is
     wall-clock *by design* and never touches simulated results).
 ``DET02`` — unseeded randomness: the ``random`` module's global functions,
     ``random.Random()`` with no seed, ``numpy.random.default_rng()`` with
     no seed, or the legacy ``numpy.random.*`` global generator.  Workload
     generators must take an explicit seed (they do — this rule keeps it so).
 ``DET03`` — environment reads (``os.environ``, ``os.getenv``) outside the
-    committed ``env_allowlist``.  The remaining seams never select a
-    simulation behaviour: the sweep fault-injection plan (``$REPRO_FAULTS``)
-    and the result-cache location (``$AXI_PACK_CACHE_DIR``,
-    ``$XDG_CACHE_HOME``); each one is named in the manifest with the
-    variable it may read and why.
+    committed ``env_allowlist``.  The one remaining seam never selects a
+    simulation behaviour: the result-cache location
+    (``$AXI_PACK_CACHE_DIR``, ``$XDG_CACHE_HOME``), named in the manifest
+    with the variables it may read and why.
 """
 
 from __future__ import annotations
@@ -97,7 +96,7 @@ def _env_var_literal(call: ast.AST, consts: dict) -> Optional[str]:
     """The variable name an environ access names, when extractable.
 
     Resolves both string literals and module-level constants
-    (``os.environ.get(FAULTS_ENV)``).
+    (``os.environ.get(CACHE_DIR_ENV)``).
     """
     key: Optional[ast.AST] = None
     if isinstance(call, ast.Call) and call.args:
@@ -139,7 +138,7 @@ def check(repo: RepoContext) -> Iterator[Violation]:
                             f"wall-clock read `{name}()` — simulated results "
                             "must not depend on host time (allowlist it in "
                             "tools/reprolint/manifest.json if this is "
-                            "supervision code)",
+                            "host-side timing code)",
                         )
                 elif name in _SEEDED_CTORS and not node.args and not node.keywords:
                     yield Violation(
