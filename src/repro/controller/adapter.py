@@ -1,10 +1,9 @@
-"""AXI-Pack adapter top level (paper Fig. 2b).
+"""AXI-Pack adapter top level (paper Fig. 2b) and its banked channel stage.
 
-The adapter is the single simulation component that owns the five burst
-converters.  Per cycle it:
+The adapter owns the five burst converters.  Per cycle it:
 
-1. routes word responses from the banked memory back to the converter that
-   issued them;
+1. retires at most one completed word access per memory port, freeing its
+   slot in the issuing converter pipe;
 2. runs each converter's internal housekeeping (index extraction, planning);
 3. demultiplexes at most one AR and one AW request onto the right converter;
 4. routes at most one W data beat to the write converter expecting it;
@@ -14,6 +13,12 @@ converters.  Per cycle it:
    AXI port — the R channel is a single physical bus, and this one-beat-per-
    cycle rule is what every utilization number in the paper is measured
    against.
+
+Words pass between the converters and the banks through the banked
+memory's per-port FIFOs of ``(pipe, batch, slot)`` tags (see
+:mod:`repro.mem.banked`).  :class:`BankedChannel` is the one engine
+component per banked channel: each cycle it runs the adapter's tick and
+then the memory's, as two sibling calls.
 """
 
 from __future__ import annotations
@@ -21,10 +26,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional, Set, Tuple
 
-from repro.axi.monitor import ChannelMonitor
 from repro.axi.port import AxiPort
 from repro.axi.transaction import BusRequest
-from repro.axi.types import Resp
 from repro.controller.base_converter import BaseAxi4Converter
 from repro.controller.context import AdapterConfig, AdapterContext
 from repro.controller.converter import Converter
@@ -32,17 +35,18 @@ from repro.controller.indirect_read import IndirectReadConverter
 from repro.controller.indirect_write import IndirectWriteConverter
 from repro.controller.strided_read import StridedReadConverter
 from repro.controller.strided_write import StridedWriteConverter
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, SimulationError
 from repro.mem.banked import BankedMemory
 from repro.sim.component import IDLE, Component, WakeHint
 from repro.sim.stats import StatsRegistry
 
-#: Prebound: compared per word response on the hottest routing path.
-_RESP_OKAY = Resp.OKAY
 
+class AxiPackAdapter:
+    """Translates AXI / AXI-Pack bursts into banked word accesses.
 
-class AxiPackAdapter(Component):
-    """Translates AXI / AXI-Pack bursts into banked word accesses."""
+    Not an engine component of its own: :class:`BankedChannel` ticks it
+    together with its memory.
+    """
 
     def __init__(
         self,
@@ -52,7 +56,7 @@ class AxiPackAdapter(Component):
         config: Optional[AdapterConfig] = None,
         stats: Optional[StatsRegistry] = None,
     ) -> None:
-        super().__init__(name)
+        self.name = name
         self.port = port
         self.memory = memory
         self.config = config or AdapterConfig(bus_bytes=port.bus_bytes)
@@ -72,8 +76,6 @@ class AxiPackAdapter(Component):
             )
         self.stats = stats if stats is not None else StatsRegistry()
         self.ctx = AdapterContext(self.config, self.stats, storage=memory.storage)
-        self.r_monitor = ChannelMonitor("R", self.config.bus_bytes)
-        self.w_monitor = ChannelMonitor("W", self.config.bus_bytes)
 
         self.base = BaseAxi4Converter(f"{name}.base", self.ctx)
         self.strided_read = StridedReadConverter(f"{name}.strided_read", self.ctx)
@@ -103,9 +105,9 @@ class AxiPackAdapter(Component):
         # themselves (see Converter.unissued_deques/r_beat_deques/
         # b_beat_deques) so they can never desynchronize from the converter
         # list.  Reading the deques' truth values directly is behaviourally
-        # identical to the has_unissued()/busy()/pop_ready_*() scans (a pop
-        # attempt with nothing ready is a side-effect-free None) but avoids
-        # two method calls per converter per cycle.
+        # identical to the busy()/pop_ready_*() scans (a pop attempt with
+        # nothing ready is a side-effect-free None) but avoids two method
+        # calls per converter per cycle.
         #: unissued-slot deques, in self.converters order
         self._conv_unissued: List[Tuple] = [
             converter.unissued_deques() for converter in self.converters
@@ -141,7 +143,7 @@ class AxiPackAdapter(Component):
         self._issue_rr = 0
         self._emit_rr = 0
         self._last_tick: Optional[int] = None
-        self._outstanding_words = 0  #: word accesses issued, responses pending
+        self._outstanding_words = 0  #: word accesses issued, not yet retired
         #: accepted read bursts whose final (last) R beat is still pending —
         #: gates the R emission scan on cycles with nothing to emit
         self._open_read_bursts = 0
@@ -152,14 +154,15 @@ class AxiPackAdapter(Component):
         #: observes (see the rotation replay in :meth:`tick`)
         self._ports_free_after_issue = True
         # Prebound hot-path containers and counters (see repro.sim.stats).
-        self._request_queues = memory.request_queues
-        self._response_queues = memory.response_queues
+        self._req_fifos = memory.req_fifos
+        self._req_pushed_at = memory.req_pushed_at
+        self._req_depth = memory.config.request_queue_depth
+        self._rsp_fifos = memory.rsp_fifos
         self._ar = port.ar
         self._aw = port.aw
         self._w = port.w
         self._r = port.r
         self._b = port.b
-        self._issue_buffer: List = []  #: reused per-cycle word-request list
         self._c_word_requests = self.stats.counter("adapter.word_requests")
         self._c_r_beats = self.stats.counter("adapter.r_beats")
         self._c_r_useful = self.stats.counter("adapter.r_useful_bytes")
@@ -184,26 +187,33 @@ class AxiPackAdapter(Component):
         return self.base
 
     # ------------------------------------------------------------------ tick
-    def tick(self, cycle: int) -> WakeHint:
+    def tick(self, cycle: int) -> int:
+        """Advance the adapter by one cycle.
+
+        Returns how many words it moved through the memory's port FIFOs
+        (responses retired plus requests issued), which the channel stage
+        counts as forward progress.
+        """
         if self._last_tick is not None and cycle - self._last_tick > 1:
-            # The adapter slept since ``_last_tick``.  In the tick-every-cycle
-            # engine those cycles would each have rotated the issue
-            # round-robin pointer — provided at least one word port was free
-            # (``_issue_word_requests`` returns before the rotation when every
-            # request queue is full).  The adapter sleeps only while none of
-            # its subscribed queues see activity, and the adapter ticks
-            # before the memory within a cycle, so every slept-through cycle
-            # observes the request-queue occupancy as it stood at the end of
-            # the last tick's issue phase (a pop that frees a port wakes the
-            # adapter for the *next* cycle and is never visible to the
-            # skipped tick of its own cycle).  Replaying from that captured
-            # state reconstructs the seed behaviour exactly.
+            # The adapter slept since ``_last_tick``.  Ticked every cycle,
+            # it would have rotated the issue round-robin pointer on each of
+            # those cycles — provided at least one word port was free
+            # (``_issue_words`` returns before the rotation when every
+            # request FIFO is full).  The channel stage skips the adapter
+            # only while its AXI port queues are quiet and no word moved
+            # through the memory FIFOs on the previous cycle, and the
+            # adapter ticks before the memory within a cycle, so every
+            # slept-through cycle observes the request-FIFO occupancy as it
+            # stood at the end of the last tick's issue phase (a grant that
+            # frees a port makes the adapter due on the *next* cycle and is
+            # never visible to the skipped tick of its own cycle).
+            # Replaying from that captured state reconstructs the
+            # tick-every-cycle behaviour exactly.
             if self._ports_free_after_issue:
                 skipped = cycle - self._last_tick - 1
                 self._issue_rr = (self._issue_rr + skipped) % len(self.converters)
         self._last_tick = cycle
-        if self._outstanding_words:
-            self._route_memory_responses()
+        moved = self._retire_words() if self._outstanding_words else 0
         for step, bursts in self._stepping_info:
             # Only the indirect converters do per-cycle housekeeping (index
             # extraction, planning); the others' step is a no-op, and an
@@ -213,54 +223,33 @@ class AxiPackAdapter(Component):
         self._demux_requests()
         if self._w_routing:
             self._route_w_data()
-        self._issue_word_requests()
+        moved += self._issue_words(cycle)
         if self._open_read_bursts:
             self._emit_r_beat()
         if self._open_write_bursts:
             self._emit_b_beat()
-        # Every state transition of the adapter and its converters is driven
-        # by queue events it is subscribed to: bursts arrive on AR/AW/W,
-        # word responses arrive on the memory response queues, back-pressure
-        # clears when R/B or the memory request queues are popped, and any
-        # progress the adapter itself made this cycle touched a queue (its
-        # own pushes/pops), which re-wakes it next cycle automatically.  The
-        # only per-cycle state, the issue rotation, is replayed on wake-up.
-        return IDLE
-
-    def wake_queues(self):
-        return [*self.port.all_queues(), *self.memory.all_queues()]
+        return moved
 
     # -------------------------------------------------------------- responses
-    def _route_memory_responses(self) -> None:
-        outstanding = self._outstanding_words
-        for queue in self._response_queues:
-            storage = queue._storage
-            if not storage:
-                continue
-            # Inlined DecoupledQueue.pop (one response per port per cycle).
-            queue.total_popped += 1
-            queue._count -= 1
-            engine = queue._engine
-            if engine is not None:
-                engine._activity += 1
-                if not queue._touched:
-                    queue._touched = True
-                    engine._touched_queues.append(queue)
-            response = storage.popleft()
-            pipe, state, slot = response.tag
-            if response.resp is _RESP_OKAY:
-                if response.is_write:
-                    pipe.take_ack(state, slot)
-                else:
-                    pipe.take_response(state, slot, response.data)
-            elif response.is_write:
-                # Errored word access: the payload (if any) is invalid; the
-                # beat is poisoned instead of filled.
-                pipe.take_error_ack(state, slot, response.resp)
-            else:
-                pipe.take_error_response(state, slot, response.resp)
-            outstanding -= 1
-        self._outstanding_words = outstanding
+    def _retire_words(self) -> int:
+        """Pop at most one completed access per port and retire it.
+
+        Retiring drops the pending count of the word's beat (the memory
+        already filled or poisoned the beat at grant) and frees the word's
+        slot in the issuing pipe's request regulator.
+        """
+        retired = 0
+        for port, responses in enumerate(self._rsp_fifos):
+            if responses:
+                pipe, batch, slot = responses.popleft()
+                batch.beat_pending[batch.beat_of[slot]] -= 1
+                in_flight = pipe.regulator._in_flight
+                if in_flight[port] <= 0:
+                    raise SimulationError(f"regulator underflow on port {port}")
+                in_flight[port] -= 1
+                retired += 1
+        self._outstanding_words -= retired
+        return retired
 
     # ---------------------------------------------------------------- demux
     def _demux_requests(self) -> None:
@@ -288,7 +277,6 @@ class AxiPackAdapter(Component):
         converter, beats_left = self._w_routing[0]
         beat = self._w.pop()
         converter.take_w_beat(beat.data)
-        self.w_monitor.record_beat(beat.useful_bytes)
         self._c_w_beats.value += 1
         if beats_left - 1 == 0:
             self._w_routing.popleft()
@@ -296,8 +284,9 @@ class AxiPackAdapter(Component):
             self._w_routing[0] = (converter, beats_left - 1)
 
     # ----------------------------------------------------------------- issue
-    def _issue_word_requests(self) -> None:
-        queues = self._request_queues
+    def _issue_words(self, cycle: int) -> int:
+        fifos = self._req_fifos
+        depth = self._req_depth
         converters = self.converters
         conv_unissued = self._conv_unissued
         count = len(converters)
@@ -308,23 +297,20 @@ class AxiPackAdapter(Component):
             if dqs[0] or dqs[-1]:
                 break
         else:
-            # Nothing to issue: the seed engine still rotated the round-robin
-            # pointer whenever at least one word port was free.
-            for queue in queues:
-                if queue._count < queue.depth:
+            # Nothing to issue: the round-robin pointer still rotates
+            # whenever at least one word port is free.
+            for fifo in fifos:
+                if len(fifo) < depth:
                     self._issue_rr = (self._issue_rr + 1) % count
                     self._ports_free_after_issue = True
-                    return
+                    return 0
             self._ports_free_after_issue = False
-            return
-        free_ports: Set[int] = set()
-        for port, queue in enumerate(queues):
-            if queue._count < queue.depth:
-                free_ports.add(port)
-        self._ports_free_after_issue = bool(free_ports)
-        if not free_ports:
-            return
-        requests = self._issue_buffer
+            return 0
+        offered = [port for port, fifo in enumerate(fifos) if len(fifo) < depth]
+        self._ports_free_after_issue = bool(offered)
+        if not offered:
+            return 0
+        free_ports: Set[int] = set(offered)
         rr = self._issue_rr
         for offset in range(count):
             index = rr + offset
@@ -333,35 +319,28 @@ class AxiPackAdapter(Component):
             dqs = conv_unissued[index]
             # An idle converter has no slots to issue; skip the call.
             if dqs[0] or dqs[-1]:
-                converters[index].issue(free_ports, requests)
+                converters[index].issue(free_ports, fifos)
                 if not free_ports:
                     break
         self._issue_rr = (rr + 1) % count
-        if requests:
-            self._outstanding_words += len(requests)
-            self._c_word_requests.value += len(requests)
-            for request in requests:
-                # Inlined DecoupledQueue.push; space is guaranteed because
-                # ports leave free_ports the moment their queue fills.
-                queue = queues[request.port]
-                queue._incoming.append(request)
-                queue._count += 1
-                queue.total_pushed += 1
-                engine = queue._engine
-                if engine is not None:
-                    engine._activity += 1
-                    if not queue._touched:
-                        queue._touched = True
-                        engine._touched_queues.append(queue)
-            del requests[:]
+        # Every issued word took one offered port off ``free_ports``.
+        issued = len(offered) - len(free_ports)
+        if issued:
+            pushed_at = self._req_pushed_at
             # This tick's pushes may have filled the last free port; slept
-            # cycles must observe the post-push occupancy.
-            for queue in queues:
-                if queue._count < queue.depth:
-                    self._ports_free_after_issue = True
-                    break
-            else:
-                self._ports_free_after_issue = False
+            # cycles must observe the post-push occupancy.  Ports left in
+            # ``free_ports`` are still free and ports never offered are
+            # still full, so only the used ports need a look.
+            ports_free = bool(free_ports)
+            for port in offered:
+                if port not in free_ports:
+                    pushed_at[port] = cycle
+                    if len(fifos[port]) < depth:
+                        ports_free = True
+            self._ports_free_after_issue = ports_free
+            self._outstanding_words += issued
+            self._c_word_requests.value += issued
+        return issued
 
     # ------------------------------------------------------------------ emit
     def _emit_r_beat(self) -> None:
@@ -387,10 +366,8 @@ class AxiPackAdapter(Component):
             beat = emitter[0]()
             if beat is not None:
                 r.push(beat)
-                useful = beat.useful_bytes
-                self.r_monitor.record_beat(useful)
                 self._c_r_beats.value += 1
-                self._c_r_useful.value += useful
+                self._c_r_useful.value += beat.useful_bytes
                 self._emit_rr = (rr + 1) % count
                 if beat.last:
                     self._open_read_bursts -= 1
@@ -423,8 +400,6 @@ class AxiPackAdapter(Component):
         for converter in self.converters:
             converter.reset()
         self._w_routing.clear()
-        self.r_monitor.reset()
-        self.w_monitor.reset()
         self._issue_rr = 0
         self._emit_rr = 0
         self._last_tick = None
@@ -432,3 +407,100 @@ class AxiPackAdapter(Component):
         self._open_read_bursts = 0
         self._open_write_bursts = 0
         self._ports_free_after_issue = True
+
+
+class BankedChannel(Component):
+    """One banked memory channel as a single engine component.
+
+    Each cycle it is due, the stage calls :meth:`AxiPackAdapter.tick` and
+    then :meth:`BankedMemory.tick` as two sibling calls; the words between
+    them move through the memory's port FIFOs, whose registered-output
+    timing relies on the adapter ticking first.  Each half runs only on the
+    cycles it would run on as a component of its own:
+
+    * **the adapter** after activity on its AXI port queues (the stage's
+      engine subscriptions) or after any word moved through the memory
+      FIFOs on the previous cycle;
+    * **the memory** after any word moved on the previous cycle, or once
+      its earliest in-flight access matures.
+
+    When neither half moved a word and no access is in flight, the stage
+    sleeps (``IDLE``) until its port queues see activity.  A word moving
+    through the FIFOs counts as forward progress for the engine's deadlock
+    detection.  The tick-every-cycle engine runs both halves every cycle,
+    which keeps it the reference the event-driven schedule is checked
+    against.
+    """
+
+    def __init__(self, name: str, adapter: AxiPackAdapter) -> None:
+        super().__init__(name)
+        self.adapter = adapter
+        self.memory = adapter.memory
+        self._adapter_tick = adapter.tick
+        self._memory_tick = adapter.memory.tick
+        self._port_queues = adapter.port.all_queues()
+        self._last_tick = -1
+        #: the previous tick moved a word (true before the first tick, so
+        #: that one runs both halves, as registration makes a component due)
+        self._moved = True
+        #: the memory's next in-flight maturity (valid while no word moves)
+        self._mem_wake: float = IDLE
+        #: port-queue push/pop total at the end of the previous tick, kept
+        #: while an access is in flight (see :meth:`tick`)
+        self._port_mark = 0
+
+    def wake_queues(self):
+        return self._port_queues
+
+    def _port_activity(self) -> int:
+        return sum(q.total_pushed + q.total_popped for q in self._port_queues)
+
+    def tick(self, cycle: int) -> WakeHint:
+        engine = self._engine
+        if not engine.event_driven:
+            moved = self._adapter_tick(cycle) + self._memory_tick(cycle)
+            engine._activity += moved
+            return cycle + 1
+        last = self._last_tick
+        self._last_tick = cycle
+        mem_wake = self._mem_wake
+        # Woken before the memory's maturity, after a move, or on the cycle
+        # right after the previous tick, the adapter runs: its port queues
+        # may have moved (running it when they did not is harmless, just
+        # slower).  Woken exactly at a later maturity, it runs only if its
+        # port queues moved since the previous tick — any such activity
+        # happened on the previous cycle, or it would have woken the stage
+        # earlier.
+        if (
+            self._moved
+            or cycle < mem_wake
+            or cycle == last + 1
+            or self._port_activity() != self._port_mark
+        ):
+            moved = self._adapter_tick(cycle)
+        else:
+            moved = 0
+        memory_due = self._moved or cycle >= mem_wake
+        if memory_due:
+            moved += self._memory_tick(cycle)
+        if moved:
+            engine._activity += moved
+            self._moved = True
+            return cycle + 1
+        self._moved = False
+        if memory_due:
+            mem_wake = self._mem_wake = self.memory.next_ready(cycle)
+        if mem_wake != IDLE:
+            self._port_mark = self._port_activity()
+        return mem_wake
+
+    def busy(self) -> bool:
+        return self.adapter.busy() or self.memory.busy()
+
+    def reset(self) -> None:
+        self.adapter.reset()
+        self.memory.reset()
+        self._last_tick = -1
+        self._moved = True
+        self._mem_wake = IDLE
+        self._port_mark = 0

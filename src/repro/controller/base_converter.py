@@ -9,7 +9,7 @@ element at a time.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import Deque, List, Optional, Set
 
 from repro.axi.signals import BBeat, RBeat
 from repro.axi.transaction import BusRequest
@@ -21,7 +21,6 @@ from repro.controller.lanes import (
     batch_contiguous,
     batch_narrow,
 )
-from repro.mem.words import WordRequest
 
 #: Upper bound on beats buffered in the read pipe before new bursts stall.
 _MAX_PENDING_READ_BEATS = 512
@@ -69,12 +68,9 @@ class BaseAxi4Converter(Converter):
         self._writes.take_w_beat(payload)
 
     # ----------------------------------------------------------------- cycle
-    def issue(self, free_ports: Set[int], out: List[WordRequest]) -> None:
+    def issue(self, free_ports: Set[int], out: List[Deque[tuple]]) -> None:
         self._reads.issue(free_ports, out)
         self._writes.issue(free_ports, out)
-
-    def has_unissued(self) -> bool:
-        return bool(self._reads._unissued) or bool(self._writes._unissued)
 
     def unissued_deques(self):
         return (self._reads._unissued, self._writes._unissued)

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Set, Tuple
+from typing import Deque, List, Optional, Set, Tuple
 
 from repro.axi.signals import BBeat, RBeat
 from repro.axi.transaction import BusRequest
 from repro.controller.context import AdapterContext
-from repro.mem.words import WordRequest
 
 
 class Converter(abc.ABC):
@@ -51,17 +50,12 @@ class Converter(abc.ABC):
         """Internal per-cycle housekeeping (index extraction, planning)."""
 
     @abc.abstractmethod
-    def issue(self, free_ports: Set[int], out: List[WordRequest]) -> None:
-        """Issue word accesses this cycle using only the given free ports."""
+    def issue(self, free_ports: Set[int], out: List[Deque[tuple]]) -> None:
+        """Issue word accesses this cycle using only the given free ports.
 
-    def has_unissued(self) -> bool:
-        """True if the converter holds planned word accesses not yet issued.
-
-        The adapter uses this O(1) check to skip the issue scan on cycles
-        where no converter has anything to send to the banks.  The default is
-        conservative (True); converters override it with the exact check.
+        ``out[port]`` is the memory's request FIFO of each word port; every
+        issued access appends its ``(pipe, batch, slot)`` tag there.
         """
-        return True
 
     # --------------------------------------------------- adapter fast tables
     #
@@ -72,7 +66,8 @@ class Converter(abc.ABC):
     # reset, never reassigned).
 
     def unissued_deques(self) -> Tuple:
-        """Stable containers that are non-empty iff :meth:`has_unissued`."""
+        """Stable containers that are non-empty iff the converter holds
+        planned word accesses it has not issued yet."""
         raise NotImplementedError(f"{self.name} does not expose issue state")
 
     def r_beat_deques(self) -> Optional[Tuple]:

@@ -33,7 +33,6 @@ from repro.controller.lanes import (
     batch_indexed_beat,
 )
 from repro.errors import SimulationError
-from repro.mem.words import WordRequest
 
 _INDEX_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
@@ -225,13 +224,10 @@ class IndirectReadConverter(Converter):
                 active.next_beat += 1
             return  # keep burst order: never plan burst k+1 before k is done
 
-    def issue(self, free_ports: Set[int], out: List[WordRequest]) -> None:
+    def issue(self, free_ports: Set[int], out: List[Deque[tuple]]) -> None:
         # Element fetches have priority; index fetches use the leftover ports.
         self._element_pipe.issue(free_ports, out)
         self._index_pipe.issue(free_ports, out)
-
-    def has_unissued(self) -> bool:
-        return bool(self._element_pipe._unissued) or bool(self._index_pipe._unissued)
 
     def unissued_deques(self):
         return (self._element_pipe._unissued, self._index_pipe._unissued)

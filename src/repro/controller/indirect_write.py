@@ -25,7 +25,6 @@ from repro.controller.lanes import (
     batch_index_fetch,
     batch_indexed_beat,
 )
-from repro.mem.words import WordRequest
 
 #: Prebound: compared once per completed index line.
 _RESP_OKAY = Resp.OKAY
@@ -170,12 +169,9 @@ class IndirectWriteConverter(Converter):
                 active.next_beat += 1
             return
 
-    def issue(self, free_ports: Set[int], out: List[WordRequest]) -> None:
+    def issue(self, free_ports: Set[int], out: List[Deque[tuple]]) -> None:
         self._write_pipe.issue(free_ports, out)
         self._index_pipe.issue(free_ports, out)
-
-    def has_unissued(self) -> bool:
-        return bool(self._write_pipe._unissued) or bool(self._index_pipe._unissued)
 
     def unissued_deques(self):
         return (self._write_pipe._unissued, self._index_pipe._unissued)

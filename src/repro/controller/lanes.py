@@ -21,10 +21,11 @@ offsets, same issue order.  ``tests/test_datapath_parity.py`` checks every
 kernel slot for slot against the readable beat-at-a-time reference planners
 in ``tests/reference_planners.py``.
 
-Payload movement stays per word: the byte scatter/gather of
-:meth:`LaneReadPipe.take_response` and :meth:`LaneWritePipe.issue` is a
-slice assignment indexed through the flat arrays.  Only the *geometry*
-work (planning, issue bookkeeping, completion tracking) is batched.
+Payload movement stays per word: the banked memory's grant reads a write's
+bytes from ``beat_payload`` and deposits a read's bytes into ``beat_data``,
+one slice assignment per word indexed through the flat arrays.  Only the
+*geometry* work (planning, issue bookkeeping, completion tracking) is
+batched.
 """
 
 from __future__ import annotations
@@ -40,9 +41,8 @@ from repro.axi.types import Resp
 from repro.controller.context import AdapterConfig
 from repro.controller.regulator import RequestRegulator
 from repro.errors import ProtocolError, SimulationError
-from repro.mem.words import WordRequest
 
-#: Prebound default: checked once per word response on the hot path.
+#: Prebound default: compared on every beat completion.
 _RESP_OKAY = Resp.OKAY
 
 
@@ -68,7 +68,9 @@ class SlotBatch:
         "beat_last",
         "beat_remaining",
         "beat_acks",
+        "beat_pending",
         "beat_data",
+        "beat_views",
         "beat_payload",
         "beat_resp",
         "num_beats",
@@ -105,7 +107,14 @@ class SlotBatch:
             b - a for a, b in zip(beat_start, beat_start[1:])
         ]
         self.beat_acks: Optional[List[int]] = None  #: write pipes only
+        #: the per-beat count a retired word decrements: ``beat_remaining``
+        #: for reads, ``beat_acks`` for writes
+        self.beat_pending: Optional[List[int]] = None
         self.beat_data: Optional[List[bytearray]] = None  #: read pipes only
+        #: writable views of ``beat_data``: the memory's grant deposits read
+        #: words through them (a slice assignment into a memoryview is
+        #: cheaper than one into a bytearray)
+        self.beat_views: Optional[List[memoryview]] = None
         self.beat_payload: Optional[List[Optional[bytes]]] = None  #: writes
         #: per-beat worst response — None until a beat is first poisoned, so
         #: the fault-free hot path pays one attribute check, no list
@@ -124,6 +133,8 @@ class SlotBatch:
     def alloc_read_buffers(self) -> None:
         """Allocate per-beat payload assembly buffers (read pipes)."""
         self.beat_data = [bytearray(useful) for useful in self.beat_useful]
+        self.beat_views = [memoryview(buffer) for buffer in self.beat_data]
+        self.beat_pending = self.beat_remaining
 
     def init_write_state(self) -> None:
         """Switch the per-beat counters to write-pipe semantics."""
@@ -132,6 +143,7 @@ class SlotBatch:
         # complete when both reach zero.
         self.beat_acks = [0] * self.num_beats
         self.beat_payload = [None] * self.num_beats
+        self.beat_pending = self.beat_acks
 
 
 # --------------------------------------------------------------------------
@@ -533,13 +545,15 @@ class LaneReadPipe:
         self.add_batch(request, batch)
 
     # --------------------------------------------------------------- issuing
-    def issue(self, free_ports: Set[int], out: List[WordRequest]) -> None:
+    def issue(self, free_ports: Set[int], out: List[Deque[tuple]]) -> None:
         """Issue word reads in order, using only ``free_ports``.
 
-        Ports used are removed from ``free_ports`` so other pipes sharing the
-        memory ports this cycle cannot double-book them.  Issue stops at the
-        first slot whose port is unavailable or regulator-blocked, preserving
-        the in-order request discipline of the RTL request generator.
+        Each issued read appends its ``(pipe, batch, slot)`` tag to
+        ``out[port]``, the memory's request FIFO for that port.  Ports used
+        are removed from ``free_ports`` so other pipes sharing the memory
+        ports this cycle cannot double-book them.  Issue stops at the first
+        slot whose port is unavailable or regulator-blocked, preserving the
+        in-order request discipline of the RTL request generator.
         """
         unissued = self._unissued
         regulator = self.regulator
@@ -549,7 +563,6 @@ class LaneReadPipe:
             entry = unissued[0]
             batch = entry[0]
             ports = batch.ports
-            words = batch.words
             i = entry[1]
             end = batch.num_slots
             while i < end:
@@ -559,46 +572,9 @@ class LaneReadPipe:
                     return
                 free_ports.discard(port)
                 in_flight[port] += 1
-                out.append(
-                    WordRequest(
-                        port=port,
-                        word_addr=words[i],
-                        is_write=False,
-                        tag=(self, batch, i),
-                    )
-                )
+                out[port].append((self, batch, i))
                 i += 1
             unissued.popleft()
-
-    def has_unissued(self) -> bool:
-        """True if any planned word read has not been issued yet (O(1))."""
-        return bool(self._unissued)
-
-    # ------------------------------------------------------------- responses
-    def take_response(self, batch: SlotBatch, i: int, data: bytes) -> None:
-        """Deliver one returned word to its beat (hot path)."""
-        beat = batch.beat_of[i]
-        shift = batch.shifts[i]
-        nbytes = batch.nbytes[i]
-        batch.beat_data[beat][
-            batch.offsets[i] : batch.offsets[i] + nbytes
-        ] = data[shift : shift + nbytes]
-        batch.beat_remaining[beat] -= 1
-        in_flight = self.regulator._in_flight
-        port = batch.ports[i]
-        if in_flight[port] <= 0:
-            raise SimulationError(f"regulator underflow on port {port}")
-        in_flight[port] -= 1
-
-    def take_error_response(self, batch: SlotBatch, i: int, resp: Resp) -> None:
-        """Deliver one errored word: no data, the beat is poisoned instead."""
-        batch.poison_beat(batch.beat_of[i], resp)
-        batch.beat_remaining[batch.beat_of[i]] -= 1
-        in_flight = self.regulator._in_flight
-        port = batch.ports[i]
-        if in_flight[port] <= 0:
-            raise SimulationError(f"regulator underflow on port {port}")
-        in_flight[port] -= 1
 
     def _check_issued(self, batch: SlotBatch, k: int) -> None:
         """Consistency guard: a beat with word accesses cannot complete
@@ -772,8 +748,12 @@ class LaneWritePipe:
             self._unissued.append([batch, start, end, beat])
 
     # --------------------------------------------------------------- issuing
-    def issue(self, free_ports: Set[int], out: List[WordRequest]) -> None:
-        """Issue word writes in order, using only ``free_ports``."""
+    def issue(self, free_ports: Set[int], out: List[Deque[tuple]]) -> None:
+        """Issue word writes in order, using only ``free_ports``.
+
+        Like :meth:`LaneReadPipe.issue`; the memory takes each word's data
+        from the beat's ``beat_payload`` when it grants the access.
+        """
         unissued = self._unissued
         regulator = self.regulator
         in_flight = regulator._in_flight
@@ -783,12 +763,9 @@ class LaneWritePipe:
             entry = unissued[0]
             batch = entry[0]
             ports = batch.ports
-            words = batch.words
-            offsets = batch.offsets
             i = entry[1]
             end = entry[2]
             beat = entry[3]
-            payload = batch.beat_payload[beat]
             check_partial = not batch.all_full_words
             remaining = batch.beat_remaining
             acks = batch.beat_acks
@@ -804,50 +781,16 @@ class LaneWritePipe:
                     # reaches the issue stage.
                     raise SimulationError(
                         f"{self.name}: partial-word write at word "
-                        f"{words[i]:#x} — the model requires word-aligned "
-                        "write payloads"
+                        f"{batch.words[i]:#x} — the model requires "
+                        "word-aligned write payloads"
                     )
                 free_ports.discard(port)
                 in_flight[port] += 1
-                offset = offsets[i]
-                data = payload[offset : offset + word_bytes]
-                out.append(
-                    WordRequest(
-                        port=port,
-                        word_addr=words[i],
-                        is_write=True,
-                        data=data,
-                        tag=(self, batch, i),
-                    )
-                )
+                out[port].append((self, batch, i))
                 remaining[beat] -= 1
                 acks[beat] += 1
                 i += 1
             unissued.popleft()
-
-    def has_unissued(self) -> bool:
-        """True if any planned word write has not been issued yet (O(1))."""
-        return bool(self._unissued)
-
-    # ------------------------------------------------------------- responses
-    def take_ack(self, batch: SlotBatch, i: int) -> None:
-        """Deliver one word-write acknowledgement."""
-        batch.beat_acks[batch.beat_of[i]] -= 1
-        in_flight = self.regulator._in_flight
-        port = batch.ports[i]
-        if in_flight[port] <= 0:
-            raise SimulationError(f"regulator underflow on port {port}")
-        in_flight[port] -= 1
-
-    def take_error_ack(self, batch: SlotBatch, i: int, resp: Resp) -> None:
-        """Deliver one errored word-write acknowledgement (poisons the beat)."""
-        batch.poison_beat(batch.beat_of[i], resp)
-        batch.beat_acks[batch.beat_of[i]] -= 1
-        in_flight = self.regulator._in_flight
-        port = batch.ports[i]
-        if in_flight[port] <= 0:
-            raise SimulationError(f"regulator underflow on port {port}")
-        in_flight[port] -= 1
 
     # -------------------------------------------------------------- emission
     def pop_ready_b_beat(self) -> Optional[BBeat]:

@@ -9,7 +9,7 @@ words return from the banks.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import Deque, List, Optional, Set
 
 from repro.axi.pack import PackMode
 from repro.axi.signals import RBeat
@@ -17,7 +17,6 @@ from repro.axi.transaction import BusRequest
 from repro.controller.context import AdapterContext
 from repro.controller.converter import Converter
 from repro.controller.lanes import LaneReadPipe, batch_strided
-from repro.mem.words import WordRequest
 
 #: Upper bound on beats buffered in the pipe before new bursts stall.
 _MAX_PENDING_BEATS = 1024
@@ -43,11 +42,8 @@ class StridedReadConverter(Converter):
         )
         self._c_bursts.value += 1
 
-    def issue(self, free_ports: Set[int], out: List[WordRequest]) -> None:
+    def issue(self, free_ports: Set[int], out: List[Deque[tuple]]) -> None:
         self._pipe.issue(free_ports, out)
-
-    def has_unissued(self) -> bool:
-        return bool(self._pipe._unissued)
 
     def unissued_deques(self):
         return (self._pipe._unissued,)

@@ -7,7 +7,7 @@ converters "differ only in the direction of the datapath").
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import Deque, List, Optional, Set
 
 from repro.axi.pack import PackMode
 from repro.axi.signals import BBeat
@@ -15,7 +15,6 @@ from repro.axi.transaction import BusRequest
 from repro.controller.context import AdapterContext
 from repro.controller.converter import Converter
 from repro.controller.lanes import LaneWritePipe, batch_strided
-from repro.mem.words import WordRequest
 
 
 class StridedWriteConverter(Converter):
@@ -41,11 +40,8 @@ class StridedWriteConverter(Converter):
     def take_w_beat(self, payload: bytes) -> None:
         self._pipe.take_w_beat(payload)
 
-    def issue(self, free_ports: Set[int], out: List[WordRequest]) -> None:
+    def issue(self, free_ports: Set[int], out: List[Deque[tuple]]) -> None:
         self._pipe.issue(free_ports, out)
-
-    def has_unissued(self) -> bool:
-        return bool(self._pipe._unissued)
 
     def unissued_deques(self):
         return (self._pipe._unissued,)

@@ -18,7 +18,7 @@ from repro.axi.monitor import ChannelMonitor
 from repro.axi.port import AxiPort, AxiPortConfig
 from repro.axi.signals import WBeat
 from repro.axi.transaction import BusRequest
-from repro.controller.adapter import AxiPackAdapter
+from repro.controller.adapter import AxiPackAdapter, BankedChannel
 from repro.controller.context import AdapterConfig
 from repro.errors import SimulationError
 from repro.mem.banked import BankedMemory, BankedMemoryConfig
@@ -222,11 +222,8 @@ class ControllerTestbench:
             "requestor", self.port, requests, write_payloads, max_outstanding
         )
         engine.add_component(requestor)
-        engine.add_component(self.adapter)
-        engine.add_component(self.memory)
+        engine.add_component(BankedChannel("channel", self.adapter))
         for queue in self.port.all_queues():
-            engine.add_queue(queue)
-        for queue in self.memory.all_queues():
             engine.add_queue(queue)
         cycles = engine.run_until(requestor.done, max_cycles=max_cycles)
         # Drain a few extra cycles so late statistics settle.

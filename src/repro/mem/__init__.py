@@ -7,15 +7,13 @@ and an idealized memory endpoint used by the IDEAL reference system.
 """
 
 from repro.mem.storage import MemoryStorage
-from repro.mem.words import BankAddressMap, WordRequest, WordResponse
+from repro.mem.words import BankAddressMap
 from repro.mem.banked import BankedMemory, BankedMemoryConfig
 from repro.mem.ideal import IdealMemoryEndpoint
 
 __all__ = [
     "MemoryStorage",
     "BankAddressMap",
-    "WordRequest",
-    "WordResponse",
     "BankedMemory",
     "BankedMemoryConfig",
     "IdealMemoryEndpoint",

@@ -7,6 +7,25 @@ serves one word access per cycle; when several ports target the same bank in
 the same cycle, all but one stall — those stalls are the bank conflicts that
 limit the utilization curves of Fig. 5.
 
+Port interface
+--------------
+Every word port has a request FIFO (``req_fifos[port]``, at most
+``request_queue_depth`` deep) and a response FIFO (``rsp_fifos[port]``, at
+most ``response_queue_depth`` deep).  Both hold the lane pipes'
+``(pipe, batch, slot)`` tags; there is no per-word record.  The word address
+comes from ``batch.words[slot]``, write data from the beat's
+``batch.beat_payload``, and a granted read deposits its bytes straight into
+the beat's ``batch.beat_data`` buffer.  An errored access poisons its beat
+at grant.  The adapter appends requests and pops responses; the memory pops
+requests at grant and appends responses once the bank latency has passed.
+
+The FIFOs keep registered-output timing: a request appended at cycle *t*
+is granted at *t + 1* at the earliest.  Each port takes at most one request
+per cycle, so only a lone head can be that fresh; ``req_pushed_at`` records
+the cycle of each port's latest request for that check.  The adapter ticks
+before the memory within a cycle, so a response appended at *t* is popped
+at *t + 1* at the earliest without any such check.
+
 Arbitration is *batched*: every cycle the head-of-line requests of all ports
 are gathered into claim lists, their banks computed in one pass, and winners
 picked per bank from the precomputed bank list.  The grants are exactly
@@ -18,10 +37,7 @@ resolved in.  Array-side formulations (``BankAddressMap.banks_of_words``
 over the claim words, or a full lexsort on ``(bank, rotated priority)`` plus
 first-of-run masking) compute the same winners but were measured slower
 than plain modulo over claim lists bounded by ``num_ports``; the property
-test in ``tests/test_mem_banked.py`` pins the equivalence.  Granted
-requests double as their own responses (reads deposit the word into the
-request's ``data`` field), and response delivery advances the engine's
-activity counter by the exact batch size per port.
+test in ``tests/test_mem_banked.py`` pins the equivalence.
 """
 
 from __future__ import annotations
@@ -32,13 +48,13 @@ from typing import Deque, List, Optional, Tuple
 
 from repro.axi.faults import BusFaultPlan
 from repro.axi.types import Resp, worst_resp
-from repro.errors import ConfigurationError
 from repro.mem.storage import MemoryStorage
-from repro.mem.words import BankAddressMap, WordRequest, WordResponse
-from repro.sim.component import IDLE, Component, WakeHint
-from repro.sim.queue import DecoupledQueue
+from repro.sim.component import IDLE
 from repro.sim.stats import StatsRegistry
 from repro.utils.validation import check_positive
+
+#: Prebound: compared once per granted word.
+_RESP_OKAY = Resp.OKAY
 
 
 @dataclass(frozen=True)
@@ -63,19 +79,15 @@ class BankedMemoryConfig:
         check_positive("word_bytes", self.word_bytes)
         check_positive("latency", self.latency)
 
-    @property
-    def address_map(self) -> BankAddressMap:
-        """The word-to-bank mapping implied by this configuration."""
-        return BankAddressMap(num_banks=self.num_banks, word_bytes=self.word_bytes)
 
+class BankedMemory:
+    """The banked SRAM behind one adapter, with per-port request/response FIFOs.
 
-class BankedMemory(Component):
-    """The banked SRAM endpoint with per-port request/response queues.
-
-    Converters push :class:`~repro.mem.words.WordRequest` items into
-    ``request_queues[port]`` and receive :class:`WordResponse` items from
-    ``response_queues[port]``.  Responses on one port always return in
-    request order (fixed bank latency plus in-order issue per port).
+    Not an engine component of its own: the channel stage
+    (:class:`~repro.controller.adapter.BankedChannel`) calls :meth:`tick`
+    right after the adapter's tick every cycle the memory is due.  Responses
+    on one port always return in request order (fixed bank latency plus
+    in-order issue per port).
     """
 
     def __init__(
@@ -86,7 +98,7 @@ class BankedMemory(Component):
         stats: Optional[StatsRegistry] = None,
         bus_faults: Optional[BusFaultPlan] = None,
     ) -> None:
-        super().__init__(name)
+        self.name = name
         self.config = config
         self.storage = storage
         self.stats = stats if stats is not None else StatsRegistry()
@@ -96,28 +108,27 @@ class BankedMemory(Component):
             bus_faults if bus_faults is not None
             and bus_faults.touches_port(name) else None
         )
-        self.address_map = config.address_map
-        self.request_queues: List[DecoupledQueue[WordRequest]] = [
-            DecoupledQueue(f"{name}.req[{port}]", config.request_queue_depth)
-            for port in range(config.num_ports)
-        ]
-        self.response_queues: List[DecoupledQueue[WordResponse]] = [
-            DecoupledQueue(f"{name}.rsp[{port}]", config.response_queue_depth)
-            for port in range(config.num_ports)
-        ]
-        # In-flight accesses: (ready_cycle, response) kept in issue order per port.
-        self._in_flight: List[Deque[Tuple[int, WordResponse]]] = [
-            deque() for _ in range(config.num_ports)
+        ports = config.num_ports
+        #: per-port request FIFOs of (pipe, batch, slot) tags, oldest first
+        self.req_fifos: List[Deque[tuple]] = [deque() for _ in range(ports)]
+        #: cycle of the latest request appended to each port's FIFO
+        self.req_pushed_at: List[int] = [-1] * ports
+        #: per-port FIFOs of completed accesses' tags, oldest first
+        self.rsp_fifos: List[Deque[tuple]] = [deque() for _ in range(ports)]
+        #: granted accesses per port: (ready_cycle, tag) in grant order
+        self._in_flight: List[Deque[Tuple[int, tuple]]] = [
+            deque() for _ in range(ports)
         ]
         self._flight_count = 0  #: total in-flight accesses across all ports
-        #: prebound (request queue, in-flight deque) per port for the
-        #: gather scan (both containers are stable across reset)
-        self._port_pairs = list(zip(self.request_queues, self._in_flight))
-        self._bank_last_grant: List[int] = [config.num_ports - 1] * config.num_banks
+        #: prebound (request FIFO, in-flight deque) per port for the gather
+        #: scan, and (in-flight deque, response FIFO) for delivery (all are
+        #: stable across reset)
+        self._port_pairs = list(zip(self.req_fifos, self._in_flight))
+        self._delivery_pairs = list(zip(self._in_flight, self.rsp_fifos))
+        self._bank_last_grant: List[int] = [ports - 1] * config.num_banks
         #: writable view of the memory image for single-word accesses — the
         #: word read/write fast path (aliases storage._data)
         self._mem_view = storage._data.data
-        self._mem_size = storage.size_bytes
         #: number of whole words in the image — the word-granular range
         #: check is two integer compares
         self._num_words = storage.size_bytes // config.word_bytes
@@ -127,59 +138,54 @@ class BankedMemory(Component):
         self._c_writes = self.stats.counter("mem.word_writes")
         self._c_reads = self.stats.counter("mem.word_reads")
 
-    # ----------------------------------------------------------------- wiring
-    def all_queues(self) -> List[DecoupledQueue]:
-        """Every queue owned by the memory (for engine registration)."""
-        return [*self.request_queues, *self.response_queues]
-
     # ------------------------------------------------------------------ tick
-    def tick(self, cycle: int) -> WakeHint:
-        if self._flight_count:
-            self._deliver_responses(cycle)
-        self._accept_requests(cycle)
-        # New requests and response-queue back-pressure wake us through the
-        # queue subscriptions; the only time-gated event is an in-flight
-        # access maturing after the bank latency.
-        if not self._flight_count:
-            return IDLE
+    def tick(self, cycle: int) -> int:
+        """Deliver matured accesses, then grant new ones.
+
+        Returns how many words moved through the port FIFOs (responses
+        appended plus requests popped), which the channel stage counts as
+        forward progress.
+        """
+        moved = self._deliver(cycle) if self._flight_count else 0
+        return moved + self._grant(cycle)
+
+    def next_ready(self, cycle: int) -> float:
+        """The earliest in-flight maturity after ``cycle``, else ``IDLE``.
+
+        New requests and response-FIFO back-pressure reach the memory
+        through the adapter's FIFO traffic; the only time-gated event is an
+        in-flight access maturing after the bank latency.  A matured head
+        that waits for response room is woken by the adapter's pop.
+        """
         wake = IDLE
-        for in_flight in self._in_flight:
-            if in_flight:
-                ready = in_flight[0][0]
-                if ready > cycle and ready < wake:
-                    wake = ready
+        if self._flight_count:
+            for in_flight in self._in_flight:
+                if in_flight:
+                    ready = in_flight[0][0]
+                    if cycle < ready < wake:
+                        wake = ready
         return wake
 
-    def wake_queues(self):
-        return self.all_queues()
-
-    def _deliver_responses(self, cycle: int) -> None:
-        # Batched delivery: all of a port's matured responses land through
-        # one DecoupledQueue.push_many call, which advances the engine's
-        # activity counter by the exact item count while marking the dirty
-        # list once per queue.
+    def _deliver(self, cycle: int) -> int:
+        """Move each port's matured accesses into its response FIFO, as far
+        as the FIFO has room."""
+        depth = self.config.response_queue_depth
         delivered = 0
-        response_queues = self.response_queues
-        batch: List = []
-        for port, in_flight in enumerate(self._in_flight):
+        for in_flight, responses in self._delivery_pairs:
             if not in_flight:
                 continue
-            queue = response_queues[port]
-            room = queue.depth - queue._count
+            room = depth - len(responses)
             while room > 0 and in_flight and in_flight[0][0] <= cycle:
-                batch.append(in_flight.popleft()[1])
+                responses.append(in_flight.popleft()[1])
                 room -= 1
-            if batch:
-                queue.push_many(batch)
-                delivered += len(batch)
-                del batch[:]
+                delivered += 1
         self._flight_count -= delivered
+        return delivered
 
-    def _accept_requests(self, cycle: int) -> None:
+    def _grant(self, cycle: int) -> int:
         config = self.config
         in_flight_limit = 4 * config.response_queue_depth
-        request_queues = self.request_queues
-        all_in_flight = self._in_flight
+        pushed_at = self.req_pushed_at
         # Gather this cycle's head-of-line claimants.  The single-claimant
         # case (the majority of cycles) stays on plain scalars; two or more
         # claimants are batched into the claim lists below.
@@ -187,24 +193,28 @@ class BankedMemory(Component):
         first_word = 0
         batch_ports = None
         batch_words = None
-        for port, (queue, flight) in enumerate(self._port_pairs):
-            storage = queue._storage
-            if not storage:
+        for port, (requests, flight) in enumerate(self._port_pairs):
+            if not requests:
+                continue
+            # A lone request appended this cycle is not visible yet.
+            if pushed_at[port] == cycle and len(requests) == 1:
                 continue
             # Hold issue if the response path is saturated to bound in-flight state.
             if len(flight) >= in_flight_limit:
                 continue
+            _pipe, batch, slot = requests[0]
+            word = batch.words[slot]
             if first_port < 0:
                 first_port = port
-                first_word = storage[0].word_addr
+                first_word = word
             elif batch_ports is None:
                 batch_ports = [first_port, port]
-                batch_words = [first_word, storage[0].word_addr]
+                batch_words = [first_word, word]
             else:
                 batch_ports.append(port)
-                batch_words.append(storage[0].word_addr)
+                batch_words.append(word)
         if first_port < 0:
-            return
+            return 0
         conflict_free = config.conflict_free
         if batch_ports is None:
             if not conflict_free:
@@ -226,128 +236,136 @@ class BankedMemory(Component):
             num_banks = config.num_banks
             banks = [word % num_banks for word in batch_words]
             last_grant = self._bank_last_grant
-            num_ports = config.num_ports
-            claims: dict = {}
-            for index, bank in enumerate(banks):
-                prev = claims.get(bank)
-                if prev is None:
-                    claims[bank] = index
-                elif prev.__class__ is int:
-                    claims[bank] = [prev, index]
-                else:
-                    prev.append(index)
-            granted = []
-            # Bank keys are unique and per-port state is independent, so any
-            # grant order is behaviour-identical — but iterate in sorted bank
-            # order anyway so the walk itself is deterministic by
-            # construction, not by insertion-order accident (reprolint ORD01).
-            for bank, entry in sorted(claims.items()):
-                if entry.__class__ is int:
-                    port = batch_ports[entry]
-                else:
-                    # Round-robin pick: the claimant round-robin-closest
-                    # after the bank's last grant wins (distinct keys, so
-                    # the minimum is unique and order-independent).
-                    last = last_grant[bank]
-                    port = min(
-                        (batch_ports[i] for i in entry),
-                        key=lambda p, _last=last: (p - _last - 1) % num_ports,
-                    )
-                    self._c_conflicts.value += len(entry) - 1
-                last_grant[bank] = port
-                granted.append(port)
-        # Grant phase: pop each winner's request and start the bank access.
+            if len(set(banks)) == len(banks):
+                # No two claimants share a bank: every claimant wins.
+                for bank, port in zip(banks, batch_ports):
+                    last_grant[bank] = port
+                granted = batch_ports
+            else:
+                granted = self._arbitrate(batch_ports, banks)
+        # Grant phase: pop each winner's tag and perform the bank access.
         # Per-port state is independent, so grant order across banks cannot
-        # affect simulated behaviour.  The request object doubles as its own
-        # response (it already carries the port, routing tag and is_write
-        # flag; reads deposit their word into its ``data`` field), and
-        # single-word storage accesses go straight through a cached writable
-        # view of the memory image — the same bytes
-        # `storage.read_bytes`/`storage.write` would touch, minus the
-        # per-call layers.
+        # affect simulated behaviour.  Single-word accesses go straight
+        # through a cached writable view of the memory image — the same
+        # bytes `storage.read_bytes`/`storage.write` would touch, minus the
+        # per-call layers.  A read's bytes land in its beat at the access;
+        # the beat is only handed out once every word of it has come back
+        # through the response FIFO.
         latency = config.latency
         word_bytes = config.word_bytes
         num_words = self._num_words
         fault_plan = self._fault_plan
         name = self.name
         view = self._mem_view
+        req_fifos = self.req_fifos
+        all_in_flight = self._in_flight
         writes = 0
         lost = 0
         ready = cycle + latency
         for port in granted:
-            # Inlined DecoupledQueue.pop (one grant per port per cycle).
-            queue = request_queues[port]
-            queue.total_popped += 1
-            queue._count -= 1
-            engine = queue._engine
-            if engine is not None:
-                engine._activity += 1
-                if not queue._touched:
-                    queue._touched = True
-                    engine._touched_queues.append(queue)
-            request = queue._storage.popleft()
+            tag = req_fifos[port].popleft()
+            _pipe, batch, slot = tag
+            word = batch.words[slot]
+            payloads = batch.beat_payload  # None for reads
             # Word-granular range check (two integer compares): a bad
             # address completes with SLVERR in-band and never touches the
             # storage.
-            serve = 0 <= request.word_addr < num_words
-            if not serve:
-                request.resp = Resp.SLVERR
+            serve = 0 <= word < num_words
+            resp = _RESP_OKAY if serve else Resp.SLVERR
             port_ready = ready
             if fault_plan is not None:
                 # Injection choke point (consulted before the storage
                 # access: an injected error means the bank did *not*
                 # perform the access).  Word accesses carry no txn serial,
                 # so plans targeting this path key by address range.
-                fault = fault_plan.first_match(
-                    name, None, request.word_addr * word_bytes
-                )
+                fault = fault_plan.first_match(name, None, word * word_bytes)
                 if fault is not None:
                     kind = fault.kind
                     if kind == "lost":
                         lost += 1
-                        if request.is_write:
+                        if payloads is not None:
                             writes += 1
                         continue  # the response simply never comes back
                     if kind == "stall":
                         port_ready = ready + fault.stall_cycles
                     else:
-                        request.resp = worst_resp(request.resp, fault.resp)
+                        resp = worst_resp(resp, fault.resp)
                         serve = False
-            if request.is_write:
-                data = request.data
-                if data is None:
-                    raise ConfigurationError("write word request without data")
+            beat = batch.beat_of[slot]
+            if payloads is not None:
                 if serve:
-                    byte_addr = request.word_addr * word_bytes
-                    end = byte_addr + word_bytes
-                    if isinstance(data, (bytes, bytearray, memoryview)):
-                        view[byte_addr:end] = data
-                    else:
-                        self.storage.write(byte_addr, data)
+                    byte_addr = word * word_bytes
+                    offset = batch.offsets[slot]
+                    view[byte_addr : byte_addr + word_bytes] = payloads[beat][
+                        offset : offset + word_bytes
+                    ]
                 writes += 1
             elif serve:
-                byte_addr = request.word_addr * word_bytes
-                request.data = view[byte_addr : byte_addr + word_bytes].tobytes()
-            all_in_flight[port].append((port_ready, request))
+                nbytes = batch.nbytes[slot]
+                byte_addr = word * word_bytes + batch.shifts[slot]
+                offset = batch.offsets[slot]
+                batch.beat_views[beat][offset : offset + nbytes] = view[
+                    byte_addr : byte_addr + nbytes
+                ]
+            if resp is not _RESP_OKAY:
+                # An errored access carries no valid data; its beat is
+                # poisoned instead of filled.
+                batch.poison_beat(beat, resp)
+            all_in_flight[port].append((port_ready, tag))
         self._flight_count += len(granted) - lost
         self._c_accesses.value += len(granted)
         self._c_writes.value += writes
         self._c_reads.value += len(granted) - writes
+        return len(granted)
+
+    def _arbitrate(self, ports: List[int], banks: List[int]) -> List[int]:
+        """Per-bank round-robin, for claim lists where banks repeat.
+
+        ``banks[i]`` is the bank ``ports[i]`` claims; returns one winner per
+        claimed bank.  The claimant round-robin-closest after the bank's
+        last grant wins.
+        """
+        last_grant = self._bank_last_grant
+        num_ports = self.config.num_ports
+        claims: dict = {}
+        for index, bank in enumerate(banks):
+            prev = claims.get(bank)
+            if prev is None:
+                claims[bank] = index
+            elif prev.__class__ is int:
+                claims[bank] = [prev, index]
+            else:
+                prev.append(index)
+        granted = []
+        # Bank keys are unique and per-port state is independent, so any
+        # grant order is behaviour-identical — but iterate in sorted bank
+        # order anyway so the walk itself is deterministic by construction,
+        # not by insertion-order accident (reprolint ORD01).
+        for bank, entry in sorted(claims.items()):
+            if entry.__class__ is int:
+                port = ports[entry]
+            else:
+                # Distinct ports, so the minimum is unique and
+                # order-independent.
+                last = last_grant[bank]
+                port = min(
+                    (ports[i] for i in entry),
+                    key=lambda p, _last=last: (p - _last - 1) % num_ports,
+                )
+                self._c_conflicts.value += len(entry) - 1
+            last_grant[bank] = port
+            granted.append(port)
+        return granted
 
     # ------------------------------------------------------------------ state
     def busy(self) -> bool:
         if self._flight_count:
             return True
-        if any(not queue.is_empty() for queue in self.request_queues):
-            return True
-        return any(not queue.is_empty() for queue in self.response_queues)
+        return any(self.req_fifos) or any(self.rsp_fifos)
 
     def reset(self) -> None:
-        for flight in self._in_flight:
-            flight.clear()
+        for container in (*self._in_flight, *self.req_fifos, *self.rsp_fifos):
+            container.clear()
         self._flight_count = 0
-        for queue in self.request_queues:
-            queue.clear()
-        for queue in self.response_queues:
-            queue.clear()
+        self.req_pushed_at[:] = [-1] * self.config.num_ports
         self._bank_last_grant = [self.config.num_ports - 1] * self.config.num_banks

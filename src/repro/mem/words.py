@@ -1,4 +1,4 @@
-"""Word-level memory requests and the bank address mapping.
+"""The word-to-bank address mapping.
 
 The controller's converters break every burst into *word* accesses — a word
 being the width of one memory bank (32 bit in the paper's systems).  The
@@ -11,22 +11,17 @@ strided accesses evenly).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.axi.types import Resp
 from repro.errors import ConfigurationError
 from repro.utils.bitutils import is_power_of_two
 from repro.utils.validation import check_positive
 
-#: Module-level constant: WordRequest construction is the simulator's
-#: hottest allocation site, so the default resp is bound once here.
-_RESP_OKAY = Resp.OKAY
-
 
 @dataclass(frozen=True)
-class BankAddressMap:  # reprolint: disable=HOT01: frozen dataclass with a field default; __slots__ would clash with the default's class attribute on py3.9, and maps are built once per system, not per beat
+class BankAddressMap:
     """Interleaved word-to-bank mapping.
 
     Word address ``w = byte_addr // word_bytes`` maps to bank ``w % num_banks``
@@ -70,81 +65,3 @@ class BankAddressMap:  # reprolint: disable=HOT01: frozen dataclass with a field
     def banks_of_words(self, word_addrs: np.ndarray) -> np.ndarray:
         """Vectorized bank computation for an array of word addresses."""
         return np.asarray(word_addrs, dtype=np.int64) % self.num_banks
-
-
-class WordRequest:
-    """One word-wide access from a controller port to the banked memory.
-
-    A plain ``__slots__`` record: word accesses are created at bus-width rate
-    on the simulator's hottest path, so constructor cost matters.
-
-    Attributes
-    ----------
-    port:
-        Index of the word port issuing the request (0 .. n-1).
-    word_addr:
-        Word address (byte address // word size).
-    is_write:
-        True for a write access.
-    data:
-        Word payload for writes (``word_bytes`` bytes as ``bytes`` or a
-        numpy byte array), None for reads.
-    tag:
-        Opaque routing tag used by the issuing converter to match responses
-        (converter id, beat number, slot within the beat, ...).
-    resp:
-        Response code filled in by the memory when the access completes
-        (the request object doubles as its own response on the banked
-        path).  ``Resp.OKAY`` unless the word fell outside the memory or a
-        fault plan targeted it.
-    """
-
-    __slots__ = ("port", "word_addr", "is_write", "data", "tag", "resp")
-
-    def __init__(
-        self,
-        port: int,
-        word_addr: int,
-        is_write: bool,
-        data: Optional[object] = None,
-        tag: Optional[object] = None,
-    ) -> None:
-        self.port = port
-        self.word_addr = word_addr
-        self.is_write = is_write
-        self.data = data
-        self.tag = tag
-        self.resp = _RESP_OKAY
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "write" if self.is_write else "read"
-        return f"WordRequest({kind} port={self.port} word={self.word_addr:#x})"
-
-
-class WordResponse:
-    """Response to a :class:`WordRequest` after the bank access completes.
-
-    ``data`` carries the word payload for reads (``bytes``), None for write
-    acknowledgements.  ``resp`` reports the access outcome (OKAY unless
-    the word faulted).
-    """
-
-    __slots__ = ("port", "tag", "data", "is_write", "resp")
-
-    def __init__(
-        self,
-        port: int,
-        tag: object,
-        data: Optional[object] = None,
-        is_write: bool = False,
-        resp: Optional[object] = None,
-    ) -> None:
-        self.port = port
-        self.tag = tag
-        self.data = data
-        self.is_write = is_write
-        self.resp = _RESP_OKAY if resp is None else resp
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "write" if self.is_write else "read"
-        return f"WordResponse({kind} port={self.port})"

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Iterable, Optional, Union
+from typing import Any, Iterable, Optional, Union
 
 #: Wake hint meaning "sleep until poked by queue activity".
 IDLE: float = math.inf
@@ -58,6 +58,11 @@ class Component(abc.ABC):
 
     #: Slot index assigned by the owning engine (set at registration).
     _engine_slot: int = -1
+    #: The owning engine (set at registration).  A component that hands
+    #: items between its own parts without a queue bumps
+    #: ``_engine._activity`` per hand-off, as a queue push or pop would, so
+    #: deadlock detection still sees the progress.
+    _engine: Any = None
 
     def __init__(self, name: str) -> None:
         self.name = name

@@ -21,9 +21,10 @@ construction free of ticks and queue activity.
 
 Deadlock detection watches total queue activity through an O(1) counter
 incremented by the queues themselves (instead of summing every queue's
-totals each cycle): if no item is pushed or popped anywhere for
-``deadlock_window`` consecutive cycles, a :class:`DeadlockError` is raised
-with a snapshot of component states to aid debugging.
+totals each cycle), and by components that hand items between their own
+parts without a queue: if no item moves anywhere for ``deadlock_window``
+consecutive cycles, a :class:`DeadlockError` is raised with a snapshot of
+component states to aid debugging.
 
 For A/B comparison and regression hunting the seed behaviour is still
 available: construct ``Engine(event_driven=False)`` to tick every component
@@ -136,13 +137,16 @@ class Engine:
         self._wakes: List[float] = []  #: next due cycle per component slot
         self._queues: List[DecoupledQueue] = []
         self._pipes: List[LatencyPipe] = []
-        self._activity = 0  #: O(1) push/pop counter, bumped by bound queues
+        #: O(1) progress counter, bumped by bound queues on every push/pop
+        #: and by components on internal hand-offs (Component._engine)
+        self._activity = 0
         self._touched_queues: List[DecoupledQueue] = []  #: dirty list, per cycle
 
     # ------------------------------------------------------------ registration
     def add_component(self, component: Component) -> Component:
         """Register a component; it is due immediately and then follows hints."""
         component._engine_slot = len(self._components)
+        component._engine = self
         self._components.append(component)
         self._wakes.append(self.cycle)
         for queue in component.wake_queues():
@@ -331,17 +335,17 @@ class Engine:
     def _run_until_naive(
         self, done: Callable[[], bool], max_cycles: int
     ) -> int:
-        """Seed run loop: step every cycle, O(queues) activity scan."""
+        """Seed run loop: step every cycle, no skipping."""
         start_cycle = self.cycle
         idle_cycles = 0
-        last_activity = self._activity_totals()
+        last_activity = self._activity
         while not done():
             if self.cycle - start_cycle >= max_cycles:
                 raise SimulationError(
                     f"simulation exceeded {max_cycles} cycles without completing"
                 )
             self._step_one()
-            activity = self._activity_totals()
+            activity = self._activity
             if activity == last_activity:
                 idle_cycles += 1
                 if idle_cycles >= self.deadlock_window:
@@ -356,10 +360,6 @@ class Engine:
         return self.run_until(self._all_idle, max_cycles=max_cycles)
 
     # ----------------------------------------------------------------- helpers
-    def _activity_totals(self) -> int:
-        """Seed-style activity scan (kept for the naive compatibility mode)."""
-        return sum(q.total_pushed + q.total_popped for q in self._queues)
-
     def _all_idle(self) -> bool:
         if any(component.busy() for component in self._components):
             return False

@@ -89,28 +89,6 @@ class DecoupledQueue(Generic[ItemT]):
                 self._touched = True
                 engine._touched_queues.append(self)
 
-    def push_many(self, items) -> None:
-        """Push a batch of items with exact aggregate bookkeeping.
-
-        Semantically identical to pushing the items one by one: the engine's
-        activity counter advances by ``len(items)`` (deadlock detection sees
-        every item) while the dirty-list marking happens once.  Raises if
-        the batch does not fit — callers check :meth:`can_push` with the
-        batch size first.
-        """
-        count = len(items)
-        if self._count + count > self.depth:
-            raise SimulationError(f"push of {count} items to full queue {self.name!r}")
-        self._incoming.extend(items)
-        self._count += count
-        self.total_pushed += count
-        engine = self._engine
-        if engine is not None:
-            engine._activity += count
-            if not self._touched:
-                self._touched = True
-                engine._touched_queues.append(self)
-
     # ------------------------------------------------------------------- pop
     def can_pop(self) -> bool:
         """Return True if an item is available to pop this cycle."""

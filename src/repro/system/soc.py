@@ -19,7 +19,9 @@ With ``num_channels == M > 1`` the SoC becomes a full M×N crossbar: each
 engine fans out through a private :class:`~repro.axi.mux.CycleAxiDemux`
 over an N×M grid of link ports, and each memory channel merges its N links
 through a private :class:`~repro.axi.mux.CycleAxiMux` into its own adapter
-+ :class:`~repro.mem.banked.BankedMemory` stack (or ideal endpoint).
++ :class:`~repro.mem.banked.BankedMemory` stack (or ideal endpoint).  A
+banked stack is one engine component,
+:class:`~repro.controller.adapter.BankedChannel`.
 Channels are selected by stripe-interleaved address decode
 (:class:`~repro.axi.interconnect.InterleavedAddressMap`): consecutive
 ``channel_stripe_bytes`` stripes rotate across channels, so every channel
@@ -36,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.axi.mux import CycleAxiDemux, CycleAxiMux
 from repro.axi.port import AxiPort, AxiPortConfig
-from repro.controller.adapter import AxiPackAdapter
+from repro.controller.adapter import AxiPackAdapter, BankedChannel
 from repro.errors import ConfigurationError, SimulationError
 from repro.mem.banked import BankedMemory
 from repro.mem.ideal import IdealMemoryEndpoint
@@ -58,10 +60,11 @@ class Soc:
     ``run_program`` calls on one :class:`Soc` report identical measurements
     (the memory image is deliberately *not* reset — workloads own it).
 
-    Attribute conventions: ``endpoints`` / ``memories`` always list every
-    channel stack; the historical single-channel aliases ``endpoint`` /
-    ``memory`` point at the one stack when ``num_channels == 1`` and are
-    ``None`` on multi-channel SoCs.
+    Attribute conventions: ``endpoints`` (each stack's engine component: a
+    :class:`BankedChannel` or an :class:`IdealMemoryEndpoint`) and
+    ``memories`` always list every channel stack; the historical
+    single-channel aliases ``endpoint`` / ``memory`` point at the one stack
+    when ``num_channels == 1`` and are ``None`` on multi-channel SoCs.
     """
 
     def __init__(self, config: SystemConfig) -> None:
@@ -161,7 +164,7 @@ class Soc:
 
     def _build_channel_stack(
         self, suffix: str, port: AxiPort, stats: StatsRegistry
-    ) -> Tuple[Optional[BankedMemory], Union[AxiPackAdapter, IdealMemoryEndpoint]]:
+    ) -> Tuple[Optional[BankedMemory], Union[BankedChannel, IdealMemoryEndpoint]]:
         """One memory channel: adapter + banked memory, or ideal endpoint.
 
         Every stack serves the shared ``self.storage`` image; ``stats`` is
@@ -180,10 +183,10 @@ class Soc:
             f"banked_mem{suffix}", config.memory_config(), self.storage, stats,
             bus_faults=config.bus_faults,
         )
-        endpoint = AxiPackAdapter(
+        adapter = AxiPackAdapter(
             f"adapter{suffix}", port, memory, config.adapter_config(), stats
         )
-        return memory, endpoint
+        return memory, BankedChannel(f"banked_channel{suffix}", adapter)
 
     @property
     def kind(self) -> SystemKind:
@@ -222,7 +225,7 @@ class Soc:
     def _reset_for_run(self) -> None:
         """Restore every reusable piece of the SoC to its post-build state.
 
-        Statistics, component state (adapter converters, channel monitors,
+        Statistics, component state (adapter converters, memory FIFOs,
         arbitration pointers, bank round-robin state) and the AXI channel
         queues are all owned by the :class:`Soc` and survive across runs;
         without this reset a second ``run_program`` on the same SoC would
@@ -237,8 +240,6 @@ class Soc:
             stats.reset()
         for endpoint in self.endpoints:
             endpoint.reset()
-        for memory in self.memories:
-            memory.reset()
         if self.mux is not None:
             self.mux.reset()
         for demux in self.demuxes:
@@ -336,9 +337,8 @@ class Soc:
         # files against the functional oracle after the run completes).
         self.last_engines: List[VectorEngine] = vectors
         # Registration wires the wake machinery: each component subscribes to
-        # the queues named by its ``wake_queues`` (the AXI port channels, the
-        # banked memories' request/response queues), and registered queues
-        # act as the engine's dirty/wake lists.
+        # the queues named by its ``wake_queues`` (the AXI port channels),
+        # and registered queues act as the engine's dirty/wake lists.
         for vector in vectors:
             engine.add_component(vector)
         if self.mux is not None:
@@ -349,10 +349,6 @@ class Soc:
             engine.add_component(mux)
         for endpoint in self.endpoints:
             engine.add_component(endpoint)
-        for memory in self.memories:
-            engine.add_component(memory)
-            for queue in memory.all_queues():
-                engine.add_queue(queue)
         for port in self.ports:
             for queue in port.all_queues():
                 engine.add_queue(queue)

@@ -1,5 +1,7 @@
 """Unit tests for the request regulator and the lane read/write pipes."""
 
+from collections import deque
+
 import pytest
 
 from repro.axi.pack import PackUserField
@@ -9,6 +11,8 @@ from repro.controller.context import AdapterConfig
 from repro.controller.lanes import LaneReadPipe, LaneWritePipe, batch_strided
 from repro.controller.regulator import RequestRegulator
 from repro.errors import SimulationError
+from repro.mem.banked import BankedMemory, BankedMemoryConfig
+from repro.mem.storage import MemoryStorage
 
 
 class TestRegulator:
@@ -62,38 +66,59 @@ def _read_pipe(request, queue_depth=4):
     return pipe
 
 
-def _respond(pipe, words, data_of):
-    """Deliver each issued word's response; ``data_of(port)`` is its word."""
-    for word in words:
-        _, batch, slot = word.tag
-        pipe.take_response(batch, slot, data_of(batch.ports[slot]))
+def _fifos():
+    """Empty per-port request FIFOs, as the banked memory provides."""
+    return [deque() for _ in range(8)]
+
+
+def _tags(fifos):
+    """Every tag in the FIFOs, port by port."""
+    return [tag for fifo in fifos for tag in fifo]
+
+
+def _retire(pipe, batch, slot):
+    """Retire one word as the adapter does on its response."""
+    batch.beat_pending[batch.beat_of[slot]] -= 1
+    pipe.regulator.note_retire(batch.ports[slot])
+
+
+def _respond(tags, data_of):
+    """Serve each read as the memory's grant would, then retire it;
+    ``data_of(port)`` is the word's bytes."""
+    for pipe, batch, slot in tags:
+        offset = batch.offsets[slot]
+        batch.beat_data[batch.beat_of[slot]][offset:offset + 4] = data_of(
+            batch.ports[slot])
+        _retire(pipe, batch, slot)
 
 
 class TestReadPipe:
     def test_issue_respects_free_ports(self):
         pipe = _read_pipe(_strided_request(8))
-        out = []
-        pipe.issue({0, 1, 2}, out)
+        fifos = _fifos()
+        free = {0, 1, 2}
+        pipe.issue(free, fifos)
         # In-order issue stops at the first unavailable port (port 3).
-        assert len(out) == 3
-        assert [r.port for r in out] == [0, 1, 2]
+        assert [len(fifo) for fifo in fifos] == [1, 1, 1, 0, 0, 0, 0, 0]
+        assert free == set()
+        assert [tag[0] for tag in _tags(fifos)] == [pipe] * 3
+        assert [tag[2] for tag in _tags(fifos)] == [0, 1, 2]
 
     def test_issue_respects_regulator(self):
         pipe = _read_pipe(_strided_request(16), queue_depth=1)
-        out = []
-        pipe.issue(set(range(8)), out)
-        assert len(out) == 8  # one per lane
-        out2 = []
-        pipe.issue(set(range(8)), out2)
-        assert out2 == []  # regulator full until responses retire
+        fifos = _fifos()
+        pipe.issue(set(range(8)), fifos)
+        assert len(_tags(fifos)) == 8  # one per lane
+        pipe.issue(set(range(8)), fifos)
+        assert len(_tags(fifos)) == 8  # regulator full until reads retire
 
     def test_beat_completion_and_packing(self):
         request = _strided_request(8)
         pipe = _read_pipe(request)
-        out = []
-        pipe.issue(set(range(8)), out)
+        fifos = _fifos()
+        pipe.issue(set(range(8)), fifos)
         assert pipe.pop_ready_beat() is None
-        _respond(pipe, out, lambda port: bytes([port] * 4))
+        _respond(_tags(fifos), lambda port: bytes([port] * 4))
         useful, data, req, resp = pipe.pop_ready_beat()
         assert req is request
         assert useful == 32
@@ -102,29 +127,52 @@ class TestReadPipe:
 
     def test_beats_emitted_in_order(self):
         pipe = _read_pipe(_strided_request(16), queue_depth=8)
-        out = []
-        pipe.issue(set(range(8)), out)
-        pipe.issue(set(range(8)), out)
-        assert len(out) == 16
+        fifos = _fifos()
+        pipe.issue(set(range(8)), fifos)
+        pipe.issue(set(range(8)), fifos)
+        # Each port's FIFO holds its beat-0 slot, then its beat-1 slot.
+        first = [fifo[0] for fifo in fifos]
+        second = [fifo[1] for fifo in fifos]
         # Answer the second beat's words first: nothing can be emitted yet.
-        _respond(pipe, out[8:], lambda port: b"\x01" * 4)
+        _respond(second, lambda port: b"\x01" * 4)
         assert pipe.pop_ready_beat() is None
-        _respond(pipe, out[:8], lambda port: b"\x00" * 4)
-        first = pipe.pop_ready_beat()
-        second = pipe.pop_ready_beat()
+        _respond(first, lambda port: b"\x00" * 4)
+        first_beat = pipe.pop_ready_beat()
+        second_beat = pipe.pop_ready_beat()
         # Each beat's payload identifies it: beat 0 carries zeros.
-        assert first[1] == b"\x00" * 32 and second[1] == b"\x01" * 32
+        assert first_beat[1] == b"\x00" * 32 and second_beat[1] == b"\x01" * 32
 
     def test_r_beat_wrapper(self):
         request = _strided_request(4)
         pipe = _read_pipe(request)
-        out = []
-        pipe.issue(set(range(8)), out)
-        _respond(pipe, out, lambda port: b"\xAA" * 4)
+        fifos = _fifos()
+        pipe.issue(set(range(8)), fifos)
+        _respond(_tags(fifos), lambda port: b"\xAA" * 4)
         beat = pipe.pop_ready_r_beat()
         assert beat.txn_id == request.txn_id
         assert beat.useful_bytes == 16
         assert beat.last
+
+    def test_poisoned_beat_carries_the_error(self):
+        """A word the memory answered with an error poisons its beat at
+        grant; retiring it completes the beat with that response."""
+        pipe = _read_pipe(_strided_request(8))
+        fifos = _fifos()
+        pipe.issue(set(range(8)), fifos)
+        tags = _tags(fifos)
+        tags[3][1].poison_beat(0, Resp.SLVERR)
+        for tag in tags:
+            _retire(*tag)
+        assert pipe.pop_ready_r_beat().resp is Resp.SLVERR
+
+    def test_retiring_frees_the_regulator(self):
+        pipe = _read_pipe(_strided_request(16), queue_depth=1)
+        fifos = _fifos()
+        pipe.issue(set(range(8)), fifos)
+        _retire(*fifos[0].popleft())
+        pipe.issue(set(range(8)), fifos)
+        assert [len(fifo) for fifo in fifos] == [1, 1, 1, 1, 1, 1, 1, 1]
+        assert fifos[0][0][2] == 8  # beat 1's port-0 slot
 
     def test_busy_tracking(self):
         pipe = LaneReadPipe("p", _config())
@@ -150,25 +198,29 @@ class TestWritePipe:
         assert not burst.all_w_received  # the burst still expects W data
         assert pipe.take_w_beat(bytes(range(32))) is burst
         assert burst.all_w_received
-        out = []
-        pipe.issue(set(range(8)), out)
-        assert len(out) == 8
-        assert all(word.is_write and word.data is not None for word in out)
+        fifos = _fifos()
+        pipe.issue(set(range(8)), fifos)
+        tags = _tags(fifos)
+        assert len(tags) == 8
+        assert all(batch.beat_payload is not None for _, batch, _ in tags)
         assert pipe.pop_ready_b_beat() is None
-        for word in out:
-            _, batch, slot = word.tag
-            pipe.take_ack(batch, slot)
+        for tag in tags:
+            _retire(*tag)
         beat = pipe.pop_ready_b_beat()
         assert beat is not None and beat.txn_id == request.txn_id
         assert not pipe.busy()
 
-    def test_word_write_data_matches_payload_slots(self):
-        _, pipe, _ = _strided_write(1)
+    def test_memory_writes_the_payload_slots(self):
+        """Issued into a banked memory's FIFOs, each word's data comes from
+        its slot of the W beat's payload."""
+        _, pipe, _ = _strided_write(3)
         payload = bytes(range(32))
         pipe.take_w_beat(payload)
-        out = []
-        pipe.issue(set(range(8)), out)
-        for word in out:
-            _, batch, slot = word.tag
-            offset = batch.offsets[slot]
-            assert word.data == payload[offset:offset + 4]
+        storage = MemoryStorage(1 << 12)
+        memory = BankedMemory("mem", BankedMemoryConfig(), storage)
+        pipe.issue(set(range(8)), memory.req_fifos)
+        for cycle in range(3):
+            memory.tick(cycle)
+        for element in range(8):
+            word = storage.read_bytes(element * 3 * 4, 4)
+            assert word == payload[element * 4:element * 4 + 4]

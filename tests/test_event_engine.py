@@ -9,9 +9,6 @@ it is a scheduling optimization, never a semantic change.
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.mem.banked import BankedMemory, BankedMemoryConfig
-from repro.mem.storage import MemoryStorage
-from repro.mem.words import WordRequest
 from repro.sim.component import IDLE, Component
 from repro.sim.engine import Engine
 from repro.sim.queue import LatencyPipe
@@ -304,31 +301,33 @@ class TestSystemErrorParity:
         with pytest.raises(SimulationError):
             soc.run_program(program, max_cycles=10, event_driven=event_driven)
 
-    def test_banked_memory_deadlock_cycle(self):
-        """An undrained banked memory deadlocks at the same cycle in both
-        modes."""
+    @pytest.mark.parametrize("event_driven", [True, False],
+                             ids=["event", "naive"])
+    def test_banked_channel_deadlock_cycle(self, event_driven):
+        """A memory latency longer than the deadlock window wedges a PACK
+        run at the same cycle in both modes.
 
-        def deadlock_cycle(event_driven):
-            storage = MemoryStorage(1 << 16)
-            config = BankedMemoryConfig(num_ports=2, num_banks=3,
-                                        response_queue_depth=1)
-            memory = BankedMemory("mem", config, storage)
-            engine = Engine(deadlock_window=50, event_driven=event_driven)
-            engine.add_component(memory)
-            for queue in memory.all_queues():
-                engine.add_queue(queue)
-            for i in range(2):
-                memory.request_queues[0].push(
-                    WordRequest(port=0, word_addr=i, is_write=True,
-                                data=b"\x01\x02\x03\x04")
-                )
-            with pytest.raises(DeadlockError):
-                # Nobody pops the response queue: progress stops once
-                # responses back up.
-                engine.run_until(lambda: False, max_cycles=10_000)
-            return engine.cycle
+        The first word accesses sit in the bank for 11,000 cycles, so no
+        queue moves after the adapter's last word hand-off.  Those hand-offs
+        through the channel's memory FIFOs count as progress: the window
+        runs from the last of them, not from the last AXI queue push.
+        """
+        from repro.axi.transaction import reset_txn_ids
+        from repro.orchestrate.spec import WorkloadSpec
+        from repro.system.config import SystemConfig, SystemKind
+        from repro.system.soc import build_system
 
-        assert deadlock_cycle(True) == deadlock_cycle(False)
+        reset_txn_ids()
+        workload = WorkloadSpec.create("spmv", size=16, avg_nnz_per_row=4).build()
+        config = SystemConfig(kind=SystemKind.PACK, memory_latency=11_000)
+        soc = build_system(config)
+        workload.initialize(soc.storage)
+        program = workload.build_program(config.lowering, config.vector_config())
+        with pytest.raises(DeadlockError) as info:
+            soc.run_program(program, event_driven=event_driven)
+        diagnosis = info.value.diagnosis
+        assert diagnosis.cycle == 10_010
+        assert diagnosis.busy_components == ("ara", "banked_channel")
 
 
 class TestSystemParity:

@@ -1,135 +1,225 @@
-"""Unit tests for the cycle-level banked memory."""
+"""Unit tests for the cycle-level banked memory and its port FIFOs."""
 
 import numpy as np
 import pytest
 
+from repro.axi.faults import BusFaultPlan
+from repro.axi.types import Resp
+from repro.controller.lanes import SlotBatch
 from repro.mem.banked import BankedMemory, BankedMemoryConfig
 from repro.mem.storage import MemoryStorage
-from repro.mem.words import WordRequest
-from repro.sim.engine import Engine
+from repro.sim.component import IDLE
 from repro.sim.stats import StatsRegistry
 
 
-def make_memory(num_banks=17, num_ports=8, latency=1, conflict_free=False):
+def make_memory(num_banks=17, num_ports=8, latency=1, conflict_free=False,
+                response_queue_depth=4, bus_faults=None):
     storage = MemoryStorage(1 << 16)
     config = BankedMemoryConfig(num_ports=num_ports, num_banks=num_banks,
-                                latency=latency, conflict_free=conflict_free)
+                                latency=latency, conflict_free=conflict_free,
+                                response_queue_depth=response_queue_depth)
     stats = StatsRegistry()
-    memory = BankedMemory("mem", config, storage, stats)
-    engine = Engine()
-    engine.add_component(memory)
-    for queue in memory.all_queues():
-        engine.add_queue(queue)
-    return memory, engine, storage, stats
+    memory = BankedMemory("mem", config, storage, stats, bus_faults=bus_faults)
+    return memory, storage, stats
 
 
-def push_and_run(memory, engine, requests, max_cycles=1000):
-    for request in requests:
-        memory.request_queues[request.port].push(request)
+def word_batch(words, payload=None):
+    """One beat of whole-word accesses, slot ``i`` at payload offset ``4*i``;
+    a write batch when ``payload`` is given, else a read batch."""
+    count = len(words)
+    batch = SlotBatch(
+        ports=[i % 8 for i in range(count)], words=list(words),
+        offsets=[4 * i for i in range(count)], nbytes=[4] * count,
+        shifts=[0] * count, beat_of=[0] * count, beat_start=[0, count],
+        beat_useful=[4 * count], beat_last=[True], all_full_words=True,
+    )
+    if payload is None:
+        batch.alloc_read_buffers()
+    else:
+        batch.init_write_state()
+        batch.beat_payload[0] = bytes(payload)
+    return batch
+
+
+def push(memory, port, batch, slot, cycle=-1):
+    """Append one request as the adapter would at ``cycle``."""
+    memory.req_fifos[port].append((None, batch, slot))
+    memory.req_pushed_at[port] = cycle
+
+
+def run(memory, max_cycles=1000):
+    """Tick the memory until idle, popping one response per port per cycle
+    before it as the adapter does; returns ``{port: [(cycle, tag)]}`` and
+    the cycle count."""
     responses = {port: [] for port in range(memory.config.num_ports)}
-    def drain():
-        done = True
-        for port, queue in enumerate(memory.response_queues):
-            if queue.can_pop():
-                responses[port].append(queue.pop())
-        outstanding = memory.busy() or any(
-            not q.is_empty() for q in memory.request_queues
-        )
-        return not outstanding
-    cycles = 0
-    while cycles < max_cycles:
-        engine.step()
-        cycles += 1
-        if drain() and all(q.is_empty() for q in memory.response_queues):
-            break
-    return responses, cycles
+    for cycle in range(max_cycles):
+        for port, fifo in enumerate(memory.rsp_fifos):
+            if fifo:
+                responses[port].append((cycle, fifo.popleft()))
+        memory.tick(cycle)
+        if not memory.busy():
+            return responses, cycle + 1
+    raise AssertionError("memory did not drain")
 
 
 class TestFunctional:
-    def test_read_returns_stored_word(self):
-        memory, engine, storage, _ = make_memory()
+    def test_read_lands_in_beat(self):
+        memory, storage, _ = make_memory()
         storage.write_array(0x40, np.asarray([0xDEADBEEF], dtype=np.uint32))
-        responses, _ = push_and_run(memory, engine, [
-            WordRequest(port=0, word_addr=0x10, is_write=False, tag="t")
-        ])
-        # Read responses carry the word payload as raw bytes.
-        data = np.frombuffer(responses[0][0].data, dtype=np.uint32)[0]
-        assert data == 0xDEADBEEF
-        assert responses[0][0].tag == "t"
+        batch = word_batch([0x10])
+        push(memory, 0, batch, 0)
+        responses, _ = run(memory)
+        assert responses[0][0][1] == (None, batch, 0)
+        assert np.frombuffer(batch.beat_data[0], dtype=np.uint32)[0] == 0xDEADBEEF
 
-    def test_write_updates_storage(self):
-        memory, engine, storage, _ = make_memory()
-        word = np.asarray([1234], dtype=np.uint32).view(np.uint8)
-        push_and_run(memory, engine, [
-            WordRequest(port=3, word_addr=5, is_write=True, data=word, tag=None)
-        ])
+    def test_write_takes_data_from_beat_payload(self):
+        memory, storage, _ = make_memory()
+        payload = np.asarray([7, 1234], dtype=np.uint32).tobytes()
+        batch = word_batch([9, 5], payload)
+        push(memory, 3, batch, 1)  # slot 1: payload bytes 4..8
+        run(memory)
         assert storage.read_array(20, 1, np.uint32)[0] == 1234
+        assert storage.read_array(36, 1, np.uint32)[0] == 0  # slot 0 untouched
 
-    def test_write_without_data_rejected(self):
-        memory, engine, _, _ = make_memory()
-        with pytest.raises(Exception):
-            push_and_run(memory, engine, [
-                WordRequest(port=0, word_addr=0, is_write=True, data=None)
-            ])
+    def test_out_of_range_word_poisons_beat(self):
+        memory, storage, _ = make_memory()
+        batch = word_batch([(1 << 16) // 4], payload=b"\xff" * 4)
+        push(memory, 0, batch, 0)
+        responses, _ = run(memory)
+        assert len(responses[0]) == 1  # completes in band
+        assert batch.beat_resp == [Resp.SLVERR]
+        assert not storage.snapshot().any()
 
 
 class TestTimingAndConflicts:
     def test_parallel_ports_no_conflict(self):
-        memory, engine, _, stats = make_memory(num_banks=17)
-        requests = [WordRequest(port=p, word_addr=p, is_write=False) for p in range(8)]
-        _, cycles = push_and_run(memory, engine, requests)
+        memory, _, stats = make_memory(num_banks=17)
+        batch = word_batch(range(8))
+        for port in range(8):
+            push(memory, port, batch, port)
+        _, cycles = run(memory)
         assert stats.get("mem.bank_conflicts") == 0
-        assert cycles <= 6  # one access cycle + latency + queue hops
+        assert cycles == 3  # granted at 0, delivered at 1, popped at 2
 
     def test_same_bank_conflicts_serialize(self):
-        memory, engine, _, stats = make_memory(num_banks=16)
+        memory, _, stats = make_memory(num_banks=16)
         # All eight ports target bank 0 in the same cycle.
-        requests = [WordRequest(port=p, word_addr=16 * p, is_write=False) for p in range(8)]
-        _, cycles = push_and_run(memory, engine, requests)
-        assert stats.get("mem.bank_conflicts") > 0
-        assert cycles >= 8
+        batch = word_batch([16 * p for p in range(8)])
+        for port in range(8):
+            push(memory, port, batch, port)
+        _, cycles = run(memory)
+        assert stats.get("mem.bank_conflicts") == 7 + 6 + 5 + 4 + 3 + 2 + 1
+        assert cycles == 10  # one grant per cycle at 0..7
 
     def test_conflict_free_mode_ignores_conflicts(self):
-        memory, engine, _, stats = make_memory(num_banks=16, conflict_free=True)
-        requests = [WordRequest(port=p, word_addr=16 * p, is_write=False) for p in range(8)]
-        _, cycles = push_and_run(memory, engine, requests)
+        memory, _, stats = make_memory(num_banks=16, conflict_free=True)
+        batch = word_batch([16 * p for p in range(8)])
+        for port in range(8):
+            push(memory, port, batch, port)
+        _, cycles = run(memory)
         assert stats.get("mem.bank_conflicts") == 0
-        assert cycles <= 6
+        assert cycles == 3
 
     def test_per_port_responses_in_order(self):
-        memory, engine, _, _ = make_memory(num_banks=17)
-        requests = [
-            WordRequest(port=0, word_addr=addr, is_write=False, tag=addr)
-            for addr in (5, 22, 39, 1)
-        ]
-        responses, _ = push_and_run(memory, engine, requests)
-        assert [r.tag for r in responses[0]] == [5, 22, 39, 1]
+        memory, _, _ = make_memory(num_banks=17)
+        batch = word_batch([5, 22, 39, 1])
+        for slot in range(4):
+            push(memory, 0, batch, slot)
+        responses, _ = run(memory)
+        assert [tag[2] for _, tag in responses[0]] == [0, 1, 2, 3]
 
-    def test_latency_is_respected(self):
-        memory, engine, _, _ = make_memory(latency=5)
-        responses, cycles = push_and_run(memory, engine, [
-            WordRequest(port=0, word_addr=0, is_write=False)
-        ])
-        assert len(responses[0]) == 1
-        assert cycles >= 6
+    def test_registered_fifo_timing(self):
+        """Appended at t, granted at t+1, response visible at t+2+latency."""
+        memory, _, _ = make_memory(latency=5)
+        batch = word_batch([0])
+        push(memory, 0, batch, 0, cycle=10)
+        assert memory.tick(10) == 0  # a lone request appended this cycle
+        assert memory.tick(11) == 1  # the grant
+        assert memory.next_ready(11) == 16
+        for cycle in range(12, 16):
+            assert memory.tick(cycle) == 0
+        assert not memory.rsp_fifos[0]
+        assert memory.tick(16) == 1  # the delivery; the adapter pops at 17
+        assert list(memory.rsp_fifos[0]) == [(None, batch, 0)]
+        assert memory.next_ready(16) == IDLE
+
+    def test_older_request_behind_a_fresh_one_is_granted(self):
+        memory, _, _ = make_memory()
+        batch = word_batch([0, 17])
+        push(memory, 0, batch, 0, cycle=3)
+        push(memory, 0, batch, 1, cycle=4)
+        assert memory.tick(4) == 1
+        assert list(memory.req_fifos[0]) == [(None, batch, 1)]
+
+    def test_response_room_limits_delivery(self):
+        """Matured accesses wait in flight while the response FIFO is full,
+        and the in-flight cap of 4 x response depth holds back grants."""
+        memory, _, _ = make_memory(response_queue_depth=1)
+        batch = word_batch(range(6))
+        for slot in range(6):
+            push(memory, 0, batch, slot)
+        for cycle in range(8):
+            memory.tick(cycle)  # nobody pops the response FIFO
+        assert len(memory.rsp_fifos[0]) == 1
+        assert len(memory._in_flight[0]) == 4
+        assert len(memory.req_fifos[0]) == 1
+        assert memory.next_ready(8) == IDLE  # woken by the adapter's pop
+        memory.rsp_fifos[0].popleft()
+        assert memory.tick(8) == 2  # one delivery frees room for one grant
 
     def test_access_counters(self):
-        memory, engine, _, stats = make_memory()
-        word = np.zeros(4, dtype=np.uint8)
-        push_and_run(memory, engine, [
-            WordRequest(port=0, word_addr=0, is_write=False),
-            WordRequest(port=1, word_addr=1, is_write=True, data=word),
-        ])
+        memory, _, stats = make_memory()
+        push(memory, 0, word_batch([0]), 0)
+        push(memory, 1, word_batch([1], payload=bytes(4)), 0)
+        run(memory)
         assert stats.get("mem.word_reads") == 1
         assert stats.get("mem.word_writes") == 1
         assert stats.get("mem.bank_accesses") == 2
 
     def test_reset_clears_state(self):
-        memory, engine, _, _ = make_memory()
-        memory.request_queues[0].push(WordRequest(port=0, word_addr=0, is_write=False))
-        memory.request_queues[0].commit()
+        memory, _, _ = make_memory()
+        push(memory, 0, word_batch([0, 17]), 0)
+        push(memory, 0, word_batch([0, 17]), 1)
+        memory.tick(0)
+        memory.tick(1)
+        assert memory.busy()
         memory.reset()
         assert not memory.busy()
+        assert memory.req_pushed_at == [-1] * 8
+
+
+class TestFaults:
+    @staticmethod
+    def plan(kind, **extra):
+        return BusFaultPlan.from_json({"faults": [
+            {"kind": kind, "addr_lo": 0x100, "addr_hi": 0x104, **extra}]})
+
+    def test_slverr_poisons_without_access(self):
+        memory, storage, _ = make_memory(bus_faults=self.plan("slverr"))
+        batch = word_batch([0x40], payload=b"\x01\x02\x03\x04")
+        push(memory, 0, batch, 0)
+        responses, _ = run(memory)
+        assert len(responses[0]) == 1
+        assert batch.beat_resp == [Resp.SLVERR]
+        assert storage.read_bytes(0x100, 4) == bytes(4)
+
+    def test_stall_delays_the_response(self):
+        memory, _, _ = make_memory(bus_faults=self.plan("stall",
+                                                        stall_cycles=7))
+        batch = word_batch([0x40, 0x41])
+        push(memory, 0, batch, 0)
+        push(memory, 0, batch, 1)
+        responses, _ = run(memory)
+        # Granted at 0 and 1; the stalled head holds the port's responses.
+        assert [cycle for cycle, _ in responses[0]] == [9, 10]
+
+    def test_lost_response_never_returns(self):
+        memory, _, stats = make_memory(bus_faults=self.plan("lost"))
+        batch = word_batch([0x40])
+        push(memory, 0, batch, 0)
+        assert memory.tick(0) == 1  # the grant still pops the request
+        assert not memory.busy()
+        assert stats.get("mem.bank_accesses") == 1
 
 
 class TestVectorizedArbitration:
@@ -179,12 +269,11 @@ class TestVectorizedArbitration:
             ports = sorted(rng.choice(config.num_ports, size=num_claimants,
                                       replace=False).tolist())
             words = [int(rng.integers(0, 64)) for _ in ports]
-            for port, word in zip(ports, words):
-                queue = memory.request_queues[port]
-                queue.push(WordRequest(port=port, word_addr=word, is_write=False))
-                queue.commit()
+            batch = word_batch(words)
+            for slot, port in enumerate(ports):
+                push(memory, port, batch, slot)
             before_conflicts = memory.stats.get("mem.bank_conflicts")
-            memory._accept_requests(cycle=trial)
+            memory._grant(cycle=trial)
             granted = sorted(
                 port for port, flight in enumerate(memory._in_flight) if flight
             )
@@ -198,19 +287,17 @@ class TestVectorizedArbitration:
                 assert conflicts == expected_conflicts
                 assert memory._bank_last_grant == last_copy
 
-    def test_granted_read_reuses_request_as_response(self):
-        """A granted read travels back as its own request object, carrying
-        the word's bytes in ``data``."""
+    def test_granted_read_deposits_bytes_at_grant(self):
+        """The grant itself copies the word into its beat; the response
+        FIFO then carries only the tag."""
         storage = MemoryStorage(1 << 16)
         word = np.asarray([0xCAFEF00D], dtype=np.uint32)
         storage.write_array(5 * 4, word)
         memory = BankedMemory(
             "mem", BankedMemoryConfig(num_ports=2, num_banks=3), storage
         )
-        request = WordRequest(port=0, word_addr=5, is_write=False, tag="t")
-        memory.request_queues[0].push(request)
-        memory.request_queues[0].commit()
-        memory._accept_requests(cycle=0)
-        _ready, response = memory._in_flight[0][0]
-        assert response is request
-        assert response.data == word.tobytes()
+        batch = word_batch([5])
+        push(memory, 0, batch, 0)
+        memory._grant(cycle=0)
+        assert memory._in_flight[0][0] == (1, (None, batch, 0))
+        assert bytes(batch.beat_data[0]) == word.tobytes()

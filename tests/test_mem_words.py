@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.mem.words import BankAddressMap, WordRequest, WordResponse
+from repro.mem.words import BankAddressMap
 
 
 class TestBankAddressMap:
@@ -48,13 +48,3 @@ class TestBankAddressMap:
         bank, row = amap.decompose(word * 4)
         assert row * banks + bank == word
 
-
-class TestWordRecords:
-    def test_request_defaults(self):
-        request = WordRequest(port=2, word_addr=100, is_write=False)
-        assert request.data is None
-        assert request.tag is None
-
-    def test_response_carries_tag(self):
-        response = WordResponse(port=1, tag=("x", 3), data=None, is_write=True)
-        assert response.tag == ("x", 3)
