@@ -1,31 +1,26 @@
-"""Headline numbers of the paper (abstract / §III), plus the engine benchmark.
+"""The engine headline benchmark.
 
-Two things live here:
+Run the full workload × system grid (the paper's six kernels plus the
+streaming ``csrspmv``) on both an SRAM-class memory (``memory_latency=1``,
+the paper's evaluation systems) and a DRAM-class memory
+(``memory_latency=100``) on the event-driven engine, and once more on the
+seed-behaviour tick-every-cycle engine (``event_driven=False``).  On top of
+the single-engine grid, ``MULTI_ENGINE_GRID`` adds contention points (rows
+sharded across 2 engines behind the cycle-level AXI mux, BASE and PACK,
+SRAM class), A/B'd across the engine axis the same way.  Every grid point
+asserts that cycle counts, statistics and engine measurements are
+byte-identical across the two engines, and the run emits a
+machine-readable ``BENCH_headline.json`` with cycles/sec and wall time per
+grid point, plus — with ``--history BENCH_history.jsonl``, which CI
+passes — one JSONL line appended to the cross-PR perf trajectory.  CI
+uploads both as artifacts and gates on cycles/sec regressions *and
+per-point cycle identity in both directions* against
+``benchmarks/baseline.json`` (see ``check_bench_regression.py``).
 
-1. ``test_headline_results`` — the paper's headline claims at a reduced
-   problem scale (speedups, utilizations, energy, area), unchanged from the
-   seed benchmark suite.
-
-2. The **engine headline benchmark**: run the full workload × system grid
-   (the paper's six kernels plus the streaming ``csrspmv``) on both an
-   SRAM-class memory (``memory_latency=1``, the paper's evaluation
-   systems) and a DRAM-class memory (``memory_latency=100``) on the
-   event-driven engine, and once more on the seed-behaviour
-   tick-every-cycle engine (``event_driven=False``).
-   On top of the single-engine grid, ``MULTI_ENGINE_GRID`` adds contention
-   points (rows sharded across 2 engines behind the cycle-level AXI mux,
-   BASE and PACK, SRAM class), A/B'd across the engine axis the same way.
-   Every grid point asserts that cycle counts, statistics and engine
-   measurements are byte-identical across the two engines, and the run
-   emits a machine-readable ``BENCH_headline.json`` with cycles/sec and
-   wall time per figure grid point, plus — with ``--history
-   BENCH_history.jsonl``, which CI passes — one JSONL line appended to the
-   cross-PR perf trajectory.  CI uploads both as artifacts and gates on
-   cycles/sec regressions *and per-point cycle identity in both
-   directions* against ``benchmarks/baseline.json`` (see
-   ``check_bench_regression.py``) — the cycle-identity gate is what pins
-   the ``num_engines=1`` topology bit-identical to the committed tree on
-   every grid point.
+The paper's qualitative claims (PACK beats BASE everywhere, the dataflow
+crossovers, the Fig. 4c energy envelope, ...) are tier-1 tests in
+``tests/test_paper_claims.py``; the 48 grid points' cycles are pinned in
+``tests/test_headline_pins.py``.
 
 Run standalone::
 
@@ -45,59 +40,11 @@ import os
 import sys
 import time
 
-from conftest import run_once
-
-from repro.analysis.fig3 import collect_figure_3a_comparisons
-from repro.analysis.fig4 import figure_4c
 from repro.analysis.headline import (
     MEMORY_LATENCY,
     point_system_config,
     workload_spec_kwargs,
 )
-from repro.hw import AdapterAreaModel
-from repro.hw.technology import GF22FDX
-
-
-def _headline(scale: str = "small"):
-    comparisons = collect_figure_3a_comparisons(scale=scale, verify=True)
-    energy = figure_4c(comparisons=comparisons)
-    area_fraction = AdapterAreaModel().fraction_of_ara(256, 1000.0, GF22FDX.ara_area_kge)
-    return comparisons, energy, area_fraction
-
-
-def test_headline_results(benchmark):
-    comparisons, energy, area_fraction = run_once(benchmark, _headline)
-    print()
-    strided = ["ismt", "gemv", "trmv"]
-    indirect = ["spmv", "prank", "sssp"]
-    best_strided = max(comparisons[n].pack_speedup for n in strided)
-    best_indirect = max(comparisons[n].pack_speedup for n in indirect)
-    best_strided_util = max(comparisons[n].pack.r_utilization for n in strided)
-    best_indirect_util = max(comparisons[n].pack.r_utilization for n in indirect)
-    print(f"peak strided speedup   : {best_strided:.2f}x (paper: 5.4x at full scale)")
-    print(f"peak indirect speedup  : {best_indirect:.2f}x (paper: 2.4x at full scale)")
-    print(f"peak strided R util    : {best_strided_util:.1%} (paper: 87%)")
-    print(f"peak indirect R util   : {best_indirect_util:.1%} (paper: 39%)")
-    improvements = {row[0]: row[5] for row in energy.rows}
-    print(f"energy efficiency gains: {improvements}")
-    print(f"adapter / Ara area     : {area_fraction:.1%} (paper: 6.2%)")
-
-    # Every workload is correct, faster, and more energy-efficient with PACK.
-    for name, comparison in comparisons.items():
-        assert comparison.base.verified and comparison.pack.verified
-        assert comparison.pack_speedup > 1.0
-        assert improvements[name] > 1.0
-    # Strided workloads reach higher utilization and speedups than indirect
-    # ones, as in the paper (87%/5.4x vs 39%/2.4x).
-    assert best_strided_util > best_indirect_util
-    assert best_strided > best_indirect
-    # The controller area overhead stays small.
-    assert area_fraction < 0.10
-
-
-# --------------------------------------------------------------------------
-# Engine headline benchmark (BENCH_headline.json emission + regression gate)
-# --------------------------------------------------------------------------
 
 #: The two memory classes of the headline grid (name, memory_latency) —
 #: shared with the `repro profile` subcommand via repro.analysis.headline.
@@ -277,27 +224,6 @@ def run_engine_benchmark(
             total_naive_wall / total_wall, 3
         )
     return payload
-
-
-def test_engine_benchmark_parity_and_speedup(benchmark):
-    """Engine A/B: identical results, faster wall clock.
-
-    The strict headline targets are measured against the seed engine and
-    enforced by the CI bench gate via cycles/sec; the in-process assertions
-    use conservative floors because the in-tree naive mode shares this
-    tree's optimized component models, tiny-scale points are tiny, and CI
-    machines are noisy.  The engine-axis parity assertion is exact.
-    """
-    payload = run_once(benchmark, run_engine_benchmark, scale="tiny")
-    print()
-    print(f"grid points          : {payload['totals']['grid_points']}")
-    print(f"event wall           : {payload['totals']['event_wall_s']:.3f}s")
-    print(f"naive wall           : {payload['totals']['naive_wall_s']:.3f}s")
-    print(f"speedup vs naive mode: {payload['totals']['speedup_vs_naive']:.2f}x")
-    assert all(point["identical_to_naive"] for point in payload["grid"])
-    multi = [point for point in payload["grid"] if point.get("engines", 1) > 1]
-    assert len(multi) == len(MULTI_ENGINE_GRID) * len(MULTI_ENGINE_KINDS)
-    assert payload["totals"]["speedup_vs_naive"] > 1.2
 
 
 def append_history(payload: dict, history_path: str) -> dict:

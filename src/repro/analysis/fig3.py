@@ -1,7 +1,7 @@
 """Figure 3 experiments: workload performance on BASE / PACK / IDEAL.
 
-All drivers take a ``scale`` argument: ``"small"`` runs in seconds (for tests
-and pytest-benchmark), ``"medium"`` in a couple of minutes, and ``"paper"``
+All drivers take a ``scale`` argument: ``"small"`` runs in seconds (for
+tests), ``"medium"`` in a couple of minutes, and ``"paper"``
 approaches the paper's problem sizes (256x256 dense matrices and a
 heart1-like sparse matrix with 390 average nonzeros per row).
 

@@ -13,70 +13,38 @@ vector memory access travels over the bus:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.axi.pack import PackUserField
-from repro.axi.stream import ContiguousStream, IndirectStream, Stream, StridedStream
+from repro.axi.stream import ContiguousStream, IndirectStream, StridedStream
 from repro.axi.transaction import BusRequest
 from repro.axi.types import AXI4_BOUNDARY_BYTES, AXI4_MAX_BURST_LEN
 from repro.errors import ConfigurationError
 from repro.utils.bitutils import is_power_of_two
-from repro.utils.validation import check_positive
-
-
-@dataclass(frozen=True)
-class BuilderConfig:
-    """Static parameters of a request builder.
-
-    Attributes
-    ----------
-    bus_bytes:
-        Data bus width in bytes (paper default: 32 = 256 bit).
-    max_burst_beats:
-        Upper limit on beats per burst (AXI4 allows up to 256).
-    max_narrow_burst_elems:
-        How many elements an unextended requestor bundles per narrow
-        transaction.  Ara's baseline VLSU issues one element per request,
-        which is the paper's BASE behaviour and the default here.
-    """
-
-    bus_bytes: int = 32
-    max_burst_beats: int = AXI4_MAX_BURST_LEN
-    max_narrow_burst_elems: int = 1
-
-    def __post_init__(self) -> None:
-        if not is_power_of_two(self.bus_bytes):
-            raise ConfigurationError(
-                f"bus width must be a power of two in bytes, got {self.bus_bytes}"
-            )
-        check_positive("max_burst_beats", self.max_burst_beats)
-        if self.max_burst_beats > AXI4_MAX_BURST_LEN:
-            raise ConfigurationError(
-                f"max_burst_beats cannot exceed {AXI4_MAX_BURST_LEN}"
-            )
-        check_positive("max_narrow_burst_elems", self.max_narrow_burst_elems)
 
 
 class RequestBuilder:
-    """Turn streams into lists of legal :class:`BusRequest` objects."""
+    """Turn streams into lists of legal :class:`BusRequest` objects.
 
-    def __init__(self, config: Optional[BuilderConfig] = None) -> None:
-        self.config = config or BuilderConfig()
+    ``bus_bytes`` is the data bus width in bytes (the paper's systems use
+    32 = 256 bit).  Bursts never exceed AXI4's 256-beat limit.
+    """
 
-    @property
-    def bus_bytes(self) -> int:
-        """Data bus width in bytes."""
-        return self.config.bus_bytes
+    def __init__(self, bus_bytes: int) -> None:
+        if not is_power_of_two(bus_bytes):
+            raise ConfigurationError(
+                f"bus width must be a power of two in bytes, got {bus_bytes}"
+            )
+        self.bus_bytes = bus_bytes
 
     # ------------------------------------------------------------ contiguous
     def contiguous(self, stream: ContiguousStream, is_write: bool) -> List[BusRequest]:
         """Lower a contiguous stream to full-width INCR bursts.
 
-        Bursts are split so that none crosses a 4 KiB boundary or exceeds the
-        configured beat limit — the same splitting any AXI4 master performs.
+        Bursts are split so that none crosses a 4 KiB boundary or exceeds 256
+        beats — the same splitting any AXI4 master performs.
         """
         requests: List[BusRequest] = []
         first = 0
@@ -87,7 +55,7 @@ class RequestBuilder:
             to_boundary = AXI4_BOUNDARY_BYTES - (addr % AXI4_BOUNDARY_BYTES)
             max_elems_boundary = max(1, to_boundary // elem_bytes)
             misalign = addr % self.bus_bytes
-            max_burst_bytes = self.config.max_burst_beats * self.bus_bytes - misalign
+            max_burst_bytes = AXI4_MAX_BURST_LEN * self.bus_bytes - misalign
             max_elems_burst = max(1, max_burst_bytes // elem_bytes)
             count = min(remaining, max_elems_boundary, max_elems_burst)
             requests.append(
@@ -181,25 +149,11 @@ class RequestBuilder:
         addresses = stream.element_addresses(indices)
         return self.narrow_elements(addresses, stream.elem_bytes, is_write)
 
-    def index_fetch(self, stream: IndirectStream, is_write: bool = False) -> List[BusRequest]:
-        """Contiguous burst(s) reading the index array into the core.
-
-        Used by BASE and IDEAL, which must move indices over the bus before
-        they can issue the element accesses; PACK never needs this because
-        the controller fetches indices bank-side.
-        """
-        index_stream = ContiguousStream(
-            base=stream.index_base,
-            num_elements=stream.num_elements,
-            elem_bytes=stream.index_bytes,
-        )
-        return self.contiguous(index_stream, is_write)
-
     # ------------------------------------------------------------ PACK paths
     def pack_strided(self, stream: StridedStream, is_write: bool) -> List[BusRequest]:
         """PACK lowering of a strided stream to AXI-Pack strided bursts."""
         elems_per_beat = self.bus_bytes // stream.elem_bytes
-        max_elems = self.config.max_burst_beats * elems_per_beat
+        max_elems = AXI4_MAX_BURST_LEN * elems_per_beat
         requests: List[BusRequest] = []
         first = 0
         while first < stream.num_elements:
@@ -221,7 +175,7 @@ class RequestBuilder:
     def pack_indirect(self, stream: IndirectStream, is_write: bool) -> List[BusRequest]:
         """PACK lowering of an indexed stream to AXI-Pack indirect bursts."""
         elems_per_beat = self.bus_bytes // stream.elem_bytes
-        max_elems = self.config.max_burst_beats * elems_per_beat
+        max_elems = AXI4_MAX_BURST_LEN * elems_per_beat
         requests: List[BusRequest] = []
         first = 0
         while first < stream.num_elements:
@@ -240,34 +194,3 @@ class RequestBuilder:
             )
             first += count
         return requests
-
-    # ------------------------------------------------------------ dispatch
-    def lower(
-        self,
-        stream: Stream,
-        is_write: bool,
-        packed: bool,
-        indices: Optional[np.ndarray] = None,
-    ) -> List[BusRequest]:
-        """Lower any stream for either system flavour.
-
-        ``indices`` is required when lowering an :class:`IndirectStream` for
-        an unextended (``packed=False``) requestor, because that requestor
-        must already hold the index values in registers.
-        """
-        if isinstance(stream, ContiguousStream):
-            return self.contiguous(stream, is_write)
-        if isinstance(stream, StridedStream):
-            if packed:
-                return self.pack_strided(stream, is_write)
-            return self.base_strided(stream, is_write)
-        if isinstance(stream, IndirectStream):
-            if packed:
-                return self.pack_indirect(stream, is_write)
-            if indices is None:
-                raise ConfigurationError(
-                    "lowering an indirect stream without AXI-Pack requires the "
-                    "index values (they must be fetched into registers first)"
-                )
-            return self.base_indexed(stream, indices, is_write)
-        raise ConfigurationError(f"unknown stream type {type(stream).__name__}")

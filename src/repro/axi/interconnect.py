@@ -1,26 +1,22 @@
-"""Burst-level interconnect blocks: routing and width conversion.
+"""Address decode for the cycle-level routing blocks.
 
 A central compatibility claim of AXI-Pack (paper §II-A) is that interconnect
 IP which does not reshape bursts — demultiplexers, multiplexers, crossbars
 that only route — works with packed bursts *unmodified*, because all the new
 semantics live in the ``user`` field and the existing address/len/size
-fields.  IP that does reshape bursts (data-width converters) needs a small
-extension: it must re-pack bus-aligned elements when changing the bus width,
-exactly as it already re-packs contiguous data.
-
-These models operate at burst granularity (they transform
-:class:`~repro.axi.transaction.BusRequest` objects); they are used by tests
-and examples to demonstrate the compatibility story and by the system model
-when a requestor and an endpoint disagree on bus width.
+fields.  The maps below decode a burst's start address to a target; the
+cycle-level :class:`~repro.axi.mux.CycleAxiDemux` routes by them and
+forwards every burst verbatim.  Every port of a
+:class:`~repro.system.soc.Soc` is built at one bus width, so no topology
+needs a data-width converter (the one kind of IP that would have to re-pack
+AXI-Pack beats).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
-from repro.axi.pack import PackMode
-from repro.axi.transaction import BusRequest
 from repro.errors import ConfigurationError, ProtocolError
 from repro.utils.bitutils import is_power_of_two
 
@@ -132,125 +128,3 @@ class InterleavedAddressMap:
         if not 0 <= addr < self.size_bytes:
             return -1
         return (addr >> self._stripe_shift) % self.num_targets
-
-
-class AxiDemux:
-    """Routes bursts to targets by address — without touching the burst.
-
-    This is the model of the non-burst-reshaping routing IP the paper cites:
-    the request (including its AXI-Pack user field) is forwarded verbatim, so
-    the block is AXI-Pack compatible with zero modifications.  The demux only
-    checks that the burst does not straddle two targets, which plain AXI4
-    routing must check anyway.
-    """
-
-    def __init__(self, address_map: AddressMap) -> None:
-        self.address_map = address_map
-        self.routed_counts = {region.target: 0 for region in address_map.regions}
-
-    def route(self, request: BusRequest) -> Tuple[int, BusRequest]:
-        """Return ``(target, request)`` with the request unmodified."""
-        target = self.address_map.route(request.addr)
-        if request.contiguous and not request.is_packed:
-            last = request.addr + request.payload_bytes - 1
-            if self.address_map.route(last) != target:
-                raise ProtocolError(
-                    "contiguous burst straddles two targets; the upstream "
-                    "master must split it"
-                )
-        self.routed_counts[target] += 1
-        return target, request
-
-
-class AxiMux:
-    """Merges traffic from several masters onto one target port.
-
-    Only bookkeeping is modelled (per-master transaction counts); like the
-    demux it never modifies a burst, so AXI-Pack traffic passes through
-    untouched.
-    """
-
-    def __init__(self, num_masters: int) -> None:
-        if num_masters <= 0:
-            raise ConfigurationError("mux needs at least one master")
-        self.num_masters = num_masters
-        self.forwarded = [0] * num_masters
-
-    def forward(self, master: int, request: BusRequest) -> BusRequest:
-        """Forward a master's burst unchanged."""
-        if not 0 <= master < self.num_masters:
-            raise ConfigurationError(f"unknown master {master}")
-        self.forwarded[master] += 1
-        return request
-
-
-class DataWidthConverter:
-    """Converts bursts between bus widths, re-packing AXI-Pack beats.
-
-    This is the one class of interconnect IP that *does* need to understand
-    AXI-Pack: when the data bus narrows or widens, the number of elements per
-    beat changes, so the burst length must be recomputed and long bursts may
-    need splitting to stay within the 256-beat limit.  Everything else
-    (address, element size, stride, index base) is carried over unchanged.
-    """
-
-    def __init__(self, upstream_bytes: int, downstream_bytes: int) -> None:
-        for width in (upstream_bytes, downstream_bytes):
-            if not is_power_of_two(width):
-                raise ConfigurationError("bus widths must be powers of two")
-        self.upstream_bytes = upstream_bytes
-        self.downstream_bytes = downstream_bytes
-
-    def convert(self, request: BusRequest) -> List[BusRequest]:
-        """Return the equivalent burst(s) on the downstream bus width."""
-        if request.bus_bytes != self.upstream_bytes:
-            raise ProtocolError(
-                f"request was built for a {request.bus_bytes}-byte bus, but the "
-                f"converter's upstream side is {self.upstream_bytes} bytes"
-            )
-        if request.elem_bytes > self.downstream_bytes:
-            raise ProtocolError(
-                "element does not fit in the downstream bus; a narrower bus "
-                "cannot carry this packed stream"
-            )
-        out: List[BusRequest] = []
-        elems_per_beat = (
-            1 if request.is_narrow else self.downstream_bytes // request.elem_bytes
-        )
-        max_elems = 256 * elems_per_beat
-        remaining = request.num_elements
-        first = 0
-        while remaining > 0:
-            count = min(remaining, max_elems)
-            out.append(self._rebuild(request, first, count))
-            first += count
-            remaining -= count
-        return out
-
-    def _rebuild(self, request: BusRequest, first: int, count: int) -> BusRequest:
-        if request.mode is PackMode.STRIDED:
-            stride_bytes = request.pack.stride_elems * request.elem_bytes
-            addr = request.addr + first * stride_bytes
-        elif request.mode is PackMode.INDIRECT:
-            addr = request.addr
-        else:
-            addr = request.addr + first * request.elem_bytes
-        pack = request.pack
-        index_base = request.index_base
-        if request.mode is PackMode.INDIRECT and first:
-            index_base = request.index_base + first * pack.index_bytes
-            pack = type(pack).indirect(pack.index_bytes, index_base)
-        return BusRequest(
-            addr=addr,
-            is_write=request.is_write,
-            num_elements=count,
-            elem_bytes=request.elem_bytes,
-            bus_bytes=self.downstream_bytes,
-            contiguous=request.contiguous,
-            pack=pack,
-            index_base=index_base,
-        )
-
-    def beat_ratio(self) -> float:
-        """Downstream beats needed per upstream beat (for sizing FIFOs)."""
-        return self.upstream_bytes / self.downstream_bytes

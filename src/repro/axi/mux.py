@@ -1,12 +1,10 @@
 """Cycle-level AXI routing components: N:1 multiplexer and 1:M demultiplexer.
 
-These are the simulation-time counterparts of the burst-level transforms in
-:mod:`repro.axi.interconnect`: where :class:`~repro.axi.interconnect.AxiMux`
-models the *compatibility* story (a routed burst is forwarded verbatim),
-:class:`CycleAxiMux` and :class:`CycleAxiDemux` model the *timing* story —
-one address handshake per channel per cycle, one data beat per channel per
-cycle, back-pressure, and arbitration between requestors contending for a
-shared endpoint.  Both carry packed bursts unmodified, which is the paper's
+:class:`CycleAxiMux` and :class:`CycleAxiDemux` model the interconnect's
+timing — one address handshake per channel per cycle, one data beat per
+channel per cycle, back-pressure, and arbitration between requestors
+contending for a shared endpoint.  Both carry packed bursts unmodified (the
+very object a requestor pushed reaches the endpoint), which is the paper's
 central interconnect claim (§II-A): all routing decisions use only the
 address and the transaction id, never the AXI-Pack ``user`` payload.
 
@@ -91,8 +89,8 @@ class CycleAxiMux(Component):
             if port.bus_bytes != downstream.bus_bytes:
                 raise ProtocolError(
                     f"upstream port {port.name!r} is {port.bus_bytes}B wide but "
-                    f"the downstream bus is {downstream.bus_bytes}B; insert a "
-                    "DataWidthConverter"
+                    f"the downstream bus is {downstream.bus_bytes}B; every "
+                    "port of a mux must share one bus width"
                 )
         self.upstreams = list(upstreams)
         self.downstream = downstream

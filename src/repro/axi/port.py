@@ -7,23 +7,11 @@ opposite.  Queue depths model the channel buffering of the interconnect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.axi.signals import BBeat, RBeat, WBeat
 from repro.axi.transaction import BusRequest
 from repro.sim.queue import DecoupledQueue
-
-
-@dataclass
-class AxiPortConfig:
-    """Depths of the per-channel queues of an :class:`AxiPort`."""
-
-    ar_depth: int = 4
-    aw_depth: int = 4
-    w_depth: int = 8
-    r_depth: int = 8
-    b_depth: int = 4
 
 
 class AxiPort:
@@ -34,19 +22,18 @@ class AxiPort:
     an RTL endpoint reconstructs from the address/len/size/user fields, and
     carrying it avoids re-decoding on every hop.  ``to_channel_beat`` remains
     available for code that wants the wire-level view.
+
+    The address and B channels hold 4 entries, the data channels (W, R) 8.
     """
 
-    def __init__(self, name: str, bus_bytes: int,
-                 config: Optional[AxiPortConfig] = None) -> None:
-        config = config or AxiPortConfig()
+    def __init__(self, name: str, bus_bytes: int) -> None:
         self.name = name
         self.bus_bytes = bus_bytes
-        self.config = config
-        self.ar: DecoupledQueue[BusRequest] = DecoupledQueue(f"{name}.AR", config.ar_depth)
-        self.aw: DecoupledQueue[BusRequest] = DecoupledQueue(f"{name}.AW", config.aw_depth)
-        self.w: DecoupledQueue[WBeat] = DecoupledQueue(f"{name}.W", config.w_depth)
-        self.r: DecoupledQueue[RBeat] = DecoupledQueue(f"{name}.R", config.r_depth)
-        self.b: DecoupledQueue[BBeat] = DecoupledQueue(f"{name}.B", config.b_depth)
+        self.ar: DecoupledQueue[BusRequest] = DecoupledQueue(f"{name}.AR", 4)
+        self.aw: DecoupledQueue[BusRequest] = DecoupledQueue(f"{name}.AW", 4)
+        self.w: DecoupledQueue[WBeat] = DecoupledQueue(f"{name}.W", 8)
+        self.r: DecoupledQueue[RBeat] = DecoupledQueue(f"{name}.R", 8)
+        self.b: DecoupledQueue[BBeat] = DecoupledQueue(f"{name}.B", 4)
 
     def all_queues(self) -> List[DecoupledQueue]:
         """Every channel queue (for engine registration)."""

@@ -236,14 +236,14 @@ class AxiPackAdapter:
 
         Retiring drops the pending count of the word's beat (the memory
         already filled or poisoned the beat at grant) and frees the word's
-        slot in the issuing pipe's request regulator.
+        slot in the issuing pipe's per-port ``in_flight`` count.
         """
         retired = 0
         for port, responses in enumerate(self._rsp_fifos):
             if responses:
                 pipe, batch, slot = responses.popleft()
                 batch.beat_pending[batch.beat_of[slot]] -= 1
-                in_flight = pipe.regulator._in_flight
+                in_flight = pipe.in_flight
                 if in_flight[port] <= 0:
                     raise SimulationError(f"regulator underflow on port {port}")
                 in_flight[port] -= 1

@@ -23,8 +23,8 @@ class AdapterConfig:
         Width of one memory bank word; this is the smallest element size the
         controller handles efficiently (paper: 32 bit).
     queue_depth:
-        Depth of the per-word-lane decoupling queues; the request regulator
-        never allows more than this many word accesses in flight per lane
+        Depth of the per-word-lane decoupling queues; a converter pipe
+        never has more than this many word accesses in flight per lane
         (paper default 4; raised to 32 for the §III-E sensitivity study).
     max_pipelined_bursts:
         How many accepted-but-unfinished bursts a converter may hold; lets
@@ -60,8 +60,9 @@ class AdapterContext:
     and a handle to the backing storage, from which the indirect converters
     resolve the index values of a poisoned index line functionally (see
     :func:`~repro.controller.indirect_read.read_index_oracle`).  The request
-    regulator of Fig. 2c is per pipe: every converter pipe owns a
-    :class:`~repro.controller.regulator.RequestRegulator`.
+    regulator of Fig. 2c is per pipe: every converter pipe counts its word
+    accesses in flight per port (``in_flight``) and issues no more than
+    ``queue_depth`` on any one.
     """
 
     def __init__(

@@ -9,9 +9,10 @@ tables.  Kernels use numpy where a batch is large and C-level
 either way the arrays end up as plain Python lists, so the per-cycle
 issue/response loops of :class:`LaneReadPipe` and :class:`LaneWritePipe`
 index integers instead of dereferencing objects.  The pipes issue word
-accesses in order under the per-lane :class:`RequestRegulator` and re-pack
-(reads) or unpack (writes) bus-wide beats — the request generator, info
-queue and beat packer of the RTL converters.
+accesses in order, at most ``queue_depth`` in flight per word lane (the
+request regulator of paper Fig. 2c), and re-pack (reads) or unpack (writes)
+bus-wide beats — the request generator, info queue and beat packer of the
+RTL converters.
 
 Slot order contract
 -------------------
@@ -39,7 +40,6 @@ from repro.axi.signals import BBeat, RBeat
 from repro.axi.transaction import BusRequest
 from repro.axi.types import Resp
 from repro.controller.context import AdapterConfig
-from repro.controller.regulator import RequestRegulator
 from repro.errors import ProtocolError, SimulationError
 
 #: Prebound default: compared on every beat completion.
@@ -508,12 +508,13 @@ class LaneReadPipe:
     discipline of the RTL beat packer.
     """
 
-    __slots__ = ("name", "config", "regulator", "_beats", "_unissued")
+    __slots__ = ("name", "config", "in_flight", "_beats", "_unissued")
 
     def __init__(self, name: str, config: AdapterConfig) -> None:
         self.name = name
         self.config = config
-        self.regulator = RequestRegulator(config.bus_words, config.queue_depth)
+        #: word accesses in flight per port, capped at ``config.queue_depth``
+        self.in_flight: List[int] = [0] * config.bus_words
         #: (batch, beat index, request) in plan order, oldest first
         self._beats: Deque[Tuple[SlotBatch, int, BusRequest]] = deque()
         #: batches with unissued slots, oldest first: [batch, flat cursor]
@@ -552,13 +553,13 @@ class LaneReadPipe:
         ``out[port]``, the memory's request FIFO for that port.  Ports used
         are removed from ``free_ports`` so other pipes sharing the memory
         ports this cycle cannot double-book them.  Issue stops at the first
-        slot whose port is unavailable or regulator-blocked, preserving the
-        in-order request discipline of the RTL request generator.
+        slot whose port is unavailable or already has ``queue_depth``
+        accesses in flight, preserving the in-order request discipline of the
+        RTL request generator.
         """
         unissued = self._unissued
-        regulator = self.regulator
-        in_flight = regulator._in_flight
-        limit = regulator.limit
+        in_flight = self.in_flight
+        limit = self.config.queue_depth
         while unissued:
             entry = unissued[0]
             batch = entry[0]
@@ -644,7 +645,7 @@ class LaneReadPipe:
         """Drop all state (component reset)."""
         self._beats.clear()
         self._unissued.clear()
-        self.regulator.reset()
+        self.in_flight = [0] * self.config.bus_words
 
 
 class _ActiveWriteBurst:
@@ -681,13 +682,14 @@ class LaneWritePipe:
     batches explicitly once indices and payload are both known.
     """
 
-    __slots__ = ("name", "config", "regulator",
+    __slots__ = ("name", "config", "in_flight",
                  "_bursts", "_beats", "_unissued", "_burst_batches")
 
     def __init__(self, name: str, config: AdapterConfig) -> None:
         self.name = name
         self.config = config
-        self.regulator = RequestRegulator(config.bus_words, config.queue_depth)
+        #: word accesses in flight per port, capped at ``config.queue_depth``
+        self.in_flight: List[int] = [0] * config.bus_words
         self._bursts: Deque[_ActiveWriteBurst] = deque()
         #: (batch, beat index, burst) in arming order, oldest first
         self._beats: Deque[Tuple[SlotBatch, int, _ActiveWriteBurst]] = deque()
@@ -755,9 +757,8 @@ class LaneWritePipe:
         from the beat's ``beat_payload`` when it grants the access.
         """
         unissued = self._unissued
-        regulator = self.regulator
-        in_flight = regulator._in_flight
-        limit = regulator.limit
+        in_flight = self.in_flight
+        limit = self.config.queue_depth
         word_bytes = self.config.word_bytes
         while unissued:
             entry = unissued[0]
@@ -830,4 +831,4 @@ class LaneWritePipe:
         self._beats.clear()
         self._unissued.clear()
         self._burst_batches.clear()
-        self.regulator.reset()
+        self.in_flight = [0] * self.config.bus_words

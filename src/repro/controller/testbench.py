@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence
 
 from repro.axi.monitor import ChannelMonitor
-from repro.axi.port import AxiPort, AxiPortConfig
+from repro.axi.port import AxiPort
 from repro.axi.signals import WBeat
 from repro.axi.transaction import BusRequest
 from repro.controller.adapter import AxiPackAdapter, BankedChannel
@@ -188,7 +188,6 @@ class ControllerTestbench:
         adapter_config: Optional[AdapterConfig] = None,
         memory_config: Optional[BankedMemoryConfig] = None,
         memory_bytes: int = 1 << 22,
-        port_config: Optional[AxiPortConfig] = None,
     ) -> None:
         self.adapter_config = adapter_config or AdapterConfig()
         self.memory_config = memory_config or BankedMemoryConfig(
@@ -196,7 +195,7 @@ class ControllerTestbench:
         )
         self.storage = MemoryStorage(memory_bytes)
         self.stats = StatsRegistry()
-        self.port = AxiPort("tb", self.adapter_config.bus_bytes, port_config)
+        self.port = AxiPort("tb", self.adapter_config.bus_bytes)
         self.memory = BankedMemory(
             "mem", self.memory_config, self.storage, self.stats
         )

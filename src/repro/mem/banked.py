@@ -33,8 +33,8 @@ those of the scalar reference arbiter: per bank, the claimant with the
 smallest ``(port - last_grant - 1) % num_ports`` wins (all claimants win
 under ``conflict_free``), and since each port contributes at most one
 request per cycle, per-port state is independent of the order banks are
-resolved in.  Array-side formulations (``BankAddressMap.banks_of_words``
-over the claim words, or a full lexsort on ``(bank, rotated priority)`` plus
+resolved in.  Array-side formulations (a numpy modulo over the claim
+words, or a full lexsort on ``(bank, rotated priority)`` plus
 first-of-run masking) compute the same winners but were measured slower
 than plain modulo over claim lists bounded by ``num_ports``; the property
 test in ``tests/test_mem_banked.py`` pins the equivalence.
@@ -228,7 +228,7 @@ class BankedMemory:
         else:
             # One batched bank computation for the whole claim list; the
             # winner-per-bank pick then runs over the precomputed bank list.
-            # (Both the numpy `banks_of_words` call and a full array-side
+            # (Both a numpy bank computation and a full array-side
             # selection — lexsort on (bank, rotated priority) +
             # first-of-run masking — were measured slower than plain modulo
             # over a claim list bounded by num_ports; see

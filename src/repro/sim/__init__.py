@@ -17,7 +17,7 @@ for the full contract.
 """
 
 from repro.sim.component import IDLE, Component, WakeHint
-from repro.sim.queue import DecoupledQueue, LatencyPipe
+from repro.sim.queue import DecoupledQueue
 from repro.sim.engine import Engine
 from repro.sim.stats import Counter, StatsRegistry
 
@@ -26,7 +26,6 @@ __all__ = [
     "Component",
     "WakeHint",
     "DecoupledQueue",
-    "LatencyPipe",
     "Engine",
     "Counter",
     "StatsRegistry",

@@ -5,9 +5,8 @@ Per-cycle evaluation keeps the seed engine's two-phase contract:
 1. every component *due* this cycle has its
    :meth:`~repro.sim.component.Component.tick` called (order does not affect
    results because queue pushes are not visible until commit);
-2. every queue touched this cycle is committed, every component subscribed
-   to a touched queue is woken for the next cycle, and every latency pipe is
-   advanced;
+2. every queue touched this cycle is committed, and every component
+   subscribed to a touched queue is woken for the next cycle;
 3. the cycle counter increments.
 
 What makes the engine event-driven is *which* components are due: each tick
@@ -40,7 +39,7 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.component import IDLE, Component
-from repro.sim.queue import DecoupledQueue, LatencyPipe
+from repro.sim.queue import DecoupledQueue
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,6 @@ class Engine:
         self._components: List[Component] = []
         self._wakes: List[float] = []  #: next due cycle per component slot
         self._queues: List[DecoupledQueue] = []
-        self._pipes: List[LatencyPipe] = []
         #: O(1) progress counter, bumped by bound queues on every push/pop
         #: and by components on internal hand-offs (Component._engine)
         self._activity = 0
@@ -179,11 +177,6 @@ class Engine:
         """Create and register a queue in one call."""
         return self.add_queue(DecoupledQueue(name, depth))
 
-    def add_pipe(self, pipe: LatencyPipe) -> LatencyPipe:
-        """Register a fixed-latency pipe to be advanced every cycle."""
-        self._pipes.append(pipe)
-        return pipe
-
     # ----------------------------------------------------------------- running
     def step(self, cycles: int = 1) -> None:
         """Advance the simulation by ``cycles`` clock cycles (no skipping)."""
@@ -218,8 +211,6 @@ class Engine:
             # Seed behaviour: every queue committed every cycle.
             for queue in self._queues:
                 queue.commit()
-        for pipe in self._pipes:
-            pipe.advance()
         self.cycle = cycle + 1
 
     def run_until(
@@ -253,7 +244,6 @@ class Engine:
         # (registration mutates them in place, so identity is stable).
         wakes = self._wakes
         components = self._components
-        pipes = self._pipes
         touched = self._touched_queues
         while not done():
             cycle = self.cycle
@@ -275,28 +265,17 @@ class Engine:
             if not ticked and not touched:
                 # Nothing is due at the current cycle: fast-forward to the
                 # earliest wake, stopping where deadlock detection or the
-                # cycle budget would have fired during naive stepping.  An
-                # in-flight latency pipe bounds the jump to its maturity
-                # cycle (hinted pipe consumers also carry that cycle in
-                # their own hints; legacy consumers pin stepping anyway).
+                # cycle budget would have fired during naive stepping.
                 next_wake = min(wakes) if wakes else IDLE
                 target = min(
                     next_wake,
                     cycle + (window - idle_cycles),
                     start_cycle + max_cycles,
                 )
-                if pipes:
-                    for pipe in pipes:
-                        ready = pipe.next_ready_cycle()
-                        if ready is not None and cycle < ready < target:
-                            target = ready
                 # ceil: a fractional wake hint must not truncate to a
                 # zero-cycle jump (the loop would never advance).
                 skipped = math.ceil(target) - cycle
                 idle_cycles += skipped
-                if pipes:
-                    for pipe in pipes:
-                        pipe.advance(skipped)
                 self.cycle = cycle + skipped
                 if idle_cycles >= window:
                     raise self._deadlock_error()
@@ -318,9 +297,6 @@ class Engine:
                         if wakes[slot] > next_cycle:
                             wakes[slot] = next_cycle
                 del touched[:]
-            if pipes:
-                for pipe in pipes:
-                    pipe.advance()
             self.cycle = cycle + 1
             activity = self._activity
             if activity == last_activity:
@@ -363,9 +339,7 @@ class Engine:
     def _all_idle(self) -> bool:
         if any(component.busy() for component in self._components):
             return False
-        if any(not queue.is_empty() for queue in self._queues):
-            return False
-        return all(pipe.is_empty() for pipe in self._pipes)
+        return all(queue.is_empty() for queue in self._queues)
 
     def diagnose(self) -> HangDiagnosis:
         """Snapshot why the simulation is (or appears) wedged, right now.
@@ -399,7 +373,7 @@ class Engine:
         return DeadlockError(diagnosis.render(), diagnosis=diagnosis)
 
     def reset(self) -> None:
-        """Reset cycle count, statistics, components, queues and pipes."""
+        """Reset cycle count, statistics, components and queues."""
         self.cycle = 0
         self.stats.reset()
         self._wakes = [0] * len(self._components)

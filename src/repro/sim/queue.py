@@ -18,7 +18,7 @@ behave exactly like plain FIFOs.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generic, Iterator, List, Optional, TypeVar
+from typing import Any, Deque, Generic, Iterator, List, TypeVar
 
 from repro.errors import SimulationError
 from repro.utils.validation import check_positive
@@ -160,59 +160,3 @@ class DecoupledQueue(Generic[ItemT]):
             f"<DecoupledQueue {self.name!r} {len(self._storage)}"
             f"+{len(self._incoming)}/{self.depth}>"
         )
-
-
-class LatencyPipe(Generic[ItemT]):
-    """Fixed-latency pipeline stage (e.g. SRAM access latency).
-
-    Items pushed at cycle *N* become poppable at cycle *N + latency*.  Unlike
-    :class:`DecoupledQueue`, the pipe never back-pressures: the producer is
-    responsible for rate-limiting (this mirrors an SRAM macro, which accepts
-    one request per cycle and always answers after a fixed latency).
-    """
-
-    __slots__ = ("name", "latency", "_in_flight", "_cycle")
-
-    def __init__(self, name: str, latency: int) -> None:
-        self.name = name
-        if latency < 1:
-            raise SimulationError("LatencyPipe latency must be at least 1 cycle")
-        self.latency = latency
-        self._in_flight: Deque[tuple] = deque()
-        self._cycle = 0
-
-    def push(self, item: ItemT) -> None:
-        """Insert an item that will emerge ``latency`` cycles later."""
-        self._in_flight.append((self._cycle + self.latency, item))
-
-    def can_pop(self) -> bool:
-        """Return True if the oldest item has reached its release cycle."""
-        return bool(self._in_flight) and self._in_flight[0][0] <= self._cycle
-
-    def pop(self) -> ItemT:
-        """Remove and return the oldest matured item."""
-        if not self.can_pop():
-            raise SimulationError(f"pop from latency pipe {self.name!r} too early")
-        return self._in_flight.popleft()[1]
-
-    def advance(self, cycles: int = 1) -> None:
-        """Advance the pipe's notion of time by ``cycles`` clock cycles.
-
-        The engine advances pipes by more than one cycle at a time when it
-        fast-forwards across idle windows; maturity only depends on the
-        pipe's absolute cycle counter, so a bulk advance is exact.
-        """
-        self._cycle += cycles
-
-    def next_ready_cycle(self) -> Optional[int]:
-        """Cycle at which the oldest in-flight item matures (None if empty)."""
-        if not self._in_flight:
-            return None
-        return self._in_flight[0][0]
-
-    def is_empty(self) -> bool:
-        """Return True if nothing is in flight."""
-        return not self._in_flight
-
-    def __len__(self) -> int:
-        return len(self._in_flight)

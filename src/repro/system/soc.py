@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.axi.mux import CycleAxiDemux, CycleAxiMux
-from repro.axi.port import AxiPort, AxiPortConfig
+from repro.axi.port import AxiPort
 from repro.controller.adapter import AxiPackAdapter, BankedChannel
 from repro.errors import ConfigurationError, SimulationError
 from repro.mem.banked import BankedMemory
@@ -90,19 +90,19 @@ class Soc:
         if config.num_engines == 1:
             # Direct wiring: the seed topology, bit-identical to the
             # single-requestor model (no mux hop on any channel).
-            self.port = AxiPort("cpu", config.bus_bytes, AxiPortConfig())
+            self.port = AxiPort("cpu", config.bus_bytes)
             self.ports: List[AxiPort] = [self.port]
             self.mux: Optional[CycleAxiMux] = None
         else:
             self.ports = [
-                AxiPort(f"cpu{index}", config.bus_bytes, AxiPortConfig())
+                AxiPort(f"cpu{index}", config.bus_bytes)
                 for index in range(config.num_engines)
             ]
             self.mux = None
         if config.num_channels == 1:
             if config.num_engines > 1:
                 #: the shared endpoint-side port behind the mux
-                self.port = AxiPort("shared", config.bus_bytes, AxiPortConfig())
+                self.port = AxiPort("shared", config.bus_bytes)
                 self.mux = CycleAxiMux(
                     "mux", self.ports, self.port,
                     arbitration=config.arbitration, stats=self.stats,
@@ -115,12 +115,12 @@ class Soc:
         else:
             address_map = config.channel_address_map()
             self.channel_ports = [
-                AxiPort(f"chan{index}", config.bus_bytes, AxiPortConfig())
+                AxiPort(f"chan{index}", config.bus_bytes)
                 for index in range(config.num_channels)
             ]
             self.link_ports = [
                 [
-                    AxiPort(f"xb{row}_{col}", config.bus_bytes, AxiPortConfig())
+                    AxiPort(f"xb{row}_{col}", config.bus_bytes)
                     for col in range(config.num_channels)
                 ]
                 for row in range(config.num_engines)

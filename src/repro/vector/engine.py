@@ -39,7 +39,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.axi.builder import BuilderConfig, RequestBuilder
+from repro.axi.builder import RequestBuilder
 from repro.axi.monitor import ChannelMonitor
 from repro.axi.port import AxiPort
 from repro.axi.signals import WBeat
@@ -242,7 +242,7 @@ class VectorEngine(Component):
         self.config = config or VectorEngineConfig(bus_bytes=port.bus_bytes)
         self.mode = mode or program.mode
         self.regfile = VectorRegisterFile(self.config.register_group_bytes)
-        self.request_builder = RequestBuilder(BuilderConfig(bus_bytes=port.bus_bytes))
+        self.request_builder = RequestBuilder(port.bus_bytes)
         self.r_monitor = ChannelMonitor("R", port.bus_bytes)
         self.w_monitor = ChannelMonitor("W", port.bus_bytes)
 

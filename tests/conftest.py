@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.axi.builder import BuilderConfig, RequestBuilder
+from repro.axi.builder import RequestBuilder
 from repro.controller.context import AdapterConfig
 from repro.controller.testbench import ControllerTestbench
 from repro.mem.banked import BankedMemoryConfig
@@ -22,7 +22,7 @@ def storage() -> MemoryStorage:
 @pytest.fixture
 def builder() -> RequestBuilder:
     """Request builder for the default 256-bit bus."""
-    return RequestBuilder(BuilderConfig(bus_bytes=32))
+    return RequestBuilder(32)
 
 
 @pytest.fixture

@@ -14,3 +14,15 @@ class RacyArbiter(Component):
             _ = entry
         winners = [p for p in {3, 1, 2}]  # ORD01: set-literal iteration
         return len(winners)
+
+
+class FusedStageHalf:
+    """Not a Component, but ticked by one as a plain call."""
+
+    def __init__(self):
+        self.pending = {}
+
+    def tick(self, cycle):
+        for port in self.pending.keys():  # ORD01: dict order in a plain tick
+            _ = port
+        return 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.axi.builder import BuilderConfig, RequestBuilder
+from repro.axi.builder import RequestBuilder
 from repro.axi.pack import PackMode
 from repro.axi.stream import ContiguousStream, IndirectStream, StridedStream
 from repro.errors import ConfigurationError
@@ -12,17 +12,13 @@ from repro.errors import ConfigurationError
 
 @pytest.fixture
 def builder():
-    return RequestBuilder(BuilderConfig(bus_bytes=32))
+    return RequestBuilder(32)
 
 
-class TestBuilderConfig:
+class TestRequestBuilder:
     def test_rejects_non_power_of_two_bus(self):
         with pytest.raises(ConfigurationError):
-            BuilderConfig(bus_bytes=24)
-
-    def test_rejects_over_long_bursts(self):
-        with pytest.raises(ConfigurationError):
-            BuilderConfig(max_burst_beats=512)
+            RequestBuilder(24)
 
 
 class TestContiguousLowering:
@@ -74,16 +70,6 @@ class TestBaseLowering:
         requests = builder.base_indexed(stream, indices, is_write=False)
         assert [r.addr for r in requests] == [0x100C, 0x1000, 0x1024, 0x1004]
 
-    def test_index_fetch_is_contiguous(self, builder):
-        stream = IndirectStream(base=0, num_elements=100, elem_bytes=4, index_base=0x4000)
-        requests = builder.index_fetch(stream)
-        assert all(r.contiguous for r in requests)
-        assert sum(r.payload_bytes for r in requests) == 400
-
-    def test_lower_indexed_without_indices_rejected(self, builder):
-        stream = IndirectStream(base=0, num_elements=4, elem_bytes=4, index_base=0)
-        with pytest.raises(ConfigurationError):
-            builder.lower(stream, is_write=False, packed=False)
 
 
 class TestPackLowering:
@@ -105,6 +91,15 @@ class TestPackLowering:
         expected = 0x100 + first.num_elements * stream.stride_bytes
         assert requests[1].addr == expected
 
+    def test_strided_split_exactly_at_256_beats(self, builder):
+        # 32 B beats hold eight 4 B elements, so 2048 elements fill 256 beats.
+        full = StridedStream(base=0, num_elements=2048, elem_bytes=4, stride_elems=3)
+        assert [r.num_beats for r in builder.pack_strided(full, False)] == [256]
+        over = StridedStream(base=0, num_elements=2049, elem_bytes=4, stride_elems=3)
+        requests = builder.pack_strided(over, is_write=False)
+        assert [r.num_elements for r in requests] == [2048, 1]
+        assert requests[1].addr == 2048 * over.stride_bytes
+
     def test_indirect_split_advances_index_base(self, builder):
         stream = IndirectStream(base=0, num_elements=5000, elem_bytes=4,
                                 index_base=0x8000, index_bytes=4)
@@ -113,14 +108,6 @@ class TestPackLowering:
         assert requests[1].index_base == 0x8000 + requests[0].num_elements * 4
         assert sum(r.num_elements for r in requests) == 5000
 
-    def test_lower_dispatch(self, builder):
-        strided = StridedStream(base=0, num_elements=8, elem_bytes=4, stride_elems=2)
-        indirect = IndirectStream(base=0, num_elements=8, elem_bytes=4, index_base=0x40)
-        assert builder.lower(strided, False, packed=True)[0].mode is PackMode.STRIDED
-        assert builder.lower(indirect, False, packed=True)[0].mode is PackMode.INDIRECT
-        contiguous = ContiguousStream(base=0, num_elements=8, elem_bytes=4)
-        assert builder.lower(contiguous, False, packed=True)[0].contiguous
-
 
 class TestProperties:
     @settings(max_examples=30)
@@ -128,7 +115,7 @@ class TestProperties:
            st.integers(min_value=0, max_value=40),
            st.sampled_from([4, 8, 16]))
     def test_pack_strided_conserves_elements_and_beats(self, elems, stride, elem_bytes):
-        builder = RequestBuilder(BuilderConfig(bus_bytes=32))
+        builder = RequestBuilder(32)
         stream = StridedStream(base=0, num_elements=elems, elem_bytes=elem_bytes,
                                stride_elems=stride)
         requests = builder.pack_strided(stream, is_write=False)
@@ -141,7 +128,7 @@ class TestProperties:
     @settings(max_examples=30)
     @given(st.integers(min_value=1, max_value=5000), st.integers(min_value=0, max_value=1 << 14))
     def test_contiguous_covers_stream_exactly(self, elems, base_words):
-        builder = RequestBuilder(BuilderConfig(bus_bytes=32))
+        builder = RequestBuilder(32)
         stream = ContiguousStream(base=base_words * 4, num_elements=elems, elem_bytes=4)
         requests = builder.contiguous(stream, is_write=False)
         assert sum(r.num_elements for r in requests) == elems

@@ -1,17 +1,14 @@
-"""Tests for the interconnect blocks and the AXI-Pack compatibility story."""
+"""Tests for address decode and the AXI-Pack compatibility story (§II-A)."""
 
 import pytest
 
-from repro.axi.interconnect import (
-    AddressMap,
-    AddressRegion,
-    AxiDemux,
-    AxiMux,
-    DataWidthConverter,
-)
-from repro.axi.pack import PackMode, PackUserField
+from repro.axi.interconnect import AddressMap, AddressRegion
+from repro.axi.mux import CycleAxiDemux, CycleAxiMux
+from repro.axi.pack import PackUserField
+from repro.axi.port import AxiPort
 from repro.axi.transaction import BusRequest
 from repro.errors import ConfigurationError, ProtocolError
+from repro.sim.engine import Engine
 
 
 def strided_request(elems=64, stride=3, bus=32, addr=0x1000):
@@ -101,153 +98,84 @@ class TestAddressMap:
             AddressMap([])
 
 
-class TestDemuxPassThrough:
-    def test_packed_bursts_pass_unmodified(self):
-        """The compatibility claim: routing IP needs no AXI-Pack awareness."""
-        demux = AxiDemux(MAP)
-        for request in (strided_request(), indirect_request()):
-            target, forwarded = demux.route(request)
-            assert target == 0
-            assert forwarded is request          # same object, untouched
-            assert forwarded.pack is request.pack
-        assert demux.routed_counts[0] == 2
+def _engine_for(component, ports):
+    engine = Engine(event_driven=False)
+    engine.add_component(component)
+    for port in ports:
+        for queue in port.all_queues():
+            engine.add_queue(queue)
+    return engine
 
-    def test_routing_by_address(self):
-        demux = AxiDemux(MAP)
-        target, _ = demux.route(strided_request(addr=0x9000))
-        assert target == 1
 
-    def test_straddling_contiguous_burst_rejected(self):
-        # Use a region boundary that is not 4 KiB aligned so the burst itself
-        # is AXI-legal but straddles two targets of this particular map.
-        unaligned_map = AddressMap([
-            AddressRegion(base=0x0000, size=0x7F00, target=0),
-            AddressRegion(base=0x7F00, size=0x1000, target=1),
-        ])
-        demux = AxiDemux(unaligned_map)
-        request = BusRequest(addr=0x7EC0, is_write=False, num_elements=32,
-                             elem_bytes=4, bus_bytes=32, contiguous=True)
-        with pytest.raises(ProtocolError):
-            demux.route(request)
+class TestPackedBurstsPassUnmodified:
+    """Routing IP needs no AXI-Pack awareness (paper §II-A): the cycle-level
+    mux and demux hand the very burst object a requestor pushed to the
+    downstream AR queue, ``user`` field included."""
 
-    def test_mux_forwards_unchanged(self):
-        mux = AxiMux(2)
-        request = strided_request()
-        assert mux.forward(1, request) is request
-        assert mux.forwarded == [0, 1]
+    @staticmethod
+    def _packed_bursts():
+        return [strided_request(), indirect_request()]
+
+    def test_cycle_mux_forwards_packed_bursts_verbatim(self):
+        ups = [AxiPort("u0", 32), AxiPort("u1", 32)]
+        down = AxiPort("down", 32)
+        engine = _engine_for(CycleAxiMux("mux", ups, down), (*ups, down))
+        bursts = self._packed_bursts()
+        packs = [burst.pack for burst in bursts]
+        for port, burst in zip(ups, bursts):
+            port.ar.push(burst)
+        engine.step(4)
+        # Round-robin grants u0 first, then u1.
+        forwarded = [down.ar.pop() for _ in range(down.ar.occupancy)]
+        assert len(forwarded) == 2
+        for item, burst, pack in zip(forwarded, bursts, packs):
+            assert item is burst                          # same object
+            assert item.pack is pack and item.pack == pack
+
+    def test_cycle_demux_forwards_packed_bursts_verbatim(self):
+        up = AxiPort("up", 32)
+        downs = [AxiPort("d0", 32), AxiPort("d1", 32)]
+        engine = _engine_for(
+            CycleAxiDemux("demux", up, downs, MAP), (up, *downs)
+        )
+        bursts = self._packed_bursts()
+        packs = [burst.pack for burst in bursts]
+        for burst in bursts:
+            up.ar.push(burst)
+        engine.step(4)
+        # Both start in region 0, so both reach target 0 in order.
+        assert downs[1].ar.occupancy == 0
+        forwarded = [downs[0].ar.pop() for _ in range(downs[0].ar.occupancy)]
+        assert len(forwarded) == 2
+        for item, burst, pack in zip(forwarded, bursts, packs):
+            assert item is burst                          # same object
+            assert item.pack is pack and item.pack == pack
+
+
+class TestCycleInterconnectConstruction:
+    """The cycle mux and demux refuse a topology they cannot simulate."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"upstreams": []},
+        {"arbitration": "lottery"},
+        {"arbitration": "qos", "qos": [1]},
+    ], ids=["no-upstream", "unknown-arbitration", "qos-per-port"])
+    def test_mux_rejects(self, kwargs):
+        args = {"upstreams": [AxiPort("u0", 32), AxiPort("u1", 32)],
+                "downstream": AxiPort("down", 32), **kwargs}
         with pytest.raises(ConfigurationError):
-            mux.forward(5, request)
+            CycleAxiMux("mux", **args)
 
+    def test_mux_rejects_a_port_of_another_width(self):
+        # No width converter exists: every port of a mux shares one width.
+        ups = [AxiPort("u0", 32), AxiPort("narrow", 16)]
+        with pytest.raises(ProtocolError, match="narrow"):
+            CycleAxiMux("mux", ups, AxiPort("down", 32))
 
-class TestDataWidthConverter:
-    def test_downsize_repacks_strided_burst(self):
-        converter = DataWidthConverter(32, 16)
-        request = strided_request(elems=64, stride=5)
-        converted = converter.convert(request)
-        assert len(converted) == 1
-        down = converted[0]
-        assert down.bus_bytes == 16
-        assert down.num_beats == 16              # 4 elements per 128-bit beat
-        assert down.mode is PackMode.STRIDED
-        assert down.pack.stride_elems == 5
-        assert down.payload_bytes == request.payload_bytes
-
-    def test_upsize_reduces_beats(self):
-        converter = DataWidthConverter(16, 32)
-        request = strided_request(elems=64, bus=16)
-        down = converter.convert(request)[0]
-        assert down.num_beats == 8
-
-    def test_long_burst_split_at_256_beats(self):
-        converter = DataWidthConverter(32, 8)
-        request = strided_request(elems=1024, stride=2)
-        converted = converter.convert(request)
-        assert all(r.num_beats <= 256 for r in converted)
-        assert sum(r.num_elements for r in converted) == 1024
-        # The split continues at the right stride offset.
-        assert converted[1].addr == request.addr + converted[0].num_elements * 8
-
-    def test_indirect_split_advances_index_base(self):
-        converter = DataWidthConverter(32, 8)
-        request = indirect_request(elems=1024)
-        converted = converter.convert(request)
-        assert converted[1].index_base == request.index_base + converted[0].num_elements * 4
-        assert all(r.mode is PackMode.INDIRECT for r in converted)
-
-    def test_contiguous_conversion(self):
-        converter = DataWidthConverter(32, 16)
-        request = BusRequest(addr=0, is_write=False, num_elements=64, elem_bytes=4,
-                             bus_bytes=32, contiguous=True)
-        down = converter.convert(request)[0]
-        assert down.contiguous and down.num_beats == 16
-
-    def test_wrong_upstream_width_rejected(self):
-        converter = DataWidthConverter(16, 32)
-        with pytest.raises(ProtocolError):
-            converter.convert(strided_request(bus=32))
-
-    def test_element_wider_than_downstream_rejected(self):
-        converter = DataWidthConverter(32, 4)
-        request = BusRequest(addr=0, is_write=False, num_elements=4, elem_bytes=8,
-                             bus_bytes=32, pack=PackUserField.strided(1))
-        with pytest.raises(ProtocolError):
-            converter.convert(request)
-
-    def test_beat_ratio(self):
-        assert DataWidthConverter(32, 8).beat_ratio() == pytest.approx(4.0)
-
-    def test_non_power_of_two_widths_rejected(self):
-        for upstream, downstream in ((24, 8), (32, 12), (0, 8), (32, 0)):
-            with pytest.raises(ConfigurationError):
-                DataWidthConverter(upstream, downstream)
-
-    def test_same_width_passthrough_geometry(self):
-        converter = DataWidthConverter(32, 32)
-        request = strided_request(elems=64, stride=5)
-        down = converter.convert(request)[0]
-        assert down.bus_bytes == 32
-        assert down.num_beats == request.num_beats
-        assert down.payload_bytes == request.payload_bytes
-        assert down.pack.stride_elems == 5
-
-    def test_packed_passthrough_preserves_user_semantics(self):
-        """Width conversion re-packs but never reinterprets the user field:
-        mode, stride and element size survive both directions."""
-        for upstream, downstream in ((32, 8), (8, 32)):
-            converter = DataWidthConverter(upstream, downstream)
-            request = strided_request(elems=32, stride=7, bus=upstream)
-            for converted in converter.convert(request):
-                assert converted.mode is PackMode.STRIDED
-                assert converted.pack.stride_elems == 7
-                assert converted.elem_bytes == request.elem_bytes
-
-    def test_narrow_burst_stays_element_per_beat(self):
-        converter = DataWidthConverter(32, 16)
-        request = BusRequest(addr=0x40, is_write=False, num_elements=8,
-                             elem_bytes=4, bus_bytes=32, contiguous=False)
-        converted = converter.convert(request)
-        assert len(converted) == 1
-        down = converted[0]
-        assert down.is_narrow
-        assert down.num_beats == 8               # still one element per beat
-        assert down.beat_bytes == 4
-
-    def test_narrow_burst_at_the_256_beat_limit(self):
-        # A narrow burst is capped at 256 elements by AXI4 itself (one
-        # element per beat), so the converter never needs to split one; the
-        # maximum-length case must survive conversion as a single burst.
-        converter = DataWidthConverter(32, 16)
-        request = BusRequest(addr=0x40, is_write=False, num_elements=256,
-                             elem_bytes=4, bus_bytes=32, contiguous=False)
-        converted = converter.convert(request)
-        assert len(converted) == 1
-        assert converted[0].num_beats == 256
-
-    def test_strided_split_exactly_at_boundary(self):
-        # 1024 elements at 4 elems/beat on the downstream bus = exactly
-        # 256 beats: no split may happen.
-        converter = DataWidthConverter(32, 16)
-        request = strided_request(elems=1024, stride=2)
-        converted = converter.convert(request)
-        assert len(converted) == 1
-        assert converted[0].num_beats == 256
+    @pytest.mark.parametrize("num_downstreams", [0, 1],
+                             ids=["no-downstream", "region-target-missing"])
+    def test_demux_rejects(self, num_downstreams):
+        downs = [AxiPort(f"d{i}", 32) for i in range(num_downstreams)]
+        # MAP's second region targets port 1.
+        with pytest.raises(ConfigurationError):
+            CycleAxiDemux("demux", AxiPort("up", 32), downs, MAP)

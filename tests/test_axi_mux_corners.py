@@ -7,12 +7,10 @@ bookkeeping must survive it), and demux straddle rejection exactly at
 ``AddressMap`` region boundaries.
 """
 
-import pytest
-
 from repro.axi.interconnect import AddressMap, AddressRegion
 from repro.axi.mux import CycleAxiDemux, CycleAxiMux
 from repro.axi.pack import PackMode, PackUserField
-from repro.axi.port import AxiPort, AxiPortConfig
+from repro.axi.port import AxiPort
 from repro.axi.signals import WBeat
 from repro.axi.transaction import BusRequest
 from repro.axi.types import Resp
@@ -39,8 +37,8 @@ def strided_burst(addr, elems=8, stride_elems=16, bus=BUS):
 
 
 def make_mux(n=2, arbitration="rr", qos=None):
-    ups = [AxiPort(f"u{i}", BUS, AxiPortConfig()) for i in range(n)]
-    down = AxiPort("down", BUS, AxiPortConfig())
+    ups = [AxiPort(f"u{i}", BUS) for i in range(n)]
+    down = AxiPort("down", BUS)
     mux = CycleAxiMux("mux", ups, down, arbitration=arbitration, qos=qos)
     engine = Engine(event_driven=False)
     engine.add_component(mux)
@@ -51,8 +49,8 @@ def make_mux(n=2, arbitration="rr", qos=None):
 
 
 def make_demux():
-    up = AxiPort("up", BUS, AxiPortConfig())
-    downs = [AxiPort(f"d{i}", BUS, AxiPortConfig()) for i in range(2)]
+    up = AxiPort("up", BUS)
+    downs = [AxiPort(f"d{i}", BUS) for i in range(2)]
     address_map = AddressMap([
         AddressRegion(base=0x0000, size=0x800, target=0),
         AddressRegion(base=0x0800, size=0x800, target=1),

@@ -18,6 +18,7 @@ Covers the full error path introduced with :mod:`repro.axi.faults`:
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.axi.faults import (
@@ -27,6 +28,8 @@ from repro.axi.faults import (
     BusFaultSpec,
 )
 from repro.axi.types import Resp, worst_resp
+from repro.controller.indirect_read import IndirectReadConverter
+from repro.controller.indirect_write import IndirectWriteConverter
 from repro.errors import (
     ConfigurationError,
     DeadlockError,
@@ -37,6 +40,8 @@ from repro.sim.engine import Engine
 from repro.system.config import SystemConfig, SystemKind
 from repro.system.runner import run_workload
 from repro.system.soc import build_system
+from repro.vector.builder import AraProgramBuilder
+from repro.vector.config import LoweringMode
 from repro.workloads import make_workload
 
 #: A spec that faults gemv's data region on every system kind.
@@ -252,6 +257,56 @@ class TestInjectedFaults:
         assert clean.fault_report is None and explicit.fault_report is None
         assert clean.cycles == explicit.cycles
         assert clean.stats == explicit.stats
+
+
+# -------------------------------------------------------- index-line faults
+@pytest.fixture
+def index_faults(monkeypatch):
+    """Record every poisoned index line either indirect converter sees."""
+    seen = []
+    for cls in (IndirectReadConverter, IndirectWriteConverter):
+        def spy(self, active, resp, _inner=cls._note_index_fault,
+                _name=cls.__name__):
+            seen.append((_name, resp))
+            return _inner(self, active, resp)
+        monkeypatch.setattr(cls, "_note_index_fault", spy)
+    return seen
+
+
+class TestIndexLineFaults:
+    """A bus fault on the index array reaches the PACK controller's own
+    index fetch, which the requestor never sees as a transaction."""
+
+    def test_gather_index_fault_aborts_the_gather(self, index_faults):
+        workload = make_workload("spmv", size=16)
+        lo = workload.addr_col_idx
+        plan = {"faults": [{"kind": "slverr", "addr_lo": lo,
+                            "addr_hi": lo + 64}]}
+        result = run_workload(
+            workload, SystemConfig(bus_faults=plan).with_kind(SystemKind.PACK))
+        assert index_faults == [("IndirectReadConverter", Resp.SLVERR)] * 2
+        assert result.faulted and result.verified is False
+        [fault] = result.fault_report["faults"]
+        # Op 2 is row 0's vlimxei32 gather; its burst addresses ``x``.
+        assert fault["op_index"] == 2 and fault["kind"] == "load"
+        assert fault["resp"] == "SLVERR"
+        assert fault["addr"] == workload.addr_x
+
+    def test_scatter_index_fault_aborts_the_scatter(self, index_faults):
+        plan = {"faults": [{"kind": "slverr", "addr_lo": 0x2000,
+                            "addr_hi": 0x2020}]}
+        config = SystemConfig(bus_faults=plan).with_kind(SystemKind.PACK)
+        soc = build_system(config)
+        soc.storage.write_array(0x2000, np.arange(8, dtype=np.uint32)[::-1])
+        builder = AraProgramBuilder("scatter", LoweringMode.PACK,
+                                    config.vector_config())
+        builder.vmv_vx("v1", 2.0, 8)
+        builder.vsimxei32("v1", 0x4000, 0x2000, 8)
+        soc.run_program(builder.build())
+        assert index_faults == [("IndirectWriteConverter", Resp.SLVERR)]
+        [fault] = soc.last_fault_report["faults"]
+        assert fault["op_index"] == 1 and fault["kind"] == "store"
+        assert fault["resp"] == "SLVERR" and fault["addr"] == 0x4000
 
 
 # ------------------------------------------------------------- serialization

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.axi.builder import BuilderConfig, RequestBuilder
+from repro.axi.builder import RequestBuilder
 from repro.axi.pack import PackUserField
+from repro.axi.port import AxiPort
 from repro.axi.stream import ContiguousStream, IndirectStream, StridedStream
 from repro.axi.transaction import BusRequest
+from repro.controller.adapter import AxiPackAdapter
 from repro.controller.base_converter import BaseAxi4Converter
 from repro.controller.context import AdapterConfig, AdapterContext
 from repro.controller.indirect_read import IndirectReadConverter, read_index_oracle
@@ -22,8 +24,8 @@ from repro.controller.lanes import LaneReadPipe, LaneWritePipe
 from repro.controller.strided_read import StridedReadConverter
 from repro.controller.strided_write import StridedWriteConverter
 from repro.controller.testbench import ControllerTestbench
-from repro.errors import SimulationError
-from repro.mem.banked import BankedMemoryConfig
+from repro.errors import ProtocolError, SimulationError
+from repro.mem.banked import BankedMemory, BankedMemoryConfig
 from repro.mem.functional import read_burst_payload
 from repro.mem.storage import MemoryStorage
 
@@ -41,7 +43,7 @@ def make_testbench(num_banks: int = 17, queue_depth: int = 4, bus_bytes: int = 3
 
 @pytest.fixture
 def builder():
-    return RequestBuilder(BuilderConfig(bus_bytes=32))
+    return RequestBuilder(32)
 
 
 def fill(tb, count=8192, seed=3):
@@ -238,7 +240,7 @@ class TestRandomizedAgainstGoldenModel:
         st.sampled_from([4, 8]),
     )
     def test_random_strided_reads_match_golden(self, elems, stride, elem_bytes):
-        builder = RequestBuilder(BuilderConfig(bus_bytes=32))
+        builder = RequestBuilder(32)
         tb = make_testbench()
         fill(tb, count=16384)
         stream = StridedStream(base=256, num_elements=elems, elem_bytes=elem_bytes,
@@ -252,7 +254,7 @@ class TestRandomizedAgainstGoldenModel:
     @settings(max_examples=8, deadline=None)
     @given(st.integers(min_value=1, max_value=120), st.integers(min_value=0, max_value=1000))
     def test_random_indirect_reads_match_golden(self, elems, seed):
-        builder = RequestBuilder(BuilderConfig(bus_bytes=32))
+        builder = RequestBuilder(32)
         tb = make_testbench()
         fill(tb, count=16384)
         indices = np.random.default_rng(seed).integers(0, 16384, elems).astype(np.uint32)
@@ -371,3 +373,20 @@ class TestIndexOracle:
         ctx = AdapterContext(AdapterConfig())
         with pytest.raises(SimulationError, match="backing storage"):
             read_index_oracle(ctx, self._request(0x200))
+
+
+class TestAdapterConstruction:
+    """The adapter refuses a port or memory it cannot drive."""
+
+    @pytest.mark.parametrize(("adapter", "memory", "message"), [
+        (AdapterConfig(bus_bytes=64), BankedMemoryConfig(),
+         "adapter bus width 64B does not match the AXI port width 32B"),
+        (AdapterConfig(), BankedMemoryConfig(word_bytes=8),
+         "word width must match"),
+        (AdapterConfig(), BankedMemoryConfig(num_ports=4),
+         "needs 8 word ports but the memory provides only 4"),
+    ], ids=["bus-width", "word-width", "word-ports"])
+    def test_mismatch_rejected(self, adapter, memory, message):
+        banked = BankedMemory("mem", memory, MemoryStorage(1 << 12))
+        with pytest.raises(ProtocolError, match=message):
+            AxiPackAdapter("adapter", AxiPort("port", 32), banked, adapter)

@@ -1,54 +1,19 @@
-"""Unit tests for the request regulator and the lane read/write pipes."""
+"""Unit tests for the lane read/write pipes and their per-port in-flight cap."""
 
 from collections import deque
 
 import pytest
 
 from repro.axi.pack import PackUserField
+from repro.axi.port import AxiPort
 from repro.axi.transaction import BusRequest
 from repro.axi.types import Resp
+from repro.controller.adapter import AxiPackAdapter
 from repro.controller.context import AdapterConfig
 from repro.controller.lanes import LaneReadPipe, LaneWritePipe, batch_strided
-from repro.controller.regulator import RequestRegulator
 from repro.errors import SimulationError
 from repro.mem.banked import BankedMemory, BankedMemoryConfig
 from repro.mem.storage import MemoryStorage
-
-
-class TestRegulator:
-    def test_limit_enforced(self):
-        regulator = RequestRegulator(num_ports=2, limit=2)
-        assert regulator.can_issue(0)
-        regulator.note_issue(0)
-        regulator.note_issue(0)
-        assert not regulator.can_issue(0)
-        assert regulator.can_issue(1)
-
-    def test_retire_frees_slot(self):
-        regulator = RequestRegulator(2, 1)
-        regulator.note_issue(1)
-        regulator.note_retire(1)
-        assert regulator.can_issue(1)
-
-    def test_overflow_raises(self):
-        regulator = RequestRegulator(1, 1)
-        regulator.note_issue(0)
-        with pytest.raises(SimulationError):
-            regulator.note_issue(0)
-
-    def test_underflow_raises(self):
-        regulator = RequestRegulator(1, 1)
-        with pytest.raises(SimulationError):
-            regulator.note_retire(0)
-
-    def test_totals(self):
-        regulator = RequestRegulator(4, 8)
-        regulator.note_issue(0)
-        regulator.note_issue(3)
-        assert regulator.total_in_flight() == 2
-        assert regulator.in_flight(3) == 1
-        regulator.reset()
-        assert regulator.total_in_flight() == 0
 
 
 def _strided_request(elems=16, stride=2):
@@ -79,7 +44,7 @@ def _tags(fifos):
 def _retire(pipe, batch, slot):
     """Retire one word as the adapter does on its response."""
     batch.beat_pending[batch.beat_of[slot]] -= 1
-    pipe.regulator.note_retire(batch.ports[slot])
+    pipe.in_flight[batch.ports[slot]] -= 1
 
 
 def _respond(tags, data_of):
@@ -180,8 +145,11 @@ class TestReadPipe:
         request = _strided_request(8)
         pipe.accept(request, batch_strided(request, 4, 8))
         assert pipe.busy()
+        pipe.issue(set(range(8)), _fifos())
+        assert pipe.in_flight == [1] * 8
         pipe.reset()
         assert not pipe.busy()
+        assert pipe.in_flight == [0] * 8
 
 
 def _strided_write(stride):
@@ -224,3 +192,27 @@ class TestWritePipe:
         for element in range(8):
             word = storage.read_bytes(element * 3 * 4, 4)
             assert word == payload[element * 4:element * 4 + 4]
+
+
+class TestInFlightAccounting:
+    def test_retiring_a_word_with_no_slot_in_flight_raises(self):
+        """The adapter checks each retired word against its pipe's
+        ``in_flight`` count: a response with no issued access behind it is
+        a bookkeeping bug, not a silent negative count."""
+        port = AxiPort("port", 32)
+        memory = BankedMemory("mem", BankedMemoryConfig(),
+                              MemoryStorage(1 << 12))
+        adapter = AxiPackAdapter("adapter", port, memory)
+        port.ar.push(BusRequest(addr=0x100, is_write=False, num_elements=8,
+                                elem_bytes=4, bus_bytes=32, contiguous=True))
+        port.ar.commit()
+        cycle = 0
+        while not any(memory.rsp_fifos):
+            adapter.tick(cycle)
+            memory.tick(cycle)
+            cycle += 1
+        pipe = memory.rsp_fifos[0][0][0]
+        assert pipe.in_flight == [1] * 8
+        pipe.in_flight[0] = 0
+        with pytest.raises(SimulationError, match="underflow on port 0"):
+            adapter.tick(cycle)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.axi.interconnect import InterleavedAddressMap
 from repro.axi.mux import CycleAxiDemux
-from repro.axi.port import AxiPort, AxiPortConfig
+from repro.axi.port import AxiPort
 from repro.axi.signals import WBeat
 from repro.axi.transaction import BusRequest
 from repro.errors import ConfigurationError, ProtocolError
@@ -88,8 +88,8 @@ class TestConfigChannels:
 
 def make_demux(channels=2, stripe=1024):
     """A demux over an interleaved map with a naive engine driving it."""
-    up = AxiPort("up", BUS, AxiPortConfig())
-    downs = [AxiPort(f"d{i}", BUS, AxiPortConfig()) for i in range(channels)]
+    up = AxiPort("up", BUS)
+    downs = [AxiPort(f"d{i}", BUS) for i in range(channels)]
     amap = InterleavedAddressMap(num_targets=channels, stripe_bytes=stripe,
                                  size_bytes=1 << 20)
     demux = CycleAxiDemux("demux", up, downs, amap, check_straddle=False)

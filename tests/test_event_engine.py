@@ -11,7 +11,6 @@ import pytest
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.component import IDLE, Component
 from repro.sim.engine import Engine
-from repro.sim.queue import LatencyPipe
 
 
 class PeriodicProducer(Component):
@@ -224,37 +223,6 @@ class TestDeadlockAndBudgetParity:
         with pytest.raises(SimulationError):
             naive.run_until(lambda: False, max_cycles=777)
         assert event.cycle == naive.cycle == 777
-
-
-class TestLatencyPipe:
-    def test_bulk_advance_matches_single_steps(self):
-        single = LatencyPipe("p", 5)
-        bulk = LatencyPipe("p", 5)
-        single.push("x")
-        bulk.push("x")
-        for _ in range(5):
-            single.advance()
-        bulk.advance(5)
-        assert single.can_pop() and bulk.can_pop()
-        assert bulk.pop() == "x"
-
-    def test_next_ready_cycle(self):
-        pipe = LatencyPipe("p", 3)
-        assert pipe.next_ready_cycle() is None
-        pipe.push("x")
-        assert pipe.next_ready_cycle() == 3
-
-    def test_fast_forward_is_bounded_by_pipe_maturity(self):
-        event = Engine(event_driven=True)
-        pipe = event.add_pipe(LatencyPipe("p", 4))
-        pipe.push("x")
-        event.add_component(StuckSleeper("stuck"))
-        with pytest.raises(SimulationError):
-            event.run_until(lambda: pipe.can_pop() and False, max_cycles=10)
-        # Skips never jump past an in-flight item's maturity cycle, so the
-        # pipe matured exactly on schedule despite the fast-forwarding.
-        assert pipe.can_pop()
-        assert event.cycle == 10
 
 
 class FractionalWaker(Component):

@@ -111,6 +111,17 @@ class TestTimingAndConflicts:
         assert stats.get("mem.bank_conflicts") == 7 + 6 + 5 + 4 + 3 + 2 + 1
         assert cycles == 10  # one grant per cycle at 0..7
 
+    def test_prime_bank_count_spreads_a_power_of_two_stride(self):
+        # The stride-16 words that all hit bank 0 of 16 banks land on eight
+        # different banks of 17.
+        memory, _, stats = make_memory(num_banks=17)
+        batch = word_batch([16 * p for p in range(8)])
+        for port in range(8):
+            push(memory, port, batch, port)
+        _, cycles = run(memory)
+        assert stats.get("mem.bank_conflicts") == 0
+        assert cycles == 3
+
     def test_conflict_free_mode_ignores_conflicts(self):
         memory, _, stats = make_memory(num_banks=16, conflict_free=True)
         batch = word_batch([16 * p for p in range(8)])

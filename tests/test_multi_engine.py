@@ -6,12 +6,13 @@ import pytest
 
 from repro.axi.interconnect import AddressMap, AddressRegion
 from repro.axi.mux import CycleAxiDemux, CycleAxiMux
-from repro.axi.port import AxiPort, AxiPortConfig
+from repro.axi.port import AxiPort
 from repro.axi.signals import RBeat, WBeat
 from repro.axi.transaction import BusRequest
 from repro.axi.types import Resp
 from repro.errors import ConfigurationError, ProtocolError, WorkloadError
 from repro.sim.engine import Engine
+from repro.sim.queue import DecoupledQueue
 from repro.system.config import SystemConfig, SystemKind
 from repro.system.runner import run_workload
 from repro.system.soc import build_system
@@ -35,15 +36,18 @@ def write_burst(addr, elems=8, bus=BUS):
                       elem_bytes=4, bus_bytes=bus, contiguous=True)
 
 
-def make_mux(n=2, arbitration="rr", qos=None, port_config=None):
+def make_mux(n=2, arbitration="rr", qos=None, r_depth=None):
     """A mux with registered queues and a naive engine driving it.
 
-    ``port_config`` shapes the requestor-side ports only; the downstream
-    port keeps default depths so endpoint-side pushes never overflow.
+    ``r_depth`` swaps in shallower R queues on the requestor-side ports
+    only; the downstream port keeps its depths so endpoint-side pushes
+    never overflow.
     """
-    config = port_config or AxiPortConfig()
-    ups = [AxiPort(f"u{i}", BUS, config) for i in range(n)]
-    down = AxiPort("down", BUS, AxiPortConfig())
+    ups = [AxiPort(f"u{i}", BUS) for i in range(n)]
+    if r_depth is not None:
+        for port in ups:
+            port.r = DecoupledQueue(f"{port.name}.R", r_depth)
+    down = AxiPort("down", BUS)
     mux = CycleAxiMux("mux", ups, down, arbitration=arbitration, qos=qos)
     engine = Engine(event_driven=False)
     engine.add_component(mux)
@@ -130,9 +134,7 @@ class TestCycleAxiMux:
         assert lasts == [False, True, True]
 
     def test_full_requestor_r_queue_blocks_shared_channel(self):
-        ups, down, mux, engine = make_mux(
-            2, port_config=AxiPortConfig(r_depth=1)
-        )
+        ups, down, mux, engine = make_mux(2, r_depth=1)
         first = read_burst(0x100, elems=16)  # 2 beats
         second = read_burst(0x200)
         ups[0].ar.push(first)

@@ -71,7 +71,15 @@ class TestDeterminismRule:
 class TestOrderIterationRule:
     def test_bad_fixture_flags_values_and_set_literal(self):
         result = lint([f"{FIXTURES}/ord_bad.py"], ["order-iteration"])
-        assert codes(result) == ["ORD01", "ORD01"]
+        assert codes(result) == ["ORD01", "ORD01", "ORD01"]
+
+    def test_plain_class_defining_tick_is_in_scope(self):
+        """A class that is no Component but defines ``tick`` (one half of
+        a fused stage) is on the tick path too."""
+        result = lint([f"{FIXTURES}/ord_bad.py"], ["order-iteration"])
+        flagged = [v.message for v in result.violations
+                   if "`FusedStageHalf`" in v.message]
+        assert len(flagged) == 1 and ".keys() of a dict" in flagged[0]
 
     def test_sorted_wrapper_and_list_iteration_pass(self):
         result = lint([f"{FIXTURES}/ord_good.py"], ["order-iteration"])

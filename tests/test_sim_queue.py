@@ -1,10 +1,10 @@
-"""Unit tests for the decoupled queue and latency pipe."""
+"""Unit tests for the decoupled queue."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.queue import DecoupledQueue, LatencyPipe
+from repro.sim.queue import DecoupledQueue
 
 
 class TestDecoupledQueue:
@@ -87,44 +87,3 @@ class TestDecoupledQueue:
         queue.commit()
         popped = [queue.pop() for _ in range(len(items))]
         assert popped == items
-
-
-class TestLatencyPipe:
-    def test_item_matures_after_latency(self):
-        pipe = LatencyPipe("p", 3)
-        pipe.push("x")
-        for _ in range(2):
-            pipe.advance()
-            assert not pipe.can_pop()
-        pipe.advance()
-        assert pipe.can_pop()
-        assert pipe.pop() == "x"
-
-    def test_early_pop_raises(self):
-        pipe = LatencyPipe("p", 2)
-        pipe.push(1)
-        with pytest.raises(SimulationError):
-            pipe.pop()
-
-    def test_zero_latency_rejected(self):
-        with pytest.raises(SimulationError):
-            LatencyPipe("p", 0)
-
-    def test_is_empty(self):
-        pipe = LatencyPipe("p", 1)
-        assert pipe.is_empty()
-        pipe.push(1)
-        assert not pipe.is_empty()
-        pipe.advance()
-        pipe.pop()
-        assert pipe.is_empty()
-
-    def test_pipelined_items_keep_order(self):
-        pipe = LatencyPipe("p", 2)
-        pipe.push(1)
-        pipe.advance()
-        pipe.push(2)
-        pipe.advance()
-        assert pipe.pop() == 1
-        pipe.advance()
-        assert pipe.pop() == 2

@@ -1,11 +1,15 @@
 """Integration tests for the vector engine on all three system flavours."""
 
+import types
+
 import numpy as np
 import pytest
 
+from repro.errors import WorkloadError
 from repro.system.config import SystemConfig, SystemKind
 from repro.system.soc import build_system
 from repro.vector.builder import AraProgramBuilder
+from repro.vector.config import LoweringMode
 
 
 def run_program(kind, build_fn, init_fn=None, config=None):
@@ -212,3 +216,42 @@ class TestResultAccounting:
         assert 0 < result.r_utilization <= 1.0
         assert result.r_utilization == pytest.approx(4096 / (32 * cycles))
         assert result.instructions == 1
+
+
+class TestLoweringErrors:
+    """Ops the builder would refuse still fail cleanly when lowered."""
+
+    @staticmethod
+    def _run_on_base(program):
+        soc = build_system(SystemConfig(kind=SystemKind.BASE,
+                                        memory_bytes=1 << 20))
+        return soc.run_program(program)
+
+    def test_in_memory_indices_without_axi_pack(self):
+        builder = AraProgramBuilder("test", LoweringMode.PACK)
+        builder.vlimxei32("v1", 0, 0x8000, 8)
+        builder.vse32("v1", 0xC000, 8)
+        program = builder.build()
+        program.mode = LoweringMode.BASE
+        with pytest.raises(WorkloadError, match="without AXI-Pack"):
+            self._run_on_base(program)
+
+    def test_register_indexed_access_without_index_register(self):
+        builder = AraProgramBuilder("test", LoweringMode.BASE)
+        builder.vle32("v9", 0x8000, 4, kind="index", dtype="uint32")
+        builder.vluxei32("v1", 0, "v9", 4, index_base=0x8000)
+        builder.vse32("v1", 0xC000, 4)
+        program = builder.build()
+        program.ops[1].index_values_reg = None
+        with pytest.raises(WorkloadError, match="without an index register"):
+            self._run_on_base(program)
+
+    def test_unknown_stream_type(self):
+        builder = AraProgramBuilder("test", LoweringMode.BASE)
+        builder.vle32("v1", 0, 8)
+        builder.vse32("v1", 0xC000, 8)
+        program = builder.build()
+        program.ops[0].stream = types.SimpleNamespace(
+            base=0, num_elements=8, elem_bytes=4, total_bytes=32)
+        with pytest.raises(WorkloadError, match="cannot lower stream of type"):
+            self._run_on_base(program)

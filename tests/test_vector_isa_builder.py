@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import WorkloadError
-from repro.vector.builder import AraProgramBuilder
+from repro.vector.builder import AraProgramBuilder, Program
 from repro.vector.config import LoweringMode, VectorEngineConfig
 from repro.vector.isa import (
     AXI_PACK_ONLY,
@@ -175,3 +175,76 @@ class TestComputeHelpers:
         op_id = builder.scalar(7, label="loop")
         op = builder.program.ops[op_id]
         assert isinstance(op, ScalarWork) and op.cycles == 7
+
+
+def _empty(builder):
+    return Program("empty", builder.mode)
+
+
+def _drop_instruction(builder):
+    builder.vle32("v1", 0, 8)
+    builder.program.instructions.pop()
+    return builder.program
+
+
+def _misnumbered_op(builder):
+    builder.vle32("v1", 0, 8)
+    builder.vse32("v1", 0x100, 8)
+    builder.program.ops[1].op_id = 5
+    return builder.program
+
+
+def _streamless_load(builder):
+    builder.vle32("v1", 0, 8)
+    builder.program.ops[0].stream = None
+    return builder.program
+
+
+def _overlong_load(builder):
+    builder.vle32("v1", 0, builder.max_vl + 1)
+    return builder.program
+
+
+def _flagged_in_memory_indices(builder):
+    builder.vle32("v1", 0, 8)
+    builder.program.ops[0].uses_in_memory_indices = True
+    return builder.program
+
+
+def _gather_without_index_register(builder):
+    builder.vle32("v9", 0x800, 8, kind="index", dtype="uint32")
+    builder.vluxei32("v1", 0, "v9", 8, index_base=0x800)
+    builder.program.ops[1].index_values_reg = None
+    return builder.program
+
+
+def _overlong_compute(builder):
+    count = builder.max_vl + 1
+    builder.vmv_vx("v1", 1.0, count)
+    return builder.program
+
+
+#: (corruption, lowering mode, expected message) per Program.validate check.
+INVALID_PROGRAMS = [
+    (_empty, LoweringMode.PACK, "contains no instructions"),
+    (_drop_instruction, LoweringMode.PACK, "1 ops but 0 instructions"),
+    (_misnumbered_op, LoweringMode.PACK, "op_id 5 != position 1"),
+    (_streamless_load, LoweringMode.PACK, "memory op has no stream"),
+    (_overlong_load, LoweringMode.PACK, r"\(vle32\.v\): vl \d+ exceeds max_vl"),
+    (_flagged_in_memory_indices, LoweringMode.BASE,
+     "in-memory indices need the AXI-Pack extension"),
+    (_gather_without_index_register, LoweringMode.BASE,
+     "register-indexed op names no index register"),
+    (_overlong_compute, LoweringMode.PACK,
+     r"\(vmv\.v\.x\): vl \d+ exceeds max_vl"),
+]
+
+
+class TestProgramValidate:
+    @pytest.mark.parametrize(
+        ("corrupt", "mode", "message"), INVALID_PROGRAMS,
+        ids=[case[0].__name__.lstrip("_") for case in INVALID_PROGRAMS])
+    def test_rejects(self, corrupt, mode, message):
+        program = corrupt(make_builder(mode))
+        with pytest.raises(WorkloadError, match=message):
+            program.validate()

@@ -7,6 +7,7 @@ from repro.errors import WorkloadError
 from repro.mem.storage import MemoryStorage
 from repro.system.config import SystemConfig, SystemKind
 from repro.system.runner import run_workload
+from repro.system.soc import build_system
 from repro.vector.config import LoweringMode
 from repro.vector.isa import Mnemonic
 from repro.workloads import (
@@ -19,6 +20,7 @@ from repro.workloads import (
     make_workload,
 )
 from repro.workloads.base import MemoryLayout
+from repro.workloads.sparse import CsrMatrix
 from repro.workloads.registry import WORKLOAD_ORDER, WORKLOADS
 
 SMALL = SystemConfig(memory_bytes=1 << 21)
@@ -191,3 +193,34 @@ class TestCrossSystemConsistency:
         base, pack, ideal = outputs[SystemKind.BASE], outputs[SystemKind.PACK], outputs[SystemKind.IDEAL]
         assert np.allclose(base, pack, rtol=1e-5, atol=1e-6)
         assert np.allclose(base, ideal, rtol=1e-5, atol=1e-6)
+
+
+#: 4x4 CSR matrix whose rows 1 and 3 hold no nonzeros.
+EMPTY_ROWS = CsrMatrix(4, 4, row_ptr=[0, 2, 2, 4, 4], col_idx=[0, 3, 1, 2],
+                       values=[1.5, -2.0, 0.5, 3.0])
+
+
+class TestEmptyCsrRows:
+    """A row without nonzeros still stores its neutral result (0 for the
+    sum reduction, the current distance for sssp's min)."""
+
+    @pytest.mark.parametrize(("workload_cls", "output", "cycles"), [
+        (SpmvWorkload, "addr_y", {"base": 118, "pack": 100, "ideal": 109}),
+        (SsspWorkload, "addr_dist_out",
+         {"base": 138, "pack": 120, "ideal": 129}),
+    ], ids=["spmv", "sssp"])
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.value)
+    def test_empty_rows_store_and_verify(self, workload_cls, output, cycles,
+                                         kind):
+        workload = workload_cls(matrix=EMPTY_ROWS)
+        config = SMALL.with_kind(kind)
+        soc = build_system(config)
+        workload.initialize(soc.storage)
+        # A NaN sentinel: an empty row that stored nothing fails verify.
+        soc.storage.write_array(getattr(workload, output),
+                                np.full(4, np.nan, dtype=np.float32))
+        program = workload.build_program(config.lowering,
+                                         config.vector_config())
+        ran, _ = soc.run_program(program)
+        assert workload.verify(soc.storage)
+        assert ran == cycles[kind.value]

@@ -1,11 +1,10 @@
-"""Ordering rule: no unordered-container iteration inside Component code.
+"""Ordering rule: no unordered-container iteration in tick-path classes.
 
-``ORD01`` — a ``for`` loop (or comprehension) inside a
-:class:`~repro.sim.component.Component` subclass iterating over
-``dict.values()`` / ``dict.keys()`` / ``dict.items()``, a set literal, or a
-``set(...)`` / ``frozenset(...)`` call.
+``ORD01`` — a ``for`` loop (or comprehension) inside a tick-path class
+iterating over ``dict.values()`` / ``dict.keys()`` / ``dict.items()``, a set
+literal, or a ``set(...)`` / ``frozenset(...)`` call.
 
-Why: everything inside a Component runs on the tick path, and tick-path
+Why: everything inside such a class runs on the tick path, and tick-path
 iteration order feeds order-sensitive simulated state (arbitration grants,
 queue pops, stat attribution).  CPython dicts iterate in insertion order and
 sets in hash order — both are *accidentally* stable, which is worse than
@@ -13,14 +12,17 @@ unstable: a refactor that changes insertion order silently changes cycle
 counts.  Iterate a deterministic structure instead (a list, a deque, or
 ``sorted(d.items())`` — a ``sorted(...)`` wrapper satisfies the rule).
 
-Scope: classes whose bases include ``Component`` (directly, or through a
-class defined earlier in the same module), in every file under analysis.
+Scope: in every file under analysis, classes whose bases include
+``Component`` (directly, or through a class defined earlier in the same
+module), plus any class that defines a ``tick`` method.  The second group
+covers halves of a fused stage that a component ticks as plain calls (the
+banked channel's ``AxiPackAdapter`` and ``BankedMemory``).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterator, List
 
 from tools.reprolint.core import RepoContext, Violation, component_classes, rule
 
@@ -46,6 +48,19 @@ def _unordered_iter(node: ast.AST) -> str:
     return ""
 
 
+def _tick_path_classes(tree: ast.AST) -> List[ast.ClassDef]:
+    """``Component`` subclasses plus every class that defines ``tick``."""
+    components = {id(node) for node in component_classes(tree)}
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and (
+            id(node) in components
+            or any(isinstance(item, ast.FunctionDef) and item.name == "tick"
+                   for item in node.body)
+        )
+    ]
+
+
 def _iter_targets(node: ast.AST) -> Iterator[ast.AST]:
     """Every expression the statement/expression ``node`` iterates over."""
     if isinstance(node, (ast.For, ast.AsyncFor)):
@@ -59,14 +74,14 @@ def _iter_targets(node: ast.AST) -> Iterator[ast.AST]:
 @rule("order-iteration", DOCS)
 def check(repo: RepoContext) -> Iterator[Violation]:
     for ctx in repo.files:
-        for class_node in component_classes(ctx.tree):
+        for class_node in _tick_path_classes(ctx.tree):
             for node in ast.walk(class_node):
                 for target in _iter_targets(node):
                     what = _unordered_iter(target)
                     if what:
                         yield Violation(
                             "ORD01", ctx.rel, target.lineno,
-                            f"iteration over {what} inside Component "
+                            f"iteration over {what} inside tick-path class "
                             f"`{class_node.name}` — tick-path order feeds "
                             "simulated state; iterate a list/deque or wrap "
                             "in sorted(...)",
