@@ -13,7 +13,7 @@ vector memory access travels over the bus:
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -73,9 +73,9 @@ class RequestBuilder:
 
     # ------------------------------------------------------------ BASE paths
     def narrow_elements(
-        self, addresses: Sequence[int], elem_bytes: int, is_write: bool
+        self, addresses: np.ndarray, elem_bytes: int, is_write: bool
     ) -> List[BusRequest]:
-        """Lower a list of element addresses to narrow single-beat requests.
+        """Lower an array of element addresses to narrow single-beat requests.
 
         This is what an unextended vector unit must do for strided and
         indexed accesses: issue one address per element and waste the wide
@@ -92,8 +92,10 @@ class RequestBuilder:
             return []
         from repro.axi.transaction import next_txn_id
 
+        # Plain Python ints, converted in one C-level call.
+        addrs = addresses.tolist()
         proto = BusRequest(
-            addr=int(addresses[0]),
+            addr=addrs[0],
             is_write=is_write,
             num_elements=1,
             elem_bytes=elem_bytes,
@@ -110,10 +112,10 @@ class RequestBuilder:
         cls = BusRequest
         new = object.__new__
         append = requests.append
-        for addr in addresses[1:]:
+        for addr in addrs[1:]:
             request = new(cls)
-            copy = dict(base)
-            copy["addr"] = int(addr)
+            copy = base.copy()
+            copy["addr"] = addr
             copy["txn_id"] = next_txn_id()
             request.__dict__ = copy
             append(request)

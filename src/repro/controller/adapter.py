@@ -24,7 +24,7 @@ then the memory's, as two sibling calls.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Set, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from repro.axi.port import AxiPort
 from repro.axi.transaction import BusRequest
@@ -157,6 +157,8 @@ class AxiPackAdapter:
         self._req_fifos = memory.req_fifos
         self._req_pushed_at = memory.req_pushed_at
         self._req_depth = memory.config.request_queue_depth
+        #: bit mask of every memory word port (see BankedMemory.req_full)
+        self._all_ports = (1 << memory.config.num_ports) - 1
         self._rsp_fifos = memory.rsp_fifos
         self._ar = port.ar
         self._aw = port.aw
@@ -285,8 +287,9 @@ class AxiPackAdapter:
 
     # ----------------------------------------------------------------- issue
     def _issue_words(self, cycle: int) -> int:
-        fifos = self._req_fifos
-        depth = self._req_depth
+        memory = self.memory
+        full = memory.req_full
+        all_ports = self._all_ports
         converters = self.converters
         conv_unissued = self._conv_unissued
         count = len(converters)
@@ -299,18 +302,19 @@ class AxiPackAdapter:
         else:
             # Nothing to issue: the round-robin pointer still rotates
             # whenever at least one word port is free.
-            for fifo in fifos:
-                if len(fifo) < depth:
-                    self._issue_rr = (self._issue_rr + 1) % count
-                    self._ports_free_after_issue = True
-                    return 0
+            if full != all_ports:
+                self._issue_rr = (self._issue_rr + 1) % count
+                self._ports_free_after_issue = True
+                return 0
             self._ports_free_after_issue = False
             return 0
-        offered = [port for port, fifo in enumerate(fifos) if len(fifo) < depth]
-        self._ports_free_after_issue = bool(offered)
+        # Ports whose request FIFO has room; each takes at most one word.
+        offered = all_ports ^ full
         if not offered:
+            self._ports_free_after_issue = False
             return 0
-        free_ports: Set[int] = set(offered)
+        fifos = self._req_fifos
+        free_ports = offered
         rr = self._issue_rr
         for offset in range(count):
             index = rr + offset
@@ -319,27 +323,32 @@ class AxiPackAdapter:
             dqs = conv_unissued[index]
             # An idle converter has no slots to issue; skip the call.
             if dqs[0] or dqs[-1]:
-                converters[index].issue(free_ports, fifos)
+                free_ports = converters[index].issue(free_ports, fifos)
                 if not free_ports:
                     break
         self._issue_rr = (rr + 1) % count
-        # Every issued word took one offered port off ``free_ports``.
-        issued = len(offered) - len(free_ports)
-        if issued:
-            pushed_at = self._req_pushed_at
-            # This tick's pushes may have filled the last free port; slept
-            # cycles must observe the post-push occupancy.  Ports left in
-            # ``free_ports`` are still free and ports never offered are
-            # still full, so only the used ports need a look.
-            ports_free = bool(free_ports)
-            for port in offered:
-                if port not in free_ports:
-                    pushed_at[port] = cycle
-                    if len(fifos[port]) < depth:
-                        ports_free = True
-            self._ports_free_after_issue = ports_free
-            self._outstanding_words += issued
-            self._c_word_requests.value += issued
+        # Every issued word took its port's bit off ``free_ports``.
+        used = offered ^ free_ports
+        if not used:
+            self._ports_free_after_issue = True
+            return 0
+        # This tick's pushes may have filled a FIFO; mark it full, so slept
+        # cycles and the next issue observe the post-push occupancy.
+        pushed_at = self._req_pushed_at
+        depth = self._req_depth
+        issued = 0
+        while used:
+            bit = used & -used
+            port = bit.bit_length() - 1
+            pushed_at[port] = cycle
+            if len(fifos[port]) >= depth:
+                full |= bit
+            used ^= bit
+            issued += 1
+        memory.req_full = full
+        self._ports_free_after_issue = full != all_ports
+        self._outstanding_words += issued
+        self._c_word_requests.value += issued
         return issued
 
     # ------------------------------------------------------------------ emit

@@ -9,7 +9,7 @@ element at a time.
 
 from __future__ import annotations
 
-from typing import Deque, List, Optional, Set
+from typing import Deque, List, Optional
 
 from repro.axi.signals import BBeat, RBeat
 from repro.axi.transaction import BusRequest
@@ -33,6 +33,9 @@ class BaseAxi4Converter(Converter):
         super().__init__(name, ctx)
         self._reads = LaneReadPipe(f"{name}.read", ctx.config)
         self._writes = LaneWritePipe(f"{name}.write", ctx.config)
+        # Plan-kernel geometry, read once per burst (one per element on BASE).
+        self._word_bytes = ctx.config.word_bytes
+        self._bus_words = ctx.config.bus_words
         # Prebound hot-path counters (see repro.sim.stats).
         self._c_read_bursts = ctx.stats.counter("controller.base.read_bursts")
         self._c_write_bursts = ctx.stats.counter("controller.base.write_bursts")
@@ -44,10 +47,9 @@ class BaseAxi4Converter(Converter):
         return self._reads.pending_beats() + request.num_beats <= _MAX_PENDING_READ_BEATS
 
     def accept_read(self, request: BusRequest) -> None:
-        config = self.ctx.config
         kernel = batch_contiguous if request.contiguous else batch_narrow
         self._reads.accept(
-            request, kernel(request, config.word_bytes, config.bus_words)
+            request, kernel(request, self._word_bytes, self._bus_words)
         )
         self._c_read_bursts.value += 1
 
@@ -57,10 +59,9 @@ class BaseAxi4Converter(Converter):
         return len(self._writes._bursts) < self.ctx.config.max_pipelined_bursts
 
     def accept_write(self, request: BusRequest) -> None:
-        config = self.ctx.config
         kernel = batch_contiguous if request.contiguous else batch_narrow
         self._writes.accept(
-            request, kernel(request, config.word_bytes, config.bus_words)
+            request, kernel(request, self._word_bytes, self._bus_words)
         )
         self._c_write_bursts.value += 1
 
@@ -68,9 +69,9 @@ class BaseAxi4Converter(Converter):
         self._writes.take_w_beat(payload)
 
     # ----------------------------------------------------------------- cycle
-    def issue(self, free_ports: Set[int], out: List[Deque[tuple]]) -> None:
-        self._reads.issue(free_ports, out)
-        self._writes.issue(free_ports, out)
+    def issue(self, free_ports: int, out: List[Deque[tuple]]) -> int:
+        free_ports = self._reads.issue(free_ports, out)
+        return self._writes.issue(free_ports, out)
 
     def unissued_deques(self):
         return (self._reads._unissued, self._writes._unissued)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from typing import Deque, List, Optional, Set, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from repro.axi.signals import BBeat, RBeat
 from repro.axi.transaction import BusRequest
@@ -50,11 +50,14 @@ class Converter(abc.ABC):
         """Internal per-cycle housekeeping (index extraction, planning)."""
 
     @abc.abstractmethod
-    def issue(self, free_ports: Set[int], out: List[Deque[tuple]]) -> None:
+    def issue(self, free_ports: int, out: List[Deque[tuple]]) -> int:
         """Issue word accesses this cycle using only the given free ports.
 
-        ``out[port]`` is the memory's request FIFO of each word port; every
-        issued access appends its ``(pipe, batch, slot)`` tag there.
+        ``free_ports`` is a bit mask: bit *p* is set while word port *p* can
+        take a request this cycle.  ``out[port]`` is the memory's request
+        FIFO of each word port; every issued access appends its ``(pipe,
+        batch, slot)`` tag there and clears its port's bit.  Returns the
+        mask of ports left free.
         """
 
     # --------------------------------------------------- adapter fast tables

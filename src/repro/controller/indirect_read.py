@@ -17,7 +17,7 @@ for an element-to-index size ratio of ``r`` — see paper §III-E).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set
+from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -224,10 +224,10 @@ class IndirectReadConverter(Converter):
                 active.next_beat += 1
             return  # keep burst order: never plan burst k+1 before k is done
 
-    def issue(self, free_ports: Set[int], out: List[Deque[tuple]]) -> None:
+    def issue(self, free_ports: int, out: List[Deque[tuple]]) -> int:
         # Element fetches have priority; index fetches use the leftover ports.
-        self._element_pipe.issue(free_ports, out)
-        self._index_pipe.issue(free_ports, out)
+        free_ports = self._element_pipe.issue(free_ports, out)
+        return self._index_pipe.issue(free_ports, out)
 
     def unissued_deques(self):
         return (self._element_pipe._unissued, self._index_pipe._unissued)

@@ -8,7 +8,7 @@ scattered to the indexed addresses as parallel word writes.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set
+from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -169,9 +169,9 @@ class IndirectWriteConverter(Converter):
                 active.next_beat += 1
             return
 
-    def issue(self, free_ports: Set[int], out: List[Deque[tuple]]) -> None:
-        self._write_pipe.issue(free_ports, out)
-        self._index_pipe.issue(free_ports, out)
+    def issue(self, free_ports: int, out: List[Deque[tuple]]) -> int:
+        free_ports = self._write_pipe.issue(free_ports, out)
+        return self._index_pipe.issue(free_ports, out)
 
     def unissued_deques(self):
         return (self._write_pipe._unissued, self._index_pipe._unissued)

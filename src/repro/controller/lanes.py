@@ -32,7 +32,7 @@ batched.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Sequence, Set, Tuple
+from typing import Deque, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +54,9 @@ class SlotBatch:
     arrive incrementally).  The flat arrays are plain Python lists of ints
     (converted from the numpy kernel output once) because the per-cycle
     loops index single elements, which is faster on lists than on arrays.
+    Nothing writes the geometry tables after planning, so a kernel may
+    share immutable tuples between batches (see :meth:`single_word`); only
+    ``beat_remaining`` and the per-pipe state below are written.
     """
 
     __slots__ = (
@@ -82,13 +85,13 @@ class SlotBatch:
         self,
         ports: List[int],
         words: List[int],
-        offsets: List[int],
-        nbytes: List[int],
-        shifts: List[int],
-        beat_of: List[int],
-        beat_start: List[int],
-        beat_useful: List[int],
-        beat_last: List[bool],
+        offsets: Sequence[int],
+        nbytes: Sequence[int],
+        shifts: Sequence[int],
+        beat_of: Sequence[int],
+        beat_start: Sequence[int],
+        beat_useful: Sequence[int],
+        beat_last: Sequence[bool],
         all_full_words: bool,
     ) -> None:
         self.ports = ports
@@ -120,6 +123,34 @@ class SlotBatch:
         #: the fault-free hot path pays one attribute check, no list
         self.beat_resp: Optional[List[Resp]] = None
         self.all_full_words = all_full_words
+
+    @classmethod
+    def single_word(cls, port: int, word: int, word_bytes: int) -> "SlotBatch":
+        """A one-beat batch of one full, aligned word: a BASE narrow burst.
+
+        Equal to what ``__init__`` builds for it, but only ``ports``,
+        ``words`` and ``beat_remaining`` are lists; the other geometry tables
+        are tuples, and all but ``nbytes`` and ``beat_useful`` are constants
+        shared by every such batch.
+        """
+        batch = cls.__new__(cls)
+        batch.offsets = batch.shifts = batch.beat_of = (0,)
+        batch.beat_start = (0, 1)
+        batch.beat_last = (True,)
+        batch.nbytes = batch.beat_useful = (word_bytes,)
+        batch.ports = [port]
+        batch.words = [word]
+        batch.beat_remaining = [1]
+        batch.num_beats = 1
+        batch.num_slots = 1
+        batch.beat_acks = None
+        batch.beat_pending = None
+        batch.beat_data = None
+        batch.beat_views = None
+        batch.beat_payload = None
+        batch.beat_resp = None
+        batch.all_full_words = True
+        return batch
 
     def poison_beat(self, beat: int, resp: Resp) -> None:
         """Merge an error response into one beat (lazy table materialize)."""
@@ -257,24 +288,12 @@ def batch_narrow(
     num_beats = request.num_beats
     elem_bytes = request.elem_bytes
     addr = request.addr
+    if num_beats == 1 and elem_bytes == word_bytes and addr % word_bytes == 0:
+        # One aligned word per burst, as BASE lowers every gather/scatter.
+        first = addr // word_bytes
+        return SlotBatch.single_word(first % bus_words, first, word_bytes)
     beat_last = [False] * num_beats
     beat_last[-1] = True
-    if elem_bytes == word_bytes and addr % word_bytes == 0:
-        # One full-word slot per beat: every array is a C-level construction.
-        first = addr // word_bytes
-        word_range = range(first, first + num_beats)
-        return SlotBatch(
-            ports=[w % bus_words for w in word_range],
-            words=list(word_range),
-            offsets=[0] * num_beats,
-            nbytes=[word_bytes] * num_beats,
-            shifts=[0] * num_beats,
-            beat_of=list(range(num_beats)),
-            beat_start=list(range(num_beats + 1)),
-            beat_useful=[elem_bytes] * num_beats,
-            beat_last=beat_last,
-            all_full_words=True,
-        )
     starts = [addr + k * elem_bytes for k in range(num_beats)]
     ends = [s + elem_bytes for s in starts]
     return _batch_from_ranges(starts, ends, word_bytes, bus_words,
@@ -546,16 +565,17 @@ class LaneReadPipe:
         self.add_batch(request, batch)
 
     # --------------------------------------------------------------- issuing
-    def issue(self, free_ports: Set[int], out: List[Deque[tuple]]) -> None:
-        """Issue word reads in order, using only ``free_ports``.
+    def issue(self, free_ports: int, out: List[Deque[tuple]]) -> int:
+        """Issue word reads in order, using only the ports in ``free_ports``.
 
-        Each issued read appends its ``(pipe, batch, slot)`` tag to
-        ``out[port]``, the memory's request FIFO for that port.  Ports used
-        are removed from ``free_ports`` so other pipes sharing the memory
-        ports this cycle cannot double-book them.  Issue stops at the first
-        slot whose port is unavailable or already has ``queue_depth``
-        accesses in flight, preserving the in-order request discipline of the
-        RTL request generator.
+        ``free_ports`` is a bit mask (bit *p* set: port *p* may take a
+        request this cycle).  Each issued read appends its ``(pipe, batch,
+        slot)`` tag to ``out[port]``, the memory's request FIFO for that
+        port, and clears the port's bit; the mask left over is returned, so
+        other pipes sharing the memory ports this cycle cannot double-book
+        them.  Issue stops at the first slot whose port is unavailable or
+        already has ``queue_depth`` accesses in flight, preserving the
+        in-order request discipline of the RTL request generator.
         """
         unissued = self._unissued
         in_flight = self.in_flight
@@ -568,14 +588,16 @@ class LaneReadPipe:
             end = batch.num_slots
             while i < end:
                 port = ports[i]
-                if port not in free_ports or in_flight[port] >= limit:
+                bit = 1 << port
+                if not free_ports & bit or in_flight[port] >= limit:
                     entry[1] = i
-                    return
-                free_ports.discard(port)
+                    return free_ports
+                free_ports ^= bit
                 in_flight[port] += 1
                 out[port].append((self, batch, i))
                 i += 1
             unissued.popleft()
+        return free_ports
 
     def _check_issued(self, batch: SlotBatch, k: int) -> None:
         """Consistency guard: a beat with word accesses cannot complete
@@ -655,10 +677,13 @@ class _ActiveWriteBurst:
     and becomes the B response when the burst completes.
     """
 
-    __slots__ = ("request", "w_beats_received", "beats_completed", "resp")
+    __slots__ = ("request", "batch", "w_beats_received", "beats_completed",
+                 "resp")
 
-    def __init__(self, request: BusRequest) -> None:
+    def __init__(self, request: BusRequest, batch: Optional[SlotBatch]) -> None:
         self.request = request
+        #: the whole-burst batch of a burst planned up front, else None
+        self.batch = batch
         self.w_beats_received = 0
         self.beats_completed = 0
         self.resp = _RESP_OKAY
@@ -683,7 +708,7 @@ class LaneWritePipe:
     """
 
     __slots__ = ("name", "config", "in_flight",
-                 "_bursts", "_beats", "_unissued", "_burst_batches")
+                 "_bursts", "_owed", "_beats", "_unissued")
 
     def __init__(self, name: str, config: AdapterConfig) -> None:
         self.name = name
@@ -691,36 +716,40 @@ class LaneWritePipe:
         #: word accesses in flight per port, capped at ``config.queue_depth``
         self.in_flight: List[int] = [0] * config.bus_words
         self._bursts: Deque[_ActiveWriteBurst] = deque()
+        #: the bursts still owed W data, oldest first: W beats arrive in
+        #: burst order, so these are always the newest of ``_bursts``
+        self._owed: Deque[_ActiveWriteBurst] = deque()
         #: (batch, beat index, burst) in arming order, oldest first
         self._beats: Deque[Tuple[SlotBatch, int, _ActiveWriteBurst]] = deque()
         #: armed beats with unissued slots: [batch, cursor, end, beat index]
         self._unissued: Deque[List] = deque()
-        #: whole-burst batches of bursts planned up front, by burst identity
-        self._burst_batches: dict = {}
 
     # -------------------------------------------------------------- planning
     def accept(
         self, request: BusRequest, batch: Optional[SlotBatch]
     ) -> _ActiveWriteBurst:
         """Accept a write burst; ``batch`` covers it fully or is None."""
-        burst = _ActiveWriteBurst(request)
-        self._bursts.append(burst)
         if batch is not None:
             batch.init_write_state()
-            self._burst_batches[id(burst)] = batch
+        burst = _ActiveWriteBurst(request, batch)
+        self._bursts.append(burst)
+        self._owed.append(burst)
         return burst
 
     def take_w_beat(self, payload: bytes) -> Optional[_ActiveWriteBurst]:
         """Deliver one W data beat to the oldest burst still expecting data."""
-        for burst in self._bursts:
-            if not burst.all_w_received:
-                beat = burst.w_beats_received
-                burst.w_beats_received = beat + 1
-                batch = self._burst_batches.get(id(burst))
-                if batch is not None:
-                    self._arm_beat(batch, beat, payload, burst)
-                return burst
-        return None
+        owed = self._owed
+        if not owed:
+            return None
+        burst = owed[0]
+        beat = burst.w_beats_received
+        burst.w_beats_received = beat + 1
+        if beat + 1 == burst.request.num_beats:
+            owed.popleft()
+        batch = burst.batch
+        if batch is not None:
+            self._arm_beat(batch, beat, payload, burst)
+        return burst
 
     def add_beat_batch(
         self,
@@ -750,8 +779,8 @@ class LaneWritePipe:
             self._unissued.append([batch, start, end, beat])
 
     # --------------------------------------------------------------- issuing
-    def issue(self, free_ports: Set[int], out: List[Deque[tuple]]) -> None:
-        """Issue word writes in order, using only ``free_ports``.
+    def issue(self, free_ports: int, out: List[Deque[tuple]]) -> int:
+        """Issue word writes in order, using only the ports in ``free_ports``.
 
         Like :meth:`LaneReadPipe.issue`; the memory takes each word's data
         from the beat's ``beat_payload`` when it grants the access.
@@ -772,9 +801,10 @@ class LaneWritePipe:
             acks = batch.beat_acks
             while i < end:
                 port = ports[i]
-                if port not in free_ports or in_flight[port] >= limit:
+                bit = 1 << port
+                if not free_ports & bit or in_flight[port] >= limit:
                     entry[1] = i
-                    return
+                    return free_ports
                 if check_partial and (
                     batch.nbytes[i] != word_bytes or batch.shifts[i] != 0
                 ):
@@ -785,13 +815,14 @@ class LaneWritePipe:
                         f"{batch.words[i]:#x} — the model requires "
                         "word-aligned write payloads"
                     )
-                free_ports.discard(port)
+                free_ports ^= bit
                 in_flight[port] += 1
                 out[port].append((self, batch, i))
                 remaining[beat] -= 1
                 acks[beat] += 1
                 i += 1
             unissued.popleft()
+        return free_ports
 
     # -------------------------------------------------------------- emission
     def pop_ready_b_beat(self) -> Optional[BBeat]:
@@ -802,7 +833,6 @@ class LaneWritePipe:
         burst = self._bursts[0]
         if burst.all_w_received and burst.complete:
             self._bursts.popleft()
-            self._burst_batches.pop(id(burst), None)
             return BBeat(txn_id=burst.request.txn_id, resp=burst.resp)
         return None
 
@@ -828,7 +858,7 @@ class LaneWritePipe:
     def reset(self) -> None:
         """Drop all state (component reset)."""
         self._bursts.clear()
+        self._owed.clear()
         self._beats.clear()
         self._unissued.clear()
-        self._burst_batches.clear()
         self.in_flight = [0] * self.config.bus_words

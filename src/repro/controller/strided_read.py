@@ -9,7 +9,7 @@ words return from the banks.
 
 from __future__ import annotations
 
-from typing import Deque, List, Optional, Set
+from typing import Deque, List, Optional
 
 from repro.axi.pack import PackMode
 from repro.axi.signals import RBeat
@@ -42,8 +42,8 @@ class StridedReadConverter(Converter):
         )
         self._c_bursts.value += 1
 
-    def issue(self, free_ports: Set[int], out: List[Deque[tuple]]) -> None:
-        self._pipe.issue(free_ports, out)
+    def issue(self, free_ports: int, out: List[Deque[tuple]]) -> int:
+        return self._pipe.issue(free_ports, out)
 
     def unissued_deques(self):
         return (self._pipe._unissued,)

@@ -7,7 +7,7 @@ converters "differ only in the direction of the datapath").
 
 from __future__ import annotations
 
-from typing import Deque, List, Optional, Set
+from typing import Deque, List, Optional
 
 from repro.axi.pack import PackMode
 from repro.axi.signals import BBeat
@@ -40,8 +40,8 @@ class StridedWriteConverter(Converter):
     def take_w_beat(self, payload: bytes) -> None:
         self._pipe.take_w_beat(payload)
 
-    def issue(self, free_ports: Set[int], out: List[Deque[tuple]]) -> None:
-        self._pipe.issue(free_ports, out)
+    def issue(self, free_ports: int, out: List[Deque[tuple]]) -> int:
+        return self._pipe.issue(free_ports, out)
 
     def unissued_deques(self):
         return (self._pipe._unissued,)

@@ -26,6 +26,15 @@ the cycle of each port's latest request for that check.  The adapter ticks
 before the memory within a cycle, so a response appended at *t* is popped
 at *t + 1* at the earliest without any such check.
 
+``req_full`` is an ``int`` bit mask of the ports whose request FIFO is at
+depth, so the adapter's issue finds the ports it may offer without looking
+at a FIFO.  Like ``req_pushed_at``, which the adapter stamps on every
+push, it is memory state the adapter writes: the adapter sets a port's bit
+when its push fills the FIFO, and the grant clears the bit of every port it
+pops.  The mask stays exact only because nothing else appends to or pops
+from ``req_fifos``; ``tests/test_channel_stage.py`` checks it against the
+FIFOs after every stage tick.
+
 Arbitration is *batched*: every cycle the head-of-line requests of all ports
 are gathered into claim lists, their banks computed in one pass, and winners
 picked per bank from the precomputed bank list.  The grants are exactly
@@ -113,6 +122,10 @@ class BankedMemory:
         self.req_fifos: List[Deque[tuple]] = [deque() for _ in range(ports)]
         #: cycle of the latest request appended to each port's FIFO
         self.req_pushed_at: List[int] = [-1] * ports
+        #: bit mask of the ports whose request FIFO is at depth: the
+        #: adapter's issue sets a port's bit when its push fills the FIFO,
+        #: and the grant clears it when it pops that FIFO
+        self.req_full = 0
         #: per-port FIFOs of completed accesses' tags, oldest first
         self.rsp_fifos: List[Deque[tuple]] = [deque() for _ in range(ports)]
         #: granted accesses per port: (ready_cycle, tag) in grant order
@@ -126,6 +139,10 @@ class BankedMemory:
         self._port_pairs = list(zip(self.req_fifos, self._in_flight))
         self._delivery_pairs = list(zip(self._in_flight, self.rsp_fifos))
         self._bank_last_grant: List[int] = [ports - 1] * config.num_banks
+        self._rsp_depth = config.response_queue_depth
+        #: granted-but-undelivered accesses a port may hold before its
+        #: requests wait, which bounds the in-flight state
+        self._in_flight_limit = 4 * config.response_queue_depth
         #: writable view of the memory image for single-word accesses — the
         #: word read/write fast path (aliases storage._data)
         self._mem_view = storage._data.data
@@ -169,7 +186,7 @@ class BankedMemory:
     def _deliver(self, cycle: int) -> int:
         """Move each port's matured accesses into its response FIFO, as far
         as the FIFO has room."""
-        depth = self.config.response_queue_depth
+        depth = self._rsp_depth
         delivered = 0
         for in_flight, responses in self._delivery_pairs:
             if not in_flight:
@@ -184,7 +201,7 @@ class BankedMemory:
 
     def _grant(self, cycle: int) -> int:
         config = self.config
-        in_flight_limit = 4 * config.response_queue_depth
+        in_flight_limit = self._in_flight_limit
         pushed_at = self.req_pushed_at
         # Gather this cycle's head-of-line claimants.  The single-claimant
         # case (the majority of cycles) stays on plain scalars; two or more
@@ -312,6 +329,12 @@ class BankedMemory:
                 # poisoned instead of filled.
                 batch.poison_beat(beat, resp)
             all_in_flight[port].append((port_ready, tag))
+        full = self.req_full
+        if full:
+            # Each winner popped one request, so its FIFO has room again.
+            for port in granted:
+                full &= ~(1 << port)
+            self.req_full = full
         self._flight_count += len(granted) - lost
         self._c_accesses.value += len(granted)
         self._c_writes.value += writes
@@ -367,5 +390,6 @@ class BankedMemory:
         for container in (*self._in_flight, *self.req_fifos, *self.rsp_fifos):
             container.clear()
         self._flight_count = 0
+        self.req_full = 0
         self.req_pushed_at[:] = [-1] * self.config.num_ports
         self._bank_last_grant = [self.config.num_ports - 1] * self.config.num_banks

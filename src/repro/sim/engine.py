@@ -287,11 +287,8 @@ class Engine:
                     incoming = queue._incoming
                     if incoming:
                         # Inlined DecoupledQueue.commit.
-                        storage = queue._storage
-                        storage.extend(incoming)
+                        queue._storage.extend(incoming)
                         incoming.clear()
-                        if len(storage) > queue.max_occupancy:
-                            queue.max_occupancy = len(storage)
                     for waiter in queue._waiters:
                         slot = waiter._engine_slot
                         if wakes[slot] > next_cycle:

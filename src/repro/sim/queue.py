@@ -48,7 +48,6 @@ class DecoupledQueue(Generic[ItemT]):
         "_count",
         "total_pushed",
         "total_popped",
-        "max_occupancy",
         "_engine",
         "_touched",
         "_waiters",
@@ -63,7 +62,6 @@ class DecoupledQueue(Generic[ItemT]):
         self._count = 0  #: committed + pending items, tracked incrementally
         self.total_pushed = 0
         self.total_popped = 0
-        self.max_occupancy = 0
         # Engine integration (set by Engine.add_queue / add_component).
         self._engine: Any = None  #: owning engine, or None for standalone use
         self._touched = False  #: already on the engine's dirty list this cycle
@@ -120,8 +118,6 @@ class DecoupledQueue(Generic[ItemT]):
         if self._incoming:
             self._storage.extend(self._incoming)
             self._incoming.clear()
-        if len(self._storage) > self.max_occupancy:
-            self.max_occupancy = len(self._storage)
 
     def clear(self) -> None:
         """Drop all contents (used by component reset)."""

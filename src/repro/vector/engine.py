@@ -261,6 +261,11 @@ class VectorEngine(Component):
         self._latest_completion = 0
         self._active_loads: List[_MemOpState] = []
         self._active_stores: List[_MemOpState] = []
+        #: the next memory op failed :meth:`_try_dispatch_memory`.  Every
+        #: failure condition reads only the two active lists, which only
+        #: dispatch grows, so the retry waits until an op leaves them
+        #: (:meth:`_finish_load`, :meth:`_consume_b`, :meth:`_abandon_op`)
+        self._dispatch_blocked = False
         #: AR/AW requests dispatched but not yet pushed onto the port —
         #: gates the per-tick scan over the active memory ops
         self._unissued_requests = 0
@@ -387,7 +392,7 @@ class VectorEngine(Component):
         the ops' integer ``KIND`` tags instead of isinstance chains.
         """
         next_op = self._next_op
-        if next_op >= self._num_ops or self._aborting:
+        if next_op >= self._num_ops or self._aborting or self._dispatch_blocked:
             return IDLE
         if cycle < self._stall_until:
             return self._stall_until
@@ -397,6 +402,7 @@ class VectorEngine(Component):
             if not self._load_deps_ready(op, cycle):
                 return IDLE
             if not self._try_dispatch_memory(op, cycle):
+                self._dispatch_blocked = True
                 return IDLE
             self._stall_until = cycle + self.config.issue_cycles
             self._next_op = next_op + 1
@@ -423,6 +429,7 @@ class VectorEngine(Component):
             return self._after_dispatch_hint()
         if kind == KIND_STORE:
             if not self._try_dispatch_memory(op, cycle):
+                self._dispatch_blocked = True
                 return IDLE
             self._stall_until = cycle + self.config.issue_cycles
             self._next_op = next_op + 1
@@ -557,12 +564,20 @@ class VectorEngine(Component):
                 f"the store needs {op.stream.total_bytes}"
             )
         offset = 0
+        backlog = self._w_backlog
         for request in state.requests:
-            for beat in range(request.num_beats):
+            num_beats = request.num_beats
+            if num_beats == 1 and not request.contiguous:
+                # A single packed or narrow beat carries the whole payload.
+                useful = request.payload_bytes
+                backlog.append((request, 0, payload[offset : offset + useful], useful))
+                offset += useful
+                continue
+            for beat in range(num_beats):
                 useful = request.beat_useful_bytes(beat)
                 chunk = payload[offset : offset + useful]
                 offset += useful
-                self._w_backlog.append((request, beat, chunk, useful))
+                backlog.append((request, beat, chunk, useful))
 
     # ---------------------------------------------------------- AXI channels
     def _push_requests(self, cycle: int) -> None:
@@ -597,7 +612,7 @@ class VectorEngine(Component):
         # W data may only flow for requests whose AW has been issued.
         if owner.positions[request.txn_id] >= owner.next_request:
             return
-        padded = chunk + b"\x00" * (request.bus_bytes - useful)
+        padded = chunk.ljust(request.bus_bytes, b"\0")
         self.port.w.push(
             WBeat(data=padded, useful_bytes=useful, last=beat == request.num_beats - 1)
         )
@@ -617,7 +632,7 @@ class VectorEngine(Component):
         if self._watchdog_cycles:
             self._arm_watchdog(state, cycle)
         useful = beat.useful_bytes
-        self.r_monitor.record_beat(useful, kind=self._txn_kind.get(txn_id, "data"))
+        self.r_monitor.record_beat(useful, self._txn_kind[txn_id])
         data = beat.data
         if len(data) != useful:
             data = bytes(data)[:useful]
@@ -645,6 +660,7 @@ class VectorEngine(Component):
             self.regfile.write_vector(op.dest, values.copy())
         self._mark_done(op.op_id, cycle + self.config.memory_latency_slack)
         self._active_loads.remove(state)
+        self._dispatch_blocked = False
         self._forget(state)
 
     def _consume_b(self, cycle: int) -> None:
@@ -662,6 +678,7 @@ class VectorEngine(Component):
         if state.complete:
             self._mark_done(state.op.op_id, cycle + 1)
             self._active_stores.remove(state)
+            self._dispatch_blocked = False
             self._forget(state)
 
     def _forget(self, state: _MemOpState) -> None:
@@ -753,6 +770,7 @@ class VectorEngine(Component):
                 entry for entry in self._w_backlog if entry[0].txn_id not in txns
             )
         (self._active_loads if state.is_load else self._active_stores).remove(state)
+        self._dispatch_blocked = False
         self._forget(state)
         self._mark_done(op.op_id, cycle)
 

@@ -97,12 +97,32 @@ def _run(seed, queue_depth, latency, event_driven):
             bench.storage.snapshot().tobytes())
 
 
+def _check_req_full(memory):
+    """``req_full`` has bit *p* set exactly while port *p*'s request FIFO
+    is at depth."""
+    depth = memory.config.request_queue_depth
+    for port, fifo in enumerate(memory.req_fifos):
+        full = bool(memory.req_full >> port & 1)
+        assert full == (len(fifo) >= depth), (
+            f"port {port}: req_full bit {full}, FIFO {len(fifo)}/{depth}")
+    assert memory.req_full >> len(memory.req_fifos) == 0
+
+
 class TestParityGrid:
     @pytest.mark.parametrize("latency", [1, 3, 5])
     @pytest.mark.parametrize("queue_depth", [1, 2, 4])
-    def test_event_matches_naive(self, queue_depth, latency):
+    def test_event_matches_naive(self, queue_depth, latency, monkeypatch):
         """Cycles, stats, per-burst issue/complete cycles and payloads, and
-        the final memory image agree between the engine modes."""
+        the final memory image agree between the engine modes; after every
+        stage tick the memory's full-FIFO mask matches its FIFOs."""
+        stage_tick = BankedChannel.tick
+
+        def checked_tick(stage, cycle):
+            hint = stage_tick(stage, cycle)
+            _check_req_full(stage.memory)
+            return hint
+
+        monkeypatch.setattr(BankedChannel, "tick", checked_tick)
         for index in range(STREAMS_PER_POINT):
             seed = 1000 * queue_depth + 100 * latency + index
             naive = _run(seed, queue_depth, latency, event_driven=False)

@@ -1,4 +1,8 @@
-"""Unit tests for the lane read/write pipes and their per-port in-flight cap."""
+"""Unit tests for the lane read/write pipes and their per-port in-flight cap.
+
+A pipe's ``issue`` takes the free word ports as a bit mask (bit *p* set:
+port *p* may take a request this cycle) and returns the mask it leaves.
+"""
 
 from collections import deque
 
@@ -31,6 +35,10 @@ def _read_pipe(request, queue_depth=4):
     return pipe
 
 
+#: every one of the eight word ports free
+ALL_PORTS = 0xFF
+
+
 def _fifos():
     """Empty per-port request FIFOs, as the banked memory provides."""
     return [deque() for _ in range(8)]
@@ -61,27 +69,26 @@ class TestReadPipe:
     def test_issue_respects_free_ports(self):
         pipe = _read_pipe(_strided_request(8))
         fifos = _fifos()
-        free = {0, 1, 2}
-        pipe.issue(free, fifos)
         # In-order issue stops at the first unavailable port (port 3).
+        assert pipe.issue(0b111, fifos) == 0
         assert [len(fifo) for fifo in fifos] == [1, 1, 1, 0, 0, 0, 0, 0]
-        assert free == set()
         assert [tag[0] for tag in _tags(fifos)] == [pipe] * 3
         assert [tag[2] for tag in _tags(fifos)] == [0, 1, 2]
 
     def test_issue_respects_regulator(self):
         pipe = _read_pipe(_strided_request(16), queue_depth=1)
         fifos = _fifos()
-        pipe.issue(set(range(8)), fifos)
+        assert pipe.issue(ALL_PORTS, fifos) == 0
         assert len(_tags(fifos)) == 8  # one per lane
-        pipe.issue(set(range(8)), fifos)
-        assert len(_tags(fifos)) == 8  # regulator full until reads retire
+        # Regulator full until reads retire: every port is left free.
+        assert pipe.issue(ALL_PORTS, fifos) == ALL_PORTS
+        assert len(_tags(fifos)) == 8
 
     def test_beat_completion_and_packing(self):
         request = _strided_request(8)
         pipe = _read_pipe(request)
         fifos = _fifos()
-        pipe.issue(set(range(8)), fifos)
+        assert pipe.issue(ALL_PORTS, fifos) == 0
         assert pipe.pop_ready_beat() is None
         _respond(_tags(fifos), lambda port: bytes([port] * 4))
         useful, data, req, resp = pipe.pop_ready_beat()
@@ -93,8 +100,8 @@ class TestReadPipe:
     def test_beats_emitted_in_order(self):
         pipe = _read_pipe(_strided_request(16), queue_depth=8)
         fifos = _fifos()
-        pipe.issue(set(range(8)), fifos)
-        pipe.issue(set(range(8)), fifos)
+        assert pipe.issue(ALL_PORTS, fifos) == 0
+        assert pipe.issue(ALL_PORTS, fifos) == 0
         # Each port's FIFO holds its beat-0 slot, then its beat-1 slot.
         first = [fifo[0] for fifo in fifos]
         second = [fifo[1] for fifo in fifos]
@@ -111,7 +118,8 @@ class TestReadPipe:
         request = _strided_request(4)
         pipe = _read_pipe(request)
         fifos = _fifos()
-        pipe.issue(set(range(8)), fifos)
+        # Four words on ports 0-3; ports 4-7 stay free.
+        assert pipe.issue(ALL_PORTS, fifos) == 0xF0
         _respond(_tags(fifos), lambda port: b"\xAA" * 4)
         beat = pipe.pop_ready_r_beat()
         assert beat.txn_id == request.txn_id
@@ -123,7 +131,7 @@ class TestReadPipe:
         grant; retiring it completes the beat with that response."""
         pipe = _read_pipe(_strided_request(8))
         fifos = _fifos()
-        pipe.issue(set(range(8)), fifos)
+        assert pipe.issue(ALL_PORTS, fifos) == 0
         tags = _tags(fifos)
         tags[3][1].poison_beat(0, Resp.SLVERR)
         for tag in tags:
@@ -133,9 +141,10 @@ class TestReadPipe:
     def test_retiring_frees_the_regulator(self):
         pipe = _read_pipe(_strided_request(16), queue_depth=1)
         fifos = _fifos()
-        pipe.issue(set(range(8)), fifos)
+        assert pipe.issue(ALL_PORTS, fifos) == 0
         _retire(*fifos[0].popleft())
-        pipe.issue(set(range(8)), fifos)
+        # Only port 0 has a free regulator slot, and beat 1 stops at port 1.
+        assert pipe.issue(ALL_PORTS, fifos) == ALL_PORTS & ~1
         assert [len(fifo) for fifo in fifos] == [1, 1, 1, 1, 1, 1, 1, 1]
         assert fifos[0][0][2] == 8  # beat 1's port-0 slot
 
@@ -145,7 +154,7 @@ class TestReadPipe:
         request = _strided_request(8)
         pipe.accept(request, batch_strided(request, 4, 8))
         assert pipe.busy()
-        pipe.issue(set(range(8)), _fifos())
+        assert pipe.issue(ALL_PORTS, _fifos()) == 0
         assert pipe.in_flight == [1] * 8
         pipe.reset()
         assert not pipe.busy()
@@ -167,7 +176,7 @@ class TestWritePipe:
         assert pipe.take_w_beat(bytes(range(32))) is burst
         assert burst.all_w_received
         fifos = _fifos()
-        pipe.issue(set(range(8)), fifos)
+        assert pipe.issue(ALL_PORTS, fifos) == 0
         tags = _tags(fifos)
         assert len(tags) == 8
         assert all(batch.beat_payload is not None for _, batch, _ in tags)
@@ -178,6 +187,20 @@ class TestWritePipe:
         assert beat is not None and beat.txn_id == request.txn_id
         assert not pipe.busy()
 
+    def test_w_beats_fill_bursts_in_acceptance_order(self):
+        """Each W beat goes to the oldest burst still owed data; once every
+        accepted burst has its beats, there is no one to take more."""
+        pipe = LaneWritePipe("w", _config())
+        bursts = []
+        for elems in (16, 8):  # two beats, then one
+            request = BusRequest(addr=0, is_write=True, num_elements=elems,
+                                 elem_bytes=4, bus_bytes=32,
+                                 pack=PackUserField.strided(2))
+            bursts.append(pipe.accept(request, batch_strided(request, 4, 8)))
+        taken = [pipe.take_w_beat(bytes(32)) for _ in range(4)]
+        assert taken == [bursts[0], bursts[0], bursts[1], None]
+        assert [burst.w_beats_received for burst in bursts] == [2, 1]
+
     def test_memory_writes_the_payload_slots(self):
         """Issued into a banked memory's FIFOs, each word's data comes from
         its slot of the W beat's payload."""
@@ -186,7 +209,7 @@ class TestWritePipe:
         pipe.take_w_beat(payload)
         storage = MemoryStorage(1 << 12)
         memory = BankedMemory("mem", BankedMemoryConfig(), storage)
-        pipe.issue(set(range(8)), memory.req_fifos)
+        assert pipe.issue(ALL_PORTS, memory.req_fifos) == 0
         for cycle in range(3):
             memory.tick(cycle)
         for element in range(8):

@@ -21,7 +21,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_planners import (
     plan_contiguous_beats,
@@ -146,11 +146,29 @@ class TestPlanKernelEquivalence:
         elem_bytes=st.sampled_from([1, 2, 4, 8]),
     )
     @settings(max_examples=60, deadline=None)
+    # The one-word burst BASE issues per element, on its shared tables.
+    @example(addr=0x1234, num_elements=1, elem_bytes=WORD)
     def test_narrow(self, addr, num_elements, elem_bytes):
         request = narrow_request(addr, num_elements, elem_bytes)
         reference = flatten_plans(plan_narrow_beats(request, WORD, BUS_WORDS))
         batch = flatten_batch(batch_narrow(request, WORD, BUS_WORDS))
         assert reference == batch
+
+    def test_one_word_narrow_batches_share_immutable_tables(self):
+        """A one-word narrow batch keeps its geometry tables as immutable
+        tuples; only the per-batch arrays are fresh lists."""
+        first, second = (
+            batch_narrow(narrow_request(addr, 1, WORD), WORD, BUS_WORDS)
+            for addr in (0x40, 0x1234)
+        )
+        for name in ("offsets", "nbytes", "shifts", "beat_of", "beat_start",
+                     "beat_useful", "beat_last"):
+            assert isinstance(getattr(first, name), tuple), name
+        for name in ("ports", "words", "beat_remaining"):
+            assert isinstance(getattr(first, name), list), name
+            assert getattr(first, name) is not getattr(second, name), name
+        assert (first.words, second.words) == ([0x10], [0x48D])
+        assert (first.num_beats, first.num_slots) == (1, 1)
 
     @given(
         addr_words=st.integers(min_value=0, max_value=25_000),

@@ -69,7 +69,6 @@ class TestDecoupledQueue:
         queue.pop()
         assert queue.total_pushed == 3
         assert queue.total_popped == 1
-        assert queue.max_occupancy == 3
 
     def test_clear(self):
         queue = DecoupledQueue("q", 4)

@@ -1,15 +1,18 @@
 """Integration tests for the vector engine on all three system flavours."""
 
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import repro.system.soc as soc_module
 from repro.errors import WorkloadError
 from repro.system.config import SystemConfig, SystemKind
 from repro.system.soc import build_system
 from repro.vector.builder import AraProgramBuilder
 from repro.vector.config import LoweringMode
+from repro.vector.engine import VectorEngine
 
 
 def run_program(kind, build_fn, init_fn=None, config=None):
@@ -200,6 +203,92 @@ class TestTimingBehaviour:
         _, slow, _ = run_program(SystemKind.PACK, build_with_scalar, init)
         _, fast, _ = run_program(SystemKind.PACK, build_without_scalar, init)
         assert slow >= fast + 190
+
+
+def _gated_dispatch_run(monkeypatch, event_driven, gated=True):
+    """Run a program whose memory ops block on the outstanding-load limit
+    and on a fence, with ``max_outstanding_loads=1``.
+
+    Returns ``(cycles, calls, retired)``: every ``_try_dispatch_memory``
+    call as ``(op id, cycle, dispatched)`` and the cycle of every load or
+    store retirement.  ``gated=False`` clears the blocked flag before each
+    dispatch, so a blocked op retries on every tick, as it would without
+    the gate.
+    """
+    calls, retired = [], []
+
+    class Probe(VectorEngine):
+        def __init__(self, name, program, port, config, mode, **kwargs):
+            super().__init__(name, program, port,
+                             replace(config, max_outstanding_loads=1), mode,
+                             **kwargs)
+
+        def _dispatch(self, cycle):
+            if not gated:
+                self._dispatch_blocked = False
+            return super()._dispatch(cycle)
+
+        def _try_dispatch_memory(self, op, cycle):
+            dispatched = super()._try_dispatch_memory(op, cycle)
+            calls.append((op.op_id, cycle, dispatched))
+            return dispatched
+
+        def _finish_load(self, state, cycle):
+            super()._finish_load(state, cycle)
+            retired.append(cycle)
+
+        def _consume_b(self, cycle):
+            before = len(self._active_stores)
+            super()._consume_b(cycle)
+            if len(self._active_stores) < before:
+                retired.append(cycle)
+
+    monkeypatch.setattr(soc_module, "VectorEngine", Probe)
+    config = SystemConfig(kind=SystemKind.PACK, memory_bytes=1 << 20)
+    soc = build_system(config)
+    soc.storage.write_array(0, np.arange(4096, dtype=np.float32))
+    builder = AraProgramBuilder("gate", config.lowering, config.vector_config())
+    builder.vle32("v1", 0x0, 256)
+    builder.vle32("v2", 0x1000, 64)  # waits for the first load to retire
+    builder.vse32("v1", 0x8000, 256)
+    builder.vse32("v1", 0xA000, 64)
+    builder.vse32("v2", 0x9000, 64, ordered=True)  # waits for both stores
+    builder.vle32("v3", 0x2000, 64)
+    cycles, _ = soc.run_program(builder.build(), event_driven=event_driven)
+    return cycles, calls, retired
+
+
+class TestDispatchGate:
+    """A memory op that fails to dispatch retries only when an op retires."""
+
+    def test_blocked_ops_dispatch_on_the_same_cycle(self, monkeypatch):
+        """Gated and retry-every-tick dispatch agree cycle for cycle under
+        both engines, for an op blocked by the limit and one by a fence."""
+        runs = {
+            (event_driven, gated): _gated_dispatch_run(
+                monkeypatch, event_driven, gated)
+            for event_driven in (True, False) for gated in (True, False)
+        }
+        outcomes = {
+            key: (cycles, [call for call in calls if call[2]])
+            for key, (cycles, calls, _) in runs.items()
+        }
+        assert len(set(map(repr, outcomes.values()))) == 1
+        blocked = {op for op, _, dispatched in runs[True, True][1]
+                   if not dispatched}
+        assert blocked == {1, 4}  # the second load and the ordered store
+
+    @pytest.mark.parametrize("event_driven", [True, False])
+    def test_blocked_op_retries_once_per_retirement(self, monkeypatch,
+                                                    event_driven):
+        _, calls, retired = _gated_dispatch_run(monkeypatch, event_driven)
+        assert len(calls) == 9  # six dispatches and three failed attempts
+        for op in {op for op, _, dispatched in calls if not dispatched}:
+            cycles = [cycle for op_id, cycle, _ in calls if op_id == op]
+            first, dispatched_at = cycles[0], cycles[-1]
+            # One retry per retirement while blocked, and no other.
+            assert cycles[1:] == sorted(
+                {cycle for cycle in retired if first < cycle <= dispatched_at})
 
 
 class TestResultAccounting:
