@@ -15,7 +15,6 @@ import numpy as np
 from repro.analysis.report import ExperimentTable
 from repro.axi.pack import PackUserField
 from repro.axi.transaction import BusRequest
-from repro.controller.context import AdapterConfig
 from repro.controller.testbench import ControllerTestbench
 from repro.hw.crossbar_area import BankCrossbarAreaModel
 from repro.mem.banked import BankedMemoryConfig
@@ -32,16 +31,14 @@ FIG5_BANK_COUNTS = (8, 11, 16, 17, 31, 32)
 
 
 def _testbench(num_banks: int, conflict_free: bool, queue_depth: int,
-               bus_bytes: int = 32) -> ControllerTestbench:
-    adapter = AdapterConfig(bus_bytes=bus_bytes, queue_depth=queue_depth)
-    memory = BankedMemoryConfig(
-        num_ports=adapter.bus_words,
+               bus_bytes: int) -> ControllerTestbench:
+    config = BankedMemoryConfig(
+        num_ports=bus_bytes // 4,  # 32-bit words
         num_banks=num_banks,
-        request_queue_depth=queue_depth,
-        response_queue_depth=queue_depth,
+        queue_depth=queue_depth,
         conflict_free=conflict_free,
     )
-    return ControllerTestbench(adapter, memory, memory_bytes=1 << 23)
+    return ControllerTestbench(config, memory_bytes=1 << 23)
 
 
 def measure_indirect_utilization(
@@ -73,7 +70,6 @@ def measure_indirect_utilization(
                 elem_bytes=elem_bytes,
                 bus_bytes=bus_bytes,
                 pack=PackUserField.indirect(index_bytes, index_cursor),
-                index_base=index_cursor,
             )
         )
         index_cursor += len(indices) * index_bytes

@@ -191,7 +191,6 @@ class RequestBuilder:
                     elem_bytes=stream.elem_bytes,
                     bus_bytes=self.bus_bytes,
                     pack=PackUserField.indirect(stream.index_bytes, index_base),
-                    index_base=index_base,
                 )
             )
             first += count

@@ -1,12 +1,11 @@
 """Deterministic bus-level fault injection for the cycle-level stack.
 
-:mod:`repro.orchestrate.faults` proves the *orchestrator* survives worker
-death; this module is the same idea one layer down — it proves the
-*simulated system* survives bus errors.  A :class:`BusFaultPlan` describes
-exactly which bus accesses misbehave and how; the memory endpoints and the
-crossbar demux each consult the plan at one choke point, and everything
-downstream (response merging, engine abort, fault reports) is ordinary
-error-response plumbing that injected and organic faults share.
+This module proves the *simulated system* survives bus errors.  A
+:class:`BusFaultPlan` describes exactly which bus accesses misbehave and
+how; the memory endpoints and the crossbar demux each consult the plan at
+one choke point, and everything downstream (response merging, engine
+abort, fault reports) is ordinary error-response plumbing that injected and
+organic faults share.
 
 A plan is plain frozen data (picklable, JSON round-trippable, canonicalizes
 for cache fingerprints) and is carried by

@@ -385,40 +385,30 @@ class CycleAxiDemux(Component):
         self._error_b.clear()
 
     # ------------------------------------------------------------ forwarding
-    def _error_resp(self, request: BusRequest) -> Optional[Resp]:
-        """The in-band error response this burst must receive, if any."""
+    def _decode(self, request: BusRequest) -> Tuple[int, Optional[Resp]]:
+        """Decode a burst: ``(target, None)``, or ``(-1, resp)`` for a burst
+        that must be answered in band with the error ``resp``."""
         plan = self._fault_plan
         if plan is not None:
             fault = plan.first_match(self.name, request.txn_id, request.addr)
             if fault is not None and fault.kind in ("slverr", "decerr"):
-                return fault.resp
+                return -1, fault.resp
         target = self.address_map.try_route(request.addr)
         if target < 0:
-            return Resp.DECERR
+            return -1, Resp.DECERR
         if self.check_straddle and request.contiguous and not request.is_packed:
             last = request.addr + request.payload_bytes - 1
             if self.address_map.try_route(last) != target:
                 # A contiguous burst straddling two targets cannot be served
                 # by either: the decode is ill-formed, answered as DECERR.
-                return Resp.DECERR
-        return None
-
-    def _route_target(self, request: BusRequest) -> int:
-        target = self.address_map.route(request.addr)
-        if self.check_straddle and request.contiguous and not request.is_packed:
-            last = request.addr + request.payload_bytes - 1
-            if self.address_map.route(last) != target:
-                raise ProtocolError(
-                    "contiguous burst straddles two demux targets; the "
-                    "upstream master must split it"
-                )
-        return target
+                return -1, Resp.DECERR
+        return target, None
 
     def _forward_request(self, source: DecoupledQueue, is_write: bool) -> None:
         if not source._storage:
             return
         request: BusRequest = source._storage[0]
-        resp = self._error_resp(request)
+        target, resp = self._decode(request)
         if resp is not None:
             # Error burst: accepted unconditionally (its beats go nowhere, so
             # no downstream queue or AW gate constrains it) and answered in
@@ -431,7 +421,6 @@ class CycleAxiDemux(Component):
             else:
                 self._error_r.append([request.txn_id, request.num_beats, resp])
             return
-        target = self._route_target(request)
         if is_write and self._w_order and self._w_order[0][0] != target:
             # Same-target AW gate (see the class docstring): hold this AW
             # until the W beats owed to the previous target have drained.

@@ -1,9 +1,13 @@
 """Per-beat channel records for the five AXI channels.
 
-These records are what flows through :class:`~repro.sim.queue.DecoupledQueue`
-instances in the cycle-level simulator.  They carry only the fields the
-bandwidth model needs; side-band signals with no performance impact (QoS,
-region, cache, prot, lock) are omitted.
+The W, R and B records are what flows through the data and response
+:class:`~repro.sim.queue.DecoupledQueue` instances of an
+:class:`~repro.axi.port.AxiPort`.  The AR and AW queues carry the decoded
+:class:`~repro.axi.transaction.BusRequest` instead; :class:`ARBeat` and
+:class:`AWBeat` are its wire-level view
+(:meth:`~repro.axi.transaction.BusRequest.to_channel_beat`).  The records
+carry only the fields the bandwidth model needs; side-band signals with no
+performance impact (QoS, region, cache, prot, lock) are omitted.
 """
 
 from __future__ import annotations

@@ -77,8 +77,6 @@ class BusRequest:
         transfers.  Ignored for packed requests.
     pack:
         Decoded AXI-Pack user field (mode NONE for plain AXI4).
-    index_base:
-        Absolute byte address of the index array for indirect bursts.
     """
 
     addr: int
@@ -88,7 +86,6 @@ class BusRequest:
     bus_bytes: int
     contiguous: bool = False
     pack: PackUserField = field(default=PLAIN_AXI4_FIELD)
-    index_base: int = 0
     txn_id: int = field(default_factory=next_txn_id)
     burst: BurstType = BurstType.INCR
 
@@ -120,6 +117,11 @@ class BusRequest:
     def mode(self) -> PackMode:
         """Pack mode shortcut."""
         return self.pack.mode
+
+    @cached_property
+    def index_base(self) -> int:
+        """Absolute byte address of the index array (indirect bursts)."""
+        return self.pack.index_base_addr
 
     @cached_property
     def is_packed(self) -> bool:

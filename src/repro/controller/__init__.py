@@ -11,13 +11,14 @@ converters:
   strided bursts;
 * :class:`~repro.controller.indirect_read.IndirectReadConverter` and
   :class:`~repro.controller.indirect_write.IndirectWriteConverter` — AXI-Pack
-  indirect bursts, with the index stage performing the indirection bank-side.
+  indirect bursts, with the index stage
+  (:class:`~repro.controller.index_stage.IndexStage`) performing the
+  indirection bank-side.
 
 Each converter breaks beats into parallel word accesses, regulated so the
 decoupling queues never overflow, and re-packs (or unpacks) bus-wide beats.
 """
 
-from repro.controller.context import AdapterConfig, AdapterContext
 from repro.controller.adapter import AxiPackAdapter
 from repro.controller.base_converter import BaseAxi4Converter
 from repro.controller.strided_read import StridedReadConverter
@@ -26,8 +27,6 @@ from repro.controller.indirect_read import IndirectReadConverter
 from repro.controller.indirect_write import IndirectWriteConverter
 
 __all__ = [
-    "AdapterConfig",
-    "AdapterContext",
     "AxiPackAdapter",
     "BaseAxi4Converter",
     "StridedReadConverter",

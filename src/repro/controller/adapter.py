@@ -4,7 +4,8 @@ The adapter owns the five burst converters.  Per cycle it:
 
 1. retires at most one completed word access per memory port, freeing its
    slot in the issuing converter pipe;
-2. runs each converter's internal housekeeping (index extraction, planning);
+2. runs the indirect converters' housekeeping (index extraction, beat
+   planning);
 3. demultiplexes at most one AR and one AW request onto the right converter;
 4. routes at most one W data beat to the write converter expecting it;
 5. lets the converters issue word accesses onto the free memory ports (the
@@ -29,7 +30,6 @@ from typing import Deque, List, Optional, Tuple
 from repro.axi.port import AxiPort
 from repro.axi.transaction import BusRequest
 from repro.controller.base_converter import BaseAxi4Converter
-from repro.controller.context import AdapterConfig, AdapterContext
 from repro.controller.converter import Converter
 from repro.controller.indirect_read import IndirectReadConverter
 from repro.controller.indirect_write import IndirectWriteConverter
@@ -45,7 +45,9 @@ class AxiPackAdapter:
     """Translates AXI / AXI-Pack bursts into banked word accesses.
 
     Not an engine component of its own: :class:`BankedChannel` ticks it
-    together with its memory.
+    together with its memory.  The adapter and its converters take their
+    geometry from the memory's config: one word lane per memory port, and
+    an AXI port exactly that many words wide.
     """
 
     def __init__(
@@ -53,47 +55,38 @@ class AxiPackAdapter:
         name: str,
         port: AxiPort,
         memory: BankedMemory,
-        config: Optional[AdapterConfig] = None,
         stats: Optional[StatsRegistry] = None,
     ) -> None:
+        config = memory.config
+        if port.bus_bytes != config.bus_bytes:
+            raise ProtocolError(
+                f"AXI port width {port.bus_bytes}B does not match the memory's "
+                f"{config.num_ports} word ports of {config.word_bytes}B"
+            )
         self.name = name
         self.port = port
         self.memory = memory
-        self.config = config or AdapterConfig(bus_bytes=port.bus_bytes)
-        if self.config.bus_bytes != port.bus_bytes:
-            raise ProtocolError(
-                f"adapter bus width {self.config.bus_bytes}B does not match the "
-                f"AXI port width {port.bus_bytes}B"
-            )
-        if self.config.word_bytes != memory.config.word_bytes:
-            raise ProtocolError(
-                "adapter word width must match the banked memory word width"
-            )
-        if self.config.bus_words > memory.config.num_ports:
-            raise ProtocolError(
-                f"adapter needs {self.config.bus_words} word ports but the "
-                f"memory provides only {memory.config.num_ports}"
-            )
         self.stats = stats if stats is not None else StatsRegistry()
-        self.ctx = AdapterContext(self.config, self.stats, storage=memory.storage)
 
-        self.base = BaseAxi4Converter(f"{name}.base", self.ctx)
-        self.strided_read = StridedReadConverter(f"{name}.strided_read", self.ctx)
-        self.strided_write = StridedWriteConverter(f"{name}.strided_write", self.ctx)
-        self.indirect_read = IndirectReadConverter(f"{name}.indirect_read", self.ctx)
-        self.indirect_write = IndirectWriteConverter(f"{name}.indirect_write", self.ctx)
+        self.base = BaseAxi4Converter(f"{name}.base", memory, self.stats)
+        self.strided_read = StridedReadConverter(
+            f"{name}.strided_read", memory, self.stats
+        )
+        self.strided_write = StridedWriteConverter(
+            f"{name}.strided_write", memory, self.stats
+        )
+        self.indirect_read = IndirectReadConverter(
+            f"{name}.indirect_read", memory, self.stats
+        )
+        self.indirect_write = IndirectWriteConverter(
+            f"{name}.indirect_write", memory, self.stats
+        )
         self.converters: List[Converter] = [
             self.base,
             self.strided_read,
             self.strided_write,
             self.indirect_read,
             self.indirect_write,
-        ]
-        #: converters that override Converter.step (per-cycle housekeeping)
-        self._stepping: List[Converter] = [
-            converter
-            for converter in self.converters
-            if type(converter).step is not Converter.step
         ]
         #: converters that can ever emit a B response (write-capable)
         self._write_converters: List[Converter] = [
@@ -134,9 +127,11 @@ class AxiPackAdapter:
                     "must expose their B-gating containers"
                 )
             self._conv_b_emitters.append((converter.pop_ready_b_beat, b_deques))
-        #: (prebound step, active-burst deque) for the stepping converters
+        #: (prebound step, index-stage burst deque) of the two converters
+        #: with per-cycle housekeeping, the indirect ones
         self._stepping_info: List[Tuple] = [
-            (converter.step, converter._bursts) for converter in self._stepping
+            (self.indirect_read.step, self.indirect_read._index.bursts),
+            (self.indirect_write.step, self.indirect_write._index.bursts),
         ]
         #: write converters in AW-acceptance order still owed W beats
         self._w_routing: Deque[Tuple[Converter, int]] = deque()
@@ -156,9 +151,9 @@ class AxiPackAdapter:
         # Prebound hot-path containers and counters (see repro.sim.stats).
         self._req_fifos = memory.req_fifos
         self._req_pushed_at = memory.req_pushed_at
-        self._req_depth = memory.config.request_queue_depth
+        self._req_depth = config.queue_depth
         #: bit mask of every memory word port (see BankedMemory.req_full)
-        self._all_ports = (1 << memory.config.num_ports) - 1
+        self._all_ports = (1 << config.num_ports) - 1
         self._rsp_fifos = memory.rsp_fifos
         self._ar = port.ar
         self._aw = port.aw
@@ -217,9 +212,8 @@ class AxiPackAdapter:
         self._last_tick = cycle
         moved = self._retire_words() if self._outstanding_words else 0
         for step, bursts in self._stepping_info:
-            # Only the indirect converters do per-cycle housekeeping (index
-            # extraction, planning); the others' step is a no-op, and an
-            # indirect converter with no active burst has nothing to do.
+            # An indirect converter with no burst has nothing to extract or
+            # plan.
             if bursts:
                 step(cycle)
         self._demux_requests()

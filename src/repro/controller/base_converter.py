@@ -13,14 +13,15 @@ from typing import Deque, List, Optional
 
 from repro.axi.signals import BBeat, RBeat
 from repro.axi.transaction import BusRequest
-from repro.controller.context import AdapterContext
-from repro.controller.converter import Converter
+from repro.controller.converter import MAX_OPEN_BURSTS, Converter
 from repro.controller.lanes import (
     LaneReadPipe,
     LaneWritePipe,
     batch_contiguous,
     batch_narrow,
 )
+from repro.mem.banked import BankedMemory
+from repro.sim.stats import StatsRegistry
 
 #: Upper bound on beats buffered in the read pipe before new bursts stall.
 _MAX_PENDING_READ_BEATS = 512
@@ -29,16 +30,16 @@ _MAX_PENDING_READ_BEATS = 512
 class BaseAxi4Converter(Converter):
     """Backward-compatible converter for plain AXI4 read and write bursts."""
 
-    def __init__(self, name: str, ctx: AdapterContext) -> None:
-        super().__init__(name, ctx)
-        self._reads = LaneReadPipe(f"{name}.read", ctx.config)
-        self._writes = LaneWritePipe(f"{name}.write", ctx.config)
+    def __init__(self, name: str, memory: BankedMemory, stats: StatsRegistry) -> None:
+        super().__init__(name, memory)
+        self._reads = LaneReadPipe(f"{name}.read", self.config)
+        self._writes = LaneWritePipe(f"{name}.write", self.config)
         # Plan-kernel geometry, read once per burst (one per element on BASE).
-        self._word_bytes = ctx.config.word_bytes
-        self._bus_words = ctx.config.bus_words
+        self._word_bytes = self.config.word_bytes
+        self._bus_words = self.config.num_ports
         # Prebound hot-path counters (see repro.sim.stats).
-        self._c_read_bursts = ctx.stats.counter("controller.base.read_bursts")
-        self._c_write_bursts = ctx.stats.counter("controller.base.write_bursts")
+        self._c_read_bursts = stats.counter("controller.base.read_bursts")
+        self._c_write_bursts = stats.counter("controller.base.write_bursts")
 
     # ------------------------------------------------------------ acceptance
     def can_accept_read(self, request: BusRequest) -> bool:
@@ -56,7 +57,7 @@ class BaseAxi4Converter(Converter):
     def can_accept_write(self, request: BusRequest) -> bool:
         if request.is_packed:
             return False
-        return len(self._writes._bursts) < self.ctx.config.max_pipelined_bursts
+        return len(self._writes._bursts) < MAX_OPEN_BURSTS
 
     def accept_write(self, request: BusRequest) -> None:
         kernel = batch_contiguous if request.contiguous else batch_narrow

@@ -7,7 +7,12 @@ from typing import Deque, List, Optional, Tuple
 
 from repro.axi.signals import BBeat, RBeat
 from repro.axi.transaction import BusRequest
-from repro.controller.context import AdapterContext
+from repro.mem.banked import BankedMemory
+
+#: How many accepted-but-unfinished bursts a write converter (and either
+#: indirect converter) may hold; lets back-to-back bursts keep the word
+#: lanes busy.
+MAX_OPEN_BURSTS = 4
 
 
 class Converter(abc.ABC):
@@ -18,11 +23,13 @@ class Converter(abc.ABC):
     and W-data routing is mediated by the adapter so that the shared
     resources (one beat per channel per cycle, one access per word port per
     cycle) are arbitrated in a single place — the "bank port mux" of Fig. 2b.
+    A converter reads its geometry (word lanes, word width, accesses in
+    flight per port) from the config of the memory it drives.
     """
 
-    def __init__(self, name: str, ctx: AdapterContext) -> None:
+    def __init__(self, name: str, memory: BankedMemory) -> None:
         self.name = name
-        self.ctx = ctx
+        self.config = memory.config
 
     # ------------------------------------------------------------ acceptance
     def can_accept_read(self, request: BusRequest) -> bool:
@@ -46,9 +53,6 @@ class Converter(abc.ABC):
         raise NotImplementedError(f"{self.name} does not consume W data")
 
     # ----------------------------------------------------------------- cycle
-    def step(self, cycle: int) -> None:
-        """Internal per-cycle housekeeping (index extraction, planning)."""
-
     @abc.abstractmethod
     def issue(self, free_ports: int, out: List[Deque[tuple]]) -> int:
         """Issue word accesses this cycle using only the given free ports.

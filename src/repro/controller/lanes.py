@@ -39,8 +39,8 @@ import numpy as np
 from repro.axi.signals import BBeat, RBeat
 from repro.axi.transaction import BusRequest
 from repro.axi.types import Resp
-from repro.controller.context import AdapterConfig
 from repro.errors import ProtocolError, SimulationError
+from repro.mem.banked import BankedMemoryConfig
 
 #: Prebound default: compared on every beat completion.
 _RESP_OKAY = Resp.OKAY
@@ -529,11 +529,11 @@ class LaneReadPipe:
 
     __slots__ = ("name", "config", "in_flight", "_beats", "_unissued")
 
-    def __init__(self, name: str, config: AdapterConfig) -> None:
+    def __init__(self, name: str, config: BankedMemoryConfig) -> None:
         self.name = name
         self.config = config
         #: word accesses in flight per port, capped at ``config.queue_depth``
-        self.in_flight: List[int] = [0] * config.bus_words
+        self.in_flight: List[int] = [0] * config.num_ports
         #: (batch, beat index, request) in plan order, oldest first
         self._beats: Deque[Tuple[SlotBatch, int, BusRequest]] = deque()
         #: batches with unissued slots, oldest first: [batch, flat cursor]
@@ -667,7 +667,7 @@ class LaneReadPipe:
         """Drop all state (component reset)."""
         self._beats.clear()
         self._unissued.clear()
-        self.in_flight = [0] * self.config.bus_words
+        self.in_flight = [0] * self.config.num_ports
 
 
 class _ActiveWriteBurst:
@@ -710,11 +710,11 @@ class LaneWritePipe:
     __slots__ = ("name", "config", "in_flight",
                  "_bursts", "_owed", "_beats", "_unissued")
 
-    def __init__(self, name: str, config: AdapterConfig) -> None:
+    def __init__(self, name: str, config: BankedMemoryConfig) -> None:
         self.name = name
         self.config = config
         #: word accesses in flight per port, capped at ``config.queue_depth``
-        self.in_flight: List[int] = [0] * config.bus_words
+        self.in_flight: List[int] = [0] * config.num_ports
         self._bursts: Deque[_ActiveWriteBurst] = deque()
         #: the bursts still owed W data, oldest first: W beats arrive in
         #: burst order, so these are always the newest of ``_bursts``
@@ -861,4 +861,4 @@ class LaneWritePipe:
         self._owed.clear()
         self._beats.clear()
         self._unissued.clear()
-        self.in_flight = [0] * self.config.bus_words
+        self.in_flight = [0] * self.config.num_ports

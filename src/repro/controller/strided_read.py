@@ -14,9 +14,10 @@ from typing import Deque, List, Optional
 from repro.axi.pack import PackMode
 from repro.axi.signals import RBeat
 from repro.axi.transaction import BusRequest
-from repro.controller.context import AdapterContext
 from repro.controller.converter import Converter
 from repro.controller.lanes import LaneReadPipe, batch_strided
+from repro.mem.banked import BankedMemory
+from repro.sim.stats import StatsRegistry
 
 #: Upper bound on beats buffered in the pipe before new bursts stall.
 _MAX_PENDING_BEATS = 1024
@@ -25,10 +26,10 @@ _MAX_PENDING_BEATS = 1024
 class StridedReadConverter(Converter):
     """Serves AXI-Pack strided read bursts."""
 
-    def __init__(self, name: str, ctx: AdapterContext) -> None:
-        super().__init__(name, ctx)
-        self._pipe = LaneReadPipe(name, ctx.config)
-        self._c_bursts = ctx.stats.counter("controller.strided_read.bursts")
+    def __init__(self, name: str, memory: BankedMemory, stats: StatsRegistry) -> None:
+        super().__init__(name, memory)
+        self._pipe = LaneReadPipe(name, self.config)
+        self._c_bursts = stats.counter("controller.strided_read.bursts")
 
     def can_accept_read(self, request: BusRequest) -> bool:
         if request.mode is not PackMode.STRIDED or request.is_write:
@@ -36,9 +37,9 @@ class StridedReadConverter(Converter):
         return self._pipe.pending_beats() + request.num_beats <= _MAX_PENDING_BEATS
 
     def accept_read(self, request: BusRequest) -> None:
-        config = self.ctx.config
+        config = self.config
         self._pipe.accept(
-            request, batch_strided(request, config.word_bytes, config.bus_words)
+            request, batch_strided(request, config.word_bytes, config.num_ports)
         )
         self._c_bursts.value += 1
 

@@ -12,28 +12,29 @@ from typing import Deque, List, Optional
 from repro.axi.pack import PackMode
 from repro.axi.signals import BBeat
 from repro.axi.transaction import BusRequest
-from repro.controller.context import AdapterContext
-from repro.controller.converter import Converter
+from repro.controller.converter import MAX_OPEN_BURSTS, Converter
 from repro.controller.lanes import LaneWritePipe, batch_strided
+from repro.mem.banked import BankedMemory
+from repro.sim.stats import StatsRegistry
 
 
 class StridedWriteConverter(Converter):
     """Serves AXI-Pack strided write bursts."""
 
-    def __init__(self, name: str, ctx: AdapterContext) -> None:
-        super().__init__(name, ctx)
-        self._pipe = LaneWritePipe(name, ctx.config)
-        self._c_bursts = ctx.stats.counter("controller.strided_write.bursts")
+    def __init__(self, name: str, memory: BankedMemory, stats: StatsRegistry) -> None:
+        super().__init__(name, memory)
+        self._pipe = LaneWritePipe(name, self.config)
+        self._c_bursts = stats.counter("controller.strided_write.bursts")
 
     def can_accept_write(self, request: BusRequest) -> bool:
         if request.mode is not PackMode.STRIDED or not request.is_write:
             return False
-        return len(self._pipe._bursts) < self.ctx.config.max_pipelined_bursts
+        return len(self._pipe._bursts) < MAX_OPEN_BURSTS
 
     def accept_write(self, request: BusRequest) -> None:
-        config = self.ctx.config
+        config = self.config
         self._pipe.accept(
-            request, batch_strided(request, config.word_bytes, config.bus_words)
+            request, batch_strided(request, config.word_bytes, config.num_ports)
         )
         self._c_bursts.value += 1
 

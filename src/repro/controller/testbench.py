@@ -19,7 +19,6 @@ from repro.axi.port import AxiPort
 from repro.axi.signals import WBeat
 from repro.axi.transaction import BusRequest
 from repro.controller.adapter import AxiPackAdapter, BankedChannel
-from repro.controller.context import AdapterConfig
 from repro.errors import SimulationError
 from repro.mem.banked import BankedMemory, BankedMemoryConfig
 from repro.mem.storage import MemoryStorage
@@ -185,23 +184,15 @@ class ControllerTestbench:
 
     def __init__(
         self,
-        adapter_config: Optional[AdapterConfig] = None,
-        memory_config: Optional[BankedMemoryConfig] = None,
+        config: Optional[BankedMemoryConfig] = None,
         memory_bytes: int = 1 << 22,
     ) -> None:
-        self.adapter_config = adapter_config or AdapterConfig()
-        self.memory_config = memory_config or BankedMemoryConfig(
-            num_ports=self.adapter_config.bus_words
-        )
+        self.config = config or BankedMemoryConfig()
         self.storage = MemoryStorage(memory_bytes)
         self.stats = StatsRegistry()
-        self.port = AxiPort("tb", self.adapter_config.bus_bytes)
-        self.memory = BankedMemory(
-            "mem", self.memory_config, self.storage, self.stats
-        )
-        self.adapter = AxiPackAdapter(
-            "adapter", self.port, self.memory, self.adapter_config, self.stats
-        )
+        self.port = AxiPort("tb", self.config.bus_bytes)
+        self.memory = BankedMemory("mem", self.config, self.storage, self.stats)
+        self.adapter = AxiPackAdapter("adapter", self.port, self.memory, self.stats)
 
     def run(
         self,

@@ -9,15 +9,15 @@ limit the utilization curves of Fig. 5.
 
 Port interface
 --------------
-Every word port has a request FIFO (``req_fifos[port]``, at most
-``request_queue_depth`` deep) and a response FIFO (``rsp_fifos[port]``, at
-most ``response_queue_depth`` deep).  Both hold the lane pipes'
-``(pipe, batch, slot)`` tags; there is no per-word record.  The word address
-comes from ``batch.words[slot]``, write data from the beat's
-``batch.beat_payload``, and a granted read deposits its bytes straight into
-the beat's ``batch.beat_data`` buffer.  An errored access poisons its beat
-at grant.  The adapter appends requests and pops responses; the memory pops
-requests at grant and appends responses once the bank latency has passed.
+Every word port has a request FIFO (``req_fifos[port]``) and a response
+FIFO (``rsp_fifos[port]``), each at most ``queue_depth`` deep.  Both hold
+the lane pipes' ``(pipe, batch, slot)`` tags; there is no per-word record.
+The word address comes from ``batch.words[slot]``, write data from the
+beat's ``batch.beat_payload``, and a granted read deposits its bytes
+straight into the beat's ``batch.beat_data`` buffer.  An errored access
+poisons its beat at grant.  The adapter appends requests and pops
+responses; the memory pops requests at grant and appends responses once
+the bank latency has passed.
 
 The FIFOs keep registered-output timing: a request appended at cycle *t*
 is granted at *t + 1* at the earliest.  Each port takes at most one request
@@ -57,9 +57,11 @@ from typing import Deque, List, Optional, Tuple
 
 from repro.axi.faults import BusFaultPlan
 from repro.axi.types import Resp, worst_resp
+from repro.errors import ConfigurationError
 from repro.mem.storage import MemoryStorage
 from repro.sim.component import IDLE
 from repro.sim.stats import StatsRegistry
+from repro.utils.bitutils import is_power_of_two
 from repro.utils.validation import check_positive
 
 #: Prebound: compared once per granted word.
@@ -68,25 +70,45 @@ _RESP_OKAY = Resp.OKAY
 
 @dataclass(frozen=True)
 class BankedMemoryConfig:
-    """Static parameters of the banked memory.
+    """Static parameters of one banked channel: the banked memory and the
+    AXI-Pack adapter in front of it.
 
     The paper's evaluation systems use eight 32-bit word ports backed by 17
-    banks with single-cycle access latency.
+    banks with single-cycle access latency.  The adapter serves an AXI bus
+    one word per port wide (``n = D / W`` word lanes, paper §II-C).
+
+    Attributes
+    ----------
+    queue_depth:
+        Depth of every port's request and response FIFO, and how many word
+        accesses a converter pipe keeps in flight per port (the request
+        regulator of Fig. 2c; paper default 4, raised to 32 for the §III-E
+        sensitivity study).
+    conflict_free:
+        True models the "ideal" conflict-free memory of Fig. 5.
     """
 
     num_ports: int = 8
     num_banks: int = 17
     word_bytes: int = 4
     latency: int = 1
-    request_queue_depth: int = 4
-    response_queue_depth: int = 4
-    conflict_free: bool = False  #: True models the "ideal" memory of Fig. 5
+    queue_depth: int = 4
+    conflict_free: bool = False
 
     def __post_init__(self) -> None:
-        check_positive("num_ports", self.num_ports)
+        if not is_power_of_two(self.num_ports) or not is_power_of_two(self.word_bytes):
+            raise ConfigurationError(
+                "port count and word width must be powers of two (the bus "
+                "width is their product)"
+            )
         check_positive("num_banks", self.num_banks)
-        check_positive("word_bytes", self.word_bytes)
         check_positive("latency", self.latency)
+        check_positive("queue_depth", self.queue_depth)
+
+    @property
+    def bus_bytes(self) -> int:
+        """Width of the AXI data bus the channel serves: one word per port."""
+        return self.num_ports * self.word_bytes
 
 
 class BankedMemory:
@@ -139,10 +161,10 @@ class BankedMemory:
         self._port_pairs = list(zip(self.req_fifos, self._in_flight))
         self._delivery_pairs = list(zip(self._in_flight, self.rsp_fifos))
         self._bank_last_grant: List[int] = [ports - 1] * config.num_banks
-        self._rsp_depth = config.response_queue_depth
+        self._rsp_depth = config.queue_depth
         #: granted-but-undelivered accesses a port may hold before its
         #: requests wait, which bounds the in-flight state
-        self._in_flight_limit = 4 * config.response_queue_depth
+        self._in_flight_limit = 4 * config.queue_depth
         #: writable view of the memory image for single-word accesses — the
         #: word read/write fast path (aliases storage._data)
         self._mem_view = storage._data.data

@@ -7,7 +7,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from repro.axi.faults import BusFaultPlan
-from repro.controller.context import AdapterConfig
 from repro.errors import ConfigurationError
 from repro.mem.banked import BankedMemoryConfig
 from repro.utils.bitutils import is_power_of_two
@@ -134,23 +133,14 @@ class SystemConfig:
             return self.vector
         return VectorEngineConfig(lanes=self.lanes, bus_bytes=self.bus_bytes)
 
-    def adapter_config(self) -> AdapterConfig:
-        """The AXI-Pack adapter configuration for this system."""
-        return AdapterConfig(
-            bus_bytes=self.bus_bytes,
-            word_bytes=self.word_bytes,
-            queue_depth=self.queue_depth,
-        )
-
     def memory_config(self) -> BankedMemoryConfig:
-        """The banked memory configuration for this system."""
+        """The banked channel (adapter + banked memory) configuration."""
         return BankedMemoryConfig(
             num_ports=self.bus_bytes // self.word_bytes,
             num_banks=self.num_banks,
             word_bytes=self.word_bytes,
             latency=self.memory_latency,
-            request_queue_depth=self.queue_depth,
-            response_queue_depth=self.queue_depth,
+            queue_depth=self.queue_depth,
         )
 
     def with_kind(self, kind: SystemKind) -> "SystemConfig":

@@ -183,9 +183,7 @@ class Soc:
             f"banked_mem{suffix}", config.memory_config(), self.storage, stats,
             bus_faults=config.bus_faults,
         )
-        adapter = AxiPackAdapter(
-            f"adapter{suffix}", port, memory, config.adapter_config(), stats
-        )
+        adapter = AxiPackAdapter(f"adapter{suffix}", port, memory, stats)
         return memory, BankedChannel(f"banked_channel{suffix}", adapter)
 
     @property

@@ -324,11 +324,16 @@ class VectorEngine(Component):
         return self.port.all_queues()
 
     # ------------------------------------------------------------- completion
-    def _mark_done(self, op_id: int, cycle: int) -> None:
-        self._done_at[op_id] = cycle
-        if cycle > self._cycle and cycle not in self._timer_set:
+    def _wake_at(self, cycle: int) -> None:
+        """Put ``cycle`` on the timer heap (once), so the engine ticks then."""
+        if cycle not in self._timer_set:
             self._timer_set.add(cycle)
             heappush(self._timers, cycle)
+
+    def _mark_done(self, op_id: int, cycle: int) -> None:
+        self._done_at[op_id] = cycle
+        if cycle > self._cycle:
+            self._wake_at(cycle)
         if cycle > self._latest_completion:
             self._latest_completion = cycle
 
@@ -509,9 +514,8 @@ class VectorEngine(Component):
         requests = self._lower(op, is_load)
         state = _MemOpState(op, requests, is_load)
         state.ready_cycle = cycle + self.config.addr_setup_cycles
-        if state.ready_cycle > cycle and state.ready_cycle not in self._timer_set:
-            self._timer_set.add(state.ready_cycle)
-            heappush(self._timers, state.ready_cycle)
+        if state.ready_cycle > cycle:
+            self._wake_at(state.ready_cycle)
         active.append(state)
         if self._watchdog_cycles:
             self._arm_watchdog(state, cycle)
@@ -720,9 +724,7 @@ class VectorEngine(Component):
         state.deadline = deadline
         # Deadlines land on the timer heap so an event-driven engine wakes to
         # notice a transaction whose responses stopped arriving entirely.
-        if deadline not in self._timer_set:
-            self._timer_set.add(deadline)
-            heappush(self._timers, deadline)
+        self._wake_at(deadline)
 
     def _check_watchdog(self, cycle: int) -> None:
         for active in (self._active_loads, self._active_stores):
@@ -773,6 +775,10 @@ class VectorEngine(Component):
         self._dispatch_blocked = False
         self._forget(state)
         self._mark_done(op.op_id, cycle)
+        # The op is done as of this cycle, after this tick's
+        # _retire_computes ran, and no timer marks it: wake on the next
+        # cycle so a compute chained on it is retried.
+        self._wake_at(cycle + 1)
 
     # ----------------------------------------------------------------- result
     def result(self, cycles: int) -> EngineResult:

@@ -18,8 +18,7 @@ def strided_request(elems=64, stride=3, bus=32, addr=0x1000):
 
 def indirect_request(elems=64, bus=32, addr=0x1000, idx_base=0x9000):
     return BusRequest(addr=addr, is_write=False, num_elements=elems, elem_bytes=4,
-                      bus_bytes=bus, pack=PackUserField.indirect(4, idx_base),
-                      index_base=idx_base)
+                      bus_bytes=bus, pack=PackUserField.indirect(4, idx_base))
 
 
 MAP = AddressMap([

@@ -28,8 +28,7 @@ def strided(addr=0, elems=64, stride=3, elem_bytes=4, bus=32, write=False):
 def indirect(addr=0, elems=64, elem_bytes=4, bus=32, idx_bytes=4, idx_base=0x1000, write=False):
     return BusRequest(addr=addr, is_write=write, num_elements=elems,
                       elem_bytes=elem_bytes, bus_bytes=bus,
-                      pack=PackUserField.indirect(idx_bytes, idx_base),
-                      index_base=idx_base)
+                      pack=PackUserField.indirect(idx_bytes, idx_base))
 
 
 class TestGeometry:

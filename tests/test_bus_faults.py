@@ -28,8 +28,7 @@ from repro.axi.faults import (
     BusFaultSpec,
 )
 from repro.axi.types import Resp, worst_resp
-from repro.controller.indirect_read import IndirectReadConverter
-from repro.controller.indirect_write import IndirectWriteConverter
+from repro.controller.index_stage import IndexStage
 from repro.errors import (
     ConfigurationError,
     DeadlockError,
@@ -262,14 +261,16 @@ class TestInjectedFaults:
 # -------------------------------------------------------- index-line faults
 @pytest.fixture
 def index_faults(monkeypatch):
-    """Record every poisoned index line either indirect converter sees."""
+    """Record every poisoned index line either indirect converter's index
+    stage sees, by the name of the stage's fetch pipe."""
     seen = []
-    for cls in (IndirectReadConverter, IndirectWriteConverter):
-        def spy(self, active, resp, _inner=cls._note_index_fault,
-                _name=cls.__name__):
-            seen.append((_name, resp))
-            return _inner(self, active, resp)
-        monkeypatch.setattr(cls, "_note_index_fault", spy)
+    inner = IndexStage._note_index_fault
+
+    def spy(self, burst, resp):
+        seen.append((self.pipe.name, resp))
+        return inner(self, burst, resp)
+
+    monkeypatch.setattr(IndexStage, "_note_index_fault", spy)
     return seen
 
 
@@ -284,7 +285,7 @@ class TestIndexLineFaults:
                             "addr_hi": lo + 64}]}
         result = run_workload(
             workload, SystemConfig(bus_faults=plan).with_kind(SystemKind.PACK))
-        assert index_faults == [("IndirectReadConverter", Resp.SLVERR)] * 2
+        assert index_faults == [("adapter.indirect_read.index", Resp.SLVERR)] * 2
         assert result.faulted and result.verified is False
         [fault] = result.fault_report["faults"]
         # Op 2 is row 0's vlimxei32 gather; its burst addresses ``x``.
@@ -303,7 +304,7 @@ class TestIndexLineFaults:
         builder.vmv_vx("v1", 2.0, 8)
         builder.vsimxei32("v1", 0x4000, 0x2000, 8)
         soc.run_program(builder.build())
-        assert index_faults == [("IndirectWriteConverter", Resp.SLVERR)]
+        assert index_faults == [("adapter.indirect_write.index", Resp.SLVERR)]
         [fault] = soc.last_fault_report["faults"]
         assert fault["op_index"] == 1 and fault["kind"] == "store"
         assert fault["resp"] == "SLVERR" and fault["addr"] == 0x4000

@@ -21,7 +21,6 @@ from repro.axi.pack import PackUserField
 from repro.axi.port import AxiPort
 from repro.axi.transaction import BusRequest, reset_txn_ids
 from repro.controller.adapter import AxiPackAdapter, BankedChannel
-from repro.controller.context import AdapterConfig
 from repro.controller.testbench import ControllerTestbench
 from repro.errors import DeadlockError
 from repro.mem.banked import BankedMemory, BankedMemoryConfig
@@ -76,11 +75,8 @@ def _run(seed, queue_depth, latency, event_driven):
     reset_txn_ids()
     requests, payloads = _stream(seed)
     bench = ControllerTestbench(
-        AdapterConfig(bus_bytes=BUS, queue_depth=queue_depth),
-        BankedMemoryConfig(
-            num_ports=BUS // WORD, latency=latency,
-            request_queue_depth=queue_depth, response_queue_depth=queue_depth,
-        ),
+        BankedMemoryConfig(num_ports=BUS // WORD, latency=latency,
+                           queue_depth=queue_depth),
         memory_bytes=MEMORY_BYTES,
     )
     image = np.random.default_rng(seed).integers(
@@ -100,7 +96,7 @@ def _run(seed, queue_depth, latency, event_driven):
 def _check_req_full(memory):
     """``req_full`` has bit *p* set exactly while port *p*'s request FIFO
     is at depth."""
-    depth = memory.config.request_queue_depth
+    depth = memory.config.queue_depth
     for port, fifo in enumerate(memory.req_fifos):
         full = bool(memory.req_full >> port & 1)
         assert full == (len(fifo) >= depth), (
@@ -170,7 +166,7 @@ def _scripted_run(latency, ar_cycles, event_driven):
     stats = StatsRegistry()
     memory = BankedMemory("mem", BankedMemoryConfig(latency=latency),
                           MemoryStorage(MEMORY_BYTES), stats)
-    adapter = AxiPackAdapter("adapter", port, memory, AdapterConfig(), stats)
+    adapter = AxiPackAdapter("adapter", port, memory, stats)
     ran = {"adapter": [], "memory": []}
     for name, half in (("adapter", adapter), ("memory", memory)):
         def counted(cycle, _tick=half.tick, _log=ran[name]):

@@ -17,28 +17,22 @@ from repro.axi.stream import ContiguousStream, IndirectStream, StridedStream
 from repro.axi.transaction import BusRequest
 from repro.controller.adapter import AxiPackAdapter
 from repro.controller.base_converter import BaseAxi4Converter
-from repro.controller.context import AdapterConfig, AdapterContext
-from repro.controller.indirect_read import IndirectReadConverter, read_index_oracle
+from repro.controller.index_stage import read_index_oracle
+from repro.controller.indirect_read import IndirectReadConverter
 from repro.controller.indirect_write import IndirectWriteConverter
 from repro.controller.lanes import LaneReadPipe, LaneWritePipe
 from repro.controller.strided_read import StridedReadConverter
 from repro.controller.strided_write import StridedWriteConverter
 from repro.controller.testbench import ControllerTestbench
-from repro.errors import ProtocolError, SimulationError
+from repro.errors import ProtocolError
 from repro.mem.banked import BankedMemory, BankedMemoryConfig
 from repro.mem.functional import read_burst_payload
 from repro.mem.storage import MemoryStorage
 
 
-def make_testbench(num_banks: int = 17, queue_depth: int = 4, bus_bytes: int = 32,
-                   conflict_free: bool = False) -> ControllerTestbench:
-    adapter = AdapterConfig(bus_bytes=bus_bytes, queue_depth=queue_depth)
-    memory = BankedMemoryConfig(
-        num_ports=adapter.bus_words, num_banks=num_banks,
-        request_queue_depth=queue_depth, response_queue_depth=queue_depth,
-        conflict_free=conflict_free,
-    )
-    return ControllerTestbench(adapter, memory, memory_bytes=1 << 21)
+def make_testbench(num_banks: int = 17) -> ControllerTestbench:
+    return ControllerTestbench(BankedMemoryConfig(num_banks=num_banks),
+                               memory_bytes=1 << 21)
 
 
 @pytest.fixture
@@ -350,43 +344,36 @@ class TestIndexOracle:
     def _request(index_base, num_elements=8, index_bytes=2):
         return BusRequest(addr=0, is_write=False, num_elements=num_elements,
                           elem_bytes=4, bus_bytes=32,
-                          pack=PackUserField.indirect(index_bytes, index_base),
-                          index_base=index_base)
+                          pack=PackUserField.indirect(index_bytes, index_base))
 
     def test_reads_indices_from_backing_storage(self):
         storage = MemoryStorage(1 << 12)
         indices = np.arange(100, 108, dtype=np.uint16)
         storage.write_array(0x200, indices)
-        ctx = AdapterContext(AdapterConfig(), storage=storage)
-        values = read_index_oracle(ctx, self._request(0x200))
+        values = read_index_oracle(storage, self._request(0x200))
         assert values.dtype == np.uint16
         assert values.tolist() == indices.tolist()
 
     def test_indices_past_the_storage_resolve_to_zero(self):
         storage = MemoryStorage(1 << 12)
         storage.write_array((1 << 12) - 6, np.array([7, 8, 9], dtype=np.uint16))
-        ctx = AdapterContext(AdapterConfig(), storage=storage)
-        values = read_index_oracle(ctx, self._request((1 << 12) - 6))
+        values = read_index_oracle(storage, self._request((1 << 12) - 6))
         assert values.tolist() == [7, 8, 9, 0, 0, 0, 0, 0]
-
-    def test_context_without_storage_raises(self):
-        ctx = AdapterContext(AdapterConfig())
-        with pytest.raises(SimulationError, match="backing storage"):
-            read_index_oracle(ctx, self._request(0x200))
 
 
 class TestAdapterConstruction:
-    """The adapter refuses a port or memory it cannot drive."""
+    """The adapter refuses an AXI port that is not one memory word per
+    word port wide."""
 
-    @pytest.mark.parametrize(("adapter", "memory", "message"), [
-        (AdapterConfig(bus_bytes=64), BankedMemoryConfig(),
-         "adapter bus width 64B does not match the AXI port width 32B"),
-        (AdapterConfig(), BankedMemoryConfig(word_bytes=8),
-         "word width must match"),
-        (AdapterConfig(), BankedMemoryConfig(num_ports=4),
-         "needs 8 word ports but the memory provides only 4"),
+    @pytest.mark.parametrize(("port_bytes", "memory", "message"), [
+        (64, BankedMemoryConfig(),
+         "AXI port width 64B does not match the memory's 8 word ports of 4B"),
+        (32, BankedMemoryConfig(word_bytes=8),
+         "AXI port width 32B does not match the memory's 8 word ports of 8B"),
+        (32, BankedMemoryConfig(num_ports=4),
+         "AXI port width 32B does not match the memory's 4 word ports of 4B"),
     ], ids=["bus-width", "word-width", "word-ports"])
-    def test_mismatch_rejected(self, adapter, memory, message):
+    def test_mismatch_rejected(self, port_bytes, memory, message):
         banked = BankedMemory("mem", memory, MemoryStorage(1 << 12))
         with pytest.raises(ProtocolError, match=message):
-            AxiPackAdapter("adapter", AxiPort("port", 32), banked, adapter)
+            AxiPackAdapter("adapter", AxiPort("port", port_bytes), banked)

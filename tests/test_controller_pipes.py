@@ -13,7 +13,6 @@ from repro.axi.port import AxiPort
 from repro.axi.transaction import BusRequest
 from repro.axi.types import Resp
 from repro.controller.adapter import AxiPackAdapter
-from repro.controller.context import AdapterConfig
 from repro.controller.lanes import LaneReadPipe, LaneWritePipe, batch_strided
 from repro.errors import SimulationError
 from repro.mem.banked import BankedMemory, BankedMemoryConfig
@@ -26,7 +25,7 @@ def _strided_request(elems=16, stride=2):
 
 
 def _config(queue_depth=4):
-    return AdapterConfig(bus_bytes=32, queue_depth=queue_depth)
+    return BankedMemoryConfig(queue_depth=queue_depth)
 
 
 def _read_pipe(request, queue_depth=4):

@@ -23,8 +23,7 @@ def strided_request(elems=16, stride=3, elem_bytes=4):
 def indirect_request(elems, index_base, index_bytes=4, addr=0):
     return BusRequest(addr=addr, is_write=False, num_elements=elems,
                       elem_bytes=4, bus_bytes=32,
-                      pack=PackUserField.indirect(index_bytes, index_base),
-                      index_base=index_base)
+                      pack=PackUserField.indirect(index_bytes, index_base))
 
 
 def beat_slots(batch, beat):

@@ -116,7 +116,6 @@ def indirect_request(base: int, num_elements: int, elem_bytes: int,
         addr=base, is_write=is_write, num_elements=num_elements,
         elem_bytes=elem_bytes, bus_bytes=BUS,
         pack=PackUserField.indirect(index_bytes, index_base),
-        index_base=index_base,
     )
 
 

@@ -6,6 +6,7 @@ import pytest
 from repro.axi.faults import BusFaultPlan
 from repro.axi.types import Resp
 from repro.controller.lanes import SlotBatch
+from repro.errors import ConfigurationError
 from repro.mem.banked import BankedMemory, BankedMemoryConfig
 from repro.mem.storage import MemoryStorage
 from repro.sim.component import IDLE
@@ -13,11 +14,11 @@ from repro.sim.stats import StatsRegistry
 
 
 def make_memory(num_banks=17, num_ports=8, latency=1, conflict_free=False,
-                response_queue_depth=4, bus_faults=None):
+                queue_depth=4, bus_faults=None):
     storage = MemoryStorage(1 << 16)
     config = BankedMemoryConfig(num_ports=num_ports, num_banks=num_banks,
                                 latency=latency, conflict_free=conflict_free,
-                                response_queue_depth=response_queue_depth)
+                                queue_depth=queue_depth)
     stats = StatsRegistry()
     memory = BankedMemory("mem", config, storage, stats, bus_faults=bus_faults)
     return memory, storage, stats
@@ -60,6 +61,20 @@ def run(memory, max_cycles=1000):
         if not memory.busy():
             return responses, cycle + 1
     raise AssertionError("memory did not drain")
+
+
+class TestConfig:
+    @pytest.mark.parametrize(("field", "value", "message"), [
+        ("num_ports", 6, "powers of two"),
+        ("word_bytes", 3, "powers of two"),
+        ("num_banks", 0, "num_banks must be positive"),
+        ("latency", 0, "latency must be positive"),
+        ("queue_depth", 0, "queue_depth must be positive"),
+    ])
+    def test_invalid_value_rejected(self, field, value, message):
+        """The channel's one config checks every value it carries."""
+        with pytest.raises(ConfigurationError, match=message):
+            BankedMemoryConfig(**{field: value})
 
 
 class TestFunctional:
@@ -165,7 +180,7 @@ class TestTimingAndConflicts:
     def test_response_room_limits_delivery(self):
         """Matured accesses wait in flight while the response FIFO is full,
         and the in-flight cap of 4 x response depth holds back grants."""
-        memory, _, _ = make_memory(response_queue_depth=1)
+        memory, _, _ = make_memory(queue_depth=1)
         batch = word_batch(range(6))
         for slot in range(6):
             push(memory, 0, batch, slot)

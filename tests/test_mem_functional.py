@@ -44,8 +44,7 @@ class TestFunctionalHelpers:
         filled_storage.write_array(0x10000, indices)
         request = BusRequest(addr=0, is_write=False, num_elements=4, elem_bytes=4,
                              bus_bytes=32,
-                             pack=PackUserField.indirect(4, 0x10000),
-                             index_base=0x10000)
+                             pack=PackUserField.indirect(4, 0x10000))
         payload = read_burst_payload(filled_storage, request).view(np.float32)
         assert payload.tolist() == [5, 1, 100, 7]
 

@@ -37,8 +37,8 @@ class TestSystemConfig:
 
     def test_derived_configs_consistent(self):
         config = SystemConfig(bus_bytes=16, num_banks=11)
-        assert config.adapter_config().bus_words == 4
         assert config.memory_config().num_ports == 4
+        assert config.memory_config().bus_bytes == 16
         assert config.memory_config().num_banks == 11
         assert config.vector_config().lanes == 4
 
