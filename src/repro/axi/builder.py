@@ -90,7 +90,7 @@ class RequestBuilder:
         """
         if len(addresses) == 0:
             return []
-        from repro.axi.transaction import next_txn_id
+        from repro.axi.transaction import next_txn_ids
 
         # Plain Python ints, converted in one C-level call.
         addrs = addresses.tolist()
@@ -112,11 +112,11 @@ class RequestBuilder:
         cls = BusRequest
         new = object.__new__
         append = requests.append
-        for addr in addrs[1:]:
+        for addr, txn_id in zip(addrs[1:], next_txn_ids(len(addrs) - 1)):
             request = new(cls)
             copy = base.copy()
             copy["addr"] = addr
-            copy["txn_id"] = next_txn_id()
+            copy["txn_id"] = txn_id
             request.__dict__ = copy
             append(request)
         return requests

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError
 from repro.utils.bitutils import is_power_of_two
 
 
@@ -57,18 +57,11 @@ class AddressMap:
                 )
         self.regions: Tuple[AddressRegion, ...] = tuple(ordered)
 
-    def route(self, addr: int) -> int:
-        """Return the target index owning ``addr``."""
-        for region in self.regions:
-            if region.contains(addr):
-                return region.target
-        raise ProtocolError(f"address {addr:#x} decodes to no target (DECERR)")
-
     def try_route(self, addr: int) -> int:
-        """Like :meth:`route`, but return ``-1`` for an unmapped address.
+        """Return the target index owning ``addr``, or ``-1`` if unmapped.
 
-        The cycle-level demux uses this to answer unmapped bursts with
-        in-band ``DECERR`` responses instead of aborting the simulation.
+        The cycle-level demux answers an unmapped burst with in-band
+        ``DECERR`` responses instead of aborting the simulation.
         """
         for region in self.regions:
             if region.contains(addr):
@@ -115,16 +108,9 @@ class InterleavedAddressMap:
         self.size_bytes = size_bytes
         self._stripe_shift = stripe_bytes.bit_length() - 1
 
-    def route(self, addr: int) -> int:
-        """Return the target index owning the stripe containing ``addr``."""
-        if not 0 <= addr < self.size_bytes:
-            raise ProtocolError(
-                f"address {addr:#x} decodes to no target (DECERR)"
-            )
-        return (addr >> self._stripe_shift) % self.num_targets
-
     def try_route(self, addr: int) -> int:
-        """Like :meth:`route`, but return ``-1`` for an out-of-range address."""
+        """Return the target index owning the stripe containing ``addr``, or
+        ``-1`` for an out-of-range address."""
         if not 0 <= addr < self.size_bytes:
             return -1
         return (addr >> self._stripe_shift) % self.num_targets

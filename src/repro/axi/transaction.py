@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Tuple
+from typing import List, Tuple
 
 from repro.axi.pack import (
     DEFAULT_LAYOUT,
@@ -46,6 +46,11 @@ _txn_counter = itertools.count()
 def next_txn_id() -> int:
     """Return a fresh globally unique transaction id."""
     return next(_txn_counter)
+
+
+def next_txn_ids(count: int) -> List[int]:
+    """Return ``count`` fresh globally unique transaction ids, in order."""
+    return list(itertools.islice(_txn_counter, count))
 
 
 def reset_txn_ids() -> None:

@@ -393,6 +393,32 @@ class AxiPackAdapter:
                 self._c_b_beats.value += 1
                 return
 
+    # ------------------------------------------------------------ read streams
+    def holds_only_reads(self) -> bool:
+        """True while only the base and strided read pipes hold work.
+
+        A write burst stays open from AW acceptance until its B response
+        leaves (``_open_write_bursts``), and an indirect read keeps its
+        index-stage record until its last R beat, so these two checks cover
+        the write, W, B and index-stage state a read-stream macro-step does
+        not simulate.
+        """
+        return not self._open_write_bursts and not self.indirect_read.busy()
+
+    def end_read_stream(
+        self, last_tick: Optional[int], issue_rr: int, emit_rr: int,
+        ports_free_after_issue: bool, outstanding_words: int,
+        open_read_bursts: int,
+    ) -> None:
+        """Write back the scalars a read-stream macro-step kept in locals
+        (the converters' pipes and the counters were updated in place)."""
+        self._last_tick = last_tick
+        self._issue_rr = issue_rr
+        self._emit_rr = emit_rr
+        self._ports_free_after_issue = ports_free_after_issue
+        self._outstanding_words = outstanding_words
+        self._open_read_bursts = open_read_bursts
+
     # ----------------------------------------------------------------- state
     def busy(self) -> bool:
         return any(converter.busy() for converter in self.converters) or bool(
@@ -496,6 +522,24 @@ class BankedChannel(Component):
         if mem_wake != IDLE:
             self._port_mark = self._port_activity()
         return mem_wake
+
+    def read_stream_ready(self) -> bool:
+        """True while a read-stream macro-step can advance this stage.
+
+        The step (:mod:`repro.system.read_stream`) simulates only word
+        reads of the base and strided read pipes and no fault injection.
+        """
+        return self.adapter.holds_only_reads() and self.memory.fault_free()
+
+    def end_read_stream(
+        self, last_tick: int, moved: bool, mem_wake: float, port_mark: int
+    ) -> None:
+        """Write back the wake-rule state a read-stream macro-step kept in
+        locals."""
+        self._last_tick = last_tick
+        self._moved = moved
+        self._mem_wake = mem_wake
+        self._port_mark = port_mark
 
     def busy(self) -> bool:
         return self.adapter.busy() or self.memory.busy()

@@ -32,6 +32,7 @@ batched.
 from __future__ import annotations
 
 from collections import deque
+from itertools import cycle, islice
 from typing import Deque, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -216,9 +217,10 @@ def _batch_from_ranges(
         if start % word_bytes == 0 and end % word_bytes == 0:
             count = (end - start) // word_bytes
             first = start // word_bytes
-            word_range = range(first, first + count)
-            words.extend(word_range)
-            ports.extend(w % bus_words for w in word_range)
+            words.extend(range(first, first + count))
+            # Consecutive words take consecutive lanes, wrapping around.
+            lane = first % bus_words
+            ports.extend(islice(cycle(range(bus_words)), lane, lane + count))
             offsets.extend(range(0, count * word_bytes, word_bytes))
             nbytes.extend([word_bytes] * count)
             shifts.extend([0] * count)

@@ -402,6 +402,18 @@ class BankedMemory:
             granted.append(port)
         return granted
 
+    # ------------------------------------------------------------ read streams
+    def fault_free(self) -> bool:
+        """True when no fault plan can fire at this memory's grants."""
+        return self._fault_plan is None
+
+    def end_read_stream(self, req_full: int, flight_count: int) -> None:
+        """Write back the scalars a read-stream macro-step kept in locals
+        (FIFOs, in-flight deques, port stamps, bank pointers and counters
+        were updated in place)."""
+        self.req_full = req_full
+        self._flight_count = flight_count
+
     # ------------------------------------------------------------------ state
     def busy(self) -> bool:
         if self._flight_count:

@@ -25,17 +25,23 @@ parts without a queue: if no item moves anywhere for ``deadlock_window``
 consecutive cycles, a :class:`DeadlockError` is raised with a snapshot of
 component states to aid debugging.
 
+A *macro-step* (``Engine.macro_step``) may advance a whole window of busy
+cycles in one call instead of ticking the components cycle by cycle; see
+:class:`MacroStep`.  Only :meth:`Engine.run_until` in event-driven mode
+calls it.
+
 For A/B comparison and regression hunting the seed behaviour is still
 available: construct ``Engine(event_driven=False)`` to tick every component
-and commit every queue on every cycle.  Both modes produce identical cycle
-counts and statistics; the event-driven mode is simply faster.
+and commit every queue on every cycle.  It never macro-steps.  Both modes
+produce identical cycle counts and statistics; the event-driven mode is
+simply faster.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Protocol, Tuple
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.component import IDLE, Component
@@ -118,6 +124,28 @@ class HangDiagnosis:
         )
 
 
+class MacroStep(Protocol):
+    """Advances the components it owns through a window of cycles at once.
+
+    ``advance(cycle, stop)`` is called at the start of ``cycle``, before any
+    tick.  If the window it checks for holds, it simulates cycles
+    ``cycle .. end - 1`` (``end <= stop``) exactly as the engine would tick
+    them, leaves every component, queue, wake and the engine's activity
+    counter as those ticks would, commits the queues it touched, and returns
+    ``end``; otherwise it returns ``cycle`` and changes nothing.
+    ``quiet_from`` is the cycle after the last one of the window that moved
+    anything (``cycle`` when none did), for deadlock accounting, and after
+    a failed attempt ``retry_at`` is the first cycle worth trying again.  A
+    window must not contain a cycle at which ``run_until``'s ``done()``
+    turns true.
+    """
+
+    quiet_from: int
+    retry_at: int
+
+    def advance(self, cycle: int, stop: int) -> int: ...
+
+
 class Engine:
     """Owns components and queues and advances them cycle by cycle."""
 
@@ -139,6 +167,10 @@ class Engine:
         #: and by components on internal hand-offs (Component._engine)
         self._activity = 0
         self._touched_queues: List[DecoupledQueue] = []  #: dirty list, per cycle
+        #: the macro-step ``run_until`` tries in event-driven mode, if any
+        self.macro_step: Optional[MacroStep] = None
+        #: cycles advanced by the macro-step so far
+        self.stepped_cycles = 0
 
     # ------------------------------------------------------------ registration
     def add_component(self, component: Component) -> Component:
@@ -245,12 +277,37 @@ class Engine:
         wakes = self._wakes
         components = self._components
         touched = self._touched_queues
+        step = self.macro_step
+        #: next cycle at which to try the macro-step
+        step_at: float = IDLE if step is None else start_cycle
         while not done():
             cycle = self.cycle
             if cycle - start_cycle >= max_cycles:
                 raise SimulationError(
                     f"simulation exceeded {max_cycles} cycles without completing"
                 )
+            if cycle >= step_at:
+                assert step is not None  # step_at is finite only with a step
+                # The window may not run past the cycle at which the budget
+                # or deadlock detection would fire.
+                end = step.advance(cycle, min(
+                    start_cycle + max_cycles, cycle + (window - idle_cycles)
+                ))
+                if end > cycle:
+                    self.stepped_cycles += end - cycle
+                    quiet_from = step.quiet_from
+                    if quiet_from > cycle:
+                        idle_cycles = end - quiet_from
+                    else:
+                        idle_cycles += end - cycle
+                    last_activity = self._activity
+                    self.cycle = end
+                    if idle_cycles >= window:
+                        raise self._deadlock_error()
+                    # A window ends where a component needs a real tick.
+                    step_at = end + 1
+                    continue
+                step_at = step.retry_at
             # Tick every due component; due-ness is discovered during the
             # scan itself, so busy cycles never pay a separate min(wakes).
             ticked = False
@@ -372,6 +429,7 @@ class Engine:
     def reset(self) -> None:
         """Reset cycle count, statistics, components and queues."""
         self.cycle = 0
+        self.stepped_cycles = 0
         self.stats.reset()
         self._wakes = [0] * len(self._components)
         for component in self._components:

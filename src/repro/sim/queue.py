@@ -113,6 +113,14 @@ class DecoupledQueue(Generic[ItemT]):
         return self._storage.popleft()
 
     # ------------------------------------------------------------ bookkeeping
+    def end_stream(self, count: int, pushed: int, popped: int) -> None:
+        """Write back the counts a macro-step kept in locals while it pushed
+        to and popped from ``_storage``/``_incoming`` directly (and
+        committed every cycle itself)."""
+        self._count = count
+        self.total_pushed = pushed
+        self.total_popped = popped
+
     def commit(self) -> None:
         """Make items pushed this cycle visible; called by the engine."""
         if self._incoming:

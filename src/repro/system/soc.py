@@ -46,6 +46,7 @@ from repro.mem.storage import MemoryStorage
 from repro.sim.engine import Engine
 from repro.sim.stats import StatsRegistry
 from repro.system.config import SystemConfig, SystemKind
+from repro.system.read_stream import ReadStreamStep
 from repro.vector.builder import Program
 from repro.vector.engine import EngineResult, VectorEngine
 
@@ -77,6 +78,10 @@ class Soc:
         #: harnesses can inspect final register-file state.  Empty until the
         #: first run.
         self.last_engines: List[VectorEngine] = []
+        #: The simulation engine of the most recent run (``None`` until the
+        #: first run); its ``stepped_cycles`` counts the cycles the
+        #: read-stream macro-step advanced.
+        self.last_sim: Optional[Engine] = None
         #: JSON-serializable fault report of the most recent run, or ``None``
         #: when the run completed fault-free (always ``None`` until the first
         #: run).  See :meth:`run_programs`.
@@ -360,6 +365,17 @@ class Soc:
         for port in self.channel_ports:
             for queue in port.all_queues():
                 engine.add_queue(queue)
+        self.last_sim = engine
+        if (
+            event_driven
+            and len(vectors) == 1
+            and self.mux is None
+            and isinstance(self.endpoint, BankedChannel)
+            and bus_faults is None
+        ):
+            # One engine wired straight to one banked channel: steady read
+            # streams may be macro-stepped (repro.system.read_stream).
+            engine.macro_step = ReadStreamStep(engine, vectors[0], self.endpoint)
         if len(vectors) == 1:
             done = vectors[0].done
         else:

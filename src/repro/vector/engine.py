@@ -104,6 +104,7 @@ class _MemOpState:
         "op",
         "requests",
         "is_load",
+        "kind",
         "next_request",
         "total_beats",
         "beats_done",
@@ -125,6 +126,9 @@ class _MemOpState:
         self.op = op
         self.requests = requests
         self.is_load = is_load
+        #: R-monitor tag of the op's beats ("data", or "index" for an index
+        #: fetch into registers)
+        self.kind: str = getattr(op, "kind", "data")
         self.next_request = 0
         self.beats_done = 0
         self.responses_pending = len(requests)
@@ -270,7 +274,6 @@ class VectorEngine(Component):
         #: gates the per-tick scan over the active memory ops
         self._unissued_requests = 0
         self._by_txn: Dict[int, _MemOpState] = {}
-        self._txn_kind: Dict[int, str] = {}
         #: pending W beats: (request, beat index, payload chunk, useful)
         self._w_backlog: Deque[Tuple[BusRequest, int, bytes, int]] = deque()
         self._pending_computes: List = []
@@ -520,10 +523,9 @@ class VectorEngine(Component):
         if self._watchdog_cycles:
             self._arm_watchdog(state, cycle)
         self._unissued_requests += len(requests)
-        kind = getattr(op, "kind", "data")
+        by_txn = self._by_txn
         for request in requests:
-            self._by_txn[request.txn_id] = state
-            self._txn_kind[request.txn_id] = kind
+            by_txn[request.txn_id] = state
         if not is_load:
             self._queue_write_data(state)
         return True
@@ -636,7 +638,7 @@ class VectorEngine(Component):
         if self._watchdog_cycles:
             self._arm_watchdog(state, cycle)
         useful = beat.useful_bytes
-        self.r_monitor.record_beat(useful, self._txn_kind[txn_id])
+        self.r_monitor.record_beat(useful, state.kind)
         data = beat.data
         if len(data) != useful:
             data = bytes(data)[:useful]
@@ -686,9 +688,9 @@ class VectorEngine(Component):
             self._forget(state)
 
     def _forget(self, state: _MemOpState) -> None:
+        by_txn = self._by_txn
         for request in state.requests:
-            self._by_txn.pop(request.txn_id, None)
-            self._txn_kind.pop(request.txn_id, None)
+            by_txn.pop(request.txn_id, None)
 
     # ---------------------------------------------------- faults and watchdog
     @property
@@ -779,6 +781,71 @@ class VectorEngine(Component):
         # _retire_computes ran, and no timer marks it: wake on the next
         # cycle so a compute chained on it is retried.
         self._wake_at(cycle + 1)
+
+    # ------------------------------------------------------------ read streams
+    def read_stream_limit(self, cycle: int) -> float:
+        """How long, from ``cycle``, this engine only streams loads.
+
+        A read-stream macro-step (:mod:`repro.system.read_stream`) may
+        advance this engine's ticks without calling them while each tick
+        can only pop R beats of its active loads and push their remaining
+        AR requests.  That holds while no store, W data or watchdog is
+        pending, no timer matures and no dispatch
+        or chained-compute retirement can fire: all of those read state
+        that only the timers, a finishing load or a dispatch change.
+        Returns the first cycle at which a tick must run for another
+        reason (:data:`IDLE` if none), which is also the wake hint every
+        tick inside the window returns; a value ``<= cycle`` means no
+        window starts at ``cycle``.  A finishing load (its last R beat) and
+        an errored beat end the window as well; the step checks those beat
+        by beat.
+        """
+        if (
+            not self._active_loads
+            or self._active_stores
+            or self._w_backlog
+            or self._watchdog_cycles
+        ):
+            return cycle
+        timers = self._timers
+        limit = timers[0] if timers else IDLE
+        next_op = self._next_op
+        if next_op < self._num_ops and not self._aborting and not self._dispatch_blocked:
+            stall_until = self._stall_until
+            if cycle < stall_until:
+                if stall_until < limit:
+                    limit = stall_until
+            else:
+                # Mirrors _dispatch: only a dispatch that returns IDLE
+                # without acting keeps the window open.
+                op = self._ops[next_op]
+                kind = op.KIND
+                if kind == KIND_LOAD:
+                    if self._load_deps_ready(op, cycle):
+                        return cycle
+                elif kind == KIND_COMPUTE or self._deps_done(op, cycle):
+                    return cycle
+        pending = self._pending_computes
+        if pending and self._deps_done(pending[0][0], cycle):
+            return cycle
+        return limit
+
+    def end_read_stream(
+        self, last_tick: int, unissued_requests: int, r_beats: int,
+        r_useful_bytes: int,
+    ) -> None:
+        """Write back what a read-stream macro-step kept in locals.
+
+        ``last_tick`` is the last cycle of the window on which this engine
+        was due (``-1`` if none); the R monitor's per-kind tables were
+        updated in place.
+        """
+        if last_tick >= 0:
+            self._cycle = last_tick
+        self._unissued_requests = unissued_requests
+        monitor = self.r_monitor
+        monitor.beats += r_beats
+        monitor.useful_bytes += r_useful_bytes
 
     # ----------------------------------------------------------------- result
     def result(self, cycles: int) -> EngineResult:

@@ -29,34 +29,32 @@ MAP = AddressMap([
 
 class TestAddressMap:
     def test_route(self):
-        assert MAP.route(0x10) == 0
-        assert MAP.route(0x8000) == 1
+        assert MAP.try_route(0x10) == 0
+        assert MAP.try_route(0x8000) == 1
         assert MAP.num_targets == 2
 
     def test_region_boundary_addresses(self):
         """Regions are half-open: base inclusive, end exclusive."""
-        assert MAP.route(0x0000) == 0            # first byte of region 0
-        assert MAP.route(0x7FFF) == 0            # last byte of region 0
-        assert MAP.route(0x8000) == 1            # first byte of region 1
-        assert MAP.route(0xFFFF) == 1            # last byte of region 1
-        with pytest.raises(ProtocolError):
-            MAP.route(0x1_0000)                  # one past the last region
+        assert MAP.try_route(0x0000) == 0        # first byte of region 0
+        assert MAP.try_route(0x7FFF) == 0        # last byte of region 0
+        assert MAP.try_route(0x8000) == 1        # first byte of region 1
+        assert MAP.try_route(0xFFFF) == 1        # last byte of region 1
+        assert MAP.try_route(0x1_0000) == -1     # one past the last region
 
     def test_adjacent_regions_are_not_overlapping(self):
         adjacent = AddressMap([
             AddressRegion(0, 0x100, 0),
             AddressRegion(0x100, 0x100, 1),
         ])
-        assert adjacent.route(0xFF) == 0
-        assert adjacent.route(0x100) == 1
+        assert adjacent.try_route(0xFF) == 0
+        assert adjacent.try_route(0x100) == 1
 
     def test_gap_between_regions_decerr(self):
         gappy = AddressMap([
             AddressRegion(0, 0x100, 0),
             AddressRegion(0x200, 0x100, 1),
         ])
-        with pytest.raises(ProtocolError):
-            gappy.route(0x180)
+        assert gappy.try_route(0x180) == -1
 
     def test_unordered_regions_are_sorted(self):
         shuffled = AddressMap([
@@ -64,7 +62,7 @@ class TestAddressMap:
             AddressRegion(0x0000, 0x8000, 0),
         ])
         assert [region.base for region in shuffled.regions] == [0x0000, 0x8000]
-        assert shuffled.route(0x10) == 0
+        assert shuffled.try_route(0x10) == 0
 
     def test_shared_target_counts_once(self):
         split = AddressMap([
@@ -74,8 +72,7 @@ class TestAddressMap:
         assert split.num_targets == 1
 
     def test_unmapped_address_decerr(self):
-        with pytest.raises(ProtocolError):
-            MAP.route(0x2_0000)
+        assert MAP.try_route(0x2_0000) == -1
 
     def test_invalid_region_rejected(self):
         with pytest.raises(ConfigurationError):

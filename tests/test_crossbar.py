@@ -9,7 +9,7 @@ from repro.axi.mux import CycleAxiDemux
 from repro.axi.port import AxiPort
 from repro.axi.signals import WBeat
 from repro.axi.transaction import BusRequest
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError
 from repro.sim.engine import Engine
 from repro.system.config import SystemConfig, SystemKind
 from repro.system.runner import run_workload
@@ -30,18 +30,16 @@ class TestInterleavedAddressMap:
     def test_stripes_rotate_across_targets(self):
         amap = InterleavedAddressMap(num_targets=4, stripe_bytes=1024,
                                      size_bytes=1 << 20)
-        assert [amap.route(i * 1024) for i in range(6)] == [0, 1, 2, 3, 0, 1]
-        assert amap.route(1023) == 0
-        assert amap.route(1024) == 1
+        assert [amap.try_route(i * 1024) for i in range(6)] == [0, 1, 2, 3, 0, 1]
+        assert amap.try_route(1023) == 0
+        assert amap.try_route(1024) == 1
         assert amap.num_targets == 4
 
     def test_out_of_range_is_decerr(self):
         amap = InterleavedAddressMap(num_targets=2, stripe_bytes=64,
                                      size_bytes=4096)
-        with pytest.raises(ProtocolError):
-            amap.route(4096)
-        with pytest.raises(ProtocolError):
-            amap.route(-1)
+        assert amap.try_route(4096) == -1
+        assert amap.try_route(-1) == -1
 
     def test_construction_checks(self):
         with pytest.raises(ConfigurationError):
