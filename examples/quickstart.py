@@ -11,23 +11,22 @@ Run with::
     python examples/quickstart.py
 """
 
+from repro.orchestrate import WorkloadSpec
 from repro.system import SystemConfig, SystemKind, compare_systems, run_workload
-from repro.workloads import SpmvWorkload
 
 
 def main() -> None:
     # The paper's system configuration: 256-bit bus, 8 lanes, 17 banks.
     config = SystemConfig()
     print(f"System: {config.bus_bits}-bit bus, {config.lanes} lanes, "
-          f"{config.num_banks} banks\n")
+          f"{config.memory_config().num_banks} banks\n")
 
     # A small synthetic CSR matrix (64 rows, ~48 nonzeros per row) standing in
     # for the SuiteSparse inputs of the paper.
-    def make_workload() -> SpmvWorkload:
-        return SpmvWorkload(num_rows=64, avg_nnz_per_row=48)
+    spec = WorkloadSpec.create("spmv", size=64, avg_nnz_per_row=48)
 
     # Run the same kernel on the BASE, PACK and IDEAL systems and compare.
-    comparison = compare_systems(make_workload, config, verify=True)
+    comparison = compare_systems(spec, config, verify=True)
 
     print("spmv on the three evaluation systems:")
     for result in (comparison.base, comparison.pack, comparison.ideal):
@@ -38,7 +37,7 @@ def main() -> None:
     print(f"PACK reaches {comparison.pack_fraction_of_ideal:.0%} of IDEAL performance")
 
     # A single run also exposes the full measurement record.
-    single = run_workload(make_workload(), config, kind=SystemKind.PACK)
+    single = run_workload(spec.build(), config, kind=SystemKind.PACK)
     engine = single.engine
     print(f"\nPACK detail: {engine.r_beats} R beats carrying "
           f"{engine.r_useful_bytes} useful bytes over {single.cycles} cycles "

@@ -105,7 +105,8 @@ def figure_contention(
                     result.verified,
                 )
     table.add_note(
-        f"scale={scale}, bus={config.bus_bits}b, banks={config.num_banks}, "
+        f"scale={scale}, bus={config.bus_bits}b, "
+        f"banks={config.memory_config().num_banks}, "
         f"arbitration={config.arbitration}; speedup is relative to the "
         "1-engine run of the same workload/system; R/W util is aggregate "
         "traffic over the one shared bus"

@@ -85,7 +85,8 @@ def figure_3a(
             comparison.ideal.r_utilization_no_index,
             all(r.verified for r in (comparison.base, comparison.pack, comparison.ideal)),
         )
-    note = f"scale={scale}, bus={config.bus_bits}b, banks={config.num_banks}"
+    note = (f"scale={scale}, bus={config.bus_bits}b, "
+            f"banks={config.memory_config().num_banks}")
     if config.num_engines > 1:
         note += (f", engines={config.num_engines} "
                  f"(sharded, {config.arbitration} arbitration)")

@@ -9,7 +9,6 @@ measures and the tool that explains.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict
 
 from repro.analysis.fig3 import SCALES
@@ -44,8 +43,4 @@ def point_system_config(
         raise ConfigurationError(
             f"unknown data policy {data_policy!r}; only 'full' is simulated"
         )
-    return replace(
-        SystemConfig(),
-        memory_latency=latency,
-        ideal_latency=max(2, latency),
-    ).with_kind(kind)
+    return SystemConfig(kind=kind, memory_latency=latency)

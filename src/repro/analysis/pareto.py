@@ -73,10 +73,11 @@ def topology_area_kge(config: SystemConfig, kind: SystemKind,
     area = num_engines * GF22FDX.ara_area_kge
     if kind is SystemKind.IDEAL:
         return area
+    memory = config.memory_config()
     crossbar = BankCrossbarAreaModel(
-        num_ports=config.lanes, word_bits=config.word_bytes * 8
+        num_ports=memory.num_ports, word_bits=memory.word_bytes * 8
     )
-    per_channel = crossbar.total_kge(config.num_banks)
+    per_channel = crossbar.total_kge(memory.num_banks)
     if kind is SystemKind.PACK:
         per_channel += AdapterAreaModel().total_area_kge(config.bus_bits)
     return area + num_channels * per_channel
@@ -204,7 +205,8 @@ def figure_pareto(
                         result.verified,
                     )
     table.add_note(
-        f"scale={scale}, bus={config.bus_bits}b, banks={config.num_banks}, "
+        f"scale={scale}, bus={config.bus_bits}b, "
+        f"banks={config.memory_config().num_banks}, "
         f"stripe={config.channel_stripe_bytes}B, "
         f"arbitration={config.arbitration}; speedup and energy_eff are "
         "relative to the BASE 1x1 run of the same workload; area counts "

@@ -13,12 +13,10 @@ into a bus-packed strided or indirect stream.
 from repro.axi.types import (
     AXI4_MAX_BURST_LEN,
     AXI4_BOUNDARY_BYTES,
-    BurstType,
     Resp,
-    bytes_to_axsize,
 )
 from repro.axi.pack import PackMode, PackUserField, PackUserLayout
-from repro.axi.signals import ARBeat, AWBeat, BBeat, RBeat, WBeat
+from repro.axi.signals import BBeat, RBeat, WBeat
 from repro.axi.stream import (
     ContiguousStream,
     IndirectStream,
@@ -33,14 +31,10 @@ from repro.axi.mux import CycleAxiDemux, CycleAxiMux
 __all__ = [
     "AXI4_MAX_BURST_LEN",
     "AXI4_BOUNDARY_BYTES",
-    "BurstType",
     "Resp",
-    "bytes_to_axsize",
     "PackMode",
     "PackUserField",
     "PackUserLayout",
-    "ARBeat",
-    "AWBeat",
     "RBeat",
     "WBeat",
     "BBeat",

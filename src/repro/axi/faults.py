@@ -33,10 +33,14 @@ Fault kinds:
     exercises the engine's per-transaction watchdog *margin* without
     tripping it (unless stalled past ``watchdog_cycles``).
 ``lost``
-    The matched access's response never arrives — the transaction
-    vanishes, like a dropped flit or a wedged device.  Only the engine's
-    watchdog (armed whenever a plan is attached, see ``watchdog_cycles``)
-    turns this into a structured timeout abort instead of a deadlock.
+    The matched burst vanishes at the memory endpoint, like a dropped flit
+    or a wedged device.  A banked channel or the ideal endpoint matches
+    each AR and AW it accepts (by its own name, the txn serial and the
+    burst's start address), pops a lost one, drains and discards its W
+    beats, and performs no access: no R beat or B response ever comes
+    back, and a lost store writes nothing.  Only the engine's watchdog
+    (armed whenever a plan is attached, see ``watchdog_cycles``) turns
+    this into a structured timeout abort instead of a deadlock.
 
 Faults are matched by ``(port, txn, address)``:
 
@@ -44,9 +48,11 @@ Faults are matched by ``(port, txn, address)``:
   memory or ideal endpoint's name, the demux's name).  ``None`` matches
   any port.
 * ``txn`` — the AXI transaction serial of the burst.  ``None`` matches any
-  transaction.  Word-granular accesses inside the banked memory carry no
-  transaction id, so txn-keyed faults never fire there — key by address
-  range to target the banked path.
+  transaction.  The banked memory applies ``slverr``, ``decerr`` and
+  ``stall`` per word, and its word accesses carry no transaction id, so
+  those kinds never fire there when txn-keyed — key by address range to
+  target the banked path.  ``lost`` is matched per burst on every
+  endpoint, so a txn key works for it everywhere.
 * ``addr_lo``/``addr_hi`` — a half-open byte-address range ``[lo, hi)``
   the access's address must fall in.  ``None`` bounds are open.  Address
   keying is the topology-stable choice: byte addresses are invariant
@@ -142,7 +148,6 @@ class BusFaultPlan:
     """
 
     faults: Tuple[BusFaultSpec, ...] = ()
-    seed: int = 0
     watchdog_cycles: int = DEFAULT_WATCHDOG_CYCLES
 
     def __post_init__(self) -> None:
@@ -172,7 +177,6 @@ class BusFaultPlan:
             raise ConfigurationError(f"invalid bus fault spec: {exc}") from exc
         return cls(
             faults=faults,
-            seed=int(payload.get("seed", 0)),
             watchdog_cycles=int(
                 payload.get("watchdog_cycles", DEFAULT_WATCHDOG_CYCLES)
             ),
@@ -181,7 +185,6 @@ class BusFaultPlan:
     def to_json(self) -> Dict[str, Any]:
         """The JSON form accepted by :meth:`from_json`."""
         return {
-            "seed": self.seed,
             "watchdog_cycles": self.watchdog_cycles,
             "faults": [asdict(fault) for fault in self.faults],
         }

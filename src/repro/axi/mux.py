@@ -32,7 +32,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.axi.faults import BusFaultPlan
-from repro.axi.interconnect import AddressMap
+from repro.axi.interconnect import InterleavedAddressMap
 from repro.axi.port import AxiPort
 from repro.axi.signals import BBeat, RBeat
 from repro.axi.transaction import BusRequest
@@ -54,9 +54,9 @@ class CycleAxiMux(Component):
 
     * **AR / AW** — one request each, chosen among the upstream ports with a
       pending request by the arbitration policy (``"rr"``: round-robin
-      starting after the last winner; ``"qos"``: static priority, highest
-      ``qos`` value first, ties broken by port index).  Winning AW bursts
-      are queued for W routing in acceptance order.
+      starting after the last winner; ``"qos"``: fixed priority, the lowest
+      port index first).  Winning AW bursts are queued for W routing in
+      acceptance order.
     * **W** — one data beat, pulled from the upstream port whose accepted AW
       is oldest; this keeps the downstream W stream in AW order, which is
       what single-port endpoints (and AXI4 itself, which has no WID) assume.
@@ -74,7 +74,6 @@ class CycleAxiMux(Component):
         upstreams: Sequence[AxiPort],
         downstream: AxiPort,
         arbitration: str = "rr",
-        qos: Optional[Sequence[int]] = None,
         stats: Optional[StatsRegistry] = None,
     ) -> None:
         super().__init__(name)
@@ -96,16 +95,6 @@ class CycleAxiMux(Component):
         self.downstream = downstream
         self.arbitration = arbitration
         num = len(self.upstreams)
-        if qos is None:
-            # Default static priorities: lower port index wins under "qos".
-            qos = [num - index for index in range(num)]
-        if len(qos) != num:
-            raise ConfigurationError("qos needs one priority per upstream port")
-        self.qos = list(qos)
-        #: port indices in static-priority order (highest qos first).
-        self._priority_order = sorted(
-            range(num), key=lambda index: (-self.qos[index], index)
-        )
         self.stats = stats if stats is not None else StatsRegistry()
         self._ar_rr = 0  #: next port the AR round-robin scan starts at
         self._aw_rr = 0  #: next port the AW round-robin scan starts at
@@ -169,10 +158,7 @@ class CycleAxiMux(Component):
         """Index of the winning upstream port, or -1 when none is pending."""
         count = len(self.upstreams)
         if self.arbitration == "qos":
-            for index in self._priority_order:
-                if pending(index):
-                    return index
-            return -1
+            rr_start = 0  # fixed priority: scan from port 0
         for offset in range(count):
             index = rr_start + offset
             if index >= count:
@@ -261,15 +247,15 @@ class CycleAxiMux(Component):
 class CycleAxiDemux(Component):
     """Routes one requestor port to M endpoint ports by address decode.
 
-    The forward path decodes each AR/AW against an
-    :class:`~repro.axi.interconnect.AddressMap` (region targets index the
-    ``downstreams`` list) or an
-    :class:`~repro.axi.interconnect.InterleavedAddressMap` and forwards the
-    burst verbatim; W beats follow their AW.  The return path merges R and B
-    beats round-robin, one beat per channel per cycle, back onto the single
-    upstream port — the requestor demultiplexes them by transaction id.  Like
-    the cycle mux, the component is purely queue-driven and the merge
-    pointers only advance on a successful forward.
+    The forward path decodes each AR/AW by its start address against an
+    :class:`~repro.axi.interconnect.InterleavedAddressMap` (targets index
+    the ``downstreams`` list) and forwards the burst verbatim; W beats
+    follow their AW.  The channel owning the start address serves the
+    whole burst (stripe-ownership semantics).  The return path merges R
+    and B beats round-robin, one beat per channel per cycle, back onto the
+    single upstream port — the requestor demultiplexes them by transaction
+    id.  Like the cycle mux, the component is purely queue-driven and the
+    merge pointers only advance on a successful forward.
 
     **Same-target AW gate.**  An AW whose decode target differs from the
     target of the still-outstanding W beats is *not* accepted until those
@@ -281,17 +267,12 @@ class CycleAxiDemux(Component):
     the gate every demux owes W beats to at most one target at a time, which
     makes the demux→mux crossbar composition deadlock-free.
 
-    ``check_straddle=False`` disables the burst-straddle protocol check for
-    interleaved maps, where routing deliberately uses only the start address
-    (stripe-ownership semantics — see ``InterleavedAddressMap``).
-
     **Decode errors.**  A burst whose address decodes to no target — or
-    which straddles two targets while ``check_straddle`` is on, or which an
-    injected :class:`~repro.axi.faults.BusFaultSpec` (kind ``slverr`` /
-    ``decerr``) marks as faulted — is answered *in band*, per the AXI spec:
-    an AR yields the full burst length as phantom R beats (``useful_bytes=0``,
-    error ``resp``); an AW has all its W beats consumed and discarded, then
-    answers an error B.  Error beats share the single return bus with routed
+    which an injected :class:`~repro.axi.faults.BusFaultSpec` (kind
+    ``slverr`` / ``decerr``) marks as faulted — is answered *in band*, per
+    the AXI spec: an AR yields the full burst length as phantom R beats
+    (``useful_bytes=0``, error ``resp``); an AW has all its W beats
+    consumed and discarded, then answers an error B.  Error beats share the single return bus with routed
     traffic (at most one R and one B per cycle total) and the simulation
     continues — the requestor sees the error response and decides.
     """
@@ -301,23 +282,14 @@ class CycleAxiDemux(Component):
         name: str,
         upstream: AxiPort,
         downstreams: Sequence[AxiPort],
-        address_map: AddressMap,
+        address_map: InterleavedAddressMap,
         stats: Optional[StatsRegistry] = None,
-        check_straddle: bool = True,
         bus_faults: Optional[BusFaultPlan] = None,
     ) -> None:
         super().__init__(name)
         if not downstreams:
             raise ConfigurationError("demux needs at least one downstream port")
-        regions = getattr(address_map, "regions", None)
-        if regions is not None:
-            for region in regions:
-                if not 0 <= region.target < len(downstreams):
-                    raise ConfigurationError(
-                        f"address region at {region.base:#x} targets port "
-                        f"{region.target}, but only {len(downstreams)} exist"
-                    )
-        elif address_map.num_targets > len(downstreams):
+        if address_map.num_targets > len(downstreams):
             raise ConfigurationError(
                 f"address map decodes to {address_map.num_targets} targets, "
                 f"but only {len(downstreams)} downstream ports exist"
@@ -325,7 +297,6 @@ class CycleAxiDemux(Component):
         self.upstream = upstream
         self.downstreams = list(downstreams)
         self.address_map = address_map
-        self.check_straddle = check_straddle
         self.stats = stats if stats is not None else StatsRegistry()
         self._fault_plan = (
             bus_faults if bus_faults is not None
@@ -396,12 +367,6 @@ class CycleAxiDemux(Component):
         target = self.address_map.try_route(request.addr)
         if target < 0:
             return -1, Resp.DECERR
-        if self.check_straddle and request.contiguous and not request.is_packed:
-            last = request.addr + request.payload_bytes - 1
-            if self.address_map.try_route(last) != target:
-                # A contiguous burst straddling two targets cannot be served
-                # by either: the decode is ill-formed, answered as DECERR.
-                return -1, Resp.DECERR
         return target, None
 
     def _forward_request(self, source: DecoupledQueue, is_write: bool) -> None:

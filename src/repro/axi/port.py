@@ -20,8 +20,7 @@ class AxiPort:
     The request channels carry full :class:`~repro.axi.transaction.BusRequest`
     objects rather than raw AR/AW beats: the decoded request is exactly what
     an RTL endpoint reconstructs from the address/len/size/user fields, and
-    carrying it avoids re-decoding on every hop.  ``to_channel_beat`` remains
-    available for code that wants the wire-level view.
+    carrying it avoids re-decoding on every hop.
 
     The address and B channels hold 4 entries, the data channels (W, R) 8.
     """

@@ -1,13 +1,11 @@
-"""Per-beat channel records for the five AXI channels.
+"""Per-beat records of the W, R and B channels.
 
-The W, R and B records are what flows through the data and response
+They are what flows through the data and response
 :class:`~repro.sim.queue.DecoupledQueue` instances of an
-:class:`~repro.axi.port.AxiPort`.  The AR and AW queues carry the decoded
-:class:`~repro.axi.transaction.BusRequest` instead; :class:`ARBeat` and
-:class:`AWBeat` are its wire-level view
-(:meth:`~repro.axi.transaction.BusRequest.to_channel_beat`).  The records
-carry only the fields the bandwidth model needs; side-band signals with no
-performance impact (QoS, region, cache, prot, lock) are omitted.
+:class:`~repro.axi.port.AxiPort`; the AR and AW queues carry the decoded
+:class:`~repro.axi.transaction.BusRequest`.  The records carry only the
+fields the bandwidth model needs; side-band signals with no performance
+impact (strobes, QoS, region, cache, prot, lock) are omitted.
 """
 
 from __future__ import annotations
@@ -17,39 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.axi.types import BurstType, Resp
-
-
-@dataclass
-class ARBeat:
-    """One AR-channel handshake: a read request."""
-
-    txn_id: int
-    addr: int
-    num_beats: int
-    beat_bytes: int
-    burst: BurstType = BurstType.INCR
-    user: int = 0
-
-    def __post_init__(self) -> None:
-        if self.num_beats < 1:
-            raise ValueError("ARBeat num_beats must be >= 1")
-
-
-@dataclass
-class AWBeat:
-    """One AW-channel handshake: a write request."""
-
-    txn_id: int
-    addr: int
-    num_beats: int
-    beat_bytes: int
-    burst: BurstType = BurstType.INCR
-    user: int = 0
-
-    def __post_init__(self) -> None:
-        if self.num_beats < 1:
-            raise ValueError("AWBeat num_beats must be >= 1")
+from repro.axi.types import Resp
 
 
 @dataclass
@@ -75,7 +41,6 @@ class WBeat:
     data: Optional[np.ndarray]
     useful_bytes: int
     last: bool
-    strb: Optional[np.ndarray] = None
 
 
 @dataclass

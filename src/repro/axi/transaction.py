@@ -1,10 +1,10 @@
 """Burst-level request descriptor shared by requestors and endpoints.
 
 A :class:`BusRequest` is the model-level view of one AR or AW handshake plus
-everything the endpoint needs to serve it.  It corresponds one-to-one to an
-:class:`~repro.axi.signals.ARBeat`/:class:`~repro.axi.signals.AWBeat` (the
-conversion helpers are provided) but keeps decoded fields around so the
-simulator does not have to re-parse user bits on every beat.
+everything the endpoint needs to serve it.  It is what the AR and AW queues
+carry: the decoded form of the address, length, size and ``user`` fields
+(``pack.encode()`` gives the wire encoding of ``user``), so the simulator
+does not have to re-parse user bits on every beat.  Every burst is INCR.
 
 Three flavours of request exist:
 
@@ -32,11 +32,7 @@ from repro.axi.pack import (
     PackUserField,
     PackUserLayout,
 )
-from repro.axi.signals import ARBeat, AWBeat
-from repro.axi.types import (
-    BurstType,
-    check_burst_len_legal,
-)
+from repro.axi.types import check_burst_len_legal
 from repro.errors import ConfigurationError, ProtocolError
 from repro.utils.math import ceil_div
 
@@ -92,7 +88,6 @@ class BusRequest:
     contiguous: bool = False
     pack: PackUserField = field(default=PLAIN_AXI4_FIELD)
     txn_id: int = field(default_factory=next_txn_id)
-    burst: BurstType = BurstType.INCR
 
     def __post_init__(self) -> None:
         if self.num_elements < 1:
@@ -232,28 +227,6 @@ class BusRequest:
                 )
         else:
             check_burst_len_legal(self.num_beats)
-
-    # ------------------------------------------------------------ conversion
-    def to_channel_beat(self, layout: PackUserLayout = DEFAULT_LAYOUT):
-        """Lower the request to the corresponding AR or AW channel record."""
-        user = self.pack.encode(layout)
-        if self.is_write:
-            return AWBeat(
-                txn_id=self.txn_id,
-                addr=self.addr,
-                num_beats=self.num_beats,
-                beat_bytes=self.beat_bytes,
-                burst=self.burst,
-                user=user,
-            )
-        return ARBeat(
-            txn_id=self.txn_id,
-            addr=self.addr,
-            num_beats=self.num_beats,
-            beat_bytes=self.beat_bytes,
-            burst=self.burst,
-            user=user,
-        )
 
     # ------------------------------------------------------------- describe
     def describe(self) -> str:

@@ -443,7 +443,8 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
         engine_note += f", {config.num_channels} channels"
     print(f"Running {len(names)} workloads at size {args.size} "
           f"on BASE / PACK / IDEAL ({config.bus_bits}-bit bus, "
-          f"{config.num_banks} banks{engine_note}){fault_note}")
+          f"{config.memory_config().num_banks} banks{engine_note})"
+          f"{fault_note}")
     extras = [name for name in names if name not in WORKLOAD_ORDER]
     if extras:
         print("  note: excluded from the paper-figure grids (fig3*/fig4c run "

@@ -133,8 +133,12 @@ class AxiPackAdapter:
             (self.indirect_read.step, self.indirect_read._index.bursts),
             (self.indirect_write.step, self.indirect_write._index.bursts),
         ]
-        #: write converters in AW-acceptance order still owed W beats
-        self._w_routing: Deque[Tuple[Converter, int]] = deque()
+        #: write converters in AW-acceptance order still owed W beats;
+        #: ``None`` for a lost burst, whose beats are discarded
+        self._w_routing: Deque[Tuple[Optional[Converter], int]] = deque()
+        #: whether a fault plan may lose bursts on this channel, so that
+        #: fault-free runs skip :meth:`BankedMemory.loses` per request
+        self._may_lose = not memory.fault_free()
         self._issue_rr = 0
         self._emit_rr = 0
         self._last_tick: Optional[int] = None
@@ -249,30 +253,40 @@ class AxiPackAdapter:
 
     # ---------------------------------------------------------------- demux
     def _demux_requests(self) -> None:
+        # A burst the fault plan loses is dropped whole here: it issues no
+        # word and never sees an R beat or a B response.
         ar = self._ar
         if ar._storage:
             request = ar._storage[0]
-            converter = self._read_converter_for(request)
-            if converter.can_accept_read(request):
-                converter.accept_read(ar.pop())
-                self._open_read_bursts += 1
-                self._c_ar_accepted.value += 1
+            if self._may_lose and self.memory.loses(request):
+                ar.pop()
+            else:
+                converter = self._read_converter_for(request)
+                if converter.can_accept_read(request):
+                    converter.accept_read(ar.pop())
+                    self._open_read_bursts += 1
+                    self._c_ar_accepted.value += 1
         aw = self._aw
         if aw._storage:
             request = aw._storage[0]
-            converter = self._write_converter_for(request)
-            if converter.can_accept_write(request):
-                converter.accept_write(aw.pop())
-                self._w_routing.append((converter, request.num_beats))
-                self._open_write_bursts += 1
-                self._c_aw_accepted.value += 1
+            if self._may_lose and self.memory.loses(request):
+                aw.pop()
+                self._w_routing.append((None, request.num_beats))
+            else:
+                converter = self._write_converter_for(request)
+                if converter.can_accept_write(request):
+                    converter.accept_write(aw.pop())
+                    self._w_routing.append((converter, request.num_beats))
+                    self._open_write_bursts += 1
+                    self._c_aw_accepted.value += 1
 
     def _route_w_data(self) -> None:
         if not self._w_routing or not self._w._storage:
             return
         converter, beats_left = self._w_routing[0]
         beat = self._w.pop()
-        converter.take_w_beat(beat.data)
+        if converter is not None:
+            converter.take_w_beat(beat.data)
         self._c_w_beats.value += 1
         if beats_left - 1 == 0:
             self._w_routing.popleft()

@@ -399,7 +399,7 @@ def build_case_programs(
         for seg_id in range(lo, hi):
             _emit_segment(builder, seg_id, plan.segments[seg_id], mode)
         program = builder.build()
-        program.validate(config)
+        program.validate()
         programs.append(program)
     return programs
 

@@ -20,8 +20,8 @@ op's output byte-address region (topology-stable) and then demands that
 every point of a topology agrees bit-identically on the structured fault
 report *and* the final memory image, and that the aborted image is
 sane: every non-faulted store region is all-oracle (the op completed) or
-all-initial (the op was never dispatched), and nothing outside the case's
-store regions moved.  ``stall`` faults are absorbed by back-pressure, so
+all-initial (the op was never dispatched), a lost store's own region is
+all-initial, and nothing outside the case's store regions moved.  ``stall`` faults are absorbed by back-pressure, so
 those runs must complete fault-free and pass the ordinary oracle checks.
 
 ``fuzz_main`` drives the harness from seeded hypothesis strategies with
@@ -134,14 +134,21 @@ def _check_aborted_memory(case: FuzzCase, point: str,
     topologies, but every individual outcome is all-or-nothing: an op
     dispatched before the abort drains to completion (its region matches
     the oracle), an op never dispatched leaves its region untouched (the
-    initial image).  The faulted op's own region is the one place partial
-    effects are legal, so it is exempt.
+    initial image).  A lost store writes nothing, so its region stays
+    initial too.  The faulted op's own region is otherwise the one place
+    partial effects are legal, so it is exempt.
     """
     checked = np.zeros(actual.shape[0], dtype=bool)
     for base, nbytes in regions:
         window = slice(base, base + nbytes)
         checked[window] = True
         if (base, nbytes) == faulted:
+            if case.bus_fault[0] == "lost" and not np.array_equal(
+                    actual[window], initial[window]):
+                raise FuzzDivergence(
+                    case, point,
+                    f"lost store wrote to its region "
+                    f"[{hex(base)}, {hex(base + nbytes)})")
             continue
         got = actual[window]
         if not (np.array_equal(got, expected[window])

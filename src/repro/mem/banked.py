@@ -67,6 +67,9 @@ from repro.utils.validation import check_positive
 #: Prebound: compared once per granted word.
 _RESP_OKAY = Resp.OKAY
 
+#: Width of one memory word in the paper's systems: 32 bits.
+WORD_BYTES = 4
+
 
 @dataclass(frozen=True)
 class BankedMemoryConfig:
@@ -90,7 +93,7 @@ class BankedMemoryConfig:
 
     num_ports: int = 8
     num_banks: int = 17
-    word_bytes: int = 4
+    word_bytes: int = WORD_BYTES
     latency: int = 1
     queue_depth: int = 4
     conflict_free: bool = False
@@ -134,7 +137,8 @@ class BankedMemory:
         self.storage = storage
         self.stats = stats if stats is not None else StatsRegistry()
         # Fault-injection choke point: prefiltered by port name so the plan
-        # is consulted per *granted word* only when it could ever fire here.
+        # is consulted per *granted word* (and per accepted burst, see
+        # :meth:`loses`) only when it could ever fire here.
         self._fault_plan = (
             bus_faults if bus_faults is not None
             and bus_faults.touches_port(name) else None
@@ -299,7 +303,6 @@ class BankedMemory:
         req_fifos = self.req_fifos
         all_in_flight = self._in_flight
         writes = 0
-        lost = 0
         ready = cycle + latency
         for port in granted:
             tag = req_fifos[port].popleft()
@@ -316,16 +319,11 @@ class BankedMemory:
                 # Injection choke point (consulted before the storage
                 # access: an injected error means the bank did *not*
                 # perform the access).  Word accesses carry no txn serial,
-                # so plans targeting this path key by address range.
+                # so plans targeting this path key by address range.  A
+                # ``lost`` fault drops whole bursts at acceptance instead.
                 fault = fault_plan.first_match(name, None, word * word_bytes)
-                if fault is not None:
-                    kind = fault.kind
-                    if kind == "lost":
-                        lost += 1
-                        if payloads is not None:
-                            writes += 1
-                        continue  # the response simply never comes back
-                    if kind == "stall":
+                if fault is not None and fault.kind != "lost":
+                    if fault.kind == "stall":
                         port_ready = ready + fault.stall_cycles
                     else:
                         resp = worst_resp(resp, fault.resp)
@@ -357,7 +355,7 @@ class BankedMemory:
             for port in granted:
                 full &= ~(1 << port)
             self.req_full = full
-        self._flight_count += len(granted) - lost
+        self._flight_count += len(granted)
         self._c_accesses.value += len(granted)
         self._c_writes.value += writes
         self._c_reads.value += len(granted) - writes
@@ -401,6 +399,17 @@ class BankedMemory:
             last_grant[bank] = port
             granted.append(port)
         return granted
+
+    # ---------------------------------------------------------------- faults
+    def loses(self, request) -> bool:
+        """Whether the fault plan loses this burst whole: a ``lost`` spec
+        matching the memory's name, the burst's txn serial and its start
+        address, as on the IDEAL endpoint."""
+        plan = self._fault_plan
+        if plan is None:
+            return False
+        fault = plan.first_match(self.name, request.txn_id, request.addr)
+        return fault is not None and fault.kind == "lost"
 
     # ------------------------------------------------------------ read streams
     def fault_free(self) -> bool:

@@ -51,7 +51,11 @@ from repro.version import __version__
 #: 6: ``SystemConfig`` lost ``data_policy`` (the timing-only ELIDE policy is
 #: gone; every run moves real bytes) — fingerprints no longer name a policy,
 #: so schema-5 entries and sweep manifests are unreachable/prunable.
-CACHE_SCHEMA_VERSION = 6
+#: 7: ``SystemConfig`` lost ``word_bytes``, ``num_banks``, ``ideal_latency``
+#: and ``vector`` (fixed by the paper's system or derived), and
+#: ``BusFaultPlan`` lost ``seed``; a banked channel now drops a ``lost``
+#: burst whole, so schema-6 entries are unreachable/prunable.
+CACHE_SCHEMA_VERSION = 7
 
 
 def canonicalize(value: Any) -> Any:

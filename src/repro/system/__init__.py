@@ -7,7 +7,6 @@ from repro.system.runner import (
     compare_systems,
     compare_systems_many,
     run_workload,
-    run_workload_all_systems,
 )
 
 __all__ = [
@@ -17,7 +16,6 @@ __all__ = [
     "build_system",
     "SystemRunResult",
     "run_workload",
-    "run_workload_all_systems",
     "compare_systems",
     "compare_systems_many",
 ]

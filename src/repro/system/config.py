@@ -8,7 +8,7 @@ from typing import Optional, Union
 
 from repro.axi.faults import BusFaultPlan
 from repro.errors import ConfigurationError
-from repro.mem.banked import BankedMemoryConfig
+from repro.mem.banked import WORD_BYTES, BankedMemoryConfig
 from repro.utils.bitutils import is_power_of_two
 from repro.vector.config import LoweringMode, VectorEngineConfig
 
@@ -40,7 +40,8 @@ class SystemConfig:
 
     The defaults reproduce the paper's configuration: a 256-bit bus (eight
     64-bit lanes), 32-bit memory words, 17 banks, FP32 elements and
-    decoupling queues of depth four.
+    decoupling queues of depth four.  The banked channel's word width and
+    bank count are those of :class:`~repro.mem.banked.BankedMemoryConfig`.
 
     ``num_engines`` and ``num_channels`` select the SoC topology: with the
     defaults (``1`` × ``1``) the vector engine connects directly to the
@@ -59,13 +60,9 @@ class SystemConfig:
 
     kind: SystemKind = SystemKind.PACK
     bus_bytes: int = 32
-    word_bytes: int = 4
-    num_banks: int = 17
     queue_depth: int = 4
     memory_bytes: int = 1 << 24
     memory_latency: int = 1
-    ideal_latency: int = 2
-    vector: Optional[VectorEngineConfig] = None
     num_engines: int = 1
     arbitration: str = "rr"
     num_channels: int = 1
@@ -80,7 +77,7 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if not is_power_of_two(self.bus_bytes):
             raise ConfigurationError("bus width must be a power of two in bytes")
-        if self.bus_bytes < self.word_bytes:
+        if self.bus_bytes < WORD_BYTES:
             raise ConfigurationError("bus must be at least one word wide")
         if self.num_engines < 1:
             raise ConfigurationError("a SoC needs at least one vector engine")
@@ -120,7 +117,7 @@ class SystemConfig:
     @property
     def lanes(self) -> int:
         """Vector lane count implied by the bus width (paper: D/32)."""
-        return self.bus_bytes // self.word_bytes
+        return self.bus_bytes // WORD_BYTES
 
     @property
     def lowering(self) -> LoweringMode:
@@ -128,17 +125,13 @@ class SystemConfig:
         return self.kind.lowering
 
     def vector_config(self) -> VectorEngineConfig:
-        """The vector engine configuration (derived unless overridden)."""
-        if self.vector is not None:
-            return self.vector
-        return VectorEngineConfig(lanes=self.lanes, bus_bytes=self.bus_bytes)
+        """The vector engine configuration: one lane per bus word."""
+        return VectorEngineConfig(lanes=self.lanes)
 
     def memory_config(self) -> BankedMemoryConfig:
         """The banked channel (adapter + banked memory) configuration."""
         return BankedMemoryConfig(
-            num_ports=self.bus_bytes // self.word_bytes,
-            num_banks=self.num_banks,
-            word_bytes=self.word_bytes,
+            num_ports=self.lanes,
             latency=self.memory_latency,
             queue_depth=self.queue_depth,
         )

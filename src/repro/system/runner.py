@@ -1,18 +1,15 @@
 """High-level helpers to run workloads on the evaluation systems.
 
-Multi-run helpers (``run_workload_all_systems``, ``compare_systems``,
-``compare_systems_many``) submit their runs through the
-:mod:`repro.orchestrate` layer: pass a
-:class:`~repro.orchestrate.spec.WorkloadSpec` (instead of a factory
-callable) and a :class:`~repro.orchestrate.parallel.ParallelRunner` to get
-result caching and multi-core fan-out.  Plain callables are still accepted
-for backwards compatibility and run serially, uncached — a closure can be
-neither hashed for the cache nor pickled to a worker process.
+The comparison helpers (``compare_systems``, ``compare_systems_many``)
+take :class:`~repro.orchestrate.spec.WorkloadSpec` objects and submit their
+runs through the :mod:`repro.orchestrate` layer; pass a
+:class:`~repro.orchestrate.parallel.ParallelRunner` to get result caching
+and multi-core fan-out.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.system.config import SystemConfig, SystemKind
 from repro.system.results import SystemRunResult, WorkloadComparison
@@ -84,70 +81,18 @@ def run_workload(
     )
 
 
-def _as_workload_spec(workload):
-    """Return a ``WorkloadSpec`` if ``workload`` is one, else ``None``."""
-    from repro.orchestrate.spec import WorkloadSpec
-
-    return workload if isinstance(workload, WorkloadSpec) else None
-
-
-def run_workload_all_systems(
-    workload_factory,
-    config: Optional[SystemConfig] = None,
-    kinds: Iterable[SystemKind] = ALL_KINDS,
-    verify: bool = True,
-    max_cycles: int = 50_000_000,
-    runner=None,
-) -> Dict[SystemKind, SystemRunResult]:
-    """Run a workload on several systems.
-
-    ``workload_factory`` is either a
-    :class:`~repro.orchestrate.spec.WorkloadSpec` (orchestrated: cacheable
-    and parallelizable via ``runner``) or a zero-argument callable returning
-    a fresh workload per system (legacy: serial, uncached).
-    """
-    from repro.orchestrate.parallel import ParallelRunner
-    from repro.orchestrate.spec import RunSpec
-
-    config = config or SystemConfig()
-    kinds = tuple(kinds)
-    spec = _as_workload_spec(workload_factory)
-    if spec is not None:
-        runner = runner or ParallelRunner()
-        specs = [
-            RunSpec(workload=spec, config=config, kind=kind,
-                    verify=verify, max_cycles=max_cycles)
-            for kind in kinds
-        ]
-        return dict(zip(kinds, runner.run(specs)))
-    results: Dict[SystemKind, SystemRunResult] = {}
-    for kind in kinds:
-        workload = workload_factory()
-        results[kind] = run_workload(
-            workload, config, kind=kind, verify=verify, max_cycles=max_cycles
-        )
-    return results
-
-
 def compare_systems(
-    workload_factory,
+    spec,
     config: Optional[SystemConfig] = None,
     verify: bool = True,
     max_cycles: int = 50_000_000,
     runner=None,
 ) -> WorkloadComparison:
-    """Run a workload on BASE, PACK and IDEAL and package the comparison."""
-    results = run_workload_all_systems(
-        workload_factory, config, verify=verify, max_cycles=max_cycles,
-        runner=runner,
-    )
-    sample = next(iter(results.values()))
-    return WorkloadComparison(
-        workload=sample.workload,
-        base=results[SystemKind.BASE],
-        pack=results[SystemKind.PACK],
-        ideal=results[SystemKind.IDEAL],
-    )
+    """Run one :class:`~repro.orchestrate.spec.WorkloadSpec` on BASE, PACK
+    and IDEAL and package the comparison."""
+    return compare_systems_many(
+        [spec], config, verify=verify, max_cycles=max_cycles, runner=runner
+    )[spec.name]
 
 
 def compare_systems_many(

@@ -130,13 +130,10 @@ class Soc:
                 ]
                 for row in range(config.num_engines)
             ]
-            # One demux per engine; check_straddle=False because interleaved
-            # routing deliberately uses stripe-ownership semantics (route by
-            # start address; the owning channel serves the whole burst).
             self.demuxes = [
                 CycleAxiDemux(
                     f"xdemux{index}", self.ports[index], self.link_ports[index],
-                    address_map, stats=self.stats, check_straddle=False,
+                    address_map, stats=self.stats,
                     bus_faults=config.bus_faults,
                 )
                 for index in range(config.num_engines)
@@ -178,9 +175,11 @@ class Soc:
         """
         config = self.config
         if config.kind is SystemKind.IDEAL:
+            # The ideal endpoint has the memory's latency, with the fixed
+            # small latency of an SRAM-class ideal memory (2) as its floor.
             endpoint = IdealMemoryEndpoint(
                 f"ideal_mem{suffix}", port, self.storage,
-                latency=config.ideal_latency, stats=stats,
+                latency=max(2, config.memory_latency), stats=stats,
                 bus_faults=config.bus_faults,
             )
             return None, endpoint

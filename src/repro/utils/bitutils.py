@@ -18,24 +18,6 @@ def mask(width: int) -> int:
     return (1 << width) - 1
 
 
-def clog2(value: int) -> int:
-    """Return ``ceil(log2(value))`` for a positive integer.
-
-    This mirrors the SystemVerilog ``$clog2`` function used throughout the
-    original RTL to size address and index fields.
-
-    >>> clog2(1)
-    0
-    >>> clog2(8)
-    3
-    >>> clog2(9)
-    4
-    """
-    if value <= 0:
-        raise ConfigurationError(f"clog2 requires a positive value, got {value}")
-    return (value - 1).bit_length()
-
-
 def is_power_of_two(value: int) -> bool:
     """Return True if ``value`` is a positive power of two."""
     return value > 0 and (value & (value - 1)) == 0

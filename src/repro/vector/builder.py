@@ -21,7 +21,12 @@ import numpy as np
 
 from repro.axi.stream import ContiguousStream, IndirectStream, StridedStream
 from repro.errors import WorkloadError
-from repro.vector.config import LoweringMode, VectorEngineConfig
+from repro.vector.config import (
+    ELEM_BYTES,
+    LoweringMode,
+    VectorEngineConfig,
+    max_vl,
+)
 from repro.vector.isa import Instruction, Mnemonic, check_supported
 from repro.vector.ops import ScalarWork, VectorCompute, VectorLoad, VectorOp, VectorStore
 
@@ -52,7 +57,7 @@ class Program:
             lines = lines[:limit] + [f"... ({omitted} more instructions)"]
         return "\n".join(lines)
 
-    def validate(self, config: Optional[VectorEngineConfig] = None) -> None:
+    def validate(self) -> None:
         """Check the program is a legal kernel for its lowering mode.
 
         Raises :class:`~repro.errors.WorkloadError` on the first violation.
@@ -65,7 +70,6 @@ class Program:
         :class:`AraProgramBuilder` should always pass; the fuzzer calls this
         on every generated program before running it.
         """
-        config = config or VectorEngineConfig()
         if not self.ops:
             raise WorkloadError(f"program {self.name!r} contains no instructions")
         if len(self.ops) != len(self.instructions):
@@ -93,10 +97,10 @@ class Program:
                         f"{where}: stream covers {op.stream.num_elements} "
                         f"elements but vl is {instr.vl}"
                     )
-                max_vl = config.max_vl(op.stream.elem_bytes)
-                if instr.vl > max_vl:
+                limit = max_vl(op.stream.elem_bytes)
+                if instr.vl > limit:
                     raise WorkloadError(
-                        f"{where}: vl {instr.vl} exceeds max_vl {max_vl}"
+                        f"{where}: vl {instr.vl} exceeds max_vl {limit}"
                     )
                 if op.uses_in_memory_indices and not self.mode.has_axi_pack:
                     raise WorkloadError(
@@ -111,10 +115,10 @@ class Program:
                 if op.index_values_reg is not None:
                     reads.append(op.index_values_reg)
             elif isinstance(op, VectorCompute):
-                if instr.vl > config.max_vl(config.elem_bytes):
+                if instr.vl > max_vl(ELEM_BYTES):
                     raise WorkloadError(
                         f"{where}: vl {instr.vl} exceeds max_vl "
-                        f"{config.max_vl(config.elem_bytes)}"
+                        f"{max_vl(ELEM_BYTES)}"
                     )
                 if op.fn is not None:
                     reads.extend(op.srcs)
@@ -154,7 +158,7 @@ class AraProgramBuilder:
     @property
     def max_vl(self) -> int:
         """Largest vector length a single register holds for this element size."""
-        return self.config.max_vl(self.elem_bytes)
+        return max_vl(self.elem_bytes)
 
     def strip_mine(self, total: int) -> List[int]:
         """Split ``total`` elements into chunks of at most ``max_vl``."""

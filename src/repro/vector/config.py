@@ -38,58 +38,37 @@ class LoweringMode(enum.Enum):
         return self in (LoweringMode.PACK, LoweringMode.IDEAL)
 
 
+#: Vector register width of the paper's Ara: 4096 bits.
+VLEN_BITS = 4096
+
+#: Register grouping (LMUL) the kernels use.
+LMUL = 8
+
+#: Bytes held by one register group at ``LMUL``.
+REGISTER_GROUP_BYTES = VLEN_BITS // 8 * LMUL
+
+#: Element size of the vector arithmetic: FP32.
+ELEM_BYTES = 4
+
+
+def max_vl(elem_bytes: int) -> int:
+    """Maximum vector length for a given element size at ``LMUL``."""
+    return REGISTER_GROUP_BYTES // elem_bytes
+
+
 @dataclass(frozen=True)
 class VectorEngineConfig:
-    """Timing parameters of the Ara-like vector engine.
+    """The lane count of the Ara-like vector engine.
 
-    The defaults correspond to the paper's evaluation systems: eight 64-bit
-    lanes (256-bit memory interface), 4096-bit vector registers, one
-    FP32 operation per lane per cycle and single-cycle in-order dispatch.
+    The paper's evaluation systems have eight 64-bit lanes (a 256-bit
+    memory interface); each lane runs one FP32 operation per cycle.  The
+    engine's fixed timing parameters are constants of
+    :mod:`repro.vector.engine`.
     """
 
     lanes: int = 8
-    vlen_bits: int = 4096
-    lmul: int = 8                  #: register grouping used by the kernels
-    bus_bytes: int = 32
-    elem_bytes: int = 4
-    issue_cycles: int = 1          #: dispatch cost of every vector instruction
-    chain_latency: int = 4         #: lane pipeline depth seen by chained ops
-    reduction_step_latency: int = 3  #: per-tree-level latency of reductions
-    reduction_drain: int = 5       #: fixed cost of moving a reduction result out
-    addr_setup_cycles: int = 2     #: VLSU address-generation cost per memory op
-    memory_latency_slack: int = 4  #: address-generation / response tail per burst
-    max_outstanding_loads: int = 2
-    max_outstanding_stores: int = 2
 
     def __post_init__(self) -> None:
         check_positive("lanes", self.lanes)
-        check_positive("vlen_bits", self.vlen_bits)
         if not is_power_of_two(self.lanes):
             raise ConfigurationError("lane count must be a power of two")
-        if self.vlen_bits % 8 != 0:
-            raise ConfigurationError("VLEN must be a whole number of bytes")
-        check_positive("issue_cycles", self.issue_cycles)
-        if self.lmul not in (1, 2, 4, 8):
-            raise ConfigurationError("LMUL must be 1, 2, 4 or 8")
-
-    @property
-    def vlen_bytes(self) -> int:
-        """Bytes held by one vector register."""
-        return self.vlen_bits // 8
-
-    @property
-    def register_group_bytes(self) -> int:
-        """Bytes held by one register group at the configured LMUL."""
-        return self.vlen_bytes * self.lmul
-
-    def max_vl(self, elem_bytes: int) -> int:
-        """Maximum vector length for a given element size at the configured LMUL."""
-        return self.register_group_bytes // elem_bytes
-
-    def elements_per_cycle(self, elem_bytes: int) -> int:
-        """Arithmetic throughput in elements per cycle across all lanes."""
-        # Each lane datapath is 64 bits wide; a 32-bit element therefore
-        # does not get to use the other half in this model (matching the
-        # paper's FP32 results where bus and compute rates are balanced).
-        del elem_bytes
-        return self.lanes

@@ -7,10 +7,10 @@ strided/indexed accesses become bus requests).
 
 Timing model
 ------------
-* Instructions dispatch in order, one per ``issue_cycles`` cycles; scalar
+* Instructions dispatch in order, one per ``ISSUE_CYCLES`` cycles; scalar
   work blocks dispatch for its duration (loop bookkeeping overhead).
 * Memory operations occupy the vector load/store unit; up to
-  ``max_outstanding_loads``/``stores`` may be in flight.  Their duration is
+  ``MAX_OUTSTANDING_LOADS``/``STORES`` may be in flight.  Their duration is
   whatever the downstream memory system takes — the engine just pushes one
   request per cycle and consumes one R beat / pushes one W beat per cycle.
 * Arithmetic operations run on the lanes at ``lanes`` elements per cycle and
@@ -49,7 +49,11 @@ from repro.axi.types import Resp
 from repro.errors import SimulationError, WorkloadError
 from repro.sim.component import IDLE, Component, WakeHint
 from repro.vector.builder import Program
-from repro.vector.config import LoweringMode, VectorEngineConfig
+from repro.vector.config import (
+    REGISTER_GROUP_BYTES,
+    LoweringMode,
+    VectorEngineConfig,
+)
 from repro.vector.ops import (
     KIND_COMPUTE,
     KIND_LOAD,
@@ -65,6 +69,17 @@ _DTYPES = {"float32": np.float32, "uint32": np.uint32, "int32": np.int32,
            "float64": np.float64, "uint64": np.uint64}
 
 _RESP_OKAY = Resp.OKAY
+
+# Fixed timing of the paper's Ara, in cycles.
+ISSUE_CYCLES = 1            #: dispatch cost of every vector instruction
+CHAIN_LATENCY = 4           #: lane pipeline depth seen by chained ops
+REDUCTION_STEP_LATENCY = 3  #: per-tree-level latency of reductions
+REDUCTION_DRAIN = 5         #: fixed cost of moving a reduction result out
+ADDR_SETUP_CYCLES = 2       #: VLSU address-generation cost per memory op
+MEMORY_LATENCY_SLACK = 4    #: address-generation / response tail per burst
+#: Memory ops the load and the store unit each keep in flight.
+MAX_OUTSTANDING_LOADS = 2
+MAX_OUTSTANDING_STORES = 2
 
 
 @dataclass(frozen=True)
@@ -243,9 +258,9 @@ class VectorEngine(Component):
         super().__init__(name)
         self.program = program
         self.port = port
-        self.config = config or VectorEngineConfig(bus_bytes=port.bus_bytes)
+        self.config = config or VectorEngineConfig()
         self.mode = mode or program.mode
-        self.regfile = VectorRegisterFile(self.config.register_group_bytes)
+        self.regfile = VectorRegisterFile(REGISTER_GROUP_BYTES)
         self.request_builder = RequestBuilder(port.bus_bytes)
         self.r_monitor = ChannelMonitor("R", port.bus_bytes)
         self.w_monitor = ChannelMonitor("W", port.bus_bytes)
@@ -412,7 +427,7 @@ class VectorEngine(Component):
             if not self._try_dispatch_memory(op, cycle):
                 self._dispatch_blocked = True
                 return IDLE
-            self._stall_until = cycle + self.config.issue_cycles
+            self._stall_until = cycle + ISSUE_CYCLES
             self._next_op = next_op + 1
             return self._after_dispatch_hint()
         if kind == KIND_COMPUTE:
@@ -425,7 +440,7 @@ class VectorEngine(Component):
                 # known to be complete.  The dispatch cycle is remembered so
                 # the overlapped execution is credited.
                 self._pending_computes.append((op, cycle))
-            self._stall_until = cycle + self.config.issue_cycles
+            self._stall_until = cycle + ISSUE_CYCLES
             self._next_op = next_op + 1
             return self._after_dispatch_hint()
         if not self._deps_done(op, cycle):
@@ -439,7 +454,7 @@ class VectorEngine(Component):
             if not self._try_dispatch_memory(op, cycle):
                 self._dispatch_blocked = True
                 return IDLE
-            self._stall_until = cycle + self.config.issue_cycles
+            self._stall_until = cycle + ISSUE_CYCLES
             self._next_op = next_op + 1
             return self._after_dispatch_hint()
         raise SimulationError(f"unknown op type {type(op).__name__}")
@@ -452,20 +467,23 @@ class VectorEngine(Component):
 
     # ----------------------------------------------------------- compute ops
     def _schedule_compute(self, op: VectorCompute, cycle: int) -> None:
-        throughput = self.config.elements_per_cycle(self.config.elem_bytes)
+        # Each 64-bit lane runs one FP32 element per cycle; the other half
+        # of its datapath goes unused, which balances bus and compute rates
+        # as in the paper's FP32 results.
+        throughput = self.config.lanes
         duration = max(1, math.ceil(op.num_elements / throughput)) * op.ops_per_element
         dep_end = max((self._done_at[d] for d in op.deps), default=cycle)
         start = max(cycle, self._alu_busy_until)
         # Chained execution: the op finishes shortly after its last operand
         # element arrives, or after its own full duration, whichever is later.
-        end = max(start + duration, dep_end + self.config.chain_latency + 1)
+        end = max(start + duration, dep_end + CHAIN_LATENCY + 1)
         if op.is_reduction:
             # Ara-style reductions are slide-and-add based: their latency grows
             # with the logarithm of the vector length, on top of streaming the
             # elements through the lanes, and the scalar result must drain out.
             tree_levels = max(1, int(math.ceil(math.log2(max(2, op.num_elements)))))
-            end += self.config.reduction_step_latency * tree_levels
-            end += self.config.reduction_drain
+            end += REDUCTION_STEP_LATENCY * tree_levels
+            end += REDUCTION_DRAIN
         self._alu_busy_until = end
         self._mark_done(op.op_id, end)
         self._scheduled_computes.add(op.op_id)
@@ -507,16 +525,12 @@ class VectorEngine(Component):
         ):
             return False
         active = self._active_loads if is_load else self._active_stores
-        limit = (
-            self.config.max_outstanding_loads
-            if is_load
-            else self.config.max_outstanding_stores
-        )
+        limit = MAX_OUTSTANDING_LOADS if is_load else MAX_OUTSTANDING_STORES
         if len(active) >= limit:
             return False
         requests = self._lower(op, is_load)
         state = _MemOpState(op, requests, is_load)
-        state.ready_cycle = cycle + self.config.addr_setup_cycles
+        state.ready_cycle = cycle + ADDR_SETUP_CYCLES
         if state.ready_cycle > cycle:
             self._wake_at(state.ready_cycle)
         active.append(state)
@@ -664,7 +678,7 @@ class VectorEngine(Component):
                 : op.stream.num_elements
             ]
             self.regfile.write_vector(op.dest, values.copy())
-        self._mark_done(op.op_id, cycle + self.config.memory_latency_slack)
+        self._mark_done(op.op_id, cycle + MEMORY_LATENCY_SLACK)
         self._active_loads.remove(state)
         self._dispatch_blocked = False
         self._forget(state)

@@ -26,3 +26,15 @@ class FusedStageHalf:
         for port in self.pending.keys():  # ORD01: dict order in a plain tick
             _ = port
         return 0
+
+
+class StreamStep:
+    """Not a Component either: a macro-step the engine calls ``advance`` on."""
+
+    def __init__(self):
+        self.windows = {}
+
+    def advance(self, cycle, limit):
+        for window in self.windows.items():  # ORD01: dict order in a step
+            _ = window
+        return cycle

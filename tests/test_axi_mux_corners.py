@@ -3,11 +3,11 @@
 The fuzzer drives the mux only through well-behaved vector engines, so two
 classes of behaviour need direct stimulus: qos arbitration under sustained
 asymmetric traffic (starvation is the *specified* behaviour, and fairness
-bookkeeping must survive it), and demux straddle rejection exactly at
-``AddressMap`` region boundaries.
+bookkeeping must survive it), and demux routing exactly at the stripe
+boundaries of an ``InterleavedAddressMap`` and past its address space.
 """
 
-from repro.axi.interconnect import AddressMap, AddressRegion
+from repro.axi.interconnect import InterleavedAddressMap
 from repro.axi.mux import CycleAxiDemux, CycleAxiMux
 from repro.axi.pack import PackMode, PackUserField
 from repro.axi.port import AxiPort
@@ -36,10 +36,10 @@ def strided_burst(addr, elems=8, stride_elems=16, bus=BUS):
                                          stride_elems=stride_elems))
 
 
-def make_mux(n=2, arbitration="rr", qos=None):
+def make_mux(n=2, arbitration="rr"):
     ups = [AxiPort(f"u{i}", BUS) for i in range(n)]
     down = AxiPort("down", BUS)
-    mux = CycleAxiMux("mux", ups, down, arbitration=arbitration, qos=qos)
+    mux = CycleAxiMux("mux", ups, down, arbitration=arbitration)
     engine = Engine(event_driven=False)
     engine.add_component(mux)
     for port in (*ups, down):
@@ -51,10 +51,10 @@ def make_mux(n=2, arbitration="rr", qos=None):
 def make_demux():
     up = AxiPort("up", BUS)
     downs = [AxiPort(f"d{i}", BUS) for i in range(2)]
-    address_map = AddressMap([
-        AddressRegion(base=0x0000, size=0x800, target=0),
-        AddressRegion(base=0x0800, size=0x800, target=1),
-    ])
+    # Stripe 0 is [0, 0x800) on target 0, stripe 1 [0x800, 0x1000) on
+    # target 1; nothing is mapped from 0x1000 on.
+    address_map = InterleavedAddressMap(num_targets=2, stripe_bytes=0x800,
+                                        size_bytes=0x1000)
     demux = CycleAxiDemux("demux", up, downs, address_map)
     engine = Engine(event_driven=False)
     engine.add_component(demux)
@@ -93,18 +93,6 @@ class TestQosUnderSustainedTraffic:
         assert mux.ar_grants[0] >= starved_grants
         assert mux.ar_grants[1] == 1
 
-    def test_custom_qos_weights_invert_the_priority(self):
-        ups, down, mux, engine = make_mux(2, arbitration="qos", qos=[0, 7])
-        order = []
-        for _ in range(2):
-            ups[0].ar.push(read_burst(0x100))
-            ups[1].ar.push(read_burst(0x200))
-        for _ in range(10):
-            engine.step()
-            while down.ar.can_pop():
-                order.append(down.ar.pop().addr)
-        assert order == [0x200, 0x200, 0x100, 0x100]
-
     def test_qos_starves_write_channel_symmetrically(self):
         ups, down, mux, engine = make_mux(2, arbitration="qos")
         ups[1].aw.push(write_burst(0x200, elems=8))
@@ -116,6 +104,19 @@ class TestQosUnderSustainedTraffic:
                 down.aw.pop()
         assert ups[1].aw.occupancy == 1
         assert mux.aw_grants[1] == 0
+
+    def test_qos_priority_is_the_port_index(self):
+        """With every port pending, "qos" grants strictly by port index."""
+        ups, down, mux, engine = make_mux(3, arbitration="qos")
+        for _ in range(2):
+            for index in (2, 1, 0):
+                ups[index].ar.push(read_burst(0x100 * (index + 1)))
+        order = []
+        for _ in range(12):
+            engine.step()
+            while down.ar.can_pop():
+                order.append(down.ar.pop().addr)
+        assert order == [0x100, 0x100, 0x200, 0x200, 0x300, 0x300]
 
     def test_round_robin_stays_fair_under_the_same_asymmetry(self):
         """The identical sustained-pressure stimulus, arbitrated rr: the
@@ -147,32 +148,27 @@ class TestQosUnderSustainedTraffic:
         assert abs(mux.ar_grants[0] - mux.ar_grants[1]) <= 1
 
 
-class TestDemuxStraddleAtMapBoundaries:
-    def test_burst_ending_on_the_last_region_byte_is_routed(self):
+class TestDemuxAtStripeBoundaries:
+    def test_burst_ending_on_the_last_stripe_byte_is_routed(self):
         up, downs, demux, engine = make_demux()
         up.ar.push(read_burst(0x07E0, elems=8))  # bytes 0x7E0..0x7FF inclusive
         engine.step(3)
         assert downs[0].ar.occupancy == 1
         assert downs[1].ar.occupancy == 0
 
-    def test_burst_crossing_one_byte_past_the_boundary_answers_decerr(self):
+    def test_burst_crossing_one_byte_past_the_boundary_stays_whole(self):
+        """Stripe ownership: the owner of the start address takes the
+        whole burst, even when its last byte lands in the next stripe."""
         up, downs, demux, engine = make_demux()
-        request = read_burst(0x07E4, elems=8)  # last byte lands at 0x803
-        up.ar.push(request)
-        engine.step(6)
-        beats = []
-        while up.r.can_pop():
-            beats.append(up.r.pop())
-        assert len(beats) == request.num_beats
-        assert all(b.resp is Resp.DECERR for b in beats)
-        assert all(b.useful_bytes == 0 and b.data == b"" for b in beats)
-        assert beats[-1].last
-        assert downs[0].ar.occupancy == 0 and downs[1].ar.occupancy == 0
-        assert not demux.busy()
+        up.ar.push(read_burst(0x07E4, elems=8))  # last byte lands at 0x803
+        engine.step(3)
+        assert downs[0].ar.occupancy == 1
+        assert downs[1].ar.occupancy == 0
+        assert up.r.occupancy == 0
 
-    def test_write_straddle_answers_decerr_after_draining_w(self):
+    def test_unmapped_write_answers_decerr_after_draining_w(self):
         up, downs, demux, engine = make_demux()
-        request = write_burst(0x07F0, elems=16)  # 2 beats
+        request = write_burst(0x1000, elems=16)  # 2 beats, past the space
         up.aw.push(request)
         for beat in range(request.num_beats):
             up.w.push(WBeat(data=b"\x00" * BUS, useful_bytes=BUS,

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.axi.pack import PackMode, PackUserField
-from repro.axi.signals import ARBeat, AWBeat
-from repro.axi.transaction import BusRequest, next_txn_id
+from repro.axi.transaction import BusRequest, next_txn_id, next_txn_ids
 from repro.errors import ProtocolError
 
 
@@ -114,23 +113,13 @@ class TestValidation:
                        bus_bytes=48, pack=PackUserField.strided(1))
 
 
-class TestChannelConversion:
-    def test_read_becomes_ar(self):
-        beat = strided(elems=8).to_channel_beat()
-        assert isinstance(beat, ARBeat)
-        assert beat.num_beats == 1
-        assert beat.user & 1 == 1
-
-    def test_write_becomes_aw(self):
-        beat = strided(elems=8, write=True).to_channel_beat()
-        assert isinstance(beat, AWBeat)
-
+class TestUserField:
     def test_plain_request_has_zero_user(self):
-        assert contiguous().to_channel_beat().user == 0
+        assert contiguous().pack.encode() == 0
 
     def test_user_field_roundtrip_through_wire(self):
         request = indirect(idx_bytes=2, idx_base=0x800)
-        decoded = PackUserField.decode(request.to_channel_beat().user)
+        decoded = PackUserField.decode(request.pack.encode())
         assert decoded.mode is PackMode.INDIRECT
         assert decoded.index_bytes == 2
         assert decoded.index_base_addr == 0x800
@@ -170,3 +159,9 @@ class TestProperties:
             assert end > start
             covered += end - start
         assert covered == request.payload_bytes
+
+
+def test_next_txn_ids_are_consecutive_and_fresh():
+    first = next_txn_ids(4)
+    assert first == list(range(first[0], first[0] + 4))
+    assert next_txn_id() == first[-1] + 1

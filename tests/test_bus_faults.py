@@ -10,6 +10,9 @@ Covers the full error path introduced with :mod:`repro.axi.faults`:
   exceptions;
 * bit-identical fault reports across the event/naive engine modes;
 * the per-transaction watchdog turning lost responses into TIMEOUT aborts;
+* the lost-store contract: a lost burst is dropped whole where an endpoint
+  accepts it, so a lost store writes nothing and the stores behind it
+  complete;
 * post-abort SoC reuse (graceful quiesce);
 * ``SystemRunResult.fault_report`` serialization;
 * the structured ``HangDiagnosis`` attached to ``DeadlockError``;
@@ -27,14 +30,18 @@ from repro.axi.faults import (
     BusFaultPlan,
     BusFaultSpec,
 )
+from repro.axi.transaction import BusRequest
 from repro.axi.types import Resp, worst_resp
 from repro.controller.index_stage import IndexStage
+from repro.controller.lanes import LaneReadPipe, LaneWritePipe
 from repro.errors import (
     ConfigurationError,
     DeadlockError,
     MemoryAccessError,
     ReproError,
 )
+from repro.mem.banked import BankedMemory, BankedMemoryConfig
+from repro.mem.storage import MemoryStorage
 from repro.sim.engine import Engine
 from repro.system.config import SystemConfig, SystemKind
 from repro.system.runner import run_workload
@@ -118,7 +125,7 @@ class TestBusFaultPlan:
         plan = BusFaultPlan(
             faults=(BusFaultSpec(kind="slverr", addr_lo=64, addr_hi=128),
                     BusFaultSpec(kind="stall", port="mem", stall_cycles=9)),
-            seed=5, watchdog_cycles=321)
+            watchdog_cycles=321)
         assert BusFaultPlan.from_json(plan.to_json()) == plan
         # ... and through an actual JSON string.
         assert BusFaultPlan.from_json(json.dumps(plan.to_json())) == plan
@@ -256,6 +263,81 @@ class TestInjectedFaults:
         assert clean.fault_report is None and explicit.fault_report is None
         assert clean.cycles == explicit.cycles
         assert clean.stats == explicit.stats
+
+
+# ------------------------------------------------------ lost-store contract
+SRC, LOST, KEPT = 0x1000, 0x4000, 0x8000
+
+
+def _lost_store_run(kind, channels):
+    """Load 64 words, store them to ``LOST`` (a lost range) and then,
+    strided, to ``KEPT``; returns the SoC after the aborted run."""
+    plan = {"faults": [{"kind": "lost", "addr_lo": LOST,
+                        "addr_hi": LOST + 256}],
+            "watchdog_cycles": 200}
+    config = SystemConfig(memory_bytes=1 << 20, bus_faults=plan)
+    config = config.with_kind(kind).with_channels(channels)
+    soc = build_system(config)
+    soc.storage.write_array(SRC, np.arange(1, 65, dtype=np.float32))
+    builder = AraProgramBuilder("lost-store", config.lowering,
+                                config.vector_config())
+    builder.vle32("v1", SRC, 64)
+    builder.vse32("v1", LOST, 64)
+    builder.vsse32("v1", KEPT, 64, stride_elems=2)
+    soc.run_program(builder.build())
+    return soc
+
+
+class TestLostStoreContract:
+    """A lost store writes nothing, and the stores behind it complete."""
+
+    @pytest.mark.parametrize("channels", [1, 2], ids=["1ch", "2ch"])
+    @pytest.mark.parametrize("kind", [SystemKind.BASE, SystemKind.PACK,
+                                      SystemKind.IDEAL])
+    def test_lost_store_writes_nothing(self, kind, channels):
+        soc = _lost_store_run(kind, channels)
+        [fault] = soc.last_fault_report["faults"]
+        assert (fault["resp"], fault["addr"]) == ("TIMEOUT", LOST)
+        assert soc.storage.read_bytes(LOST, 256) == bytes(256)
+        kept = soc.storage.read_array(KEPT, 127, np.float32)
+        assert np.array_equal(kept[::2], np.arange(1, 65, dtype=np.float32))
+        assert not kept[1::2].any()
+
+    @pytest.mark.parametrize("kind", [SystemKind.BASE, SystemKind.PACK])
+    def test_lost_burst_leaks_no_in_flight_word(self, kind):
+        """No word of a lost burst was issued, so every converter pipe of
+        the banked channel ends the aborted run with nothing in flight."""
+        soc = _lost_store_run(kind, channels=1)
+        adapter = soc.endpoint.adapter
+        pipes = [value for converter in adapter.converters
+                 for value in vars(converter).values()
+                 if isinstance(value, (LaneReadPipe, LaneWritePipe))]
+        assert pipes and all(not any(pipe.in_flight) for pipe in pipes)
+        assert not soc.endpoint.busy()
+
+    def test_banked_loss_is_keyed_by_name_txn_and_start_address(self):
+        def burst(addr, txn_id=0):
+            return BusRequest(addr=addr, is_write=False, num_elements=8,
+                              elem_bytes=4, bus_bytes=32, contiguous=True,
+                              txn_id=txn_id)
+
+        plan = BusFaultPlan.from_json({"faults": [
+            {"kind": "lost", "port": "mem", "txn": 5},
+            {"kind": "lost", "addr_lo": 0x100, "addr_hi": 0x120},
+            {"kind": "slverr", "addr_lo": 0x200, "addr_hi": 0x220},
+        ]})
+        memory = BankedMemory("mem", BankedMemoryConfig(),
+                              MemoryStorage(1 << 12), bus_faults=plan)
+        assert memory.loses(burst(0x400, txn_id=5))
+        assert not memory.loses(burst(0x400, txn_id=6))
+        assert memory.loses(burst(0x100))
+        # Keyed by the start address: a burst running into the range from
+        # below is not lost, and only ``lost`` specs lose bursts.
+        assert not memory.loses(burst(0xE0))
+        assert not memory.loses(burst(0x200))
+        other = BankedMemory("other", BankedMemoryConfig(),
+                             MemoryStorage(1 << 12), bus_faults=plan)
+        assert not other.loses(burst(0x400, txn_id=5))
 
 
 # -------------------------------------------------------- index-line faults

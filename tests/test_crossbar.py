@@ -90,7 +90,7 @@ def make_demux(channels=2, stripe=1024):
     downs = [AxiPort(f"d{i}", BUS) for i in range(channels)]
     amap = InterleavedAddressMap(num_targets=channels, stripe_bytes=stripe,
                                  size_bytes=1 << 20)
-    demux = CycleAxiDemux("demux", up, downs, amap, check_straddle=False)
+    demux = CycleAxiDemux("demux", up, downs, amap)
     engine = Engine(event_driven=False)
     engine.add_component(demux)
     for port in (up, *downs):

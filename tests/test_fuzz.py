@@ -303,3 +303,14 @@ def test_bounded_hypothesis_sweep():
         run_fuzz_case(case)
 
     sweep()
+
+
+def test_corpus_file_round_trips_and_is_named_by_content(tmp_path):
+    from repro.fuzz.case import case_digest, load_corpus_case, save_corpus_case
+
+    case = FuzzCase(kind="base", seed=3, segments=((OpSpec("vle"),),),
+                    bus_fault=("lost", 0))
+    path = save_corpus_case(case, tmp_path, note="why this case matters")
+    assert path.name == f"case-{case_digest(case)}.json"
+    assert load_corpus_case(path) == case
+    assert case_digest(dataclasses.replace(case, seed=4)) != case_digest(case)

@@ -167,3 +167,10 @@ class TestEnergyModel:
                                         adapter_traffic_mw=0))
         result = _result(SystemKind.BASE, 100, 0, 0)
         assert model.system_power_mw(result) == pytest.approx(10.0)
+
+
+def test_adapter_lanes_follow_the_bus_width():
+    model = AdapterAreaModel()
+    assert [model.lanes_for_bus(bits) for bits in (64, 128, 256)] == [2, 4, 8]
+    with pytest.raises(ConfigurationError):
+        model.lanes_for_bus(48)

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from repro.axi.faults import BusFaultPlan
+from repro.axi.port import AxiPort
+from repro.axi.signals import BBeat, WBeat
+from repro.axi.transaction import BusRequest
 from repro.axi.types import Resp
-from repro.controller.lanes import SlotBatch
+from repro.controller.adapter import AxiPackAdapter
+from repro.controller.lanes import LaneReadPipe, LaneWritePipe, SlotBatch
 from repro.errors import ConfigurationError
 from repro.mem.banked import BankedMemory, BankedMemoryConfig
 from repro.mem.storage import MemoryStorage
@@ -239,13 +243,69 @@ class TestFaults:
         # Granted at 0 and 1; the stalled head holds the port's responses.
         assert [cycle for cycle, _ in responses[0]] == [9, 10]
 
-    def test_lost_response_never_returns(self):
-        memory, _, stats = make_memory(bus_faults=self.plan("lost"))
-        batch = word_batch([0x40])
-        push(memory, 0, batch, 0)
-        assert memory.tick(0) == 1  # the grant still pops the request
-        assert not memory.busy()
-        assert stats.get("mem.bank_accesses") == 1
+    @staticmethod
+    def channel(kind):
+        """An adapter in front of a memory whose plan faults bursts that
+        start in ``[0x100, 0x104)``."""
+        port = AxiPort("tb", 32)
+        memory, storage, stats = make_memory(bus_faults=TestFaults.plan(kind))
+        adapter = AxiPackAdapter("adapter", port, memory, stats)
+        return port, adapter, memory, storage, stats
+
+    @staticmethod
+    def drain(port, adapter, memory, cycles=60):
+        """Tick both halves as the naive engine does; collect R and B."""
+        beats = []
+        for cycle in range(cycles):
+            for queue in port.all_queues():
+                queue.commit()
+            for queue in (port.r, port.b):
+                while queue.can_pop():
+                    beats.append(queue.pop())
+            adapter.tick(cycle)
+            memory.tick(cycle)
+        return beats
+
+    @staticmethod
+    def pipes(adapter):
+        return [value for converter in adapter.converters
+                for value in vars(converter).values()
+                if isinstance(value, (LaneReadPipe, LaneWritePipe))]
+
+    def test_lost_read_is_dropped_at_acceptance(self):
+        """A lost read burst issues no word and sends no R beat; the read
+        behind it is served, and every pipe's in-flight count ends at 0."""
+        port, adapter, memory, _, stats = self.channel("lost")
+        lost, served = (
+            BusRequest(addr=addr, is_write=False, num_elements=8,
+                       elem_bytes=4, bus_bytes=32, contiguous=True)
+            for addr in (0x100, 0x200))
+        port.ar.push(lost)
+        port.ar.push(served)
+        beats = self.drain(port, adapter, memory)
+        assert [beat.txn_id for beat in beats] == [served.txn_id]
+        assert stats.get("adapter.word_requests") == 8
+        assert stats.get("mem.bank_accesses") == 8
+        assert all(not any(pipe.in_flight) for pipe in self.pipes(adapter))
+        assert not adapter.busy() and not memory.busy()
+
+    def test_lost_write_drains_its_data_and_writes_nothing(self):
+        """A lost write's W beats are consumed and discarded: no word is
+        written and no B comes back, while the next write completes."""
+        port, adapter, memory, storage, _ = self.channel("lost")
+        for addr in (0x100, 0x200):
+            port.aw.push(BusRequest(addr=addr, is_write=True, num_elements=8,
+                                    elem_bytes=4, bus_bytes=32,
+                                    contiguous=True))
+            port.w.push(WBeat(data=bytes(range(1, 33)), useful_bytes=32,
+                              last=True))
+        beats = self.drain(port, adapter, memory)
+        assert [type(beat) for beat in beats] == [BBeat]
+        assert storage.read_bytes(0x100, 32) == bytes(32)
+        assert storage.read_bytes(0x200, 32) == bytes(range(1, 33))
+        assert port.w.is_empty()
+        assert all(not any(pipe.in_flight) for pipe in self.pipes(adapter))
+        assert not adapter.busy() and not memory.busy()
 
 
 class TestVectorizedArbitration:

@@ -10,6 +10,7 @@ from repro.axi.transaction import BusRequest
 from repro.axi.types import Resp
 from repro.errors import ProtocolError
 from repro.mem.functional import (
+    burst_fault_address,
     element_addresses,
     read_burst_payload,
     write_burst_payload,
@@ -71,6 +72,39 @@ class TestFunctionalHelpers:
                              bus_bytes=32, contiguous=True)
         with pytest.raises(ProtocolError):
             read_burst_payload(filled_storage, request)
+
+
+class TestBurstFaultAddress:
+    """The first byte a burst touches outside the image, checked before
+    an endpoint moves any data."""
+
+    STORAGE = MemoryStorage(1 << 11)
+
+    def test_in_range_burst_is_clean(self):
+        request = BusRequest(addr=0x7E0, is_write=False, num_elements=8,
+                             elem_bytes=4, bus_bytes=32, contiguous=True)
+        assert burst_fault_address(self.STORAGE, request) is None
+
+    def test_contiguous_burst_past_the_end(self):
+        running_off = BusRequest(addr=0x7F0, is_write=False, num_elements=8,
+                                 elem_bytes=4, bus_bytes=32, contiguous=True)
+        assert burst_fault_address(self.STORAGE, running_off) == 0x800
+        outside = BusRequest(addr=0x2000, is_write=False, num_elements=8,
+                             elem_bytes=4, bus_bytes=32, contiguous=True)
+        assert burst_fault_address(self.STORAGE, outside) == 0x2000
+
+    def test_first_strided_element_past_the_end(self):
+        request = BusRequest(addr=0x700, is_write=False, num_elements=8,
+                             elem_bytes=4, bus_bytes=32,
+                             pack=PackUserField.strided(32))
+        # Elements at 0x700, 0x780, 0x800, ...: the third is outside.
+        assert burst_fault_address(self.STORAGE, request) == 0x800
+
+    def test_index_array_outside_memory_faults_at_its_base(self):
+        request = BusRequest(addr=0, is_write=False, num_elements=8,
+                             elem_bytes=4, bus_bytes=32,
+                             pack=PackUserField.indirect(4, 0x8000))
+        assert burst_fault_address(self.STORAGE, request) == 0x8000
 
 
 class TestIdealEndpoint:

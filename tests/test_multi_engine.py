@@ -4,7 +4,7 @@ reuse fixes (per-run stats/queue reset)."""
 
 import pytest
 
-from repro.axi.interconnect import AddressMap, AddressRegion
+from repro.axi.interconnect import InterleavedAddressMap
 from repro.axi.mux import CycleAxiDemux, CycleAxiMux
 from repro.axi.port import AxiPort
 from repro.axi.signals import RBeat, WBeat
@@ -36,7 +36,7 @@ def write_burst(addr, elems=8, bus=BUS):
                       elem_bytes=4, bus_bytes=bus, contiguous=True)
 
 
-def make_mux(n=2, arbitration="rr", qos=None, r_depth=None):
+def make_mux(n=2, arbitration="rr", r_depth=None):
     """A mux with registered queues and a naive engine driving it.
 
     ``r_depth`` swaps in shallower R queues on the requestor-side ports
@@ -48,7 +48,7 @@ def make_mux(n=2, arbitration="rr", qos=None, r_depth=None):
         for port in ups:
             port.r = DecoupledQueue(f"{port.name}.R", r_depth)
     down = AxiPort("down", BUS)
-    mux = CycleAxiMux("mux", ups, down, arbitration=arbitration, qos=qos)
+    mux = CycleAxiMux("mux", ups, down, arbitration=arbitration)
     engine = Engine(event_driven=False)
     engine.add_component(mux)
     for port in (*ups, down):
@@ -64,8 +64,6 @@ class TestCycleAxiMux:
             CycleAxiMux("m", [], down)
         with pytest.raises(ConfigurationError):
             CycleAxiMux("m", [AxiPort("u", BUS)], down, arbitration="lottery")
-        with pytest.raises(ConfigurationError):
-            CycleAxiMux("m", [AxiPort("u", BUS)], down, qos=[1, 2])
         with pytest.raises(ProtocolError):
             CycleAxiMux("m", [AxiPort("u", 16)], down)
 
@@ -170,13 +168,8 @@ class TestCycleAxiDemux:
     def make_demux(self):
         up = AxiPort("up", BUS)
         downs = [AxiPort("d0", BUS), AxiPort("d1", BUS)]
-        # The region boundary (0x800) deliberately does not coincide with a
-        # 4KiB AXI boundary, so a straddling burst is legal AXI4 but must be
-        # caught by the demux's routing check.
-        address_map = AddressMap([
-            AddressRegion(base=0x0000, size=0x800, target=0),
-            AddressRegion(base=0x0800, size=0x800, target=1),
-        ])
+        address_map = InterleavedAddressMap(num_targets=2, stripe_bytes=0x800,
+                                            size_bytes=0x1000)
         demux = CycleAxiDemux("demux", up, downs, address_map)
         engine = Engine(event_driven=False)
         engine.add_component(demux)
@@ -193,19 +186,6 @@ class TestCycleAxiDemux:
         assert downs[0].ar.pop().addr == 0x0100
         assert downs[1].ar.pop().addr == 0x0900
         assert demux.routed_counts == [1, 1]
-
-    def test_straddling_contiguous_burst_answers_decerr(self):
-        up, downs, demux, engine = self.make_demux()
-        request = read_burst(0x07F0, elems=16)  # crosses into region 1
-        up.ar.push(request)
-        engine.step(6)
-        beats = []
-        while up.r.can_pop():
-            beats.append(up.r.pop())
-        assert len(beats) == request.num_beats
-        assert all(b.resp is Resp.DECERR and b.useful_bytes == 0 for b in beats)
-        assert beats[-1].last
-        assert downs[0].ar.occupancy == 0 and downs[1].ar.occupancy == 0
 
     def test_unmapped_address_decerr(self):
         up, downs, demux, engine = self.make_demux()
@@ -243,13 +223,6 @@ class TestCycleAxiDemux:
         assert downs[1].aw.occupancy == 1
         assert downs[1].w.occupancy == 1
         assert downs[0].w.occupancy == 0
-
-    def test_region_target_out_of_range_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CycleAxiDemux(
-                "demux", AxiPort("up", BUS), [AxiPort("d0", BUS)],
-                AddressMap([AddressRegion(base=0, size=64, target=3)]),
-            )
 
 
 class TestShardRanges:

@@ -24,8 +24,9 @@ from repro.orchestrate.spec import (
     WorkloadSpec,
     canonicalize,
     fingerprint_key,
+    spec_ref,
 )
-from repro.orchestrate.sweep import expand_sweep, run_sweep
+from repro.orchestrate.sweep import available_experiments, expand_sweep, run_sweep
 from repro.system.config import SystemConfig, SystemKind
 from repro.system.runner import compare_systems, compare_systems_many, run_workload
 from repro.workloads.registry import make_workload
@@ -112,7 +113,7 @@ class TestSpecs:
             base.cache_key(),
             _tiny_spec(kind=SystemKind.BASE).cache_key(),
             _tiny_spec(size=17).cache_key(),
-            dataclasses.replace(base, config=SystemConfig(num_banks=11)).cache_key(),
+            dataclasses.replace(base, config=SystemConfig(queue_depth=8)).cache_key(),
             dataclasses.replace(base, version="0.0.0-test").cache_key(),
         }
         assert len(keys) == 5
@@ -124,6 +125,21 @@ class TestSpecs:
                                 config=SystemConfig(kind=SystemKind.BASE))
         b = dataclasses.replace(_tiny_spec(), config=SystemConfig())
         assert a.cache_key() == b.cache_key()
+
+    def test_spec_ref_names_foreign_specs_by_type(self):
+        spec = _tiny_spec()
+        assert spec_ref(spec) == (spec.label(), spec.cache_key())
+        assert spec_ref(object()) == ("object", None)
+
+    def test_only_verified_results_serve_verified_requests(self):
+        verified = _tiny_spec(verify=True)
+        unverified = _tiny_spec(verify=False)
+        checked = _tiny_spec().execute()
+        unchecked = _tiny_spec(verify=False).execute()
+        assert verified.result_compatible(checked)
+        assert unverified.result_compatible(checked)
+        assert unverified.result_compatible(unchecked)
+        assert not verified.result_compatible(unchecked)
 
     def test_cache_key_ignores_verify(self):
         # verification never changes the measurements, so verified and
@@ -185,7 +201,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         spec = _tiny_spec()
         cache.put(spec, spec.execute())
-        changed = dataclasses.replace(spec, config=SystemConfig(num_banks=11))
+        changed = dataclasses.replace(spec, config=SystemConfig(queue_depth=8))
         assert cache.get(changed) is MISS
 
     def test_verified_entry_serves_unverified_request_but_not_vice_versa(
@@ -510,11 +526,13 @@ class TestRunnerFailures:
 
 
 class TestRunnerIntegration:
-    def test_compare_systems_accepts_workload_spec(self):
-        via_spec = compare_systems(WorkloadSpec.create("gemv", size=16))
-        via_factory = compare_systems(lambda: make_workload("gemv", size=16))
-        assert via_spec.pack.cycles == via_factory.pack.cycles
-        assert via_spec.base.cycles == via_factory.base.cycles
+    def test_compare_systems_matches_direct_runs(self):
+        """The orchestrated comparison measures what a direct run does."""
+        comparison = compare_systems(WorkloadSpec.create("gemv", size=16))
+        for result in (comparison.base, comparison.pack, comparison.ideal):
+            direct = run_workload(make_workload("gemv", size=16),
+                                  kind=result.kind)
+            assert result.cycles == direct.cycles
 
     def test_compare_systems_many_orders_and_keys(self):
         specs = [WorkloadSpec.create("gemv", size=16),
@@ -535,6 +553,12 @@ class TestSweep:
 
         assert expand_sweep(["fig3a", "fig3a", "fig5c"]) == ["fig3a", "fig5c"]
         assert expand_sweep(["all"]) == sorted(EXPERIMENTS)
+
+    def test_available_experiments_are_the_registry_sorted(self):
+        from repro.analysis.experiments import EXPERIMENTS
+
+        assert available_experiments() == sorted(EXPERIMENTS)
+        assert "fig3a" in available_experiments()
 
     def test_expand_rejects_unknown(self):
         with pytest.raises(ConfigurationError):

@@ -71,7 +71,7 @@ class TestDeterminismRule:
 class TestOrderIterationRule:
     def test_bad_fixture_flags_values_and_set_literal(self):
         result = lint([f"{FIXTURES}/ord_bad.py"], ["order-iteration"])
-        assert codes(result) == ["ORD01", "ORD01", "ORD01"]
+        assert codes(result) == ["ORD01", "ORD01", "ORD01", "ORD01"]
 
     def test_plain_class_defining_tick_is_in_scope(self):
         """A class that is no Component but defines ``tick`` (one half of
@@ -80,6 +80,14 @@ class TestOrderIterationRule:
         flagged = [v.message for v in result.violations
                    if "`FusedStageHalf`" in v.message]
         assert len(flagged) == 1 and ".keys() of a dict" in flagged[0]
+
+    def test_macro_step_class_is_in_scope(self):
+        """A class that defines ``advance`` (a macro-step) moves simulated
+        state over many cycles, so it is on the tick path too."""
+        result = lint([f"{FIXTURES}/ord_bad.py"], ["order-iteration"])
+        flagged = [v.message for v in result.violations
+                   if "`StreamStep`" in v.message]
+        assert len(flagged) == 1 and ".items() of a dict" in flagged[0]
 
     def test_sorted_wrapper_and_list_iteration_pass(self):
         result = lint([f"{FIXTURES}/ord_good.py"], ["order-iteration"])
@@ -210,6 +218,23 @@ class TestDocsRule:
             "subcommand 'repro zap' not documented",
             "flag '--boom' (repro zap) not documented",
         ]
+
+    def test_doc_set_is_readme_then_docs_tree(self):
+        from tools.reprolint.rules.docs import doc_files
+
+        docs = doc_files(REPO_ROOT)
+        assert docs[0] == "README.md"
+        assert "docs/testing.md" in docs
+        assert all(doc.endswith(".md") for doc in docs)
+
+    def test_broken_link_is_reported(self, tmp_path):
+        from tools.reprolint.rules.docs import check_links
+
+        doc = tmp_path / "doc.md"
+        doc.write_text("see [missing](nowhere.md) and [ok](doc.md)\n",
+                       encoding="utf-8")
+        assert check_links(tmp_path, ["doc.md"]) == [
+            ("doc.md", 1, "nowhere.md")]
 
 
 # ------------------------------------------------------------- whole-repo

@@ -5,7 +5,8 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.system.config import SystemConfig, SystemKind
 from repro.system.results import SystemRunResult, WorkloadComparison
-from repro.system.runner import compare_systems, run_workload, run_workload_all_systems
+from repro.orchestrate.spec import WorkloadSpec
+from repro.system.runner import compare_systems, run_workload
 from repro.system.soc import build_system
 from repro.vector.builder import AraProgramBuilder
 from repro.vector.config import LoweringMode
@@ -17,7 +18,8 @@ class TestSystemConfig:
         config = SystemConfig()
         assert config.bus_bits == 256
         assert config.lanes == 8
-        assert config.num_banks == 17
+        assert config.memory_config().num_banks == 17
+        assert config.memory_config().word_bytes == 4
         assert config.queue_depth == 4
 
     def test_lanes_follow_bus_width(self):
@@ -36,15 +38,31 @@ class TestSystemConfig:
         assert config.kind is SystemKind.PACK
 
     def test_derived_configs_consistent(self):
-        config = SystemConfig(bus_bytes=16, num_banks=11)
-        assert config.memory_config().num_ports == 4
-        assert config.memory_config().bus_bytes == 16
-        assert config.memory_config().num_banks == 11
+        config = SystemConfig(bus_bytes=16, memory_latency=3, queue_depth=2)
+        memory = config.memory_config()
+        assert memory.num_ports == 4
+        assert memory.bus_bytes == 16
+        assert (memory.latency, memory.queue_depth) == (3, 2)
         assert config.vector_config().lanes == 4
+
+    @pytest.mark.parametrize(("memory_latency", "ideal_latency"),
+                             [(1, 2), (2, 2), (100, 100)])
+    def test_ideal_latency_follows_memory_latency(self, memory_latency,
+                                                  ideal_latency):
+        """The IDEAL endpoint answers after the memory latency, but never
+        sooner than two cycles."""
+        soc = build_system(SystemConfig(kind=SystemKind.IDEAL,
+                                        memory_latency=memory_latency,
+                                        memory_bytes=1 << 18))
+        assert soc.endpoint.latency == ideal_latency
 
     def test_invalid_bus_width_rejected(self):
         with pytest.raises(ConfigurationError):
             SystemConfig(bus_bytes=24)
+
+    def test_bus_narrower_than_a_word_rejected(self):
+        with pytest.raises(ConfigurationError, match="one word wide"):
+            SystemConfig(bus_bytes=2)
 
 
 class TestSoc:
@@ -79,14 +97,16 @@ class TestRunner:
                               kind=SystemKind.BASE, verify=False)
         assert result.verified is None
 
-    def test_run_all_systems(self, small_system_config):
-        results = run_workload_all_systems(lambda: make_workload("ismt", size=16),
-                                           small_system_config)
-        assert set(results) == {SystemKind.BASE, SystemKind.PACK, SystemKind.IDEAL}
-        assert all(r.verified for r in results.values())
+    def test_compare_systems_runs_every_system(self, small_system_config):
+        comparison = compare_systems(WorkloadSpec.create("ismt", size=16),
+                                     small_system_config)
+        results = (comparison.base, comparison.pack, comparison.ideal)
+        assert [r.kind for r in results] == [
+            SystemKind.BASE, SystemKind.PACK, SystemKind.IDEAL]
+        assert all(r.verified for r in results)
 
     def test_compare_systems_metrics(self, small_system_config):
-        comparison = compare_systems(lambda: make_workload("gemv", size=16),
+        comparison = compare_systems(WorkloadSpec.create("gemv", size=16),
                                      small_system_config)
         assert isinstance(comparison, WorkloadComparison)
         assert comparison.pack_speedup > 1.0
@@ -102,6 +122,29 @@ class TestRunner:
                               kind=SystemKind.PACK)
         text = result.summary()
         assert "gemv" in text and "pack" in text and "ok" in text
+
+    def test_comparison_ratios(self):
+        kwargs = dict(workload="x", stats={}, verified=True,
+                      engine=_dummy_engine())
+        comparison = WorkloadComparison(
+            workload="x",
+            base=SystemRunResult(kind=SystemKind.BASE, cycles=600, **kwargs),
+            pack=SystemRunResult(kind=SystemKind.PACK, cycles=200, **kwargs),
+            ideal=SystemRunResult(kind=SystemKind.IDEAL, cycles=150,
+                                  **kwargs),
+        )
+        assert comparison.pack_speedup == pytest.approx(3.0)
+        assert comparison.ideal_speedup == pytest.approx(4.0)
+        assert comparison.pack_fraction_of_ideal == pytest.approx(0.75)
+
+    def test_utilizations_come_from_the_engine(self):
+        engine = _dummy_engine()
+        result = SystemRunResult(workload="x", kind=SystemKind.PACK,
+                                 cycles=100, engine=engine, stats={},
+                                 verified=True)
+        assert result.r_utilization == engine.r_utilization == 0.1
+        assert result.r_utilization_no_index == engine.r_utilization_no_index
+        assert result.w_utilization == 0.0
 
     def test_speedup_over(self):
         kwargs = dict(workload="x", stats={}, verified=True)

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.utils.bitutils import (
-    clog2,
     extract_field,
     insert_field,
     is_power_of_two,
@@ -24,23 +23,6 @@ class TestMask:
     def test_negative_width_rejected(self):
         with pytest.raises(ConfigurationError):
             mask(-1)
-
-
-class TestClog2:
-    @pytest.mark.parametrize("value,expected", [(1, 0), (2, 1), (3, 2), (8, 3), (9, 4), (1024, 10)])
-    def test_values(self, value, expected):
-        assert clog2(value) == expected
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ConfigurationError):
-            clog2(0)
-
-    @given(st.integers(min_value=1, max_value=1 << 30))
-    def test_bound_property(self, value):
-        bits = clog2(value)
-        assert (1 << bits) >= value
-        if value > 1:
-            assert (1 << (bits - 1)) < value
 
 
 class TestPowerOfTwo:

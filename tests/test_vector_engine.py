@@ -1,17 +1,22 @@
 """Integration tests for the vector engine on all three system flavours."""
 
 import types
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import repro.system.soc as soc_module
-from repro.errors import WorkloadError
+import repro.vector.engine as engine_module
+from repro.errors import ConfigurationError, WorkloadError
 from repro.system.config import SystemConfig, SystemKind
 from repro.system.soc import build_system
 from repro.vector.builder import AraProgramBuilder
-from repro.vector.config import LoweringMode
+from repro.vector.config import (
+    REGISTER_GROUP_BYTES,
+    LoweringMode,
+    VectorEngineConfig,
+    max_vl,
+)
 from repro.vector.engine import VectorEngine
 
 
@@ -207,7 +212,7 @@ class TestTimingBehaviour:
 
 def _gated_dispatch_run(monkeypatch, event_driven, gated=True):
     """Run a program whose memory ops block on the outstanding-load limit
-    and on a fence, with ``max_outstanding_loads=1``.
+    and on a fence, with ``MAX_OUTSTANDING_LOADS`` lowered to 1.
 
     Returns ``(cycles, calls, retired)``: every ``_try_dispatch_memory``
     call as ``(op id, cycle, dispatched)`` and the cycle of every load or
@@ -218,11 +223,6 @@ def _gated_dispatch_run(monkeypatch, event_driven, gated=True):
     calls, retired = [], []
 
     class Probe(VectorEngine):
-        def __init__(self, name, program, port, config, mode, **kwargs):
-            super().__init__(name, program, port,
-                             replace(config, max_outstanding_loads=1), mode,
-                             **kwargs)
-
         def _dispatch(self, cycle):
             if not gated:
                 self._dispatch_blocked = False
@@ -244,6 +244,7 @@ def _gated_dispatch_run(monkeypatch, event_driven, gated=True):
                 retired.append(cycle)
 
     monkeypatch.setattr(soc_module, "VectorEngine", Probe)
+    monkeypatch.setattr(engine_module, "MAX_OUTSTANDING_LOADS", 1)
     config = SystemConfig(kind=SystemKind.PACK, memory_bytes=1 << 20)
     soc = build_system(config)
     soc.storage.write_array(0, np.arange(4096, dtype=np.float32))
@@ -344,3 +345,55 @@ class TestLoweringErrors:
             base=0, num_elements=8, elem_bytes=4, total_bytes=32)
         with pytest.raises(WorkloadError, match="cannot lower stream of type"):
             self._run_on_base(program)
+
+
+class TestVectorConfig:
+    @pytest.mark.parametrize("lanes", [0, 3])
+    def test_lane_count_must_be_a_power_of_two(self, lanes):
+        with pytest.raises(ConfigurationError):
+            VectorEngineConfig(lanes=lanes)
+
+    def test_register_group_bounds_vector_length(self):
+        # 4096-bit registers grouped by LMUL 8 hold 4 KiB.
+        assert REGISTER_GROUP_BYTES == 4096
+        assert [max_vl(size) for size in (1, 2, 4, 8)] == [4096, 2048,
+                                                           1024, 512]
+
+    def test_compute_throughput_follows_the_lane_count(self):
+        """Half the lanes (a 128-bit system) run a long compute chain at
+        half the element rate."""
+        def build(builder):
+            builder.vmv_vx("v1", 1.0, 1024)
+            for _ in range(4):
+                builder.vfadd("v1", "v1", "v1", 1024)
+
+        cycles = {}
+        for bus_bytes in (32, 16):
+            config = SystemConfig(kind=SystemKind.PACK, bus_bytes=bus_bytes,
+                                  memory_bytes=1 << 20)
+            assert config.vector_config().lanes == bus_bytes // 4
+            _, cycles[bus_bytes], _ = run_program(SystemKind.PACK, build,
+                                                  config=config)
+        # Five ops of 1024 elements: 128 cycles each on 8 lanes, 256 on 4.
+        assert cycles[16] - cycles[32] >= 5 * 128
+
+    def test_min_sub_and_min_reduction_compute_real_values(self):
+        a = np.linspace(-4, 4, 64, dtype=np.float32)
+        b = a[::-1].copy()
+
+        def init(storage):
+            storage.write_array(0x0, a)
+            storage.write_array(0x1000, b)
+
+        def build(builder):
+            builder.vle32("va", 0x0, 64)
+            builder.vle32("vb", 0x1000, 64)
+            builder.vfsub("vd", "va", "vb", 64)
+            builder.vfmin("vm", "va", "vb", 64)
+            builder.vfredmin("vr", "vd", 64)
+
+        soc, _, _ = run_program(SystemKind.PACK, build, init)
+        regs = soc.last_engines[0].regfile._vector
+        assert np.array_equal(regs["vd"], a - b)
+        assert np.array_equal(regs["vm"], np.minimum(a, b))
+        assert regs["vr"].tolist() == [float(np.min(a - b))]

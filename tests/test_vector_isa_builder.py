@@ -248,3 +248,11 @@ class TestProgramValidate:
         program = corrupt(make_builder(mode))
         with pytest.raises(WorkloadError, match=message):
             program.validate()
+
+
+def test_lowering_mode_capabilities():
+    """Only PACK has the in-memory-indexed instructions; PACK and IDEAL
+    both pack irregular accesses into full beats."""
+    assert [mode.has_axi_pack for mode in LoweringMode] == [False, True, False]
+    assert [mode.packs_irregular for mode in LoweringMode] == [False, True,
+                                                               True]

@@ -14,9 +14,12 @@ counts.  Iterate a deterministic structure instead (a list, a deque, or
 
 Scope: in every file under analysis, classes whose bases include
 ``Component`` (directly, or through a class defined earlier in the same
-module), plus any class that defines a ``tick`` method.  The second group
-covers halves of a fused stage that a component ticks as plain calls (the
-banked channel's ``AxiPackAdapter`` and ``BankedMemory``).
+module), plus any class that defines a ``tick`` or an ``advance`` method.
+The second group covers halves of a fused stage that a component ticks as
+plain calls (the banked channel's ``AxiPackAdapter`` and ``BankedMemory``)
+and macro-steps (the engine's ``MacroStep`` protocol, such as
+``ReadStreamStep``), whose ``advance`` moves simulated state over many
+cycles at once.
 """
 
 from __future__ import annotations
@@ -48,14 +51,21 @@ def _unordered_iter(node: ast.AST) -> str:
     return ""
 
 
+#: Methods whose defining class runs on the tick path: a component half
+#: ticked as a plain call, or a macro-step.
+_TICK_PATH_METHODS = {"tick", "advance"}
+
+
 def _tick_path_classes(tree: ast.AST) -> List[ast.ClassDef]:
-    """``Component`` subclasses plus every class that defines ``tick``."""
+    """``Component`` subclasses plus every class that defines ``tick`` or
+    ``advance``."""
     components = {id(node) for node in component_classes(tree)}
     return [
         node for node in ast.walk(tree)
         if isinstance(node, ast.ClassDef) and (
             id(node) in components
-            or any(isinstance(item, ast.FunctionDef) and item.name == "tick"
+            or any(isinstance(item, ast.FunctionDef)
+                   and item.name in _TICK_PATH_METHODS
                    for item in node.body)
         )
     ]
