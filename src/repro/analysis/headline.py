@@ -1,10 +1,10 @@
 """Shared headline-grid geometry: workload sizing and memory classes.
 
-One definition of "a grid point" for every consumer — the headline engine
-benchmark (``benchmarks/bench_headline.py``), the ``repro profile`` CLI
-subcommand, and any future driver — so the dense/sparse sizing rules and
-the SRAM/DRAM latency classes cannot drift apart between the tool that
-measures and the tool that explains.
+One definition of "a grid point" for every consumer — the 48 cycle pins of
+``tests/test_headline_pins.py``, the ``repro profile`` CLI subcommand,
+perfbench (``perfbench/run.py``) and ``tools/census.py`` — so the
+dense/sparse sizing rules and the SRAM/DRAM latency classes cannot drift
+apart between the tools that pin, measure and explain a point.
 """
 
 from __future__ import annotations

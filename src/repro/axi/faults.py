@@ -157,7 +157,11 @@ class BusFaultPlan:
     # ------------------------------------------------------------ building
     @classmethod
     def from_json(cls, payload: Any) -> "BusFaultPlan":
-        """Build a plan from the JSON form (a dict or a JSON string)."""
+        """Build a plan from the JSON form (a dict or a JSON string).
+
+        Unknown keys and a non-integer ``watchdog_cycles`` raise
+        :class:`ConfigurationError`, so a typo cannot fall back to a default.
+        """
         if isinstance(payload, str):
             try:
                 payload = json.loads(payload)
@@ -169,18 +173,24 @@ class BusFaultPlan:
             raise ConfigurationError(
                 f"bus fault plan must be a JSON object, got {type(payload).__name__}"
             )
+        unknown = sorted(set(payload) - {"faults", "watchdog_cycles"})
+        if unknown:
+            raise ConfigurationError(
+                f"unknown bus fault plan key(s) {unknown}; "
+                "known: ['faults', 'watchdog_cycles']"
+            )
+        watchdog_cycles = payload.get("watchdog_cycles", DEFAULT_WATCHDOG_CYCLES)
+        if isinstance(watchdog_cycles, bool) or not isinstance(watchdog_cycles, int):
+            raise ConfigurationError(
+                f"watchdog_cycles must be an integer, got {watchdog_cycles!r}"
+            )
         try:
             faults = tuple(
                 BusFaultSpec(**fault) for fault in payload.get("faults", ())
             )
         except TypeError as exc:
             raise ConfigurationError(f"invalid bus fault spec: {exc}") from exc
-        return cls(
-            faults=faults,
-            watchdog_cycles=int(
-                payload.get("watchdog_cycles", DEFAULT_WATCHDOG_CYCLES)
-            ),
-        )
+        return cls(faults=faults, watchdog_cycles=watchdog_cycles)
 
     def to_json(self) -> Dict[str, Any]:
         """The JSON form accepted by :meth:`from_json`."""

@@ -32,6 +32,7 @@ from repro.axi.faults import (
 )
 from repro.axi.transaction import BusRequest
 from repro.axi.types import Resp, worst_resp
+from repro.cli import main
 from repro.controller.index_stage import IndexStage
 from repro.controller.lanes import LaneReadPipe, LaneWritePipe
 from repro.errors import (
@@ -138,6 +139,14 @@ class TestBusFaultPlan:
         with pytest.raises(ConfigurationError):
             BusFaultPlan.from_json({"faults": [{"kind": "slverr",
                                                 "bogus_key": 1}]})
+        # A misspelt or retired top-level key never falls back to a default.
+        for key in ("watchdog_cycle", "seed"):
+            with pytest.raises(ConfigurationError, match=key):
+                BusFaultPlan.from_json({"faults": [], key: 100})
+        for watchdog in ("x", None, True, 2.5, "100"):
+            with pytest.raises(ConfigurationError, match="watchdog_cycles"):
+                BusFaultPlan.from_json({"faults": [],
+                                        "watchdog_cycles": watchdog})
 
     def test_watchdog_must_be_positive(self):
         with pytest.raises(ConfigurationError):
@@ -176,6 +185,12 @@ class TestConfigPlumbing:
         assert isinstance(config.bus_faults, BusFaultPlan)
         assert config.with_bus_faults(None).bus_faults is None
         assert SystemConfig().bus_faults is None
+
+    def test_cli_rejects_malformed_plan(self, capsys):
+        plan = '{"faults": [], "watchdog_cycles": "x"}'
+        assert main(["workloads", "--workloads", "gemv", "--size", "8",
+                     "--inject-bus-fault", plan]) == 2
+        assert capsys.readouterr().err.startswith("error: watchdog_cycles")
 
 
 # --------------------------------------------------------- injected aborts
@@ -261,6 +276,7 @@ class TestInjectedFaults:
         clean = _run_gemv(SystemConfig())
         explicit = _run_gemv(SystemConfig(bus_faults=None))
         assert clean.fault_report is None and explicit.fault_report is None
+        assert clean.verified and explicit.verified
         assert clean.cycles == explicit.cycles
         assert clean.stats == explicit.stats
 

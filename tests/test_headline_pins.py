@@ -2,10 +2,15 @@
 
 The grid is every paper-figure workload plus ``csrspmv`` on BASE, PACK and
 IDEAL with SRAM- and DRAM-class memory, and gemv/spmv/csrspmv on BASE and
-PACK with two engines sharing SRAM.  Each point is built the way the
-headline benchmark builds it (``repro.analysis.headline``).  Simulation is
+PACK with two engines sharing SRAM.  Each point is built from the shared
+headline geometry (``repro.analysis.headline``).  Simulation is
 deterministic, so every point must reproduce its recorded cycle count
 exactly; a deliberate change to simulated behaviour updates this table.
+
+Every point also runs on the tick-every-cycle reference engine
+(``event_driven=False``), which must match the event-driven engine in
+cycles, statistics and engine results.  The DRAM-class points are the only
+long-latency workload runs compared between the two engines.
 """
 
 from dataclasses import replace
@@ -80,8 +85,8 @@ def _point_id(point) -> str:
     return f"{workload}-{system}-{memory}-{engines}e"
 
 
-@pytest.mark.parametrize("point", list(HEADLINE_CYCLES), ids=_point_id)
-def test_headline_point_cycles(point):
+def _run_point(point, event_driven=True):
+    """Simulate one grid point; return (cycles, stats, engine result(s))."""
     workload, system, memory, engines = point
     reset_txn_ids()
     instance = WorkloadSpec.create(
@@ -92,9 +97,21 @@ def test_headline_point_cycles(point):
     instance.initialize(soc.storage)
     if engines == 1:
         program = instance.build_program(config.lowering, config.vector_config())
-        cycles, _result = soc.run_program(program)
     else:
-        programs = instance.build_sharded_programs(
+        program = instance.build_sharded_programs(
             config.lowering, config.vector_config(), engines)
-        cycles, _result = soc.run_programs(programs)
+    cycles, result = soc.run_program(program, event_driven=event_driven)
+    return cycles, soc.stats_snapshot(), result
+
+
+@pytest.mark.parametrize("point", list(HEADLINE_CYCLES), ids=_point_id)
+def test_headline_point_cycles(point):
+    cycles, _stats, _result = _run_point(point)
     assert cycles == HEADLINE_CYCLES[point]
+
+
+@pytest.mark.parametrize("point", list(HEADLINE_CYCLES), ids=_point_id)
+def test_naive_engine_matches_event_engine(point):
+    naive = _run_point(point, event_driven=False)
+    assert naive[0] == HEADLINE_CYCLES[point]
+    assert naive == _run_point(point)
