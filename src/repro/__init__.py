@@ -7,7 +7,9 @@ functional, cycle-approximate bandwidth model written in pure Python + numpy.
 The main entry points are:
 
 * :mod:`repro.axi` — the AXI4 / AXI-Pack protocol model (burst descriptors,
-  user-field encoding, channel monitors, interconnect blocks).
+  user-field encoding, ports, interconnect blocks).  The vector engine
+  counts the R/W traffic at its port; ``EngineResult`` turns the counts
+  into the bus utilizations the figures report.
 * :mod:`repro.controller` — the banked AXI-Pack memory controller with its
   five burst converters.
 * :mod:`repro.vector` — the Ara-like vector engine with the paper's

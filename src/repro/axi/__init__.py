@@ -7,7 +7,9 @@ The model is *beat accurate*: it represents requests (AR/AW), data beats
 (R/W) and write responses (B) as Python records, enforces the AXI4 legality
 rules that matter for bandwidth (burst length, 4 KiB crossing, narrow
 transfers), and adds the AXI-Pack ``user``-field encoding that turns a burst
-into a bus-packed strided or indirect stream.
+into a bus-packed strided or indirect stream.  Bus utilization is counted
+where the beats are consumed: the vector engine keeps R/W beat and byte
+counters, and :class:`~repro.vector.engine.EngineResult` reports them.
 """
 
 from repro.axi.types import (
@@ -25,7 +27,6 @@ from repro.axi.stream import (
 )
 from repro.axi.transaction import BusRequest
 from repro.axi.builder import RequestBuilder
-from repro.axi.monitor import ChannelMonitor
 from repro.axi.mux import CycleAxiDemux, CycleAxiMux
 
 __all__ = [
@@ -44,7 +45,6 @@ __all__ = [
     "IndirectStream",
     "BusRequest",
     "RequestBuilder",
-    "ChannelMonitor",
     "CycleAxiMux",
     "CycleAxiDemux",
 ]

@@ -83,6 +83,11 @@ BUS_FAULT_KINDS = ("slverr", "decerr", "stall", "lost")
 DEFAULT_WATCHDOG_CYCLES = 2000
 
 
+def _is_int(value: Any) -> bool:
+    """An integer that is not a bool (JSON ``true`` is not a number here)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class BusFaultSpec:
     """One injected bus fault, matched by port name, txn serial and address.
@@ -107,8 +112,21 @@ class BusFaultSpec:
             raise ConfigurationError(
                 f"unknown bus fault kind {self.kind!r}; known: {BUS_FAULT_KINDS}"
             )
-        if self.stall_cycles < 0:
-            raise ConfigurationError("stall_cycles must be non-negative")
+        if self.port is not None and not isinstance(self.port, str):
+            raise ConfigurationError(
+                f"bus fault port must be a string or null, got {self.port!r}"
+            )
+        for key in ("txn", "addr_lo", "addr_hi"):
+            value = getattr(self, key)
+            if value is not None and not _is_int(value):
+                raise ConfigurationError(
+                    f"bus fault {key} must be an integer or null, got {value!r}"
+                )
+        if not _is_int(self.stall_cycles) or self.stall_cycles < 0:
+            raise ConfigurationError(
+                "bus fault stall_cycles must be a non-negative integer, "
+                f"got {self.stall_cycles!r}"
+            )
 
     def matches(self, port: str, txn: Optional[int], addr: int) -> bool:
         """Whether this fault fires for an access ``(port, txn, addr)``.
@@ -159,8 +177,10 @@ class BusFaultPlan:
     def from_json(cls, payload: Any) -> "BusFaultPlan":
         """Build a plan from the JSON form (a dict or a JSON string).
 
-        Unknown keys and a non-integer ``watchdog_cycles`` raise
-        :class:`ConfigurationError`, so a typo cannot fall back to a default.
+        Unknown keys, a ``faults`` value that is not an array of objects,
+        a spec field of the wrong type and a non-integer ``watchdog_cycles``
+        raise :class:`ConfigurationError`, so a typo cannot fall back to a
+        default or reach the simulation.
         """
         if isinstance(payload, str):
             try:
@@ -180,14 +200,17 @@ class BusFaultPlan:
                 "known: ['faults', 'watchdog_cycles']"
             )
         watchdog_cycles = payload.get("watchdog_cycles", DEFAULT_WATCHDOG_CYCLES)
-        if isinstance(watchdog_cycles, bool) or not isinstance(watchdog_cycles, int):
+        if not _is_int(watchdog_cycles):
             raise ConfigurationError(
                 f"watchdog_cycles must be an integer, got {watchdog_cycles!r}"
             )
-        try:
-            faults = tuple(
-                BusFaultSpec(**fault) for fault in payload.get("faults", ())
+        specs = payload.get("faults", [])
+        if not isinstance(specs, list) or not all(isinstance(f, dict) for f in specs):
+            raise ConfigurationError(
+                f"bus fault plan faults must be a JSON array of objects, got {specs!r}"
             )
+        try:
+            faults = tuple(BusFaultSpec(**fault) for fault in specs)
         except TypeError as exc:
             raise ConfigurationError(f"invalid bus fault spec: {exc}") from exc
         return cls(faults=faults, watchdog_cycles=watchdog_cycles)

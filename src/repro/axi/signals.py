@@ -23,8 +23,8 @@ class RBeat:
     """One R-channel handshake: a read data beat.
 
     ``useful_bytes`` records how many of the bus bytes carry payload the
-    requestor asked for; the channel monitor uses it to compute the packed
-    bus utilization that Figs. 3 and 5 report.
+    requestor asked for; the requestor sums it into the packed bus
+    utilization that Figs. 3 and 5 report (``EngineResult``).
     """
 
     txn_id: int

@@ -14,7 +14,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence
 
-from repro.axi.monitor import ChannelMonitor
 from repro.axi.port import AxiPort
 from repro.axi.signals import WBeat
 from repro.axi.transaction import BusRequest
@@ -71,7 +70,8 @@ class IdealRequestor(Component):
         self._outstanding_writes: Deque[int] = deque()
         self._w_backlog: Deque[tuple] = deque()  # (txn_id, beat_index)
         self._read_payload_chunks: Dict[int, List[bytes]] = {}
-        self.r_monitor = ChannelMonitor("R", port.bus_bytes)
+        self.r_beats = 0
+        self.r_useful_bytes = 0
 
     # ------------------------------------------------------------------ tick
     def tick(self, cycle: int) -> WakeHint:
@@ -130,7 +130,13 @@ class IdealRequestor(Component):
         if not self.port.r.can_pop():
             return
         beat = self.port.r.pop()
-        self.r_monitor.record_beat(beat.useful_bytes)
+        if not 0 <= beat.useful_bytes <= self.port.bus_bytes:
+            raise SimulationError(
+                f"R beat of {beat.useful_bytes} useful bytes on a "
+                f"{self.port.bus_bytes}-byte bus"
+            )
+        self.r_beats += 1
+        self.r_useful_bytes += beat.useful_bytes
         outcome = self.outcomes[beat.txn_id]
         outcome.beats_received += 1
         self._read_payload_chunks[beat.txn_id].append(bytes(beat.data))
@@ -216,12 +222,12 @@ class ControllerTestbench:
         for queue in self.port.all_queues():
             engine.add_queue(queue)
         cycles = engine.run_until(requestor.done, max_cycles=max_cycles)
-        # Drain a few extra cycles so late statistics settle.
+        useful = requestor.r_useful_bytes
         return TestbenchResult(
             cycles=cycles,
-            r_beats=requestor.r_monitor.beats,
-            r_useful_bytes=requestor.r_monitor.useful_bytes,
-            r_utilization=requestor.r_monitor.utilization(cycles),
+            r_beats=requestor.r_beats,
+            r_useful_bytes=useful,
+            r_utilization=useful / (self.port.bus_bytes * cycles) if cycles > 0 else 0.0,
             bank_conflicts=self.stats.get("mem.bank_conflicts"),
             outcomes=requestor.outcomes,
         )

@@ -35,7 +35,7 @@ import numpy as np
 from repro.errors import WorkloadError
 from repro.mem.storage import MemoryStorage
 from repro.vector.builder import AraProgramBuilder, Program
-from repro.vector.config import LoweringMode, VectorEngineConfig
+from repro.vector.config import LoweringMode
 from repro.workloads.base import idle_program, shard_ranges
 
 #: Read-only float32 input region all loads/gathers source from.
@@ -375,9 +375,7 @@ def _emit_segment(builder: AraProgramBuilder, seg_id: int,
 
 
 def build_case_programs(
-    plan_or_case: Union[CasePlan, FuzzCase],
-    num_engines: int = 1,
-    config: Optional[VectorEngineConfig] = None,
+    plan_or_case: Union[CasePlan, FuzzCase], num_engines: int = 1,
 ) -> List[Program]:
     """Lower a case into one validated program per engine.
 
@@ -388,14 +386,13 @@ def build_case_programs(
     plan = plan_or_case if isinstance(plan_or_case, CasePlan) else plan_case(plan_or_case)
     case = plan.case
     mode = case.mode
-    config = config or VectorEngineConfig()
     programs: List[Program] = []
     for engine, (lo, hi) in enumerate(shard_ranges(len(plan.segments), num_engines)):
         name = f"fuzz-{case.kind}-s{case.seed}-e{engine}"
         if lo == hi:
-            programs.append(idle_program(name, mode, config))
+            programs.append(idle_program(name, mode))
             continue
-        builder = AraProgramBuilder(name, mode, config)
+        builder = AraProgramBuilder(name, mode)
         for seg_id in range(lo, hi):
             _emit_segment(builder, seg_id, plan.segments[seg_id], mode)
         program = builder.build()

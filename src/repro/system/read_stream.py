@@ -159,16 +159,7 @@ class ReadStreamStep:
         v_last = -1
         loads = vector._active_loads
         by_txn = vector._by_txn
-        kind_beats = vector.r_monitor.payload_beats_by_kind
-        kind_bytes = vector.r_monitor.useful_bytes_by_kind
-        r_beats = 0
-        r_useful = 0
-        #: the latest run of same-kind beats, not yet added to the R
-        #: monitor's per-kind tables (added on a kind change and at the end,
-        #: so the tables' first-seen order is kept)
-        run_kind = None
-        run_beats = 0
-        run_bytes = 0
+        r_beats = r_data = r_index = 0
         unissued = vector._unissued_requests
         pusher = None  #: oldest load with AR requests left to push
         for state in loads:
@@ -314,27 +305,14 @@ class ReadStreamStep:
                     r_store.popleft()
                     touched = True
                     r_beats += 1
-                    kind = state.kind
-                    if kind != run_kind:
-                        if run_beats:
-                            if run_kind in kind_beats:
-                                kind_beats[run_kind] += run_beats
-                                kind_bytes[run_kind] += run_bytes
-                            else:
-                                kind_beats[run_kind] = run_beats
-                                kind_bytes[run_kind] = run_bytes
-                            r_useful += run_bytes
-                        run_kind = kind
-                        run_beats = 0
-                        run_bytes = 0
-                    run_beats += 1
-                    run_bytes += useful
+                    if state.is_index:
+                        r_index += useful
+                    else:
+                        r_data += useful
                     # (A read beat's buffer is ``useful`` bytes long, so
                     # it is kept whole.)
                     state.chunks[txn_id].append(data)
                     state.beats_done += 1
-                    if state.first_beat_cycle is None:
-                        state.first_beat_cycle = t
                 if push is not None:
                     # VectorEngine._push_requests
                     touched = True
@@ -645,14 +623,6 @@ class ReadStreamStep:
         c_r_useful.value += emitted_bytes
         c_accesses.value += granted_words
         c_reads.value += granted_words
-        if run_beats:
-            if run_kind in kind_beats:
-                kind_beats[run_kind] += run_beats
-                kind_bytes[run_kind] += run_bytes
-            else:
-                kind_beats[run_kind] = run_beats
-                kind_bytes[run_kind] = run_bytes
-            r_useful += run_bytes
         ar.end_stream(
             len(ar_store),
             ar.total_pushed + unissued_start - unissued,
@@ -670,7 +640,7 @@ class ReadStreamStep:
         )
         wakes[v_slot] = v_wake
         wakes[ch_slot] = ch_wake
-        vector.end_read_stream(v_last, unissued, r_beats, r_useful)
+        vector.end_read_stream(v_last, unissued, r_beats, r_data, r_index)
         adapter.end_read_stream(
             a_last, issue_rr, emit_rr, free_after, outstanding, open_reads
         )

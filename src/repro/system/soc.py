@@ -330,8 +330,7 @@ class Soc:
         watchdog = 0 if bus_faults is None else bus_faults.watchdog_cycles
         vectors = [
             VectorEngine(
-                name, program, port, vector_config,
-                self.config.lowering, watchdog_cycles=watchdog,
+                name, program, port, vector_config, watchdog_cycles=watchdog,
             )
             for name, program, port in zip(names, programs, self.ports)
         ]

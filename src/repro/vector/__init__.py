@@ -15,7 +15,7 @@ The package provides:
 """
 
 from repro.vector.config import VectorEngineConfig, LoweringMode
-from repro.vector.isa import Instruction, Mnemonic
+from repro.vector.isa import Mnemonic
 from repro.vector.ops import ScalarWork, VectorCompute, VectorLoad, VectorStore
 from repro.vector.builder import AraProgramBuilder, Program
 from repro.vector.regfile import VectorRegisterFile
@@ -24,7 +24,6 @@ from repro.vector.engine import VectorEngine, EngineResult
 __all__ = [
     "VectorEngineConfig",
     "LoweringMode",
-    "Instruction",
     "Mnemonic",
     "ScalarWork",
     "VectorCompute",

@@ -2,8 +2,8 @@
 
 The builder plays the role of the compiler + decoder: workloads call methods
 named after the vector instructions they would emit, and the builder records
-both the instruction listing and the micro-operations the engine executes,
-wiring up register data dependencies automatically.
+one micro-operation per instruction (its mnemonic included), wiring up
+register data dependencies automatically.
 
 A key design point mirrors the paper: on the PACK system a kernel gathers
 through :meth:`AraProgramBuilder.vlimxei32` (indices stay in memory), while
@@ -21,37 +21,53 @@ import numpy as np
 
 from repro.axi.stream import ContiguousStream, IndirectStream, StridedStream
 from repro.errors import WorkloadError
-from repro.vector.config import (
-    ELEM_BYTES,
-    LoweringMode,
-    VectorEngineConfig,
-    max_vl,
-)
-from repro.vector.isa import Instruction, Mnemonic, check_supported
+from repro.vector.config import ELEM_BYTES, LoweringMode, max_vl
+from repro.vector.isa import Mnemonic, check_supported
 from repro.vector.ops import ScalarWork, VectorCompute, VectorLoad, VectorOp, VectorStore
+
+
+def _render(op: VectorOp) -> str:
+    """Assembly-like listing line, e.g.
+    ``vlse32.v vd=v1, base=0x1000, stride=8  # row 0  [vl=8]``."""
+    if isinstance(op, (VectorLoad, VectorStore)):
+        stream = op.stream
+        vl = stream.num_elements
+        args = [f"vd={op.dest}" if isinstance(op, VectorLoad) else f"vs={op.src}",
+                f"base={hex(stream.base)}"]
+        if isinstance(stream, StridedStream):
+            args.append(f"stride={stream.stride_elems}")
+        elif op.index_values_reg is not None:
+            args.append(f"vs2={op.index_values_reg}")
+        elif isinstance(stream, IndirectStream):
+            args.append(f"idx_base={hex(stream.index_base)}")
+    elif isinstance(op, VectorCompute):
+        vl = op.num_elements
+        args = [f"vd={op.dest}", f"srcs={','.join(op.srcs)}"]
+    else:
+        vl = 0
+        args = [f"cycles={op.cycles}"]
+    text = f"{op.mnemonic.value} {', '.join(args)}"
+    if op.label:
+        text += f"  # {op.label}"
+    return f"{text}  [vl={vl}]"
 
 
 @dataclass
 class Program:
-    """A fully assembled kernel: micro-ops plus the instruction listing."""
+    """A fully assembled kernel: one micro-op per instruction."""
 
     name: str
     mode: LoweringMode
     ops: List[VectorOp] = field(default_factory=list)
-    instructions: List[Instruction] = field(default_factory=list)
 
     @property
     def num_instructions(self) -> int:
         """Number of assembled instructions (scalar work included)."""
-        return len(self.instructions)
-
-    def memory_ops(self) -> List[VectorOp]:
-        """All loads and stores in program order."""
-        return [op for op in self.ops if op.is_memory]
+        return len(self.ops)
 
     def listing(self, limit: Optional[int] = None) -> str:
         """Human-readable assembly listing (truncated to ``limit`` lines)."""
-        lines = [instr.render() for instr in self.instructions]
+        lines = [_render(op) for op in self.ops]
         if limit is not None and len(lines) > limit:
             omitted = len(lines) - limit
             lines = lines[:limit] + [f"... ({omitted} more instructions)"]
@@ -72,15 +88,10 @@ class Program:
         """
         if not self.ops:
             raise WorkloadError(f"program {self.name!r} contains no instructions")
-        if len(self.ops) != len(self.instructions):
-            raise WorkloadError(
-                f"program {self.name!r} has {len(self.ops)} ops but "
-                f"{len(self.instructions)} instructions"
-            )
         written: set = set()
-        for index, (op, instr) in enumerate(zip(self.ops, self.instructions)):
-            where = f"{self.name!r} op {index} ({instr.mnemonic.value})"
-            check_supported(instr.mnemonic, self.mode)
+        for index, op in enumerate(self.ops):
+            where = f"{self.name!r} op {index} ({op.mnemonic.value})"
+            check_supported(op.mnemonic, self.mode)
             if op.op_id != index:
                 raise WorkloadError(f"{where}: op_id {op.op_id} != position {index}")
             for dep in op.deps:
@@ -92,16 +103,10 @@ class Program:
             if isinstance(op, (VectorLoad, VectorStore)):
                 if op.stream is None:
                     raise WorkloadError(f"{where}: memory op has no stream")
-                if op.stream.num_elements != instr.vl:
-                    raise WorkloadError(
-                        f"{where}: stream covers {op.stream.num_elements} "
-                        f"elements but vl is {instr.vl}"
-                    )
+                vl = op.stream.num_elements
                 limit = max_vl(op.stream.elem_bytes)
-                if instr.vl > limit:
-                    raise WorkloadError(
-                        f"{where}: vl {instr.vl} exceeds max_vl {limit}"
-                    )
+                if vl > limit:
+                    raise WorkloadError(f"{where}: vl {vl} exceeds max_vl {limit}")
                 if op.uses_in_memory_indices and not self.mode.has_axi_pack:
                     raise WorkloadError(
                         f"{where}: in-memory indices need the AXI-Pack extension"
@@ -115,9 +120,9 @@ class Program:
                 if op.index_values_reg is not None:
                     reads.append(op.index_values_reg)
             elif isinstance(op, VectorCompute):
-                if instr.vl > max_vl(ELEM_BYTES):
+                if op.num_elements > max_vl(ELEM_BYTES):
                     raise WorkloadError(
-                        f"{where}: vl {instr.vl} exceeds max_vl "
+                        f"{where}: vl {op.num_elements} exceeds max_vl "
                         f"{max_vl(ELEM_BYTES)}"
                     )
                 if op.fn is not None:
@@ -138,17 +143,9 @@ class Program:
 class AraProgramBuilder:
     """Builds :class:`Program` objects instruction by instruction."""
 
-    def __init__(
-        self,
-        name: str,
-        mode: LoweringMode,
-        config: Optional[VectorEngineConfig] = None,
-        elem_bytes: int = 4,
-    ) -> None:
+    def __init__(self, name: str, mode: LoweringMode) -> None:
         self.name = name
         self.mode = mode
-        self.config = config or VectorEngineConfig()
-        self.elem_bytes = elem_bytes
         self.program = Program(name=name, mode=mode)
         self._writers: Dict[str, int] = {}
         self._readers: Dict[str, List[int]] = {}
@@ -157,8 +154,8 @@ class AraProgramBuilder:
     # ------------------------------------------------------------- utilities
     @property
     def max_vl(self) -> int:
-        """Largest vector length a single register holds for this element size."""
-        return max_vl(self.elem_bytes)
+        """Largest vector length a single register group holds (32-bit elements)."""
+        return max_vl(ELEM_BYTES)
 
     def strip_mine(self, total: int) -> List[int]:
         """Split ``total`` elements into chunks of at most ``max_vl``."""
@@ -191,10 +188,10 @@ class AraProgramBuilder:
             deps.append(self._last_ordered_mem)
         return sorted(set(deps))
 
-    def _add(self, op: VectorOp, instruction: Instruction, writes: Sequence[str],
+    def _add(self, op: VectorOp, writes: Sequence[str],
              reads: Sequence[str] = ()) -> int:
+        check_supported(op.mnemonic, self.mode)
         self.program.ops.append(op)
-        self.program.instructions.append(instruction)
         for reg in writes:
             self._writers[reg] = op.op_id
             self._readers[reg] = []
@@ -206,10 +203,9 @@ class AraProgramBuilder:
     def scalar(self, cycles: int, label: str = "loop bookkeeping",
                after: Sequence[int] = ()) -> int:
         """Account for scalar-core work (loop control, pointer arithmetic)."""
-        op_id = self._next_id()
-        op = ScalarWork(op_id=op_id, deps=sorted(set(after)), cycles=cycles, label=label)
-        instr = Instruction(Mnemonic.SCALAR, vl=0, operands={"cycles": cycles}, comment=label)
-        return self._add(op, instr, writes=())
+        op = ScalarWork(op_id=self._next_id(), mnemonic=Mnemonic.SCALAR,
+                        deps=sorted(set(after)), cycles=cycles, label=label)
+        return self._add(op, writes=())
 
     # ----------------------------------------------------------------- loads
     def vle32(self, dest: str, base: int, count: int, kind: str = "data",
@@ -220,28 +216,21 @@ class AraProgramBuilder:
         register file (``"uint32"`` for index arrays, ``"float32"`` for
         data); the bus traffic is identical either way.
         """
-        check_supported(Mnemonic.VLE32, self.mode)
-        op_id = self._next_id()
         stream = ContiguousStream(base=base, num_elements=count, elem_bytes=4)
-        op = VectorLoad(op_id=op_id, deps=self._deps_for((), (dest,)), label=label,
+        op = VectorLoad(op_id=self._next_id(), mnemonic=Mnemonic.VLE32,
+                        deps=self._deps_for((), (dest,)), label=label,
                         stream=stream, dest=dest, dtype=dtype, kind=kind)
-        instr = Instruction(Mnemonic.VLE32, vl=count,
-                            operands={"vd": dest, "base": hex(base)}, comment=label)
-        return self._add(op, instr, writes=(dest,))
+        return self._add(op, writes=(dest,))
 
     def vlse32(self, dest: str, base: int, count: int, stride_elems: int,
                label: str = "") -> int:
         """Strided load of ``count`` 32-bit elements."""
-        check_supported(Mnemonic.VLSE32, self.mode)
-        op_id = self._next_id()
         stream = StridedStream(base=base, num_elements=count, elem_bytes=4,
                                stride_elems=stride_elems)
-        op = VectorLoad(op_id=op_id, deps=self._deps_for((), (dest,)), label=label,
+        op = VectorLoad(op_id=self._next_id(), mnemonic=Mnemonic.VLSE32,
+                        deps=self._deps_for((), (dest,)), label=label,
                         stream=stream, dest=dest, dtype="float32")
-        instr = Instruction(Mnemonic.VLSE32, vl=count,
-                            operands={"vd": dest, "base": hex(base),
-                                      "stride": stride_elems}, comment=label)
-        return self._add(op, instr, writes=(dest,))
+        return self._add(op, writes=(dest,))
 
     def vluxei32(self, dest: str, base: int, index_reg: str, count: int,
                  index_base: int, label: str = "") -> int:
@@ -251,116 +240,84 @@ class AraProgramBuilder:
         system can model perfectly packed gathers; the BASE system resolves
         the register values into narrow per-element transactions.
         """
-        check_supported(Mnemonic.VLUXEI32, self.mode)
-        op_id = self._next_id()
         stream = IndirectStream(base=base, num_elements=count, elem_bytes=4,
                                 index_base=index_base, index_bytes=4)
-        op = VectorLoad(op_id=op_id, deps=self._deps_for((index_reg,), (dest,)),
-                        label=label, stream=stream, dest=dest, dtype="float32",
+        op = VectorLoad(op_id=self._next_id(), mnemonic=Mnemonic.VLUXEI32,
+                        deps=self._deps_for((index_reg,), (dest,)), label=label,
+                        stream=stream, dest=dest, dtype="float32",
                         index_values_reg=index_reg)
-        instr = Instruction(Mnemonic.VLUXEI32, vl=count,
-                            operands={"vd": dest, "base": hex(base), "vs2": index_reg},
-                            comment=label)
-        return self._add(op, instr, writes=(dest,), reads=(index_reg,))
+        return self._add(op, writes=(dest,), reads=(index_reg,))
 
     def vlimxei32(self, dest: str, base: int, index_base: int, count: int,
                   index_bytes: int = 4, label: str = "") -> int:
         """In-memory-indexed gather (AXI-Pack extension): indices stay in memory."""
-        check_supported(Mnemonic.VLIMXEI32, self.mode)
-        op_id = self._next_id()
         stream = IndirectStream(base=base, num_elements=count, elem_bytes=4,
                                 index_base=index_base, index_bytes=index_bytes)
-        op = VectorLoad(op_id=op_id, deps=self._deps_for((), (dest,)), label=label,
+        op = VectorLoad(op_id=self._next_id(), mnemonic=Mnemonic.VLIMXEI32,
+                        deps=self._deps_for((), (dest,)), label=label,
                         stream=stream, dest=dest, dtype="float32",
                         uses_in_memory_indices=True)
-        instr = Instruction(Mnemonic.VLIMXEI32, vl=count,
-                            operands={"vd": dest, "base": hex(base),
-                                      "idx_base": hex(index_base)}, comment=label)
-        return self._add(op, instr, writes=(dest,))
+        return self._add(op, writes=(dest,))
 
     # ---------------------------------------------------------------- stores
+    def _store(self, op: VectorStore, reads: Sequence[str]) -> int:
+        op_id = self._add(op, writes=(), reads=reads)
+        if op.ordered:
+            self._last_ordered_mem = op_id
+        return op_id
+
     def vse32(self, src: str, base: int, count: int, ordered: bool = False,
               label: str = "") -> int:
         """Unit-stride store of ``count`` 32-bit elements."""
-        check_supported(Mnemonic.VSE32, self.mode)
-        op_id = self._next_id()
         stream = ContiguousStream(base=base, num_elements=count, elem_bytes=4)
-        op = VectorStore(op_id=op_id, deps=self._deps_for((src,), ()), label=label,
+        op = VectorStore(op_id=self._next_id(), mnemonic=Mnemonic.VSE32,
+                         deps=self._deps_for((src,), ()), label=label,
                          stream=stream, src=src, dtype="float32", ordered=ordered)
-        instr = Instruction(Mnemonic.VSE32, vl=count,
-                            operands={"vs": src, "base": hex(base)}, comment=label)
-        op_id = self._add(op, instr, writes=(), reads=(src,))
-        if ordered:
-            self._last_ordered_mem = op_id
-        return op_id
+        return self._store(op, reads=(src,))
 
     def vsse32(self, src: str, base: int, count: int, stride_elems: int,
                ordered: bool = False, label: str = "") -> int:
         """Strided store of ``count`` 32-bit elements."""
-        check_supported(Mnemonic.VSSE32, self.mode)
-        op_id = self._next_id()
         stream = StridedStream(base=base, num_elements=count, elem_bytes=4,
                                stride_elems=stride_elems)
-        op = VectorStore(op_id=op_id, deps=self._deps_for((src,), ()), label=label,
+        op = VectorStore(op_id=self._next_id(), mnemonic=Mnemonic.VSSE32,
+                         deps=self._deps_for((src,), ()), label=label,
                          stream=stream, src=src, dtype="float32", ordered=ordered)
-        instr = Instruction(Mnemonic.VSSE32, vl=count,
-                            operands={"vs": src, "base": hex(base),
-                                      "stride": stride_elems}, comment=label)
-        op_id = self._add(op, instr, writes=(), reads=(src,))
-        if ordered:
-            self._last_ordered_mem = op_id
-        return op_id
+        return self._store(op, reads=(src,))
 
     def vsuxei32(self, src: str, base: int, index_reg: str, count: int,
                  index_base: int, ordered: bool = False, label: str = "") -> int:
         """Register-indexed scatter."""
-        check_supported(Mnemonic.VSUXEI32, self.mode)
-        op_id = self._next_id()
         stream = IndirectStream(base=base, num_elements=count, elem_bytes=4,
                                 index_base=index_base, index_bytes=4)
-        op = VectorStore(op_id=op_id, deps=self._deps_for((src, index_reg), ()),
-                         label=label, stream=stream, src=src, dtype="float32",
+        op = VectorStore(op_id=self._next_id(), mnemonic=Mnemonic.VSUXEI32,
+                         deps=self._deps_for((src, index_reg), ()), label=label,
+                         stream=stream, src=src, dtype="float32",
                          ordered=ordered, index_values_reg=index_reg)
-        instr = Instruction(Mnemonic.VSUXEI32, vl=count,
-                            operands={"vs": src, "base": hex(base), "vs2": index_reg},
-                            comment=label)
-        op_id = self._add(op, instr, writes=(), reads=(src, index_reg))
-        if ordered:
-            self._last_ordered_mem = op_id
-        return op_id
+        return self._store(op, reads=(src, index_reg))
 
     def vsimxei32(self, src: str, base: int, index_base: int, count: int,
                   index_bytes: int = 4, ordered: bool = False, label: str = "") -> int:
         """In-memory-indexed scatter (AXI-Pack extension)."""
-        check_supported(Mnemonic.VSIMXEI32, self.mode)
-        op_id = self._next_id()
         stream = IndirectStream(base=base, num_elements=count, elem_bytes=4,
                                 index_base=index_base, index_bytes=index_bytes)
-        op = VectorStore(op_id=op_id, deps=self._deps_for((src,), ()), label=label,
+        op = VectorStore(op_id=self._next_id(), mnemonic=Mnemonic.VSIMXEI32,
+                         deps=self._deps_for((src,), ()), label=label,
                          stream=stream, src=src, dtype="float32", ordered=ordered,
                          uses_in_memory_indices=True)
-        instr = Instruction(Mnemonic.VSIMXEI32, vl=count,
-                            operands={"vs": src, "base": hex(base),
-                                      "idx_base": hex(index_base)}, comment=label)
-        op_id = self._add(op, instr, writes=(), reads=(src,))
-        if ordered:
-            self._last_ordered_mem = op_id
-        return op_id
+        return self._store(op, reads=(src,))
 
     # ------------------------------------------------------------ arithmetic
     def _compute(self, mnemonic: Mnemonic, dest: Optional[str], srcs: Sequence[str],
                  count: int, fn: Optional[Callable], is_reduction: bool = False,
                  label: str = "", dest_is_src: bool = False) -> int:
-        check_supported(mnemonic, self.mode)
-        op_id = self._next_id()
         reads = list(srcs) + ([dest] if dest_is_src and dest else [])
         writes = (dest,) if dest else ()
-        op = VectorCompute(op_id=op_id, deps=self._deps_for(reads, writes), label=label,
+        op = VectorCompute(op_id=self._next_id(), mnemonic=mnemonic,
+                           deps=self._deps_for(reads, writes), label=label,
                            num_elements=count, srcs=tuple(reads), dest=dest,
                            is_reduction=is_reduction, fn=fn)
-        instr = Instruction(mnemonic, vl=count,
-                            operands={"vd": dest, "srcs": ",".join(srcs)}, comment=label)
-        return self._add(op, instr, writes=writes, reads=tuple(reads))
+        return self._add(op, writes=writes, reads=tuple(reads))
 
     def compute(self, mnemonic: Mnemonic, dest: Optional[str], srcs: Sequence[str],
                 count: int, fn: Optional[Callable] = None, is_reduction: bool = False,

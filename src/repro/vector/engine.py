@@ -40,7 +40,6 @@ from typing import Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.axi.builder import RequestBuilder
-from repro.axi.monitor import ChannelMonitor
 from repro.axi.port import AxiPort
 from repro.axi.signals import WBeat
 from repro.axi.stream import ContiguousStream, IndirectStream, StridedStream
@@ -119,14 +118,13 @@ class _MemOpState:
         "op",
         "requests",
         "is_load",
-        "kind",
+        "is_index",
         "next_request",
         "total_beats",
         "beats_done",
         "responses_pending",
         "chunks",
         "positions",
-        "first_beat_cycle",
         "ready_cycle",
         "resp",
         "deadline",
@@ -141,9 +139,8 @@ class _MemOpState:
         self.op = op
         self.requests = requests
         self.is_load = is_load
-        #: R-monitor tag of the op's beats ("data", or "index" for an index
-        #: fetch into registers)
-        self.kind: str = getattr(op, "kind", "data")
+        #: an index fetch into registers: its R beats count as index bytes
+        self.is_index = is_load and op.kind == "index"
         self.next_request = 0
         self.beats_done = 0
         self.responses_pending = len(requests)
@@ -161,7 +158,6 @@ class _MemOpState:
             self.positions = {
                 request.txn_id: index for index, request in enumerate(requests)
             }
-        self.first_beat_cycle: Optional[int] = None
         self.ready_cycle = 0  #: address generation done, requests may be issued
         self.resp = _RESP_OKAY  #: worst in-band response seen on any beat
         self.deadline: Optional[int] = None  #: watchdog expiry (None = unarmed)
@@ -252,18 +248,22 @@ class VectorEngine(Component):
         program: Program,
         port: AxiPort,
         config: Optional[VectorEngineConfig] = None,
-        mode: Optional[LoweringMode] = None,
         watchdog_cycles: int = 0,
     ) -> None:
         super().__init__(name)
         self.program = program
         self.port = port
         self.config = config or VectorEngineConfig()
-        self.mode = mode or program.mode
         self.regfile = VectorRegisterFile(REGISTER_GROUP_BYTES)
         self.request_builder = RequestBuilder(port.bus_bytes)
-        self.r_monitor = ChannelMonitor("R", port.bus_bytes)
-        self.w_monitor = ChannelMonitor("W", port.bus_bytes)
+        self._bus_bytes = port.bus_bytes
+        #: R/W traffic at the port, one counter per EngineResult field
+        self.r_beats = 0
+        self.r_useful_bytes = 0
+        self.r_data_bytes = 0
+        self.r_index_bytes = 0
+        self.w_beats = 0
+        self.w_useful_bytes = 0
 
         self._next_op = 0
         self._ops = program.ops  #: prebound: indexed every dispatch attempt
@@ -547,7 +547,8 @@ class VectorEngine(Component):
     def _lower(self, op: VectorOp, is_load: bool) -> List[BusRequest]:
         stream = op.stream
         builder = self.request_builder
-        packs = self.mode.packs_irregular
+        mode = self.program.mode
+        packs = mode.packs_irregular
         if isinstance(stream, ContiguousStream):
             return builder.contiguous(stream, is_write=not is_load)
         if isinstance(stream, StridedStream):
@@ -556,12 +557,12 @@ class VectorEngine(Component):
             return builder.base_strided(stream, is_write=not is_load)
         if isinstance(stream, IndirectStream):
             if getattr(op, "uses_in_memory_indices", False):
-                if not self.mode.has_axi_pack:
+                if not mode.has_axi_pack:
                     raise WorkloadError(
                         "in-memory-indexed access executed without AXI-Pack"
                     )
                 return builder.pack_indirect(stream, is_write=not is_load)
-            if self.mode is LoweringMode.IDEAL:
+            if mode is LoweringMode.IDEAL:
                 # The idealized memory packs gathers perfectly.
                 return builder.pack_indirect(stream, is_write=not is_load)
             index_reg = getattr(op, "index_values_reg", None)
@@ -632,11 +633,17 @@ class VectorEngine(Component):
         # W data may only flow for requests whose AW has been issued.
         if owner.positions[request.txn_id] >= owner.next_request:
             return
+        if not 0 <= useful <= self._bus_bytes:
+            raise SimulationError(
+                f"{self.name}: W beat of {useful} useful bytes on a "
+                f"{self._bus_bytes}-byte bus"
+            )
         padded = chunk.ljust(request.bus_bytes, b"\0")
         self.port.w.push(
             WBeat(data=padded, useful_bytes=useful, last=beat == request.num_beats - 1)
         )
-        self.w_monitor.record_beat(useful)
+        self.w_beats += 1
+        self.w_useful_bytes += useful
         self._w_backlog.popleft()
 
     def _consume_r(self, cycle: int) -> None:
@@ -652,15 +659,23 @@ class VectorEngine(Component):
         if self._watchdog_cycles:
             self._arm_watchdog(state, cycle)
         useful = beat.useful_bytes
-        self.r_monitor.record_beat(useful, state.kind)
+        if not 0 <= useful <= self._bus_bytes:
+            raise SimulationError(
+                f"{self.name}: R beat of {useful} useful bytes on a "
+                f"{self._bus_bytes}-byte bus"
+            )
+        self.r_beats += 1
+        self.r_useful_bytes += useful
+        if state.is_index:
+            self.r_index_bytes += useful
+        else:
+            self.r_data_bytes += useful
         data = beat.data
         if len(data) != useful:
             data = bytes(data)[:useful]
         state.chunks[txn_id].append(data)
         done = state.beats_done + 1
         state.beats_done = done
-        if state.first_beat_cycle is None:
-            state.first_beat_cycle = cycle
         if done >= state.total_beats and state.is_load:
             self._finish_load(state, cycle)
 
@@ -846,20 +861,21 @@ class VectorEngine(Component):
 
     def end_read_stream(
         self, last_tick: int, unissued_requests: int, r_beats: int,
-        r_useful_bytes: int,
+        r_data_bytes: int, r_index_bytes: int,
     ) -> None:
         """Write back what a read-stream macro-step kept in locals.
 
         ``last_tick`` is the last cycle of the window on which this engine
-        was due (``-1`` if none); the R monitor's per-kind tables were
-        updated in place.
+        was due (``-1`` if none); the R counts are the window's beats and
+        their data and index payload.
         """
         if last_tick >= 0:
             self._cycle = last_tick
         self._unissued_requests = unissued_requests
-        monitor = self.r_monitor
-        monitor.beats += r_beats
-        monitor.useful_bytes += r_useful_bytes
+        self.r_beats += r_beats
+        self.r_useful_bytes += r_data_bytes + r_index_bytes
+        self.r_data_bytes += r_data_bytes
+        self.r_index_bytes += r_index_bytes
 
     # ----------------------------------------------------------------- result
     def result(self, cycles: int) -> EngineResult:
@@ -867,11 +883,11 @@ class VectorEngine(Component):
         return EngineResult(
             cycles=cycles,
             instructions=self.program.num_instructions,
-            r_beats=self.r_monitor.beats,
-            r_useful_bytes=self.r_monitor.useful_bytes,
-            r_data_bytes=self.r_monitor.useful_bytes_by_kind.get("data", 0),
-            r_index_bytes=self.r_monitor.useful_bytes_by_kind.get("index", 0),
-            w_beats=self.w_monitor.beats,
-            w_useful_bytes=self.w_monitor.useful_bytes,
-            bus_bytes=self.port.bus_bytes,
+            r_beats=self.r_beats,
+            r_useful_bytes=self.r_useful_bytes,
+            r_data_bytes=self.r_data_bytes,
+            r_index_bytes=self.r_index_bytes,
+            w_beats=self.w_beats,
+            w_useful_bytes=self.w_useful_bytes,
+            bus_bytes=self._bus_bytes,
         )

@@ -10,8 +10,6 @@ exactly the hardware/ISA co-design point of §II-B.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict
 
 from repro.errors import WorkloadError
 from repro.vector.config import LoweringMode
@@ -51,49 +49,6 @@ class Mnemonic(enum.Enum):
 
 #: Instructions that exist only with the AXI-Pack vector extension.
 AXI_PACK_ONLY = {Mnemonic.VLIMXEI32, Mnemonic.VSIMXEI32}
-
-#: Memory instructions, for quick classification.
-MEMORY_MNEMONICS = {
-    Mnemonic.VLE32,
-    Mnemonic.VSE32,
-    Mnemonic.VLSE32,
-    Mnemonic.VSSE32,
-    Mnemonic.VLUXEI32,
-    Mnemonic.VSUXEI32,
-    Mnemonic.VLIMXEI32,
-    Mnemonic.VSIMXEI32,
-}
-
-#: Reduction instructions.
-REDUCTION_MNEMONICS = {Mnemonic.VFREDSUM, Mnemonic.VFREDMIN}
-
-
-@dataclass(frozen=True)
-class Instruction:
-    """One assembled instruction (kept for listings and statistics)."""
-
-    mnemonic: Mnemonic
-    vl: int
-    operands: Dict[str, object] = field(default_factory=dict)
-    comment: str = ""
-
-    def render(self) -> str:
-        """Assembly-like rendering, e.g. ``vlse32.v v1, (a0), a1  # vl=128``."""
-        args = ", ".join(f"{key}={value}" for key, value in self.operands.items())
-        text = f"{self.mnemonic.value} {args}".strip()
-        if self.comment:
-            text += f"  # {self.comment}"
-        return f"{text}  [vl={self.vl}]"
-
-    @property
-    def is_memory(self) -> bool:
-        """True for loads and stores."""
-        return self.mnemonic in MEMORY_MNEMONICS
-
-    @property
-    def is_reduction(self) -> bool:
-        """True for reduction instructions."""
-        return self.mnemonic in REDUCTION_MNEMONICS
 
 
 def check_supported(mnemonic: Mnemonic, mode: LoweringMode) -> None:

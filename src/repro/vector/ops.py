@@ -1,9 +1,10 @@
 """Micro-operations executed by the vector engine.
 
 The decoder (via :class:`~repro.vector.builder.AraProgramBuilder`) turns
-instructions into these records.  They carry both timing information (element
-counts, ordering constraints) and optional functional behaviour (the streams
-to move, the Python callable implementing the arithmetic).
+instructions into these records, one per instruction.  Each carries its
+mnemonic, timing information (element counts, ordering constraints) and
+optional functional behaviour (the streams to move, the Python callable
+implementing the arithmetic).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 from repro.axi.stream import Stream
+from repro.vector.isa import Mnemonic
 
 
 #: Dispatch-kind tags carried as plain class attributes: the engine's
@@ -26,11 +28,12 @@ KIND_SCALAR = 4
 
 @dataclass
 class VectorOp:
-    """Base class: an operation with an id and data dependencies."""
+    """Base class: an instruction with an id and data dependencies."""
 
     KIND = KIND_GENERIC
 
     op_id: int
+    mnemonic: Mnemonic
     deps: List[int] = field(default_factory=list)
     label: str = ""
 

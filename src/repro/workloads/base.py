@@ -47,8 +47,7 @@ class MemoryLayout:
         return self._next
 
 
-def idle_program(name: str, mode: LoweringMode,
-                 config: VectorEngineConfig) -> Program:
+def idle_program(name: str, mode: LoweringMode) -> Program:
     """A minimal do-nothing program for a shard that received no rows.
 
     The builder refuses genuinely empty programs, and an engine must retire
@@ -57,7 +56,7 @@ def idle_program(name: str, mode: LoweringMode,
     """
     from repro.vector.builder import AraProgramBuilder
 
-    builder = AraProgramBuilder(f"{name}-idle", mode, config)
+    builder = AraProgramBuilder(f"{name}-idle", mode)
     builder.scalar(1, label="idle shard (no rows assigned)")
     return builder.build()
 
@@ -89,10 +88,10 @@ class Workload(abc.ABC):
     flavour, and :meth:`verify` checks the results the simulation left in
     memory against a numpy reference.
 
-    Sharding: workloads that can split their output rows across several
-    vector engines implement :meth:`shard_rows` (how many rows there are to
-    split) and :meth:`build_program_rows` (the kernel restricted to a row
-    range); :meth:`build_sharded_programs` then yields one program per
+    Sharding: every workload implements :meth:`shard_rows` (how many
+    independent output rows it has) and :meth:`build_program_rows` (the
+    kernel restricted to a row range).  :meth:`build_program` is the whole
+    row range, and :meth:`build_sharded_programs` yields one program per
     engine over balanced contiguous row ranges.  Shards write disjoint
     output regions of the shared memory image, so :meth:`verify` checks the
     combined result exactly as in a single-engine run.
@@ -108,54 +107,47 @@ class Workload(abc.ABC):
         """Write the input arrays into the memory image."""
 
     @abc.abstractmethod
-    def build_program(self, mode: LoweringMode,
-                      config: VectorEngineConfig) -> Program:
-        """Assemble the kernel for the given system flavour."""
-
-    @abc.abstractmethod
     def verify(self, storage: MemoryStorage) -> bool:
         """Check the results in memory against the reference; True if correct."""
 
     # -------------------------------------------------------------- sharding
-    def shard_rows(self) -> Optional[int]:
-        """Number of output rows the sharded driver may split, or None.
+    @abc.abstractmethod
+    def shard_rows(self) -> int:
+        """Number of independent output rows the sharded driver may split."""
 
-        ``None`` means the workload cannot be sharded across engines (its
-        iterations are not independent); the default is ``None`` so new
-        workloads opt in explicitly.
-        """
-        return None
-
-    def build_program_rows(self, mode: LoweringMode,
-                           config: VectorEngineConfig,
-                           row_lo: int, row_hi: int) -> Program:
+    @abc.abstractmethod
+    def build_program_rows(self, mode: LoweringMode, row_lo: int, row_hi: int) -> Program:
         """Assemble the kernel restricted to output rows ``[row_lo, row_hi)``.
 
-        Must be overridden alongside :meth:`shard_rows`; implementations may
-        assume ``row_lo < row_hi`` (empty shards get :func:`idle_program`).
+        Implementations may assume ``row_lo < row_hi`` (empty shards get
+        :func:`idle_program`).
         """
-        raise WorkloadError(
-            f"workload {self.name!r} does not support row-range programs"
-        )
+
+    def build_program(self, mode: LoweringMode,
+                      config: VectorEngineConfig) -> Program:
+        """Assemble the whole kernel for the given system flavour.
+
+        A program depends on the lowering mode alone; ``config`` is unused
+        and stays only because ``perfbench/run.py`` passes it.
+        """
+        return self.build_program_rows(mode, 0, self.shard_rows())
 
     def build_sharded_programs(self, mode: LoweringMode,
                                config: VectorEngineConfig,
                                num_shards: int) -> List[Program]:
-        """One program per engine, splitting the rows across ``num_shards``."""
+        """One program per engine, splitting the rows across ``num_shards``.
+
+        ``config`` is unused, as in :meth:`build_program`, and stays only
+        because ``perfbench/run.py`` passes it.
+        """
         if num_shards < 1:
             raise WorkloadError("sharding needs at least one engine")
         if num_shards == 1:
             return [self.build_program(mode, config)]
-        total = self.shard_rows()
-        if total is None:
-            raise WorkloadError(
-                f"workload {self.name!r} does not support multi-engine "
-                "sharding (no independent row decomposition)"
-            )
         return [
-            self.build_program_rows(mode, config, row_lo, row_hi)
-            if row_hi > row_lo else idle_program(self.name, mode, config)
-            for row_lo, row_hi in shard_ranges(total, num_shards)
+            self.build_program_rows(mode, row_lo, row_hi)
+            if row_hi > row_lo else idle_program(self.name, mode)
+            for row_lo, row_hi in shard_ranges(self.shard_rows(), num_shards)
         ]
 
     # ------------------------------------------------------------------ misc

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.mem.storage import MemoryStorage
 from repro.vector.builder import AraProgramBuilder, Program
-from repro.vector.config import LoweringMode, VectorEngineConfig
+from repro.vector.config import LoweringMode
 from repro.workloads.base import MemoryLayout, Workload
 from repro.workloads.dense import random_vector
 from repro.workloads.sparse import CsrMatrix, heart1_like
@@ -71,17 +71,11 @@ class CsrSpmvStreamWorkload(Workload):
                             np.zeros(self.matrix.num_rows, dtype=np.float32))
 
     # --------------------------------------------------------------- program
-    def build_program(self, mode: LoweringMode,
-                      config: VectorEngineConfig) -> Program:
-        return self.build_program_rows(mode, config, 0, self.matrix.num_rows)
-
     def shard_rows(self) -> int:
         return self.matrix.num_rows
 
-    def build_program_rows(self, mode: LoweringMode,
-                           config: VectorEngineConfig,
-                           row_lo: int, row_hi: int) -> Program:
-        builder = AraProgramBuilder(self.name, mode, config)
+    def build_program_rows(self, mode: LoweringMode, row_lo: int, row_hi: int) -> Program:
+        builder = AraProgramBuilder(self.name, mode)
         matrix = self.matrix
         # A shard streams the nonzeros of its own rows (contiguous in CSR)
         # and reduces its own row segments; the ordered store at the end of

@@ -23,7 +23,7 @@ import numpy as np
 from repro.errors import WorkloadError
 from repro.mem.storage import MemoryStorage
 from repro.vector.builder import AraProgramBuilder, Program
-from repro.vector.config import LoweringMode, VectorEngineConfig
+from repro.vector.config import LoweringMode
 from repro.workloads.base import MemoryLayout, Workload
 from repro.workloads.dense import random_matrix, random_vector
 
@@ -61,25 +61,18 @@ class GemvWorkload(Workload):
             return self.dataflow
         return "row" if mode is LoweringMode.BASE else "col"
 
-    def build_program(self, mode: LoweringMode,
-                      config: VectorEngineConfig) -> Program:
-        return self.build_program_rows(mode, config, 0, self.n)
-
     def shard_rows(self) -> int:
         return self.n
 
-    def build_program_rows(self, mode: LoweringMode,
-                           config: VectorEngineConfig,
-                           row_lo: int, row_hi: int) -> Program:
+    def build_program_rows(self, mode: LoweringMode, row_lo: int, row_hi: int) -> Program:
         if self.chosen_dataflow(mode) == "row":
-            return self._build_rowwise(mode, config, row_lo, row_hi)
-        return self._build_colwise(mode, config, row_lo, row_hi)
+            return self._build_rowwise(mode, row_lo, row_hi)
+        return self._build_colwise(mode, row_lo, row_hi)
 
     # ------------------------------------------------------------- row-wise
-    def _build_rowwise(self, mode: LoweringMode, config: VectorEngineConfig,
-                       row_lo: int, row_hi: int) -> Program:
+    def _build_rowwise(self, mode: LoweringMode, row_lo: int, row_hi: int) -> Program:
         n = self.n
-        builder = AraProgramBuilder(f"{self.name}-row", mode, config)
+        builder = AraProgramBuilder(f"{self.name}-row", mode)
         x_chunks = self._load_x_chunks(builder) if row_hi > row_lo else []
         for i in range(row_lo, row_hi):
             builder.scalar(self.scalar_overhead, label=f"row {i} bookkeeping")
@@ -96,10 +89,9 @@ class GemvWorkload(Workload):
         return builder.build()
 
     # ------------------------------------------------------------- col-wise
-    def _build_colwise(self, mode: LoweringMode, config: VectorEngineConfig,
-                       row_lo: int, row_hi: int) -> Program:
+    def _build_colwise(self, mode: LoweringMode, row_lo: int, row_hi: int) -> Program:
         n = self.n
-        builder = AraProgramBuilder(f"{self.name}-col", mode, config)
+        builder = AraProgramBuilder(f"{self.name}-col", mode)
         if row_hi <= row_lo:
             return builder.build()
         offset = row_lo

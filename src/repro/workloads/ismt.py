@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.mem.storage import MemoryStorage
 from repro.vector.builder import AraProgramBuilder, Program
-from repro.vector.config import LoweringMode, VectorEngineConfig
+from repro.vector.config import LoweringMode
 from repro.workloads.base import MemoryLayout, Workload
 from repro.workloads.dense import random_matrix
 
@@ -43,21 +43,15 @@ class IsmtWorkload(Workload):
         storage.write_array(self.addr_a, self.matrix)
 
     # --------------------------------------------------------------- program
-    def build_program(self, mode: LoweringMode,
-                      config: VectorEngineConfig) -> Program:
-        return self.build_program_rows(mode, config, 0, max(0, self.n - 1))
-
     def shard_rows(self) -> int:
         # Iteration i swaps the strictly-upper/lower pair segments of row i;
         # each (i, j) pair is touched by exactly one iteration, so disjoint
         # iteration ranges touch disjoint memory and shard cleanly.
         return max(0, self.n - 1)
 
-    def build_program_rows(self, mode: LoweringMode,
-                           config: VectorEngineConfig,
-                           row_lo: int, row_hi: int) -> Program:
+    def build_program_rows(self, mode: LoweringMode, row_lo: int, row_hi: int) -> Program:
         n = self.n
-        builder = AraProgramBuilder(self.name, mode, config)
+        builder = AraProgramBuilder(self.name, mode)
         elem = 4
         for i in range(row_lo, row_hi):
             length = n - 1 - i

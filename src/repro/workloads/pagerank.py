@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.mem.storage import MemoryStorage
 from repro.vector.builder import AraProgramBuilder, Program
-from repro.vector.config import LoweringMode, VectorEngineConfig
+from repro.vector.config import LoweringMode
 from repro.vector.isa import Mnemonic
 from repro.workloads.base import MemoryLayout, Workload
 from repro.workloads.csr_kernel import CsrKernelSpec, build_csr_rowwise
@@ -65,17 +65,11 @@ class PageRankWorkload(Workload):
                             np.zeros(self.matrix.num_rows, dtype=np.float32))
 
     # --------------------------------------------------------------- program
-    def build_program(self, mode: LoweringMode,
-                      config: VectorEngineConfig) -> Program:
-        return self.build_program_rows(mode, config, 0, self.matrix.num_rows)
-
     def shard_rows(self) -> int:
         return self.matrix.num_rows
 
-    def build_program_rows(self, mode: LoweringMode,
-                           config: VectorEngineConfig,
-                           row_lo: int, row_hi: int) -> Program:
-        builder = AraProgramBuilder(self.name, mode, config)
+    def build_program_rows(self, mode: LoweringMode, row_lo: int, row_hi: int) -> Program:
+        builder = AraProgramBuilder(self.name, mode)
         damping = np.float32(self.damping)
         teleport = np.float32((1.0 - self.damping) / self.matrix.num_rows)
 

@@ -15,7 +15,7 @@ import numpy as np
 from repro.errors import WorkloadError
 from repro.mem.storage import MemoryStorage
 from repro.vector.builder import AraProgramBuilder, Program
-from repro.vector.config import LoweringMode, VectorEngineConfig
+from repro.vector.config import LoweringMode
 from repro.vector.isa import Mnemonic
 from repro.workloads.base import MemoryLayout, Workload
 from repro.workloads.dense import random_matrix, random_vector, upper_triangular
@@ -54,24 +54,17 @@ class TrmvWorkload(Workload):
             return self.dataflow
         return "row" if mode is LoweringMode.BASE else "col"
 
-    def build_program(self, mode: LoweringMode,
-                      config: VectorEngineConfig) -> Program:
-        return self.build_program_rows(mode, config, 0, self.n)
-
     def shard_rows(self) -> int:
         return self.n
 
-    def build_program_rows(self, mode: LoweringMode,
-                           config: VectorEngineConfig,
-                           row_lo: int, row_hi: int) -> Program:
+    def build_program_rows(self, mode: LoweringMode, row_lo: int, row_hi: int) -> Program:
         if self.chosen_dataflow(mode) == "row":
-            return self._build_rowwise(mode, config, row_lo, row_hi)
-        return self._build_colwise(mode, config, row_lo, row_hi)
+            return self._build_rowwise(mode, row_lo, row_hi)
+        return self._build_colwise(mode, row_lo, row_hi)
 
-    def _build_rowwise(self, mode: LoweringMode, config: VectorEngineConfig,
-                       row_lo: int, row_hi: int) -> Program:
+    def _build_rowwise(self, mode: LoweringMode, row_lo: int, row_hi: int) -> Program:
         n = self.n
-        builder = AraProgramBuilder(f"{self.name}-row", mode, config)
+        builder = AraProgramBuilder(f"{self.name}-row", mode)
         if row_hi <= row_lo:
             return builder.build()
         # x is preloaded once and kept in registers across all rows (it fits a
@@ -111,10 +104,9 @@ class TrmvWorkload(Workload):
             builder.vse32(result, self.addr_y + i * 4, 1, label=f"store y[{i}]")
         return builder.build()
 
-    def _build_colwise(self, mode: LoweringMode, config: VectorEngineConfig,
-                       row_lo: int, row_hi: int) -> Program:
+    def _build_colwise(self, mode: LoweringMode, row_lo: int, row_hi: int) -> Program:
         n = self.n
-        builder = AraProgramBuilder(f"{self.name}-col", mode, config)
+        builder = AraProgramBuilder(f"{self.name}-col", mode)
         max_vl = builder.max_vl
         # Process y in chunks of rows; column j only contributes to rows <= j.
         row_start = row_lo

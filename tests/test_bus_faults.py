@@ -113,6 +113,17 @@ class TestBusFaultSpec:
         assert not spec.matches("mem", None, 0)
         assert BusFaultSpec(kind="slverr").matches("mem", None, 0)
 
+    @pytest.mark.parametrize(("key", "value"), [
+        ("port", 1), ("port", ["mem"]), ("txn", "3"), ("txn", True),
+        ("addr_lo", "4096"), ("addr_lo", False), ("addr_hi", 1.5),
+        ("stall_cycles", "5"), ("stall_cycles", -1), ("stall_cycles", True),
+        ("stall_cycles", None),
+    ])
+    def test_mistyped_key_is_rejected(self, key, value):
+        # A wrong type would otherwise surface mid-run, from matches().
+        with pytest.raises(ConfigurationError, match=f"bus fault {key} must be"):
+            BusFaultSpec(kind="slverr", **{key: value})
+
     def test_resp_mapping(self):
         assert BusFaultSpec(kind="slverr").resp is Resp.SLVERR
         assert BusFaultSpec(kind="decerr").resp is Resp.DECERR
@@ -147,6 +158,16 @@ class TestBusFaultPlan:
             with pytest.raises(ConfigurationError, match="watchdog_cycles"):
                 BusFaultPlan.from_json({"faults": [],
                                         "watchdog_cycles": watchdog})
+        # Spec fields of the wrong type fail when the plan is parsed.
+        for spec, key in (({"kind": "slverr", "addr_lo": "4096"}, "addr_lo"),
+                          ({"kind": "stall", "stall_cycles": "5"}, "stall_cycles"),
+                          ({"kind": "slverr", "txn": True}, "txn"),
+                          ({"kind": "slverr", "port": 0}, "port")):
+            with pytest.raises(ConfigurationError, match=f"bus fault {key} must be"):
+                BusFaultPlan.from_json({"faults": [spec]})
+        for faults in ({"kind": "slverr"}, "slverr", None, [["slverr"]], [1]):
+            with pytest.raises(ConfigurationError, match="JSON array of objects"):
+                BusFaultPlan.from_json({"faults": faults})
 
     def test_watchdog_must_be_positive(self):
         with pytest.raises(ConfigurationError):
@@ -186,11 +207,18 @@ class TestConfigPlumbing:
         assert config.with_bus_faults(None).bus_faults is None
         assert SystemConfig().bus_faults is None
 
-    def test_cli_rejects_malformed_plan(self, capsys):
-        plan = '{"faults": [], "watchdog_cycles": "x"}'
+    @pytest.mark.parametrize(("plan", "message"), [
+        ('{"faults": [], "watchdog_cycles": "x"}', "watchdog_cycles"),
+        ('{"faults": [{"kind": "slverr", "addr_lo": "4096"}]}',
+         "bus fault addr_lo"),
+        ('{"faults": [{"kind": "stall", "stall_cycles": "5"}]}',
+         "bus fault stall_cycles"),
+        ('{"faults": {"kind": "slverr"}}', "bus fault plan faults"),
+    ], ids=["watchdog_cycles", "addr_lo", "stall_cycles", "faults-object"])
+    def test_cli_rejects_malformed_plan(self, capsys, plan, message):
         assert main(["workloads", "--workloads", "gemv", "--size", "8",
                      "--inject-bus-fault", plan]) == 2
-        assert capsys.readouterr().err.startswith("error: watchdog_cycles")
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 # --------------------------------------------------------- injected aborts
@@ -295,8 +323,7 @@ def _lost_store_run(kind, channels):
     config = config.with_kind(kind).with_channels(channels)
     soc = build_system(config)
     soc.storage.write_array(SRC, np.arange(1, 65, dtype=np.float32))
-    builder = AraProgramBuilder("lost-store", config.lowering,
-                                config.vector_config())
+    builder = AraProgramBuilder("lost-store", config.lowering)
     builder.vle32("v1", SRC, 64)
     builder.vse32("v1", LOST, 64)
     builder.vsse32("v1", KEPT, 64, stride_elems=2)
@@ -397,8 +424,7 @@ class TestIndexLineFaults:
         config = SystemConfig(bus_faults=plan).with_kind(SystemKind.PACK)
         soc = build_system(config)
         soc.storage.write_array(0x2000, np.arange(8, dtype=np.uint32)[::-1])
-        builder = AraProgramBuilder("scatter", LoweringMode.PACK,
-                                    config.vector_config())
+        builder = AraProgramBuilder("scatter", LoweringMode.PACK)
         builder.vmv_vx("v1", 2.0, 8)
         builder.vsimxei32("v1", 0x4000, 0x2000, 8)
         soc.run_program(builder.build())

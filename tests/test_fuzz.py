@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.axi.stream import ContiguousStream
 from repro.errors import WorkloadError
 from repro.fuzz import (
     FuzzCase,
@@ -180,8 +181,7 @@ class TestOracle:
         assert regs["s0r1"][0] == np.float32(np.sum(values, dtype=np.float32))
 
     def test_oracle_rejects_store_of_unwritten_register(self):
-        builder = AraProgramBuilder("bad", LoweringMode.PACK,
-                                    VectorEngineConfig())
+        builder = AraProgramBuilder("bad", LoweringMode.PACK)
         builder.vse32("never-written", OUTPUT_BASE, 4)
         with pytest.raises(WorkloadError):
             interpret_program(builder.program,
@@ -199,27 +199,23 @@ class TestProgramValidate:
         program.validate()  # must not raise
 
     def test_read_before_write_is_rejected(self):
-        builder = AraProgramBuilder("bad", LoweringMode.PACK,
-                                    VectorEngineConfig())
+        builder = AraProgramBuilder("bad", LoweringMode.PACK)
         builder.vle32("v0", INPUT_BASE, 8)
         builder.vfadd("v1", "v0", "v9", 8)  # v9 never written
         with pytest.raises(WorkloadError, match="v9"):
             builder.program.validate()
 
     def test_oversized_vl_is_rejected(self):
-        builder = AraProgramBuilder("bad", LoweringMode.PACK,
-                                    VectorEngineConfig())
+        builder = AraProgramBuilder("bad", LoweringMode.PACK)
         builder.vle32("v0", INPUT_BASE, 8)
         program = builder.program
-        program.instructions[0] = dataclasses.replace(
-            program.instructions[0], vl=1 << 20)
-        # stream/vl mismatch (and vl overflow) — it must raise
-        with pytest.raises(WorkloadError):
+        program.ops[0].stream = ContiguousStream(
+            base=INPUT_BASE, num_elements=1 << 20, elem_bytes=4)
+        with pytest.raises(WorkloadError, match=r"vl 1048576 exceeds max_vl"):
             program.validate()
 
     def test_corrupted_dependency_is_rejected(self):
-        builder = AraProgramBuilder("bad", LoweringMode.PACK,
-                                    VectorEngineConfig())
+        builder = AraProgramBuilder("bad", LoweringMode.PACK)
         builder.vle32("v0", INPUT_BASE, 8)
         builder.vse32("v0", OUTPUT_BASE, 8)
         builder.program.ops[1].deps[:] = [5]  # forward reference

@@ -151,7 +151,7 @@ def _config(kind, latency=1, depth=4, **changes):
 def _run(config, name, event_driven=True):
     soc = build_system(config)
     _initialize(soc.storage)
-    builder = AraProgramBuilder(name, config.lowering, config.vector_config())
+    builder = AraProgramBuilder(name, config.lowering)
     PROGRAMS[name](builder)
     cycles, result = soc.run_program(builder.build(), event_driven=event_driven)
     registers = sorted(
@@ -336,7 +336,7 @@ def test_a_long_stream_is_mostly_stepped():
     config = _config(SystemKind.BASE)
     soc = build_system(config)
     _initialize(soc.storage)
-    builder = AraProgramBuilder("gather", config.lowering, config.vector_config())
+    builder = AraProgramBuilder("gather", config.lowering)
     _gather(builder, 256, IDX + 0x200)
     cycles, _ = soc.run_program(builder.build())
     assert soc.last_sim.stepped_cycles > 0.8 * cycles
@@ -431,8 +431,7 @@ def test_soc_budget_expires_inside_a_window_at_the_naive_cycle():
         for event_driven in (True, False):
             soc = build_system(config)
             _initialize(soc.storage)
-            builder = AraProgramBuilder("budget", config.lowering,
-                                        config.vector_config())
+            builder = AraProgramBuilder("budget", config.lowering)
             bank_colliding_gather(builder)
             with pytest.raises(SimulationError):
                 soc.run_program(builder.build(), max_cycles=budget,
@@ -445,7 +444,7 @@ def test_soc_budget_expires_inside_a_window_at_the_naive_cycle():
 def _wired(config, event_driven=True):
     soc = build_system(config)
     _initialize(soc.storage)
-    builder = AraProgramBuilder("wiring", config.lowering, config.vector_config())
+    builder = AraProgramBuilder("wiring", config.lowering)
     _gather(builder, 48, IDX + 0x200)
     builder.vlse32("vc", X, 60, stride_elems=8)
     if config.num_engines == 1:

@@ -337,27 +337,6 @@ class TestMultiEngineSoc:
         with pytest.raises(ConfigurationError):
             SystemConfig(arbitration="lottery")
 
-    def test_unsharded_workload_rejected(self):
-        from repro.workloads.base import Workload
-
-        class Opaque(Workload):
-            name = "opaque"
-
-            def initialize(self, storage):
-                pass
-
-            def build_program(self, mode, config):
-                raise NotImplementedError
-
-            def verify(self, storage):
-                return True
-
-        with pytest.raises(WorkloadError):
-            config = _config(SystemKind.PACK, engines=2)
-            Opaque().build_sharded_programs(
-                config.lowering, config.vector_config(), 2
-            )
-
 
 class TestSocReuse:
     """Regression tests for the single-``Soc`` reuse bugs: stats accumulated

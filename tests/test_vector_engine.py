@@ -7,8 +7,12 @@ import pytest
 
 import repro.system.soc as soc_module
 import repro.vector.engine as engine_module
-from repro.errors import ConfigurationError, WorkloadError
+from repro.axi.port import AxiPort
+from repro.axi.signals import RBeat
+from repro.controller.testbench import ControllerTestbench
+from repro.errors import ConfigurationError, SimulationError, WorkloadError
 from repro.system.config import SystemConfig, SystemKind
+from repro.system.runner import run_workload
 from repro.system.soc import build_system
 from repro.vector.builder import AraProgramBuilder
 from repro.vector.config import (
@@ -17,7 +21,8 @@ from repro.vector.config import (
     VectorEngineConfig,
     max_vl,
 )
-from repro.vector.engine import VectorEngine
+from repro.vector.engine import EngineResult, VectorEngine
+from repro.workloads import make_workload
 
 
 def run_program(kind, build_fn, init_fn=None, config=None):
@@ -27,7 +32,7 @@ def run_program(kind, build_fn, init_fn=None, config=None):
     soc = build_system(config)
     if init_fn is not None:
         init_fn(soc.storage)
-    builder = AraProgramBuilder("test", config.lowering, config.vector_config())
+    builder = AraProgramBuilder("test", config.lowering)
     build_fn(builder)
     cycles, result = soc.run_program(builder.build())
     return soc, cycles, result
@@ -248,7 +253,7 @@ def _gated_dispatch_run(monkeypatch, event_driven, gated=True):
     config = SystemConfig(kind=SystemKind.PACK, memory_bytes=1 << 20)
     soc = build_system(config)
     soc.storage.write_array(0, np.arange(4096, dtype=np.float32))
-    builder = AraProgramBuilder("gate", config.lowering, config.vector_config())
+    builder = AraProgramBuilder("gate", config.lowering)
     builder.vle32("v1", 0x0, 256)
     builder.vle32("v2", 0x1000, 64)  # waits for the first load to retire
     builder.vse32("v1", 0x8000, 256)
@@ -306,6 +311,79 @@ class TestResultAccounting:
         assert 0 < result.r_utilization <= 1.0
         assert result.r_utilization == pytest.approx(4096 / (32 * cycles))
         assert result.instructions == 1
+
+    def test_zero_cycles_give_zero_utilization(self):
+        empty = EngineResult(cycles=0, instructions=0, r_beats=0,
+                             r_useful_bytes=0, r_data_bytes=0, r_index_bytes=0,
+                             w_beats=0, w_useful_bytes=0, bus_bytes=32)
+        assert empty.r_utilization == 0.0
+        assert empty.r_utilization_no_index == 0.0
+        assert empty.w_utilization == 0.0
+        tb_result = ControllerTestbench().run([])
+        assert (tb_result.cycles, tb_result.r_utilization) == (0, 0.0)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_spmv_splits_index_from_data_bytes(self, kind):
+        """Fig. 3a's two IDEAL utilizations rest on this split: BASE and
+        IDEAL fetch the column indices over the R bus, PACK's ``vlimxei``
+        leaves them in memory."""
+        workload = make_workload("spmv", size=16, avg_nnz_per_row=4.0)
+        nnz = workload.matrix.nnz
+        result = run_workload(workload, kind=kind).engine
+        assert result.r_index_bytes == (0 if kind is SystemKind.PACK else 4 * nnz)
+        assert result.r_data_bytes == 8 * nnz  # the values and the gathered x
+        assert result.r_data_bytes + result.r_index_bytes == result.r_useful_bytes
+
+
+def _bare_engine(build_fn):
+    """A PACK vector engine on a 32-byte port of its own, ticked by hand."""
+    builder = AraProgramBuilder("bare", LoweringMode.PACK)
+    build_fn(builder)
+    port = AxiPort("bare", 32)
+    return VectorEngine("ara", builder.build(), port), port
+
+
+def _tick(engine, port, cycle):
+    engine.tick(cycle)
+    for queue in port.all_queues():
+        queue.commit()
+
+
+class TestBeatRangeCheck:
+    """A beat that claims more payload than the bus carries is a simulator
+    fault, never a utilization above 1."""
+
+    def test_oversized_r_beat_raises(self):
+        engine, port = _bare_engine(lambda builder: builder.vle32("v1", 0, 8))
+        cycle = 0
+        while not port.ar.can_pop() and cycle < 16:
+            _tick(engine, port, cycle)
+            cycle += 1
+        request = port.ar.pop()
+        port.r.push(RBeat(request.txn_id, bytes(33), 33, True))
+        port.r.commit()
+        with pytest.raises(SimulationError,
+                           match="R beat of 33 useful bytes on a 32-byte bus"):
+            engine.tick(cycle)
+        assert engine.r_beats == 0
+
+    def test_oversized_w_beat_raises(self):
+        def build(builder):
+            builder.vmv_vx("v1", 1.0, 8)
+            builder.vse32("v1", 0, 8)
+
+        engine, port = _bare_engine(build)
+        cycle = 0
+        while not engine._w_backlog and cycle < 64:
+            _tick(engine, port, cycle)
+            cycle += 1
+        request, beat, chunk, _ = engine._w_backlog[0]
+        engine._w_backlog[0] = (request, beat, chunk, 33)
+        with pytest.raises(SimulationError,
+                           match="W beat of 33 useful bytes on a 32-byte bus"):
+            for cycle in range(cycle, cycle + 64):
+                _tick(engine, port, cycle)
+        assert engine.w_beats == 0
 
 
 class TestLoweringErrors:

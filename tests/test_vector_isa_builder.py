@@ -4,19 +4,13 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.vector.builder import AraProgramBuilder, Program
-from repro.vector.config import LoweringMode, VectorEngineConfig
-from repro.vector.isa import (
-    AXI_PACK_ONLY,
-    Instruction,
-    MEMORY_MNEMONICS,
-    Mnemonic,
-    check_supported,
-)
+from repro.vector.config import LoweringMode
+from repro.vector.isa import AXI_PACK_ONLY, Mnemonic, check_supported
 from repro.vector.ops import ScalarWork, VectorCompute, VectorLoad, VectorStore
 
 
 def make_builder(mode=LoweringMode.PACK):
-    return AraProgramBuilder("test", mode, VectorEngineConfig())
+    return AraProgramBuilder("test", mode)
 
 
 class TestIsa:
@@ -31,19 +25,6 @@ class TestIsa:
             check_supported(Mnemonic.VLIMXEI32, LoweringMode.BASE)
         with pytest.raises(WorkloadError):
             check_supported(Mnemonic.VSIMXEI32, LoweringMode.IDEAL)
-
-    def test_memory_classification(self):
-        assert Mnemonic.VLE32 in MEMORY_MNEMONICS
-        assert Mnemonic.VFMACC not in MEMORY_MNEMONICS
-
-    def test_instruction_render(self):
-        instr = Instruction(Mnemonic.VLSE32, vl=64, operands={"vd": "v1"}, comment="x")
-        text = instr.render()
-        assert "vlse32.v" in text and "vl=64" in text and "x" in text
-        assert instr.is_memory and not instr.is_reduction
-
-    def test_reduction_classification(self):
-        assert Instruction(Mnemonic.VFREDSUM, vl=8).is_reduction
 
 
 class TestBuilderBasics:
@@ -61,7 +42,7 @@ class TestBuilderBasics:
         with pytest.raises(WorkloadError):
             make_builder().strip_mine(0)
 
-    def test_program_records_instructions_and_ops(self):
+    def test_program_records_one_op_per_instruction(self):
         builder = make_builder()
         builder.vle32("v1", 0, 8)
         builder.vfadd("v2", "v1", "v1", 8)
@@ -71,14 +52,42 @@ class TestBuilderBasics:
         assert isinstance(program.ops[0], VectorLoad)
         assert isinstance(program.ops[1], VectorCompute)
         assert isinstance(program.ops[2], VectorStore)
-        assert len(program.memory_ops()) == 2
+        assert [op.mnemonic for op in program.ops] == [
+            Mnemonic.VLE32, Mnemonic.VFADD, Mnemonic.VSE32]
+        assert [op.is_memory for op in program.ops] == [True, False, True]
 
-    def test_listing_truncation(self):
+    def test_listing_names_every_op_and_truncates(self):
         builder = make_builder()
-        for _ in range(5):
-            builder.scalar(1)
-        listing = builder.build().listing(limit=2)
-        assert "more instructions" in listing
+        builder.scalar(3, label="setup")
+        builder.vle32("v1", 0x1000, 8, label="row 0")
+        builder.vlse32("v2", 0x2000, 8, stride_elems=4)
+        builder.vlimxei32("v3", 0x3000, 0x4000, 8)
+        builder.vfmacc("v4", "v1", "v2", 8)
+        builder.vsse32("v4", 0x5000, 8, stride_elems=2)
+        program = builder.build()
+        lines = program.listing().splitlines()
+        assert lines == [
+            "scalar cycles=3  # setup  [vl=0]",
+            "vle32.v vd=v1, base=0x1000  # row 0  [vl=8]",
+            "vlse32.v vd=v2, base=0x2000, stride=4  [vl=8]",
+            "vlimxei32.v vd=v3, base=0x3000, idx_base=0x4000  [vl=8]",
+            "vfmacc.vv vd=v4, srcs=v1,v2,v4  [vl=8]",
+            "vsse32.v vs=v4, base=0x5000, stride=2  [vl=8]",
+        ]
+        assert [line.split()[0] for line in lines] == [
+            op.mnemonic.value for op in program.ops]
+        truncated = program.listing(limit=2).splitlines()
+        assert truncated == lines[:2] + ["... (4 more instructions)"]
+        assert program.listing(limit=6) == program.listing()
+
+    def test_listing_names_the_index_register_of_a_register_gather(self):
+        builder = make_builder(LoweringMode.BASE)
+        builder.vle32("v9", 0x100, 8, kind="index", dtype="uint32")
+        builder.vluxei32("v2", 0x800, "v9", 8, index_base=0x100)
+        builder.vsuxei32("v2", 0x900, "v9", 8, index_base=0x100)
+        lines = builder.build().listing().splitlines()
+        assert lines[1] == "vluxei32.v vd=v2, base=0x800, vs2=v9  [vl=8]"
+        assert lines[2] == "vsuxei32.v vs=v2, base=0x900, vs2=v9  [vl=8]"
 
 
 class TestDependencies:
@@ -181,9 +190,9 @@ def _empty(builder):
     return Program("empty", builder.mode)
 
 
-def _drop_instruction(builder):
+def _pack_only_mnemonic(builder):
     builder.vle32("v1", 0, 8)
-    builder.program.instructions.pop()
+    builder.program.ops[0].mnemonic = Mnemonic.VLIMXEI32
     return builder.program
 
 
@@ -227,7 +236,8 @@ def _overlong_compute(builder):
 #: (corruption, lowering mode, expected message) per Program.validate check.
 INVALID_PROGRAMS = [
     (_empty, LoweringMode.PACK, "contains no instructions"),
-    (_drop_instruction, LoweringMode.PACK, "1 ops but 0 instructions"),
+    (_pack_only_mnemonic, LoweringMode.BASE,
+     r"vlimxei32\.v requires the AXI-Pack vector extension"),
     (_misnumbered_op, LoweringMode.PACK, "op_id 5 != position 1"),
     (_streamless_load, LoweringMode.PACK, "memory op has no stream"),
     (_overlong_load, LoweringMode.PACK, r"\(vle32\.v\): vl \d+ exceeds max_vl"),

@@ -83,7 +83,7 @@ class TestIsmt:
     def test_program_uses_strided_accesses(self):
         workload = IsmtWorkload(n=8)
         program = workload.build_program(LoweringMode.PACK, SMALL.vector_config())
-        mnemonics = {instr.mnemonic for instr in program.instructions}
+        mnemonics = {op.mnemonic for op in program.ops}
         assert Mnemonic.VLSE32 in mnemonics
         assert Mnemonic.VSSE32 in mnemonics
 
@@ -107,13 +107,13 @@ class TestGemv:
         program = GemvWorkload(n=16, dataflow="col").build_program(
             LoweringMode.PACK, SMALL.vector_config()
         )
-        assert any(i.mnemonic is Mnemonic.VLSE32 for i in program.instructions)
+        assert any(op.mnemonic is Mnemonic.VLSE32 for op in program.ops)
 
     def test_rowwise_program_has_reductions(self):
         program = GemvWorkload(n=16, dataflow="row").build_program(
             LoweringMode.BASE, SMALL.vector_config()
         )
-        assert any(i.mnemonic is Mnemonic.VFREDSUM for i in program.instructions)
+        assert any(op.mnemonic is Mnemonic.VFREDSUM for op in program.ops)
 
     def test_forced_colwise_verifies_on_base(self):
         result = run_workload(GemvWorkload(n=16, dataflow="col"), SMALL,
@@ -143,8 +143,8 @@ class TestIndirectWorkloads:
         workload = SpmvWorkload(num_rows=16, avg_nnz_per_row=8)
         pack_program = workload.build_program(LoweringMode.PACK, SMALL.vector_config())
         base_program = workload.build_program(LoweringMode.BASE, SMALL.vector_config())
-        pack_mnemonics = {i.mnemonic for i in pack_program.instructions}
-        base_mnemonics = {i.mnemonic for i in base_program.instructions}
+        pack_mnemonics = {op.mnemonic for op in pack_program.ops}
+        base_mnemonics = {op.mnemonic for op in base_program.ops}
         assert Mnemonic.VLIMXEI32 in pack_mnemonics
         assert Mnemonic.VLIMXEI32 not in base_mnemonics
         assert Mnemonic.VLUXEI32 in base_mnemonics
