@@ -234,15 +234,15 @@ class AxiPackAdapter:
     def _retire_words(self) -> int:
         """Pop at most one completed access per port and retire it.
 
-        Retiring drops the pending count of the word's beat (the memory
-        already filled or poisoned the beat at grant) and frees the word's
-        slot in the issuing pipe's per-port ``in_flight`` count.
+        Retiring drops the remaining count of the word's beat (the memory
+        already filled, wrote or poisoned the beat at grant) and frees the
+        word's slot in the issuing pipe's per-port ``in_flight`` count.
         """
         retired = 0
         for port, responses in enumerate(self._rsp_fifos):
             if responses:
                 pipe, batch, slot = responses.popleft()
-                batch.beat_pending[batch.beat_of[slot]] -= 1
+                batch.beat_remaining[batch.beat_of[slot]] -= 1
                 in_flight = pipe.in_flight
                 if in_flight[port] <= 0:
                     raise SimulationError(f"regulator underflow on port {port}")
@@ -407,31 +407,32 @@ class AxiPackAdapter:
                 self._c_b_beats.value += 1
                 return
 
-    # ------------------------------------------------------------ read streams
-    def holds_only_reads(self) -> bool:
-        """True while only the base and strided read pipes hold work.
+    # ---------------------------------------------------------------- streams
+    def holds_no_indirect(self) -> bool:
+        """True while no indirect burst is open in either direction.
 
-        A write burst stays open from AW acceptance until its B response
-        leaves (``_open_write_bursts``), and an indirect read keeps its
-        index-stage record until its last R beat, so these two checks cover
-        the write, W, B and index-stage state a read-stream macro-step does
-        not simulate.
+        An indirect burst keeps its index-stage record, or its open write
+        burst, from acceptance until its last R beat or its B response
+        leaves, so then only the base and strided pipes, the W routing and
+        B emission hold work: what a stream macro-step simulates.
         """
-        return not self._open_write_bursts and not self.indirect_read.busy()
+        return not self.indirect_read.busy() and not self.indirect_write.busy()
 
-    def end_read_stream(
+    def end_stream(
         self, last_tick: Optional[int], issue_rr: int, emit_rr: int,
         ports_free_after_issue: bool, outstanding_words: int,
-        open_read_bursts: int,
+        open_read_bursts: int, open_write_bursts: int,
     ) -> None:
-        """Write back the scalars a read-stream macro-step kept in locals
-        (the converters' pipes and the counters were updated in place)."""
+        """Write back the scalars a stream macro-step kept in locals (the
+        converters' pipes, the W routing and the counters were updated in
+        place)."""
         self._last_tick = last_tick
         self._issue_rr = issue_rr
         self._emit_rr = emit_rr
         self._ports_free_after_issue = ports_free_after_issue
         self._outstanding_words = outstanding_words
         self._open_read_bursts = open_read_bursts
+        self._open_write_bursts = open_write_bursts
 
     # ----------------------------------------------------------------- state
     def busy(self) -> bool:
@@ -537,18 +538,18 @@ class BankedChannel(Component):
             self._port_mark = self._port_activity()
         return mem_wake
 
-    def read_stream_ready(self) -> bool:
-        """True while a read-stream macro-step can advance this stage.
+    def stream_ready(self) -> bool:
+        """True while a stream macro-step can advance this stage.
 
-        The step (:mod:`repro.system.read_stream`) simulates only word
-        reads of the base and strided read pipes and no fault injection.
+        The step (:mod:`repro.system.stream`) simulates the base and
+        strided converters' pipes and no fault injection.
         """
-        return self.adapter.holds_only_reads() and self.memory.fault_free()
+        return self.adapter.holds_no_indirect() and self.memory.fault_free()
 
-    def end_read_stream(
+    def end_stream(
         self, last_tick: int, moved: bool, mem_wake: float, port_mark: int
     ) -> None:
-        """Write back the wake-rule state a read-stream macro-step kept in
+        """Write back the wake-rule state a stream macro-step kept in
         locals."""
         self._last_tick = last_tick
         self._moved = moved

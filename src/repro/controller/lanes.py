@@ -71,8 +71,6 @@ class SlotBatch:
         "beat_useful",
         "beat_last",
         "beat_remaining",
-        "beat_acks",
-        "beat_pending",
         "beat_data",
         "beat_views",
         "beat_payload",
@@ -106,14 +104,11 @@ class SlotBatch:
         self.beat_last = beat_last
         self.num_beats = len(beat_useful)
         self.num_slots = len(ports)
-        #: per-beat outstanding word count (reads) / unissued+unacked (writes)
+        #: per-beat count of words not yet retired, in either direction: a
+        #: beat is complete once it reaches zero
         self.beat_remaining = [
             b - a for a, b in zip(beat_start, beat_start[1:])
         ]
-        self.beat_acks: Optional[List[int]] = None  #: write pipes only
-        #: the per-beat count a retired word decrements: ``beat_remaining``
-        #: for reads, ``beat_acks`` for writes
-        self.beat_pending: Optional[List[int]] = None
         self.beat_data: Optional[List[bytearray]] = None  #: read pipes only
         #: writable views of ``beat_data``: the memory's grant deposits read
         #: words through them (a slice assignment into a memoryview is
@@ -144,8 +139,6 @@ class SlotBatch:
         batch.beat_remaining = [1]
         batch.num_beats = 1
         batch.num_slots = 1
-        batch.beat_acks = None
-        batch.beat_pending = None
         batch.beat_data = None
         batch.beat_views = None
         batch.beat_payload = None
@@ -166,16 +159,10 @@ class SlotBatch:
         """Allocate per-beat payload assembly buffers (read pipes)."""
         self.beat_data = [bytearray(useful) for useful in self.beat_useful]
         self.beat_views = [memoryview(buffer) for buffer in self.beat_data]
-        self.beat_pending = self.beat_remaining
 
     def init_write_state(self) -> None:
-        """Switch the per-beat counters to write-pipe semantics."""
-        # For writes ``beat_remaining`` counts unissued slots and
-        # ``beat_acks`` counts issued-but-unacknowledged ones; a beat is
-        # complete when both reach zero.
-        self.beat_acks = [0] * self.num_beats
+        """Allocate the per-beat payload table (write pipes)."""
         self.beat_payload = [None] * self.num_beats
-        self.beat_pending = self.beat_acks
 
 
 # --------------------------------------------------------------------------
@@ -521,13 +508,9 @@ def batch_indexed_beat(
 # --------------------------------------------------------------------------
 
 
-class LaneReadPipe:
-    """Issues word reads beat by beat and re-packs the returned words.
-
-    Beats are issued and completed strictly in order, which keeps the R
-    channel ordering rules trivially satisfied and matches the info-queue
-    discipline of the RTL beat packer.
-    """
+class _LanePipe:
+    """What the read and write pipes share: in-order word issue over the
+    slot ranges queued in ``_unissued``, each ``[batch, cursor, end]``."""
 
     __slots__ = ("name", "config", "in_flight", "_beats", "_unissued")
 
@@ -536,10 +519,64 @@ class LaneReadPipe:
         self.config = config
         #: word accesses in flight per port, capped at ``config.queue_depth``
         self.in_flight: List[int] = [0] * config.num_ports
-        #: (batch, beat index, request) in plan order, oldest first
-        self._beats: Deque[Tuple[SlotBatch, int, BusRequest]] = deque()
-        #: batches with unissued slots, oldest first: [batch, flat cursor]
+        #: the pipe's beats in order, oldest first
+        self._beats: Deque[tuple] = deque()
+        #: slot ranges not yet issued, oldest first: [batch, cursor, end]
         self._unissued: Deque[List] = deque()
+
+    def issue(self, free_ports: int, out: List[Deque[tuple]]) -> int:
+        """Issue word accesses in order, using only the ports in ``free_ports``.
+
+        ``free_ports`` is a bit mask (bit *p* set: port *p* may take a
+        request this cycle).  Each issued access appends its ``(pipe,
+        batch, slot)`` tag to ``out[port]``, the memory's request FIFO for
+        that port, and clears the port's bit; the mask left over is
+        returned, so other pipes sharing the memory ports this cycle cannot
+        double-book them.  Issue stops at the first slot whose port is
+        unavailable or already has ``queue_depth`` accesses in flight,
+        preserving the in-order request discipline of the RTL request
+        generator.  The memory reads a write's data from the beat's
+        ``beat_payload`` when it grants the access.
+        """
+        unissued = self._unissued
+        in_flight = self.in_flight
+        limit = self.config.queue_depth
+        while unissued:
+            entry = unissued[0]
+            batch = entry[0]
+            ports = batch.ports
+            i = entry[1]
+            end = entry[2]
+            while i < end:
+                port = ports[i]
+                bit = 1 << port
+                if not free_ports & bit or in_flight[port] >= limit:
+                    entry[1] = i
+                    return free_ports
+                free_ports ^= bit
+                in_flight[port] += 1
+                out[port].append((self, batch, i))
+                i += 1
+            unissued.popleft()
+        return free_ports
+
+    def reset(self) -> None:
+        """Drop all state (component reset)."""
+        self._beats.clear()
+        self._unissued.clear()
+        self.in_flight = [0] * self.config.num_ports
+
+
+class LaneReadPipe(_LanePipe):
+    """Issues word reads beat by beat and re-packs the returned words.
+
+    Beats are issued and completed strictly in order, which keeps the R
+    channel ordering rules trivially satisfied and matches the info-queue
+    discipline of the RTL beat packer.  ``_beats`` holds ``(batch, beat
+    index, request)`` in plan order.
+    """
+
+    __slots__ = ()
 
     # -------------------------------------------------------------- planning
     def add_batch(
@@ -560,47 +597,13 @@ class LaneReadPipe:
         for k in range(batch.num_beats):
             beats.append((batch, k, request))
         if batch.num_slots:
-            self._unissued.append([batch, 0])
+            self._unissued.append([batch, 0, batch.num_slots])
 
     def accept(self, request: BusRequest, batch: SlotBatch) -> None:
         """Accept a burst whose beats are fully described by ``batch``."""
         self.add_batch(request, batch)
 
-    # --------------------------------------------------------------- issuing
-    def issue(self, free_ports: int, out: List[Deque[tuple]]) -> int:
-        """Issue word reads in order, using only the ports in ``free_ports``.
-
-        ``free_ports`` is a bit mask (bit *p* set: port *p* may take a
-        request this cycle).  Each issued read appends its ``(pipe, batch,
-        slot)`` tag to ``out[port]``, the memory's request FIFO for that
-        port, and clears the port's bit; the mask left over is returned, so
-        other pipes sharing the memory ports this cycle cannot double-book
-        them.  Issue stops at the first slot whose port is unavailable or
-        already has ``queue_depth`` accesses in flight, preserving the
-        in-order request discipline of the RTL request generator.
-        """
-        unissued = self._unissued
-        in_flight = self.in_flight
-        limit = self.config.queue_depth
-        while unissued:
-            entry = unissued[0]
-            batch = entry[0]
-            ports = batch.ports
-            i = entry[1]
-            end = batch.num_slots
-            while i < end:
-                port = ports[i]
-                bit = 1 << port
-                if not free_ports & bit or in_flight[port] >= limit:
-                    entry[1] = i
-                    return free_ports
-                free_ports ^= bit
-                in_flight[port] += 1
-                out[port].append((self, batch, i))
-                i += 1
-            unissued.popleft()
-        return free_ports
-
+    # --------------------------------------------------------------- packing
     def _check_issued(self, batch: SlotBatch, k: int) -> None:
         """Consistency guard: a beat with word accesses cannot complete
         before all of them were issued."""
@@ -614,7 +617,6 @@ class LaneReadPipe:
                 f"{self.name}: beat completed before all slots were issued"
             )
 
-    # --------------------------------------------------------------- packing
     def pop_ready_beat(self) -> Optional[Tuple[int, bytes, BusRequest, Resp]]:
         """Return ``(useful_bytes, data, request, resp)`` for the oldest beat
         if complete, removing it from the pipe."""
@@ -665,12 +667,6 @@ class LaneReadPipe:
         """Number of beats currently tracked by the pipe."""
         return len(self._beats)
 
-    def reset(self) -> None:
-        """Drop all state (component reset)."""
-        self._beats.clear()
-        self._unissued.clear()
-        self.in_flight = [0] * self.config.num_ports
-
 
 class _ActiveWriteBurst:
     """Book-keeping for one write burst travelling through a LaneWritePipe.
@@ -699,32 +695,25 @@ class _ActiveWriteBurst:
         return self.beats_completed >= self.request.num_beats
 
 
-class LaneWritePipe:
+class LaneWritePipe(_LanePipe):
     """Unpacks W beats into word writes and tracks their acknowledgements.
 
     Bursts planned up front (strided / contiguous / narrow) carry one
     whole-burst :class:`SlotBatch` built at acceptance; each beat is *armed*
     when its W data arrives, which is when its slot range joins the issue
-    queue.  Indirect bursts pass ``batch=None`` and add armed single-beat
-    batches explicitly once indices and payload are both known.
+    queue and ``(batch, beat index, burst)`` joins ``_beats``.  Indirect
+    bursts pass ``batch=None`` and add armed single-beat batches explicitly
+    once indices and payload are both known.
     """
 
-    __slots__ = ("name", "config", "in_flight",
-                 "_bursts", "_owed", "_beats", "_unissued")
+    __slots__ = ("_bursts", "_owed")
 
     def __init__(self, name: str, config: BankedMemoryConfig) -> None:
-        self.name = name
-        self.config = config
-        #: word accesses in flight per port, capped at ``config.queue_depth``
-        self.in_flight: List[int] = [0] * config.num_ports
+        super().__init__(name, config)
         self._bursts: Deque[_ActiveWriteBurst] = deque()
         #: the bursts still owed W data, oldest first: W beats arrive in
         #: burst order, so these are always the newest of ``_bursts``
         self._owed: Deque[_ActiveWriteBurst] = deque()
-        #: (batch, beat index, burst) in arming order, oldest first
-        self._beats: Deque[Tuple[SlotBatch, int, _ActiveWriteBurst]] = deque()
-        #: armed beats with unissued slots: [batch, cursor, end, beat index]
-        self._unissued: Deque[List] = deque()
 
     # -------------------------------------------------------------- planning
     def accept(
@@ -732,7 +721,7 @@ class LaneWritePipe:
     ) -> _ActiveWriteBurst:
         """Accept a write burst; ``batch`` covers it fully or is None."""
         if batch is not None:
-            batch.init_write_state()
+            self._plan(batch)
         burst = _ActiveWriteBurst(request, batch)
         self._bursts.append(burst)
         self._owed.append(burst)
@@ -765,10 +754,24 @@ class LaneWritePipe:
         ``resp`` pre-poisons the beat (indices substituted after an errored
         index fetch).
         """
-        batch.init_write_state()
+        self._plan(batch)
         if resp is not _RESP_OKAY:
             batch.beat_resp = [resp] * batch.num_beats
         self._arm_beat(batch, 0, payload, burst)
+
+    def _plan(self, batch: SlotBatch) -> None:
+        """Take a planned batch.  The model writes whole words only, so a
+        slot that writes less than a word is an error, raised here."""
+        if not batch.all_full_words:
+            word_bytes = self.config.word_bytes
+            for slot in range(batch.num_slots):
+                if batch.nbytes[slot] != word_bytes or batch.shifts[slot] != 0:
+                    raise SimulationError(
+                        f"{self.name}: partial-word write at word "
+                        f"{batch.words[slot]:#x} — the model requires "
+                        "word-aligned write payloads"
+                    )
+        batch.init_write_state()
 
     def _arm_beat(
         self, batch: SlotBatch, beat: int, payload: bytes, burst: _ActiveWriteBurst
@@ -778,53 +781,7 @@ class LaneWritePipe:
         start = batch.beat_start[beat]
         end = batch.beat_start[beat + 1]
         if end > start:
-            self._unissued.append([batch, start, end, beat])
-
-    # --------------------------------------------------------------- issuing
-    def issue(self, free_ports: int, out: List[Deque[tuple]]) -> int:
-        """Issue word writes in order, using only the ports in ``free_ports``.
-
-        Like :meth:`LaneReadPipe.issue`; the memory takes each word's data
-        from the beat's ``beat_payload`` when it grants the access.
-        """
-        unissued = self._unissued
-        in_flight = self.in_flight
-        limit = self.config.queue_depth
-        word_bytes = self.config.word_bytes
-        while unissued:
-            entry = unissued[0]
-            batch = entry[0]
-            ports = batch.ports
-            i = entry[1]
-            end = entry[2]
-            beat = entry[3]
-            check_partial = not batch.all_full_words
-            remaining = batch.beat_remaining
-            acks = batch.beat_acks
-            while i < end:
-                port = ports[i]
-                bit = 1 << port
-                if not free_ports & bit or in_flight[port] >= limit:
-                    entry[1] = i
-                    return free_ports
-                if check_partial and (
-                    batch.nbytes[i] != word_bytes or batch.shifts[i] != 0
-                ):
-                    # Geometry-only guard, raised when the offending slot
-                    # reaches the issue stage.
-                    raise SimulationError(
-                        f"{self.name}: partial-word write at word "
-                        f"{batch.words[i]:#x} — the model requires "
-                        "word-aligned write payloads"
-                    )
-                free_ports ^= bit
-                in_flight[port] += 1
-                out[port].append((self, batch, i))
-                remaining[beat] -= 1
-                acks[beat] += 1
-                i += 1
-            unissued.popleft()
-        return free_ports
+            self._unissued.append([batch, start, end])
 
     # -------------------------------------------------------------- emission
     def pop_ready_b_beat(self) -> Optional[BBeat]:
@@ -842,7 +799,7 @@ class LaneWritePipe:
         beats = self._beats
         while beats:
             batch, beat, burst = beats[0]
-            if batch.beat_remaining[beat] or batch.beat_acks[beat]:
+            if batch.beat_remaining[beat]:
                 break
             beats.popleft()
             burst.beats_completed += 1
@@ -859,8 +816,6 @@ class LaneWritePipe:
 
     def reset(self) -> None:
         """Drop all state (component reset)."""
+        super().reset()
         self._bursts.clear()
         self._owed.clear()
-        self._beats.clear()
-        self._unissued.clear()
-        self.in_flight = [0] * self.config.num_ports

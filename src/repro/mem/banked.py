@@ -411,13 +411,13 @@ class BankedMemory:
         fault = plan.first_match(self.name, request.txn_id, request.addr)
         return fault is not None and fault.kind == "lost"
 
-    # ------------------------------------------------------------ read streams
+    # ---------------------------------------------------------------- streams
     def fault_free(self) -> bool:
         """True when no fault plan can fire at this memory's grants."""
         return self._fault_plan is None
 
-    def end_read_stream(self, req_full: int, flight_count: int) -> None:
-        """Write back the scalars a read-stream macro-step kept in locals
+    def end_stream(self, req_full: int, flight_count: int) -> None:
+        """Write back the scalars a stream macro-step kept in locals
         (FIFOs, in-flight deques, port stamps, bank pointers and counters
         were updated in place)."""
         self.req_full = req_full

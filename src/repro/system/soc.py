@@ -46,7 +46,7 @@ from repro.mem.storage import MemoryStorage
 from repro.sim.engine import Engine
 from repro.sim.stats import StatsRegistry
 from repro.system.config import SystemConfig, SystemKind
-from repro.system.read_stream import ReadStreamStep
+from repro.system.stream import StreamStep
 from repro.vector.builder import Program
 from repro.vector.engine import EngineResult, VectorEngine
 
@@ -80,7 +80,7 @@ class Soc:
         self.last_engines: List[VectorEngine] = []
         #: The simulation engine of the most recent run (``None`` until the
         #: first run); its ``stepped_cycles`` counts the cycles the
-        #: read-stream macro-step advanced.
+        #: stream macro-step advanced.
         self.last_sim: Optional[Engine] = None
         #: JSON-serializable fault report of the most recent run, or ``None``
         #: when the run completed fault-free (always ``None`` until the first
@@ -371,9 +371,9 @@ class Soc:
             and isinstance(self.endpoint, BankedChannel)
             and bus_faults is None
         ):
-            # One engine wired straight to one banked channel: steady read
-            # streams may be macro-stepped (repro.system.read_stream).
-            engine.macro_step = ReadStreamStep(engine, vectors[0], self.endpoint)
+            # One engine wired straight to one banked channel: steady
+            # streams may be macro-stepped (repro.system.stream).
+            engine.macro_step = StreamStep(engine, vectors[0], self.endpoint)
         if len(vectors) == 1:
             done = vectors[0].done
         else:

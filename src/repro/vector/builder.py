@@ -15,7 +15,7 @@ vector register and then :meth:`vluxei32` — the builder refuses to assemble
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +24,37 @@ from repro.errors import WorkloadError
 from repro.vector.config import ELEM_BYTES, LoweringMode, max_vl
 from repro.vector.isa import Mnemonic, check_supported
 from repro.vector.ops import ScalarWork, VectorCompute, VectorLoad, VectorOp, VectorStore
+
+
+#: (load, store) mnemonics of each kind of memory access
+_ACCESS_MNEMONICS = {
+    "contiguous": (Mnemonic.VLE32, Mnemonic.VSE32),
+    "strided": (Mnemonic.VLSE32, Mnemonic.VSSE32),
+    "in-memory-indexed": (Mnemonic.VLIMXEI32, Mnemonic.VSIMXEI32),
+    "register-indexed": (Mnemonic.VLUXEI32, Mnemonic.VSUXEI32),
+}
+#: mnemonics an arithmetic op cannot carry
+_NOT_ARITHMETIC = frozenset(
+    [mnemonic for pair in _ACCESS_MNEMONICS.values() for mnemonic in pair]
+    + [Mnemonic.SCALAR]
+)
+
+
+def _access_mnemonic(op: VectorOp) -> Tuple[str, Mnemonic]:
+    """What a load or store accesses and the mnemonic that says so."""
+    stream = op.stream
+    if isinstance(stream, ContiguousStream):
+        kind = "contiguous"
+    elif isinstance(stream, StridedStream):
+        kind = "strided"
+    elif op.uses_in_memory_indices:
+        kind = "in-memory-indexed"
+    else:
+        kind = "register-indexed"
+    load, store = _ACCESS_MNEMONICS[kind]
+    if isinstance(op, VectorStore):
+        return f"{kind} store", store
+    return f"{kind} load", load
 
 
 def _render(op: VectorOp) -> str:
@@ -78,7 +109,8 @@ class Program:
 
         Raises :class:`~repro.errors.WorkloadError` on the first violation.
         The checks mirror what the engine enforces at dispatch/lowering time
-        (ISA support for the mode, vector lengths within the register group,
+        (ISA support for the mode, each op's mnemonic naming what the op
+        does, vector lengths within the register group,
         dependency ids referring to earlier ops, register-indexed ops naming
         an index register on systems without AXI-Pack) plus data-flow rules
         that would otherwise only surface mid-simulation (reading a vector
@@ -103,6 +135,9 @@ class Program:
             if isinstance(op, (VectorLoad, VectorStore)):
                 if op.stream is None:
                     raise WorkloadError(f"{where}: memory op has no stream")
+                access, mnemonic = _access_mnemonic(op)
+                if op.mnemonic is not mnemonic:
+                    raise WorkloadError(f"{where}: {access}s carry {mnemonic.value}")
                 vl = op.stream.num_elements
                 limit = max_vl(op.stream.elem_bytes)
                 if vl > limit:
@@ -120,6 +155,10 @@ class Program:
                 if op.index_values_reg is not None:
                     reads.append(op.index_values_reg)
             elif isinstance(op, VectorCompute):
+                if op.mnemonic in _NOT_ARITHMETIC:
+                    raise WorkloadError(
+                        f"{where}: arithmetic ops cannot carry {op.mnemonic.value}"
+                    )
                 if op.num_elements > max_vl(ELEM_BYTES):
                     raise WorkloadError(
                         f"{where}: vl {op.num_elements} exceeds max_vl "
@@ -127,6 +166,8 @@ class Program:
                     )
                 if op.fn is not None:
                     reads.extend(op.srcs)
+            elif isinstance(op, ScalarWork) and op.mnemonic is not Mnemonic.SCALAR:
+                raise WorkloadError(f"{where}: scalar work carries scalar")
             if isinstance(op, VectorStore):
                 reads.append(op.src)
             for reg in reads:

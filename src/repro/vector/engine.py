@@ -144,17 +144,22 @@ class _MemOpState:
         self.next_request = 0
         self.beats_done = 0
         self.responses_pending = len(requests)
+        #: R beats a load waits for, and its collected R payload per
+        #: transaction (a store has neither: it counts B responses)
+        self.total_beats = 0
+        self.chunks: Optional[Dict[int, List[bytes]]] = None
         # The single-request case dominates (one burst per op on most
         # workloads); skip the comprehension machinery for it.
         if len(requests) == 1:
             request = requests[0]
-            self.total_beats = request.num_beats
-            #: collected R payload per transaction
-            self.chunks: Dict[int, List[bytes]] = {request.txn_id: []}
+            if is_load:
+                self.total_beats = request.num_beats
+                self.chunks = {request.txn_id: []}
             self.positions: Dict[int, int] = {request.txn_id: 0}
         else:
-            self.total_beats = sum(request.num_beats for request in requests)
-            self.chunks = {request.txn_id: [] for request in requests}
+            if is_load:
+                self.total_beats = sum(request.num_beats for request in requests)
+                self.chunks = {request.txn_id: [] for request in requests}
             self.positions = {
                 request.txn_id: index for index, request in enumerate(requests)
             }
@@ -811,30 +816,25 @@ class VectorEngine(Component):
         # cycle so a compute chained on it is retried.
         self._wake_at(cycle + 1)
 
-    # ------------------------------------------------------------ read streams
-    def read_stream_limit(self, cycle: int) -> float:
-        """How long, from ``cycle``, this engine only streams loads.
+    # ---------------------------------------------------------------- streams
+    def stream_limit(self, cycle: int) -> float:
+        """How long, from ``cycle``, this engine only streams its memory ops.
 
-        A read-stream macro-step (:mod:`repro.system.read_stream`) may
-        advance this engine's ticks without calling them while each tick
-        can only pop R beats of its active loads and push their remaining
-        AR requests.  That holds while no store, W data or watchdog is
-        pending, no timer matures and no dispatch
-        or chained-compute retirement can fire: all of those read state
-        that only the timers, a finishing load or a dispatch change.
+        A stream macro-step (:mod:`repro.system.stream`) may advance this
+        engine's ticks without calling them while each tick can only pop R
+        and B beats of its active loads and stores and push their remaining
+        AR and AW requests and W data.  That holds while some memory op is
+        active, no watchdog is armed, no timer matures and no dispatch or
+        chained-compute retirement can fire: all of those read state that
+        only the timers, a finishing memory op or a dispatch change.
         Returns the first cycle at which a tick must run for another
         reason (:data:`IDLE` if none), which is also the wake hint every
         tick inside the window returns; a value ``<= cycle`` means no
-        window starts at ``cycle``.  A finishing load (its last R beat) and
-        an errored beat end the window as well; the step checks those beat
-        by beat.
+        window starts at ``cycle``.  A finishing load (its last R beat), a
+        completing store (its last B response) and an errored beat end the
+        window as well; the step checks those beat by beat.
         """
-        if (
-            not self._active_loads
-            or self._active_stores
-            or self._w_backlog
-            or self._watchdog_cycles
-        ):
+        if not (self._active_loads or self._active_stores) or self._watchdog_cycles:
             return cycle
         timers = self._timers
         limit = timers[0] if timers else IDLE
@@ -859,15 +859,18 @@ class VectorEngine(Component):
             return cycle
         return limit
 
-    def end_read_stream(
+    def end_stream(
         self, last_tick: int, unissued_requests: int, r_beats: int,
-        r_data_bytes: int, r_index_bytes: int,
+        r_data_bytes: int, r_index_bytes: int, w_beats: int,
+        w_useful_bytes: int,
     ) -> None:
-        """Write back what a read-stream macro-step kept in locals.
+        """Write back what a stream macro-step kept in locals.
 
         ``last_tick`` is the last cycle of the window on which this engine
         was due (``-1`` if none); the R counts are the window's beats and
-        their data and index payload.
+        their data and index payload, the W counts its beats and their
+        payload.  The ops' own state and the W backlog were updated in
+        place.
         """
         if last_tick >= 0:
             self._cycle = last_tick
@@ -876,6 +879,8 @@ class VectorEngine(Component):
         self.r_useful_bytes += r_data_bytes + r_index_bytes
         self.r_data_bytes += r_data_bytes
         self.r_index_bytes += r_index_bytes
+        self.w_beats += w_beats
+        self.w_useful_bytes += w_useful_bytes
 
     # ----------------------------------------------------------------- result
     def result(self, cycles: int) -> EngineResult:

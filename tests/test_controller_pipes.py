@@ -13,7 +13,12 @@ from repro.axi.port import AxiPort
 from repro.axi.transaction import BusRequest
 from repro.axi.types import Resp
 from repro.controller.adapter import AxiPackAdapter
-from repro.controller.lanes import LaneReadPipe, LaneWritePipe, batch_strided
+from repro.controller.lanes import (
+    LaneReadPipe,
+    LaneWritePipe,
+    batch_contiguous,
+    batch_strided,
+)
 from repro.errors import SimulationError
 from repro.mem.banked import BankedMemory, BankedMemoryConfig
 from repro.mem.storage import MemoryStorage
@@ -50,7 +55,7 @@ def _tags(fifos):
 
 def _retire(pipe, batch, slot):
     """Retire one word as the adapter does on its response."""
-    batch.beat_pending[batch.beat_of[slot]] -= 1
+    batch.beat_remaining[batch.beat_of[slot]] -= 1
     pipe.in_flight[batch.ports[slot]] -= 1
 
 
@@ -214,6 +219,19 @@ class TestWritePipe:
         for element in range(8):
             word = storage.read_bytes(element * 3 * 4, 4)
             assert word == payload[element * 4:element * 4 + 4]
+
+
+    def test_a_partial_word_write_is_refused_at_acceptance(self):
+        """The model writes whole words only: a contiguous write that starts
+        mid-word is refused when its burst is accepted, before any word
+        issues."""
+        request = BusRequest(addr=6, is_write=True, num_elements=4,
+                             elem_bytes=4, bus_bytes=32, contiguous=True)
+        pipe = LaneWritePipe("w", _config())
+        with pytest.raises(SimulationError,
+                           match="w: partial-word write at word 0x1"):
+            pipe.accept(request, batch_contiguous(request, 4, 8))
+        assert not pipe.busy()
 
 
 class TestInFlightAccounting:

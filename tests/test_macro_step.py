@@ -1,9 +1,10 @@
-"""The read-stream macro-step: exact against per-cycle ticks, and where it runs.
+"""The stream macro-step: exact against per-cycle ticks, and where it runs.
 
-``Soc`` wires :class:`~repro.system.read_stream.ReadStreamStep` into the
+``Soc`` wires :class:`~repro.system.stream.StreamStep` into the
 event-driven engine of a single-engine, single-channel banked system
-without a fault plan.  The tick-every-cycle engine never steps, so it is
-the reference: every program below must end with the same cycles,
+without a fault plan; its windows carry loads, stores or both.  The
+tick-every-cycle engine never steps, so it is the reference: every
+program below must end with the same cycles,
 ``stats_snapshot()``, ``EngineResult``, register file and memory image on
 both engines, over bank latencies {1, 3, 5} x FIFO depths {1, 2, 4}.  A
 second check is stricter: before each window it deep-copies the whole
@@ -28,7 +29,7 @@ from repro.errors import DeadlockError, SimulationError
 from repro.sim.component import Component
 from repro.sim.engine import Engine
 from repro.system.config import SystemConfig, SystemKind
-from repro.system.read_stream import ReadStreamStep
+from repro.system.stream import StreamStep
 from repro.system.soc import build_system
 from repro.vector.builder import AraProgramBuilder
 from repro.vector.config import LoweringMode
@@ -113,6 +114,48 @@ def overlapping_store(builder):
     builder.vlse32("vc", X, 32, stride_elems=5)
 
 
+def strided_store(builder):
+    # BASE: one narrow AW, W beat and B response per element; PACK: packed
+    # strided write bursts.
+    builder.vle32("vz", X, 96)
+    builder.vsse32("vz", Y, 96, stride_elems=3)
+
+
+def ismt_row(builder):
+    # One row of the in-place transpose of a 64 x 64 matrix at X: both
+    # loads, then the two ordered stores, each fenced behind all earlier
+    # memory traffic.
+    builder.vle32("v1", X + 4, 63)
+    builder.vlse32("v2", X + 256, 63, stride_elems=64)
+    builder.vsse32("v1", X + 256, 63, stride_elems=64, ordered=True)
+    builder.vse32("v2", X + 4, 63, ordered=True)
+
+
+def gather_beside_a_store(builder):
+    # csrspmv's first pass: each chunk's unordered product store streams
+    # while the next chunk's loads and gather do.
+    for chunk in range(3):
+        builder.vle32("va", X + 0x2000 + chunk * 0x100, 48)
+        _stream(builder, 48, IDX + 0x200 + chunk * 0xC0)
+        builder.vfmul("vp", "va", "vg", 48)
+        builder.vse32("vp", Y + chunk * 0x100, 48)
+
+
+def cut_by_a_completing_store(builder):
+    # Two unordered stores in flight at once: the first one's last B
+    # response completes it while the second still streams.
+    builder.vle32("vz", X, 64)
+    builder.vsse32("vz", Y, 64, stride_elems=5)
+    builder.vsse32("vz", Y + 0x2000, 64, stride_elems=7)
+
+
+def one_port_store(builder):
+    # A stride of 8 words puts every word on one port, whose request FIFO
+    # fills and holds the write pipe back.
+    builder.vle32("vz", X, 64)
+    builder.vsse32("vz", Y, 64, stride_elems=8)
+
+
 PROGRAMS = {
     "bank-colliding gather": bank_colliding_gather,
     "one-port column": one_port_column,
@@ -121,6 +164,11 @@ PROGRAMS = {
     "cut by a stall end": cut_by_stall_end,
     "cut by a chained compute": cut_by_chained_compute,
     "overlapping store": overlapping_store,
+    "strided store": strided_store,
+    "ismt row": ismt_row,
+    "gather beside a store": gather_beside_a_store,
+    "cut by a completing store": cut_by_a_completing_store,
+    "one-port store": one_port_store,
 }
 
 #: every (system, program) with a window: a packed gather has none
@@ -181,7 +229,7 @@ def _state(root):
             return ("enum", type(obj).__name__, obj.name)
         if isinstance(obj, (FunctionType, BuiltinFunctionType, type)):
             return ("code", getattr(obj, "__qualname__", repr(obj)))
-        if isinstance(obj, (ReadStreamStep, _CheckedStep)):
+        if isinstance(obj, (StreamStep, _CheckedStep)):
             return ("step",)
         key = id(obj)
         if key in seen:
@@ -277,7 +325,7 @@ def test_event_and_naive_engines_agree(kind, depth, latency):
 def _windows(monkeypatch):
     """Record every window the wired steps advance, as (start, end)."""
     windows = []
-    original = ReadStreamStep.advance
+    original = StreamStep.advance
 
     def advance(step, cycle, stop):
         end = original(step, cycle, stop)
@@ -285,7 +333,7 @@ def _windows(monkeypatch):
             windows.append((cycle, end))
         return end
 
-    monkeypatch.setattr(ReadStreamStep, "advance", advance)
+    monkeypatch.setattr(StreamStep, "advance", advance)
     return windows
 
 
@@ -330,16 +378,49 @@ def test_each_window_writes_back_what_ticks_would(kind, name, latency, depth,
     assert checked and checked[0].windows > 0
 
 
+def _stepped_share(kind, program):
+    config = _config(kind)
+    soc = build_system(config)
+    _initialize(soc.storage)
+    builder = AraProgramBuilder("stream", config.lowering)
+    program(builder)
+    cycles, _ = soc.run_program(builder.build())
+    return soc.last_sim.stepped_cycles / cycles
+
+
 def test_a_long_stream_is_mostly_stepped():
     """A BASE gather streams one word per cycle; nearly all of it is
     advanced by macro-steps."""
-    config = _config(SystemKind.BASE)
+    share = _stepped_share(
+        SystemKind.BASE, lambda builder: _gather(builder, 256, IDX + 0x200))
+    assert share > 0.8
+
+
+def test_a_long_narrow_store_stream_is_mostly_stepped():
+    """A BASE strided store pushes one narrow AW and W beat and pops one B
+    response per cycle; nearly all of it is advanced by macro-steps."""
+    def program(builder):
+        builder.vle32("vz", X, 256)
+        builder.vsse32("vz", Y, 256, stride_elems=3)
+
+    assert _stepped_share(SystemKind.BASE, program) > 0.8
+
+
+def test_a_packed_scatter_gets_no_window(monkeypatch):
+    """A PACK ``vsimxei32`` scatter keeps the index stage busy from its
+    first AW on, so no window ever holds."""
+    windows = _windows(monkeypatch)
+    config = _config(SystemKind.PACK)
     soc = build_system(config)
     _initialize(soc.storage)
-    builder = AraProgramBuilder("gather", config.lowering)
-    _gather(builder, 256, IDX + 0x200)
-    cycles, _ = soc.run_program(builder.build())
-    assert soc.last_sim.stepped_cycles > 0.8 * cycles
+    builder = AraProgramBuilder("scatter", config.lowering)
+    builder.vmv_vx("vz", 1.5, 64)
+    builder.vsimxei32("vz", Y, IDX, 64)
+    event = soc.run_program(builder.build())
+    assert not windows and soc.last_sim.stepped_cycles == 0
+    soc = build_system(config)
+    _initialize(soc.storage)
+    assert soc.run_program(builder.build(), event_driven=False) == event
 
 
 # ------------------------------------------------ run_until's accounting
@@ -458,7 +539,7 @@ def _wired(config, event_driven=True):
 
 def test_wired_on_one_engine_one_banked_channel():
     sim = _wired(_config(SystemKind.BASE))
-    assert isinstance(sim.macro_step, ReadStreamStep)
+    assert isinstance(sim.macro_step, StreamStep)
     assert sim.stepped_cycles > 0
 
 

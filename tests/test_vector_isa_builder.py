@@ -227,6 +227,38 @@ def _gather_without_index_register(builder):
     return builder.program
 
 
+def _load_tagged_vfadd(builder):
+    builder.vle32("v1", 0, 8)
+    builder.program.ops[0].mnemonic = Mnemonic.VFADD
+    return builder.program
+
+
+def _contiguous_store_tagged_vlse32(builder):
+    builder.vle32("v1", 0, 8)
+    builder.vse32("v1", 0x100, 8)
+    builder.program.ops[1].mnemonic = Mnemonic.VLSE32
+    return builder.program
+
+
+def _scatter_tagged_register_indexed(builder):
+    builder.vmv_vx("v1", 1.0, 8)
+    builder.vsimxei32("v1", 0, 0x100, 8)
+    builder.program.ops[1].mnemonic = Mnemonic.VSUXEI32
+    return builder.program
+
+
+def _compute_tagged_vle32(builder):
+    builder.vmv_vx("v1", 1.0, 8)
+    builder.program.ops[0].mnemonic = Mnemonic.VLE32
+    return builder.program
+
+
+def _scalar_tagged_vfadd(builder):
+    builder.scalar(3)
+    builder.program.ops[0].mnemonic = Mnemonic.VFADD
+    return builder.program
+
+
 def _overlong_compute(builder):
     count = builder.max_vl + 1
     builder.vmv_vx("v1", 1.0, count)
@@ -247,6 +279,16 @@ INVALID_PROGRAMS = [
      "register-indexed op names no index register"),
     (_overlong_compute, LoweringMode.PACK,
      r"\(vmv\.v\.x\): vl \d+ exceeds max_vl"),
+    (_load_tagged_vfadd, LoweringMode.BASE,
+     r"op 0 \(vfadd\.vv\): contiguous loads carry vle32\.v"),
+    (_contiguous_store_tagged_vlse32, LoweringMode.PACK,
+     r"op 1 \(vlse32\.v\): contiguous stores carry vse32\.v"),
+    (_scatter_tagged_register_indexed, LoweringMode.PACK,
+     r"op 1 \(vsuxei32\.v\): in-memory-indexed stores carry vsimxei32\.v"),
+    (_compute_tagged_vle32, LoweringMode.IDEAL,
+     r"op 0 \(vle32\.v\): arithmetic ops cannot carry vle32\.v"),
+    (_scalar_tagged_vfadd, LoweringMode.BASE,
+     r"op 0 \(vfadd\.vv\): scalar work carries scalar"),
 ]
 
 

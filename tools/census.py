@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-cycle interpreter census of one perfbench point.
+"""Per-cycle interpreter census of one perfbench point, or of a whole grid.
 
 Runs one (workload, kernel, system, seed) point of a perfbench grid, built
 exactly as ``perfbench/run.py`` builds it, and counts the Python work of
@@ -12,10 +12,18 @@ the share of simulated cycles the engine advanced by macro-steps
 Usage (from the repository root)::
 
     python3 tools/census.py --workload indirect --kernel spmv --kind base --seed 1
+    python3 tools/census.py --workload strided --grid --seed 1
+
+``--grid`` censuses every kernel x system point of the workload's grid in
+one process (each point's first input set, as for a single point) and
+prints one line per point, then the cycle-weighted total: all points'
+bytecodes, calls and stepped cycles over all their simulated cycles.
 
 Tracing every opcode slows the simulation down roughly a hundredfold, so a
 medium-scale point takes minutes; ``--scale tiny`` takes seconds.  The last
-line of standard output is the census as one JSON object.
+line of standard output is the census as one JSON object; for a grid it
+holds ``points`` (each point's census without its function list) and
+``total``.
 """
 
 from __future__ import annotations
@@ -116,20 +124,65 @@ def census(workload: str, kernel: str, kind: str, seed: Optional[int],
         "input_seed": input_seed,
         "scale": scale,
         "python": sys.version.split()[0],
-        "cycles": cycles,
-        "calls_per_cycle": round(counts.calls / cycles, 2),
-        "bytecodes_per_cycle": round(counts.opcodes / cycles, 1),
-        "stepped_cycles": stepped,
-        "stepped_share": round(stepped / cycles, 4),
+        **_per_cycle(cycles, counts.calls, counts.opcodes, stepped),
         "top": functions,
     }
+
+
+def _per_cycle(cycles: int, calls: int, bytecodes: int, stepped: int) -> Dict:
+    """Counts of a traced run, raw and per simulated cycle."""
+    return {
+        "cycles": cycles,
+        "calls": calls,
+        "bytecodes": bytecodes,
+        "calls_per_cycle": round(calls / cycles, 2),
+        "bytecodes_per_cycle": round(bytecodes / cycles, 1),
+        "stepped_cycles": stepped,
+        "stepped_share": round(stepped / cycles, 4),
+    }
+
+
+def grid_census(workload: str, seed: Optional[int],
+                scale: str = SCALE) -> Dict:
+    """Census every point of a grid; ``total`` weighs points by cycles."""
+    grid = GRIDS[workload]
+    points = []
+    for kernel in grid.kernels:
+        for kind in grid.kinds:
+            point = census(workload, kernel, kind, seed, scale, top=0)
+            del point["top"]
+            points.append(point)
+            print(_summary(point), flush=True)
+    total = _per_cycle(*(sum(point[key] for point in points) for key in
+                         ("cycles", "calls", "bytecodes", "stepped_cycles")))
+    return {
+        "workload": workload,
+        "seed": seed,
+        "scale": scale,
+        "python": sys.version.split()[0],
+        "points": points,
+        "total": total,
+    }
+
+
+def _summary(result: Dict) -> str:
+    where = (f"{result['kernel']}/{result['kind']}" if "kernel" in result
+             else "total")
+    return (f"{result['workload']} {where} seed={result['seed']} "
+            f"scale={result['scale']}: {result['cycles']:,} simulated cycles, "
+            f"{result['calls_per_cycle']} calls and "
+            f"{result['bytecodes_per_cycle']:,} bytecodes per cycle, "
+            f"{result['stepped_share']:.1%} of cycles macro-stepped")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(GRIDS))
-    parser.add_argument("--kernel", required=True)
-    parser.add_argument("--kind", required=True, choices=["base", "pack", "ideal"])
+    parser.add_argument("--grid", action="store_true",
+                        help="census every point of the workload's grid "
+                             "(no --kernel or --kind)")
+    parser.add_argument("--kernel")
+    parser.add_argument("--kind", choices=["base", "pack", "ideal"])
     parser.add_argument("--seed", type=int, default=None,
                         help="perfbench --seed of the point (default: the "
                              "workload's own seed)")
@@ -138,16 +191,20 @@ def main(argv=None) -> int:
     parser.add_argument("--top", type=int, default=12,
                         help="functions to list (default 12)")
     args = parser.parse_args(argv)
-    result = census(args.workload, args.kernel, args.kind, args.seed,
-                    args.scale, args.top)
-    print(f"{args.workload} {args.kernel}/{args.kind} seed={args.seed} "
-          f"scale={args.scale}: {result['cycles']:,} simulated cycles, "
-          f"{result['calls_per_cycle']} calls and "
-          f"{result['bytecodes_per_cycle']:,} bytecodes per cycle, "
-          f"{result['stepped_share']:.1%} of cycles macro-stepped")
-    for row in result["top"]:
-        print(f"  {row['share']:6.1%} {row['bytecodes_per_cycle']:8.1f}  "
-              f"{row['function']} ({row['file']})")
+    if args.grid:
+        if args.kernel or args.kind:
+            parser.error("--grid censuses every point: drop --kernel and --kind")
+        result = grid_census(args.workload, args.seed, args.scale)
+        print(_summary({**result, **result["total"]}))
+    else:
+        if not args.kernel or not args.kind:
+            parser.error("--kernel and --kind are required without --grid")
+        result = census(args.workload, args.kernel, args.kind, args.seed,
+                        args.scale, args.top)
+        print(_summary(result))
+        for row in result["top"]:
+            print(f"  {row['share']:6.1%} {row['bytecodes_per_cycle']:8.1f}  "
+                  f"{row['function']} ({row['file']})")
     print(json.dumps(result, sort_keys=True))
     return 0
 

@@ -18,7 +18,7 @@ module), plus any class that defines a ``tick`` or an ``advance`` method.
 The second group covers halves of a fused stage that a component ticks as
 plain calls (the banked channel's ``AxiPackAdapter`` and ``BankedMemory``)
 and macro-steps (the engine's ``MacroStep`` protocol, such as
-``ReadStreamStep``), whose ``advance`` moves simulated state over many
+``StreamStep``), whose ``advance`` moves simulated state over many
 cycles at once.
 """
 
