@@ -38,17 +38,6 @@ def _sizes(scale: str):
     return SCALES[scale]
 
 
-def _workload_spec(name: str, scale: str):
-    """The declarative workload description for one benchmark at one scale."""
-    from repro.orchestrate.spec import WorkloadSpec
-
-    dense_n, sparse_rows, nnz = _sizes(scale)
-    if name in ("ismt", "gemv", "trmv"):
-        return WorkloadSpec.create(name, size=dense_n)
-    return WorkloadSpec.create(name, size=sparse_rows,
-                               avg_nnz_per_row=min(nnz, sparse_rows))
-
-
 def figure_3a(
     scale: str = "small",
     config: Optional[SystemConfig] = None,
@@ -102,8 +91,12 @@ def collect_figure_3a_comparisons(
     runner=None,
 ) -> Dict[str, WorkloadComparison]:
     """Raw comparisons behind Fig. 3a (reused by the Fig. 4c energy model)."""
+    from repro.analysis.headline import workload_spec_kwargs
+    from repro.orchestrate.spec import WorkloadSpec
+
     config = config or SystemConfig()
-    specs = [_workload_spec(name, scale) for name in workloads]
+    specs = [WorkloadSpec.create(name, **workload_spec_kwargs(name, scale))
+             for name in workloads]
     return compare_systems_many(specs, config, verify=verify, runner=runner)
 
 

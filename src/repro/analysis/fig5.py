@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.report import ExperimentTable
-from repro.axi.pack import PackUserField
+from repro.axi.pack import INDEX_DTYPES, PackUserField
 from repro.axi.transaction import BusRequest
 from repro.controller.testbench import ControllerTestbench
 from repro.hw.crossbar_area import BankCrossbarAreaModel
@@ -57,7 +57,7 @@ def measure_indirect_utilization(
     num_targets = data_region // elem_bytes
     requests = []
     index_cursor = data_region
-    dtype = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}[index_bytes]
+    dtype = INDEX_DTYPES[index_bytes]
     max_index = min(num_targets, np.iinfo(dtype).max)
     for _ in range(num_bursts):
         indices = rng.integers(0, max_index, size=elems_per_burst).astype(dtype)

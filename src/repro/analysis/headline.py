@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.analysis.fig3 import SCALES
+from repro.analysis.fig3 import _sizes
 from repro.errors import ConfigurationError
 from repro.system.config import SystemConfig, SystemKind
 
@@ -23,8 +23,11 @@ MEMORY_LATENCY: Dict[str, int] = {"sram": 1, "dram": 100}
 
 
 def workload_spec_kwargs(workload: str, scale: str) -> dict:
-    """Constructor kwargs for ``workload`` at ``scale`` (fig3 sizing rules)."""
-    dense_n, sparse_rows, nnz = SCALES[scale]
+    """Constructor kwargs for ``workload`` at ``scale`` (fig3 sizing rules).
+
+    Raises :class:`~repro.errors.ConfigurationError` for an unknown scale.
+    """
+    dense_n, sparse_rows, nnz = _sizes(scale)
     if workload in DENSE_WORKLOADS:
         return dict(size=dense_n)
     return dict(size=sparse_rows, avg_nnz_per_row=min(nnz, sparse_rows))

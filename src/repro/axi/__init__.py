@@ -17,7 +17,7 @@ from repro.axi.types import (
     AXI4_BOUNDARY_BYTES,
     Resp,
 )
-from repro.axi.pack import PackMode, PackUserField, PackUserLayout
+from repro.axi.pack import PackMode, PackUserField
 from repro.axi.signals import BBeat, RBeat, WBeat
 from repro.axi.stream import (
     ContiguousStream,
@@ -35,7 +35,6 @@ __all__ = [
     "Resp",
     "PackMode",
     "PackUserField",
-    "PackUserLayout",
     "RBeat",
     "WBeat",
     "BBeat",

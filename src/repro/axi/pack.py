@@ -8,10 +8,11 @@ The field layout is::
 
     bit 0              : pack   — 1 if the AXI-Pack extension is active
     bit 1              : indir  — 0 = strided burst, 1 = indirect burst
-    bits 2 .. 2+W-1    : shared payload
-                           strided  : element stride (in elements, unsigned)
+    bits 2 .. 31       : shared payload
+                           strided  : element stride (in elements, unsigned,
+                                      STRIDE_BITS wide)
                            indirect : index size code (2 bits) + index base
-                                      offset (remaining bits)
+                                      offset (OFFSET_BITS wide)
 
 The index size code encodes 8/16/32/64-bit indices as 0..3.  The index base
 offset is expressed in units of the index size (i.e. it is an index-element
@@ -24,7 +25,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError, ProtocolError
+import numpy as np
+
+from repro.errors import ProtocolError
 from repro.utils.bitutils import extract_field, insert_field, mask
 
 
@@ -44,41 +47,16 @@ class PackMode(enum.Enum):
 #: Index element sizes supported by the indirect burst type, bytes -> code.
 INDEX_SIZE_CODES = {1: 0, 2: 1, 4: 2, 8: 3}
 INDEX_CODE_SIZES = {code: size for size, code in INDEX_SIZE_CODES.items()}
+#: Unsigned numpy type of each supported index size, bytes -> dtype.
+INDEX_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
-
-@dataclass(frozen=True)
-class PackUserLayout:
-    """Bit widths of the AXI-Pack user-field payload.
-
-    Parameters
-    ----------
-    stride_bits:
-        Width of the element-stride field for strided bursts.
-    offset_bits:
-        Width of the index-base-offset field for indirect bursts.
-
-    The total user width is ``2 + max(stride_bits, 2 + offset_bits)``.
-    """
-
-    stride_bits: int = 24
-    offset_bits: int = 28
-
-    def __post_init__(self) -> None:
-        if self.stride_bits < 1 or self.offset_bits < 1:
-            raise ConfigurationError("user-field sub-field widths must be positive")
-
-    @property
-    def payload_bits(self) -> int:
-        """Width of the shared payload region (stride or idx size + offset)."""
-        return max(self.stride_bits, 2 + self.offset_bits)
-
-    @property
-    def total_bits(self) -> int:
-        """Total AR/AW user signal width required by AXI-Pack."""
-        return 2 + self.payload_bits
-
-
-DEFAULT_LAYOUT = PackUserLayout()
+#: Width of the element-stride field of a strided burst.
+STRIDE_BITS = 24
+#: Width of the index-base-offset field of an indirect burst.
+OFFSET_BITS = 28
+#: AR/AW user signal width AXI-Pack needs: the pack and indir bits, then
+#: the wider of the stride field and the index size code plus offset.
+USER_BITS = 2 + max(STRIDE_BITS, 2 + OFFSET_BITS)
 
 
 @dataclass(frozen=True)
@@ -106,7 +84,7 @@ class PackUserField:
     index_offset: int = 0
 
     # ---------------------------------------------------------------- encode
-    def encode(self, layout: PackUserLayout = DEFAULT_LAYOUT) -> int:
+    def encode(self) -> int:
         """Encode this field into the integer carried on the user signal."""
         if self.mode is PackMode.NONE:
             return 0
@@ -116,12 +94,12 @@ class PackUserField:
             word = insert_field(word, 1, 1, 0)
             if self.stride_elems < 0:
                 raise ProtocolError("strided bursts require a non-negative stride")
-            if self.stride_elems > mask(layout.stride_bits):
+            if self.stride_elems > mask(STRIDE_BITS):
                 raise ProtocolError(
                     f"stride {self.stride_elems} does not fit in "
-                    f"{layout.stride_bits} bits"
+                    f"{STRIDE_BITS} bits"
                 )
-            word = insert_field(word, 2, layout.stride_bits, self.stride_elems)
+            word = insert_field(word, 2, STRIDE_BITS, self.stride_elems)
         else:
             word = insert_field(word, 1, 1, 1)
             if self.index_bytes not in INDEX_SIZE_CODES:
@@ -129,20 +107,18 @@ class PackUserField:
                     f"unsupported index size {self.index_bytes} bytes; "
                     f"supported: {sorted(INDEX_SIZE_CODES)}"
                 )
-            if not 0 <= self.index_offset <= mask(layout.offset_bits):
+            if not 0 <= self.index_offset <= mask(OFFSET_BITS):
                 raise ProtocolError(
                     f"index offset {self.index_offset} does not fit in "
-                    f"{layout.offset_bits} bits"
+                    f"{OFFSET_BITS} bits"
                 )
             word = insert_field(word, 2, 2, INDEX_SIZE_CODES[self.index_bytes])
-            word = insert_field(word, 4, layout.offset_bits, self.index_offset)
+            word = insert_field(word, 4, OFFSET_BITS, self.index_offset)
         return word
 
     # ---------------------------------------------------------------- decode
     @classmethod
-    def decode(
-        cls, word: int, layout: PackUserLayout = DEFAULT_LAYOUT
-    ) -> "PackUserField":
+    def decode(cls, word: int) -> "PackUserField":
         """Decode an integer user signal back into a :class:`PackUserField`."""
         if word < 0:
             raise ProtocolError("user field must be a non-negative integer")
@@ -155,10 +131,10 @@ class PackUserField:
             return cls(mode=PackMode.NONE)
         indir = extract_field(word, 1, 1)
         if not indir:
-            stride = extract_field(word, 2, layout.stride_bits)
+            stride = extract_field(word, 2, STRIDE_BITS)
             return cls(mode=PackMode.STRIDED, stride_elems=stride)
         code = extract_field(word, 2, 2)
-        offset = extract_field(word, 4, layout.offset_bits)
+        offset = extract_field(word, 4, OFFSET_BITS)
         return cls(
             mode=PackMode.INDIRECT,
             index_bytes=INDEX_CODE_SIZES[code],

@@ -6,20 +6,22 @@ They are what flows through the data and response
 :class:`~repro.axi.transaction.BusRequest`.  The records carry only the
 fields the bandwidth model needs; side-band signals with no performance
 impact (strobes, QoS, region, cache, prot, lock) are omitted.
+
+A beat is a named tuple: nothing changes a beat once it is on a channel,
+and the tick path and the stream macro-step (:mod:`repro.system.stream`)
+share the one record.  Hot paths build one with :data:`new_beat`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from repro.axi.types import Resp
 
 
-@dataclass
-class RBeat:
+class RBeat(NamedTuple):
     """One R-channel handshake: a read data beat.
 
     ``useful_bytes`` records how many of the bus bytes carry payload the
@@ -34,8 +36,7 @@ class RBeat:
     resp: Resp = Resp.OKAY
 
 
-@dataclass
-class WBeat:
+class WBeat(NamedTuple):
     """One W-channel handshake: a write data beat."""
 
     data: Optional[np.ndarray]
@@ -43,9 +44,13 @@ class WBeat:
     last: bool
 
 
-@dataclass
-class BBeat:
+class BBeat(NamedTuple):
     """One B-channel handshake: a write response."""
 
     txn_id: int
     resp: Resp = Resp.OKAY
+
+
+#: ``new_beat(RBeat, fields)`` builds a beat from the tuple of all its
+#: fields without the Python-level ``__new__`` that ``RBeat(...)`` runs.
+new_beat = tuple.__new__

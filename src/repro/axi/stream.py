@@ -94,13 +94,13 @@ class StridedStream:
 class IndirectStream:
     """Elements gathered/scattered through an in-memory index array.
 
-    The address of element *i* is ``base + index[i] * elem_bytes`` when
-    ``scaled`` is True (indices are element numbers, the natural encoding for
-    CSR column indices) or ``base + index[i]`` when False (byte offsets, the
-    RVV ``vluxei`` convention).  The index array itself lives in memory at
-    ``index_base`` with ``index_bytes`` per index — this is the key
-    difference from register-indexed accesses and what allows the memory-side
-    controller to perform the indirection.
+    The address of element *i* is ``base + index[i] * elem_bytes``: indices
+    are element numbers, the natural encoding for CSR column indices, and
+    the AXI-Pack controller shifts each one by the element size (Fig. 2d).
+    The index array itself lives in memory at ``index_base`` with
+    ``index_bytes`` per index — this is the key difference from
+    register-indexed accesses and what allows the memory-side controller to
+    perform the indirection.
     """
 
     base: int
@@ -108,7 +108,6 @@ class IndirectStream:
     elem_bytes: int
     index_base: int
     index_bytes: int = 4
-    scaled: bool = True
 
     def __post_init__(self) -> None:
         check_positive("num_elements", self.num_elements)
@@ -142,8 +141,7 @@ class IndirectStream:
             raise ConfigurationError(
                 f"expected {self.num_elements} indices, got {len(indices)}"
             )
-        scale = self.elem_bytes if self.scaled else 1
-        return self.base + indices.astype(np.int64) * scale
+        return self.base + indices.astype(np.int64) * self.elem_bytes
 
     def index_addresses(self) -> np.ndarray:
         """Byte address of every index in the in-memory index array."""

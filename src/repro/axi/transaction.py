@@ -25,13 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, Tuple
 
-from repro.axi.pack import (
-    DEFAULT_LAYOUT,
-    PLAIN_AXI4_FIELD,
-    PackMode,
-    PackUserField,
-    PackUserLayout,
-)
+from repro.axi.pack import PLAIN_AXI4_FIELD, PackMode, PackUserField
 from repro.axi.types import check_burst_len_legal
 from repro.errors import ConfigurationError, ProtocolError
 from repro.utils.math import ceil_div
@@ -206,12 +200,12 @@ class BusRequest:
         return (end - start) * self.elem_bytes
 
     # ------------------------------------------------------------ validation
-    def validate(self, layout: PackUserLayout = DEFAULT_LAYOUT) -> None:
+    def validate(self) -> None:
         """Check AXI4 / AXI-Pack legality rules; raise ProtocolError if broken."""
         if self.is_packed:
             check_burst_len_legal(self.num_beats)
             # Round-trip the user field to make sure it is encodable.
-            self.pack.encode(layout)
+            self.pack.encode()
             if self.pack.mode is PackMode.INDIRECT and self.index_base < 0:
                 raise ProtocolError("indirect bursts need a non-negative index base")
         elif self.contiguous:

@@ -33,6 +33,7 @@ from repro.controller.base_converter import BaseAxi4Converter
 from repro.controller.converter import Converter
 from repro.controller.indirect_read import IndirectReadConverter
 from repro.controller.indirect_write import IndirectWriteConverter
+from repro.controller.lanes import _ActiveWriteBurst
 from repro.controller.strided_read import StridedReadConverter
 from repro.controller.strided_write import StridedWriteConverter
 from repro.errors import ProtocolError, SimulationError
@@ -133,9 +134,12 @@ class AxiPackAdapter:
             (self.indirect_read.step, self.indirect_read._index.bursts),
             (self.indirect_write.step, self.indirect_write._index.bursts),
         ]
-        #: write converters in AW-acceptance order still owed W beats;
-        #: ``None`` for a lost burst, whose beats are discarded
-        self._w_routing: Deque[Tuple[Optional[Converter], int]] = deque()
+        #: ``(converter, burst record)`` of every write burst still owed W
+        #: beats, in AW-acceptance order; a lost burst's converter is
+        #: ``None``, and its beats are discarded
+        self._w_routing: Deque[
+            Tuple[Optional[Converter], _ActiveWriteBurst]
+        ] = deque()
         #: whether a fault plan may lose bursts on this channel, so that
         #: fault-free runs skip :meth:`BankedMemory.loses` per request
         self._may_lose = not memory.fault_free()
@@ -271,27 +275,28 @@ class AxiPackAdapter:
             request = aw._storage[0]
             if self._may_lose and self.memory.loses(request):
                 aw.pop()
-                self._w_routing.append((None, request.num_beats))
+                self._w_routing.append((None, _ActiveWriteBurst(request, None)))
             else:
                 converter = self._write_converter_for(request)
                 if converter.can_accept_write(request):
-                    converter.accept_write(aw.pop())
-                    self._w_routing.append((converter, request.num_beats))
+                    burst = converter.accept_write(aw.pop())
+                    self._w_routing.append((converter, burst))
                     self._open_write_bursts += 1
                     self._c_aw_accepted.value += 1
 
     def _route_w_data(self) -> None:
+        """Hand the next W beat to the oldest burst still owed data."""
         if not self._w_routing or not self._w._storage:
             return
-        converter, beats_left = self._w_routing[0]
-        beat = self._w.pop()
-        if converter is not None:
-            converter.take_w_beat(beat.data)
-        self._c_w_beats.value += 1
-        if beats_left - 1 == 0:
+        converter, burst = self._w_routing[0]
+        beat = burst.w_beats_received
+        burst.w_beats_received = beat + 1
+        if beat + 1 == burst.request.num_beats:
             self._w_routing.popleft()
-        else:
-            self._w_routing[0] = (converter, beats_left - 1)
+        data = self._w.pop().data
+        if converter is not None:
+            converter.take_w_beat(burst, beat, data)
+        self._c_w_beats.value += 1
 
     # ----------------------------------------------------------------- issue
     def _issue_words(self, cycle: int) -> int:

@@ -17,6 +17,7 @@ from repro.controller.converter import MAX_OPEN_BURSTS, Converter
 from repro.controller.lanes import (
     LaneReadPipe,
     LaneWritePipe,
+    _ActiveWriteBurst,
     batch_contiguous,
     batch_narrow,
 )
@@ -59,15 +60,18 @@ class BaseAxi4Converter(Converter):
             return False
         return len(self._writes._bursts) < MAX_OPEN_BURSTS
 
-    def accept_write(self, request: BusRequest) -> None:
+    def accept_write(self, request: BusRequest) -> _ActiveWriteBurst:
         kernel = batch_contiguous if request.contiguous else batch_narrow
-        self._writes.accept(
+        burst = self._writes.accept(
             request, kernel(request, self._word_bytes, self._bus_words)
         )
         self._c_write_bursts.value += 1
+        return burst
 
-    def take_w_beat(self, payload: bytes) -> None:
-        self._writes.take_w_beat(payload)
+    def take_w_beat(
+        self, burst: _ActiveWriteBurst, beat: int, payload: bytes
+    ) -> None:
+        self._writes.arm_beat(burst.batch, beat, payload, burst)
 
     # ----------------------------------------------------------------- cycle
     def issue(self, free_ports: int, out: List[Deque[tuple]]) -> int:

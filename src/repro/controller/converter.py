@@ -7,6 +7,7 @@ from typing import Deque, List, Optional, Tuple
 
 from repro.axi.signals import BBeat, RBeat
 from repro.axi.transaction import BusRequest
+from repro.controller.lanes import _ActiveWriteBurst
 from repro.mem.banked import BankedMemory
 
 #: How many accepted-but-unfinished bursts a write converter (and either
@@ -44,12 +45,15 @@ class Converter(abc.ABC):
         """True if the converter can take this write burst now."""
         return False
 
-    def accept_write(self, request: BusRequest) -> None:
-        """Take ownership of a write burst."""
+    def accept_write(self, request: BusRequest) -> _ActiveWriteBurst:
+        """Take ownership of a write burst; return the burst's record, which
+        the adapter's W routing hands back with each of its W beats."""
         raise NotImplementedError(f"{self.name} does not handle writes")
 
-    def take_w_beat(self, payload: bytes) -> None:
-        """Deliver one W data beat for the oldest accepted write burst."""
+    def take_w_beat(
+        self, burst: _ActiveWriteBurst, beat: int, payload: bytes
+    ) -> None:
+        """Take W data beat ``beat`` of an accepted write burst."""
         raise NotImplementedError(f"{self.name} does not consume W data")
 
     # ----------------------------------------------------------------- cycle

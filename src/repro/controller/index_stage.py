@@ -22,6 +22,7 @@ from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
+from repro.axi.pack import INDEX_DTYPES
 from repro.axi.transaction import BusRequest
 from repro.axi.types import Resp
 from repro.controller.lanes import (
@@ -33,8 +34,6 @@ from repro.controller.lanes import (
 from repro.mem.banked import BankedMemory
 from repro.mem.storage import MemoryStorage
 from repro.sim.stats import StatsRegistry
-
-_INDEX_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
 #: Prebound: compared once per completed index line.
 _RESP_OKAY = Resp.OKAY
@@ -55,7 +54,7 @@ def read_index_oracle(storage: MemoryStorage, request: BusRequest) -> np.ndarray
     oracle must yield deterministic values instead of raising.
     """
     index_bytes = request.pack.index_bytes
-    dtype = _INDEX_DTYPES[index_bytes]
+    dtype = INDEX_DTYPES[index_bytes]
     num = request.num_elements
     base = request.index_base
     size = storage.size_bytes
@@ -155,18 +154,18 @@ class IndexStage:
         """
         pipe = self.pipe
         while True:
-            ready = pipe.pop_ready_beat()
-            if ready is None:
+            line = pipe.pop_ready_r_beat()
+            if line is None:
                 return
-            useful, data, request, resp = ready
-            burst = self._by_txn.get(request.txn_id)
+            burst = self._by_txn.get(line.txn_id)
             if burst is not None:
-                index_bytes = request.pack.index_bytes
+                index_bytes = burst.request.pack.index_bytes
                 pos = burst.oracle_pos
-                count = useful // index_bytes
+                count = line.useful_bytes // index_bytes
                 burst.oracle_pos = pos + count
+                resp = line.resp
                 if resp is _RESP_OKAY:
-                    values = np.frombuffer(data, dtype=_INDEX_DTYPES[index_bytes])
+                    values = np.frombuffer(line.data, dtype=INDEX_DTYPES[index_bytes])
                 else:
                     values = self._note_index_fault(burst, resp)[pos : pos + count]
                 burst.index_list.extend(values.tolist())

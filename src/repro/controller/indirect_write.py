@@ -15,7 +15,7 @@ from repro.axi.signals import BBeat
 from repro.axi.transaction import BusRequest
 from repro.controller.converter import MAX_OPEN_BURSTS, Converter
 from repro.controller.index_stage import IndexStage
-from repro.controller.lanes import LaneWritePipe
+from repro.controller.lanes import LaneWritePipe, _ActiveWriteBurst
 from repro.mem.banked import BankedMemory
 from repro.sim.stats import StatsRegistry
 
@@ -39,11 +39,14 @@ class IndirectWriteConverter(Converter):
             return False
         return len(self._index.bursts) < MAX_OPEN_BURSTS
 
-    def accept_write(self, request: BusRequest) -> None:
-        self._index.accept(request, self._write_pipe.accept(request, None))
+    def accept_write(self, request: BusRequest) -> _ActiveWriteBurst:
+        burst = self._write_pipe.accept(request, None)
+        self._index.accept(request, burst)
+        return burst
 
-    def take_w_beat(self, payload: bytes) -> None:
-        self._write_pipe.take_w_beat(payload)
+    def take_w_beat(
+        self, burst: _ActiveWriteBurst, beat: int, payload: bytes
+    ) -> None:
         self._payloads.append(bytes(payload))
 
     # ----------------------------------------------------------------- cycle

@@ -33,11 +33,11 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import cycle, islice
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Sequence
 
 import numpy as np
 
-from repro.axi.signals import BBeat, RBeat
+from repro.axi.signals import BBeat, RBeat, new_beat
 from repro.axi.transaction import BusRequest
 from repro.axi.types import Resp
 from repro.errors import ProtocolError, SimulationError
@@ -617,9 +617,9 @@ class LaneReadPipe(_LanePipe):
                 f"{self.name}: beat completed before all slots were issued"
             )
 
-    def pop_ready_beat(self) -> Optional[Tuple[int, bytes, BusRequest, Resp]]:
-        """Return ``(useful_bytes, data, request, resp)`` for the oldest beat
-        if complete, removing it from the pipe."""
+    def pop_ready_r_beat(self) -> Optional[RBeat]:
+        """Return the oldest beat as an R-channel beat if it is complete,
+        removing it from the pipe."""
         beats = self._beats
         if not beats:
             return None
@@ -628,35 +628,16 @@ class LaneReadPipe(_LanePipe):
             return None
         beats.popleft()
         self._check_issued(batch, k)
+        resps = batch.beat_resp
         # The assembly buffer is complete and never written again, so it is
         # handed out without a defensive copy.
-        resps = batch.beat_resp
-        return (
-            batch.beat_useful[k],
+        return new_beat(RBeat, (
+            request.txn_id,
             batch.beat_data[k],
-            request,
+            batch.beat_useful[k],
+            batch.beat_last[k],
             _RESP_OKAY if resps is None else resps[k],
-        )
-
-    def pop_ready_r_beat(self) -> Optional[RBeat]:
-        """Like :meth:`pop_ready_beat` but wrapped as an R-channel beat."""
-        beats = self._beats
-        if not beats:
-            return None
-        batch, k, request = beats[0]
-        if batch.beat_remaining[k]:
-            return None
-        beats.popleft()
-        self._check_issued(batch, k)
-        resps = batch.beat_resp
-        return RBeat(
-            txn_id=request.txn_id,
-            # Complete and never written again — no defensive copy.
-            data=batch.beat_data[k],
-            useful_bytes=batch.beat_useful[k],
-            last=batch.beat_last[k],
-            resp=_RESP_OKAY if resps is None else resps[k],
-        )
+        ))
 
     # ------------------------------------------------------------------ state
     def busy(self) -> bool:
@@ -671,8 +652,11 @@ class LaneReadPipe(_LanePipe):
 class _ActiveWriteBurst:
     """Book-keeping for one write burst travelling through a LaneWritePipe.
 
-    ``resp`` accumulates the worst response of the burst's retired beats
-    and becomes the B response when the burst completes.
+    The adapter's W routing holds the record of every burst still owed W
+    data, and counts each W beat it routes in ``w_beats_received`` (a burst
+    a fault plan loses has a record there and no pipe).  ``resp``
+    accumulates the worst response of the burst's retired beats and becomes
+    the B response when the burst completes.
     """
 
     __slots__ = ("request", "batch", "w_beats_received", "beats_completed",
@@ -700,20 +684,19 @@ class LaneWritePipe(_LanePipe):
 
     Bursts planned up front (strided / contiguous / narrow) carry one
     whole-burst :class:`SlotBatch` built at acceptance; each beat is *armed*
-    when its W data arrives, which is when its slot range joins the issue
-    queue and ``(batch, beat index, burst)`` joins ``_beats``.  Indirect
+    (:meth:`arm_beat`) when its W data arrives, which is when its slot range
+    joins the issue queue and ``(batch, beat index, burst)`` joins
+    ``_beats``.  Indirect
     bursts pass ``batch=None`` and add armed single-beat batches explicitly
-    once indices and payload are both known.
+    once indices and payload are both known.  Which burst a W beat belongs
+    to is the adapter's W routing's business, not the pipe's.
     """
 
-    __slots__ = ("_bursts", "_owed")
+    __slots__ = ("_bursts",)
 
     def __init__(self, name: str, config: BankedMemoryConfig) -> None:
         super().__init__(name, config)
         self._bursts: Deque[_ActiveWriteBurst] = deque()
-        #: the bursts still owed W data, oldest first: W beats arrive in
-        #: burst order, so these are always the newest of ``_bursts``
-        self._owed: Deque[_ActiveWriteBurst] = deque()
 
     # -------------------------------------------------------------- planning
     def accept(
@@ -724,22 +707,6 @@ class LaneWritePipe(_LanePipe):
             self._plan(batch)
         burst = _ActiveWriteBurst(request, batch)
         self._bursts.append(burst)
-        self._owed.append(burst)
-        return burst
-
-    def take_w_beat(self, payload: bytes) -> Optional[_ActiveWriteBurst]:
-        """Deliver one W data beat to the oldest burst still expecting data."""
-        owed = self._owed
-        if not owed:
-            return None
-        burst = owed[0]
-        beat = burst.w_beats_received
-        burst.w_beats_received = beat + 1
-        if beat + 1 == burst.request.num_beats:
-            owed.popleft()
-        batch = burst.batch
-        if batch is not None:
-            self._arm_beat(batch, beat, payload, burst)
         return burst
 
     def add_beat_batch(
@@ -757,7 +724,7 @@ class LaneWritePipe(_LanePipe):
         self._plan(batch)
         if resp is not _RESP_OKAY:
             batch.beat_resp = [resp] * batch.num_beats
-        self._arm_beat(batch, 0, payload, burst)
+        self.arm_beat(batch, 0, payload, burst)
 
     def _plan(self, batch: SlotBatch) -> None:
         """Take a planned batch.  The model writes whole words only, so a
@@ -773,9 +740,11 @@ class LaneWritePipe(_LanePipe):
                     )
         batch.init_write_state()
 
-    def _arm_beat(
+    def arm_beat(
         self, batch: SlotBatch, beat: int, payload: bytes, burst: _ActiveWriteBurst
     ) -> None:
+        """Arm beat ``beat`` of ``batch``, a batch of ``burst``, with its W
+        data: its word writes join the issue queue."""
         batch.beat_payload[beat] = bytes(payload)
         self._beats.append((batch, beat, burst))
         start = batch.beat_start[beat]
@@ -792,7 +761,7 @@ class LaneWritePipe(_LanePipe):
         burst = self._bursts[0]
         if burst.all_w_received and burst.complete:
             self._bursts.popleft()
-            return BBeat(txn_id=burst.request.txn_id, resp=burst.resp)
+            return new_beat(BBeat, (burst.request.txn_id, burst.resp))
         return None
 
     def _retire_completed_beats(self) -> None:
@@ -818,4 +787,3 @@ class LaneWritePipe(_LanePipe):
         """Drop all state (component reset)."""
         super().reset()
         self._bursts.clear()
-        self._owed.clear()

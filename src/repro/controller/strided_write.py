@@ -13,7 +13,7 @@ from repro.axi.pack import PackMode
 from repro.axi.signals import BBeat
 from repro.axi.transaction import BusRequest
 from repro.controller.converter import MAX_OPEN_BURSTS, Converter
-from repro.controller.lanes import LaneWritePipe, batch_strided
+from repro.controller.lanes import LaneWritePipe, _ActiveWriteBurst, batch_strided
 from repro.mem.banked import BankedMemory
 from repro.sim.stats import StatsRegistry
 
@@ -31,15 +31,18 @@ class StridedWriteConverter(Converter):
             return False
         return len(self._pipe._bursts) < MAX_OPEN_BURSTS
 
-    def accept_write(self, request: BusRequest) -> None:
+    def accept_write(self, request: BusRequest) -> _ActiveWriteBurst:
         config = self.config
-        self._pipe.accept(
+        burst = self._pipe.accept(
             request, batch_strided(request, config.word_bytes, config.num_ports)
         )
         self._c_bursts.value += 1
+        return burst
 
-    def take_w_beat(self, payload: bytes) -> None:
-        self._pipe.take_w_beat(payload)
+    def take_w_beat(
+        self, burst: _ActiveWriteBurst, beat: int, payload: bytes
+    ) -> None:
+        self._pipe.arm_beat(burst.batch, beat, payload, burst)
 
     def issue(self, free_ports: int, out: List[Deque[tuple]]) -> int:
         return self._pipe.issue(free_ports, out)

@@ -17,7 +17,7 @@ import numpy as np
 
 from typing import Optional
 
-from repro.axi.pack import PackMode
+from repro.axi.pack import INDEX_DTYPES, PackMode
 from repro.axi.stream import IndirectStream, Stream
 from repro.axi.transaction import BusRequest
 from repro.errors import MemoryAccessError, ProtocolError
@@ -36,11 +36,9 @@ def stream_element_addresses(storage: MemoryStorage,
     register-indexed ops on the BASE system) resolves.
     """
     if isinstance(stream, IndirectStream):
-        index_dtype = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}[
-            stream.index_bytes
-        ]
         indices = storage.read_array(
-            stream.index_base, stream.num_elements, index_dtype
+            stream.index_base, stream.num_elements,
+            INDEX_DTYPES[stream.index_bytes],
         )
         return stream.element_addresses(indices)
     return stream.element_addresses()
@@ -56,11 +54,9 @@ def element_addresses(storage: MemoryStorage, request: BusRequest) -> np.ndarray
         stride_bytes = request.pack.stride_elems * request.elem_bytes
         return request.addr + np.arange(request.num_elements, dtype=np.int64) * stride_bytes
     if request.mode is PackMode.INDIRECT:
-        index_dtype = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}[
-            request.pack.index_bytes
-        ]
         indices = storage.read_array(
-            request.index_base, request.num_elements, index_dtype
+            request.index_base, request.num_elements,
+            INDEX_DTYPES[request.pack.index_bytes],
         ).astype(np.int64)
         return request.addr + indices * request.elem_bytes
     if request.contiguous or request.is_narrow:

@@ -39,7 +39,7 @@ event-vs-naive parity check also checks the step.
 from __future__ import annotations
 
 from repro.axi.pack import PackMode
-from repro.axi.signals import BBeat, RBeat, WBeat
+from repro.axi.signals import BBeat, RBeat, new_beat
 from repro.axi.types import Resp
 from repro.controller.adapter import BankedChannel
 from repro.controller.base_converter import _MAX_PENDING_READ_BEATS
@@ -212,12 +212,11 @@ class StreamStep:
         bus_bytes = vector._bus_bytes
         r_data = r_index = w_useful = 0
 
-        # ---- AXI port queues.  Inside the window an R beat is a (txn_id,
-        # data, useful_bytes, last, resp) tuple, a W beat a (data,
-        # useful_bytes, last) tuple and a B beat a (txn_id, resp) tuple; the
-        # beats left at the end become RBeats, WBeats and BBeats again.  A
-        # cycle's pushes wait in locals until its commit, so ``_incoming``
-        # stays empty and each queue's count is its length.
+        # ---- AXI port queues.  Beats are read by position: an RBeat is
+        # (txn_id, data, useful_bytes, last, resp), a WBeat (data,
+        # useful_bytes, last) and a BBeat (txn_id, resp).  A cycle's pushes
+        # wait in locals until its commit, so ``_incoming`` stays empty and
+        # each queue's count is its length.
         ar_depth = ar.depth
         aw_depth = aw.depth
         w = port.w
@@ -229,19 +228,6 @@ class StreamStep:
         b = port.b
         b_store = b._storage
         b_depth = b.depth
-        if r_store:
-            beats = [(beat.txn_id, beat.data, beat.useful_bytes, beat.last,
-                      beat.resp) for beat in r_store]
-            r_store.clear()
-            r_store.extend(beats)
-        if w_store:
-            beats = [(beat.data, beat.useful_bytes, beat.last) for beat in w_store]
-            w_store.clear()
-            w_store.extend(beats)
-        if b_store:
-            beats = [(beat.txn_id, beat.resp) for beat in b_store]
-            b_store.clear()
-            b_store.extend(beats)
         #: what the vector engine pushes and the adapter emits this cycle,
         #: held until the cycle's commit (which resets them)
         push = aw_push = w_push = emitted = b_emit = None
@@ -279,7 +265,6 @@ class StreamStep:
         s_unissued = s_pipe._unissued
         bw_pipe = base._writes
         bw_bursts = bw_pipe._bursts
-        bw_owed = bw_pipe._owed
         bw_unissued = bw_pipe._unissued
         sw_pipe = strided_write._pipe
         sw_bursts = sw_pipe._bursts
@@ -421,17 +406,15 @@ class StreamStep:
                     if backlog and len(w_store) < w_depth:
                         # VectorEngine._push_w_data, once the burst's AW
                         # was pushed
-                        request, k, chunk, nbytes = backlog[0]
-                        w_txn = request.txn_id
-                        owner = by_txn[w_txn]
-                        if owner.positions[w_txn] < owner.next_request:
+                        owner, position, w_beat = backlog[0]
+                        if position < owner.next_request:
+                            nbytes = w_beat[1]
                             if not 0 <= nbytes <= bus_bytes:
                                 raise SimulationError(
                                     f"{vector.name}: W beat of {nbytes} useful "
                                     f"bytes on a {bus_bytes}-byte bus"
                                 )
-                            w_push = (chunk.ljust(request.bus_bytes, b"\0"),
-                                      nbytes, k == request.num_beats - 1)
+                            w_push = w_beat
                             backlog.popleft()
                             touched = True
                             w_pushed += 1
@@ -540,10 +523,10 @@ class StreamStep:
                                 accepted = len(sw_bursts) < MAX_OPEN_BURSTS
                                 if accepted:
                                     aw_store.popleft()
-                                    strided_write.accept_write(request)
-                                    w_routing.append(
-                                        (strided_write, request.num_beats)
-                                    )
+                                    w_routing.append((
+                                        strided_write,
+                                        strided_write.accept_write(request),
+                                    ))
                             elif len(bw_bursts) < MAX_OPEN_BURSTS:
                                 accepted = True
                                 aw_store.popleft()
@@ -564,12 +547,12 @@ class StreamStep:
                                     batch.beat_payload = [None]
                                     burst = _ActiveWriteBurst(request, batch)
                                     bw_bursts.append(burst)
-                                    bw_owed.append(burst)
-                                    w_routing.append((base, 1))
+                                    w_routing.append((base, burst))
                                     narrow_writes += 1
                                 else:
-                                    base.accept_write(request)
-                                    w_routing.append((base, request.num_beats))
+                                    w_routing.append(
+                                        (base, base.accept_write(request))
+                                    )
                             else:
                                 accepted = False
                             if accepted:
@@ -577,23 +560,16 @@ class StreamStep:
                                 open_writes += 1
                                 aw_popped += 1
                         if w_routing and w_store:
-                            # _route_w_data, LaneWritePipe.take_w_beat and
-                            # _arm_beat.  The routing head is the oldest
-                            # burst owed data, so it heads its pipe's owed
-                            # bursts too.
-                            converter, beats_left = w_routing[0]
-                            pipe = bw_pipe if converter is base else sw_pipe
-                            owed = pipe._owed
-                            burst = owed[0]
-                            if beats_left == 1:
-                                w_routing.popleft()
-                                owed.popleft()
-                            else:
-                                w_routing[0] = (converter, beats_left - 1)
+                            # _route_w_data and LaneWritePipe.arm_beat (no
+                            # burst is lost without a fault plan)
+                            converter, burst = w_routing[0]
                             k = burst.w_beats_received
                             burst.w_beats_received = k + 1
+                            if k + 1 == burst.request.num_beats:
+                                w_routing.popleft()
                             batch = burst.batch
                             batch.beat_payload[k] = w_store.popleft()[0]
+                            pipe = bw_pipe if converter is base else sw_pipe
                             pipe._beats.append((batch, k, burst))
                             start = batch.beat_start[k]
                             end = batch.beat_start[k + 1]
@@ -697,11 +673,11 @@ class StreamStep:
                             resps = batch.beat_resp
                             useful = batch.beat_useful[k]
                             last_beat = batch.beat_last[k]
-                            emitted = (
+                            emitted = new_beat(RBeat, (
                                 request.txn_id, batch.beat_data[k], useful,
                                 last_beat,
                                 _RESP_OKAY if resps is None else resps[k],
-                            )
+                            ))
                             touched = True
                             r_pushed += 1
                             emitted_bytes += useful
@@ -735,7 +711,7 @@ class StreamStep:
                                 request = burst.request
                                 if burst.beats_completed >= request.num_beats:
                                     bursts.popleft()
-                                    b_emit = (request.txn_id, burst.resp)
+                                    b_emit = new_beat(BBeat, (request.txn_id, burst.resp))
                                     touched = True
                                     b_pushed += 1
                                     open_writes -= 1
@@ -887,18 +863,6 @@ class StreamStep:
             elif moved:
                 quiet = t
             act += moved
-        if r_store:
-            beats = [RBeat(*beat) for beat in r_store]
-            r_store.clear()
-            r_store.extend(beats)
-        if w_store:
-            beats = [WBeat(*beat) for beat in w_store]
-            w_store.clear()
-            w_store.extend(beats)
-        if b_store:
-            beats = [BBeat(*beat) for beat in b_store]
-            b_store.clear()
-            b_store.extend(beats)
         if t == cycle:
             # The first cycle already needs a real tick.
             self.retry_at = cycle + 1

@@ -290,10 +290,11 @@ class AraProgramBuilder:
         return self._add(op, writes=(dest,), reads=(index_reg,))
 
     def vlimxei32(self, dest: str, base: int, index_base: int, count: int,
-                  index_bytes: int = 4, label: str = "") -> int:
-        """In-memory-indexed gather (AXI-Pack extension): indices stay in memory."""
+                  label: str = "") -> int:
+        """In-memory-indexed gather (AXI-Pack extension): indices stay in
+        memory, 32 bits each."""
         stream = IndirectStream(base=base, num_elements=count, elem_bytes=4,
-                                index_base=index_base, index_bytes=index_bytes)
+                                index_base=index_base, index_bytes=4)
         op = VectorLoad(op_id=self._next_id(), mnemonic=Mnemonic.VLIMXEI32,
                         deps=self._deps_for((), (dest,)), label=label,
                         stream=stream, dest=dest, dtype="float32",
@@ -338,10 +339,11 @@ class AraProgramBuilder:
         return self._store(op, reads=(src, index_reg))
 
     def vsimxei32(self, src: str, base: int, index_base: int, count: int,
-                  index_bytes: int = 4, ordered: bool = False, label: str = "") -> int:
-        """In-memory-indexed scatter (AXI-Pack extension)."""
+                  ordered: bool = False, label: str = "") -> int:
+        """In-memory-indexed scatter (AXI-Pack extension) through 32-bit
+        indices."""
         stream = IndirectStream(base=base, num_elements=count, elem_bytes=4,
-                                index_base=index_base, index_bytes=index_bytes)
+                                index_base=index_base, index_bytes=4)
         op = VectorStore(op_id=self._next_id(), mnemonic=Mnemonic.VSIMXEI32,
                          deps=self._deps_for((src,), ()), label=label,
                          stream=stream, src=src, dtype="float32", ordered=ordered,

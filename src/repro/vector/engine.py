@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.axi.builder import RequestBuilder
 from repro.axi.port import AxiPort
-from repro.axi.signals import WBeat
+from repro.axi.signals import WBeat, new_beat
 from repro.axi.stream import ContiguousStream, IndirectStream, StridedStream
 from repro.axi.transaction import BusRequest
 from repro.axi.types import Resp
@@ -124,7 +124,6 @@ class _MemOpState:
         "beats_done",
         "responses_pending",
         "chunks",
-        "positions",
         "ready_cycle",
         "resp",
         "deadline",
@@ -150,19 +149,14 @@ class _MemOpState:
         self.chunks: Optional[Dict[int, List[bytes]]] = None
         # The single-request case dominates (one burst per op on most
         # workloads); skip the comprehension machinery for it.
-        if len(requests) == 1:
-            request = requests[0]
-            if is_load:
+        if is_load:
+            if len(requests) == 1:
+                request = requests[0]
                 self.total_beats = request.num_beats
                 self.chunks = {request.txn_id: []}
-            self.positions: Dict[int, int] = {request.txn_id: 0}
-        else:
-            if is_load:
+            else:
                 self.total_beats = sum(request.num_beats for request in requests)
                 self.chunks = {request.txn_id: [] for request in requests}
-            self.positions = {
-                request.txn_id: index for index, request in enumerate(requests)
-            }
         self.ready_cycle = 0  #: address generation done, requests may be issued
         self.resp = _RESP_OKAY  #: worst in-band response seen on any beat
         self.deadline: Optional[int] = None  #: watchdog expiry (None = unarmed)
@@ -294,8 +288,10 @@ class VectorEngine(Component):
         #: gates the per-tick scan over the active memory ops
         self._unissued_requests = 0
         self._by_txn: Dict[int, _MemOpState] = {}
-        #: pending W beats: (request, beat index, payload chunk, useful)
-        self._w_backlog: Deque[Tuple[BusRequest, int, bytes, int]] = deque()
+        #: pending W beats, oldest first: (store, position of the beat's
+        #: request in the store's requests, the beat); a beat may go once
+        #: its request's AW was pushed
+        self._w_backlog: Deque[Tuple[_MemOpState, int, WBeat]] = deque()
         self._pending_computes: List = []
         self._scheduled_computes: set = set()
         self._alu_busy_until = 0
@@ -522,12 +518,11 @@ class VectorEngine(Component):
     # ------------------------------------------------------------ memory ops
     def _try_dispatch_memory(self, op: VectorOp, cycle: int) -> bool:
         is_load = isinstance(op, VectorLoad)
-        # Ordered (fenced) accesses wait for all outstanding memory traffic.
-        if getattr(op, "ordered", False) and (self._active_loads or self._active_stores):
+        # An ordered (fenced) store waits for all outstanding memory
+        # traffic, and nothing dispatches past one in flight.
+        if not is_load and op.ordered and (self._active_loads or self._active_stores):
             return False
-        if any(s.op.ordered for s in self._active_stores) or any(
-            load.op.ordered for load in self._active_loads
-        ):
+        if any(s.op.ordered for s in self._active_stores):
             return False
         active = self._active_loads if is_load else self._active_stores
         limit = MAX_OUTSTANDING_LOADS if is_load else MAX_OUTSTANDING_STORES
@@ -591,19 +586,24 @@ class VectorEngine(Component):
             )
         offset = 0
         backlog = self._w_backlog
-        for request in state.requests:
+        for position, request in enumerate(state.requests):
+            bus_bytes = request.bus_bytes
             num_beats = request.num_beats
             if num_beats == 1 and not request.contiguous:
                 # A single packed or narrow beat carries the whole payload.
                 useful = request.payload_bytes
-                backlog.append((request, 0, payload[offset : offset + useful], useful))
+                chunk = payload[offset : offset + useful]
                 offset += useful
+                backlog.append((state, position, new_beat(
+                    WBeat, (chunk.ljust(bus_bytes, b"\0"), useful, True))))
                 continue
+            last = num_beats - 1
             for beat in range(num_beats):
                 useful = request.beat_useful_bytes(beat)
                 chunk = payload[offset : offset + useful]
                 offset += useful
-                backlog.append((request, beat, chunk, useful))
+                backlog.append((state, position, new_beat(
+                    WBeat, (chunk.ljust(bus_bytes, b"\0"), useful, beat == last))))
 
     # ---------------------------------------------------------- AXI channels
     def _push_requests(self, cycle: int) -> None:
@@ -633,20 +633,17 @@ class VectorEngine(Component):
     def _push_w_data(self, cycle: int) -> None:
         if not self._w_backlog or not self.port.w.can_push():
             return
-        request, beat, chunk, useful = self._w_backlog[0]
-        owner = self._by_txn[request.txn_id]
+        store, position, beat = self._w_backlog[0]
         # W data may only flow for requests whose AW has been issued.
-        if owner.positions[request.txn_id] >= owner.next_request:
+        if position >= store.next_request:
             return
+        useful = beat.useful_bytes
         if not 0 <= useful <= self._bus_bytes:
             raise SimulationError(
                 f"{self.name}: W beat of {useful} useful bytes on a "
                 f"{self._bus_bytes}-byte bus"
             )
-        padded = chunk.ljust(request.bus_bytes, b"\0")
-        self.port.w.push(
-            WBeat(data=padded, useful_bytes=useful, last=beat == request.num_beats - 1)
-        )
+        self.port.w.push(beat)
         self.w_beats += 1
         self.w_useful_bytes += useful
         self._w_backlog.popleft()
@@ -741,12 +738,14 @@ class VectorEngine(Component):
         zero-fill in :meth:`_finish_load` sees every later escalation too.
         """
         if state.resp is _RESP_OKAY:
+            addr = next(request.addr for request in state.requests
+                        if request.txn_id == txn_id)
             self.faults.append(
                 BusFault(
                     engine=self.name,
                     op_index=state.op.op_id,
                     kind="load" if state.is_load else "store",
-                    addr=state.requests[state.positions[txn_id]].addr,
+                    addr=addr,
                     resp=resp.name,
                     cycle=cycle,
                 )
@@ -803,9 +802,8 @@ class VectorEngine(Component):
         if unissued:
             self._unissued_requests -= unissued
         if self._w_backlog:
-            txns = {request.txn_id for request in state.requests}
             self._w_backlog = deque(
-                entry for entry in self._w_backlog if entry[0].txn_id not in txns
+                entry for entry in self._w_backlog if entry[0] is not state
             )
         (self._active_loads if state.is_load else self._active_stores).remove(state)
         self._dispatch_blocked = False

@@ -53,7 +53,6 @@ class VectorLoad(VectorOp):
     dest: str = "v0"
     dtype: str = "float32"
     kind: str = "data"        #: "data" or "index" — used to split bus traffic
-    ordered: bool = False     #: if True, acts as a memory fence
     uses_in_memory_indices: bool = False  #: True for vlimxei (AXI-Pack only)
     index_values_reg: Optional[str] = None  #: register holding indices (vluxei)
 
@@ -71,7 +70,7 @@ class VectorStore(VectorOp):
     stream: Optional[Stream] = None
     src: str = "v0"
     dtype: str = "float32"
-    ordered: bool = False
+    ordered: bool = False     #: if True, acts as a memory fence
     uses_in_memory_indices: bool = False
     index_values_reg: Optional[str] = None
 

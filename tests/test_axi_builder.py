@@ -8,6 +8,8 @@ from repro.axi.builder import RequestBuilder
 from repro.axi.pack import PackMode
 from repro.axi.stream import ContiguousStream, IndirectStream, StridedStream
 from repro.errors import ConfigurationError
+from repro.mem.functional import element_addresses, stream_element_addresses
+from repro.mem.storage import MemoryStorage
 
 
 @pytest.fixture
@@ -99,6 +101,21 @@ class TestPackLowering:
         requests = builder.pack_strided(over, is_write=False)
         assert [r.num_elements for r in requests] == [2048, 1]
         assert requests[1].addr == 2048 * over.stride_bytes
+
+    def test_indirect_reads_the_elements_base_lowering_reads(self, builder):
+        """BASE resolves register indices into narrow bursts; PACK leaves
+        them in memory and the controller shifts each by the element size
+        (Fig. 2d).  Both address the same elements."""
+        stream = IndirectStream(base=0x1000, num_elements=4, elem_bytes=4,
+                                index_base=0x2000, index_bytes=4)
+        indices = np.asarray([0, 4, 8, 12], dtype=np.uint32)
+        storage = MemoryStorage(1 << 14)
+        storage.write_array(0x2000, indices)
+        base = [r.addr for r in builder.base_indexed(stream, indices, False)]
+        (packed,) = builder.pack_indirect(stream, is_write=False)
+        assert base == [0x1000, 0x1010, 0x1020, 0x1030]
+        assert list(element_addresses(storage, packed)) == base
+        assert list(stream_element_addresses(storage, stream)) == base
 
     def test_indirect_split_advances_index_base(self, builder):
         stream = IndirectStream(base=0, num_elements=5000, elem_bytes=4,

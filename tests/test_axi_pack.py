@@ -1,15 +1,19 @@
 """Unit tests for the AXI-Pack user-field encoding (paper Fig. 1)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.axi.pack import (
+    INDEX_DTYPES,
     INDEX_SIZE_CODES,
+    OFFSET_BITS,
+    STRIDE_BITS,
+    USER_BITS,
     PackMode,
     PackUserField,
-    PackUserLayout,
 )
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ProtocolError
 
 
 class TestPackMode:
@@ -21,13 +25,16 @@ class TestPackMode:
 
 class TestLayout:
     def test_total_bits(self):
-        layout = PackUserLayout(stride_bits=24, offset_bits=28)
-        assert layout.payload_bits == 30
-        assert layout.total_bits == 32
+        """Fig. 1: 24 stride bits, or a 2-bit size code and 28 offset bits,
+        after the pack and indir bits make a 32-bit user signal."""
+        assert (STRIDE_BITS, OFFSET_BITS, USER_BITS) == (24, 28, 32)
+        assert USER_BITS == 2 + max(STRIDE_BITS, 2 + OFFSET_BITS)
 
-    def test_rejects_zero_width(self):
-        with pytest.raises(ConfigurationError):
-            PackUserLayout(stride_bits=0)
+    def test_index_dtypes_cover_every_index_size(self):
+        assert set(INDEX_DTYPES) == set(INDEX_SIZE_CODES)
+        for size, dtype in INDEX_DTYPES.items():
+            assert np.dtype(dtype).itemsize == size
+            assert np.dtype(dtype).kind == "u"
 
 
 class TestEncodeDecode:
@@ -78,14 +85,12 @@ class TestEncodeDecode:
             field.encode()
 
     def test_stride_overflow_rejected(self):
-        layout = PackUserLayout(stride_bits=4, offset_bits=4)
-        with pytest.raises(ProtocolError):
-            PackUserField.strided(100).encode(layout)
+        with pytest.raises(ProtocolError, match="does not fit in 24 bits"):
+            PackUserField.strided(1 << STRIDE_BITS).encode()
 
     def test_offset_overflow_rejected(self):
-        layout = PackUserLayout(stride_bits=4, offset_bits=4)
-        with pytest.raises(ProtocolError):
-            PackUserField.indirect(4, 4 * 1000).encode(layout)
+        with pytest.raises(ProtocolError, match="does not fit in 28 bits"):
+            PackUserField.indirect(4, 4 << OFFSET_BITS).encode()
 
     def test_negative_user_word_rejected(self):
         with pytest.raises(ProtocolError):
@@ -105,5 +110,13 @@ class TestEncodeDecode:
         assert decoded.index_base_addr == base
 
     def test_fits_in_32_bit_user_signal(self):
-        layout = PackUserLayout()
-        assert layout.total_bits <= 32
+        """The widest stride and the widest 8-byte-index offset both fit,
+        and decode back unchanged."""
+        widest = [
+            PackUserField.strided((1 << STRIDE_BITS) - 1),
+            PackUserField.indirect(8, 8 * ((1 << OFFSET_BITS) - 1)),
+        ]
+        for field in widest:
+            word = field.encode()
+            assert word < 1 << USER_BITS
+            assert PackUserField.decode(word) == field

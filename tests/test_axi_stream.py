@@ -61,12 +61,6 @@ class TestIndirectStream:
         indices = np.asarray([0, 10, 2])
         assert list(stream.element_addresses(indices)) == [0x1000, 0x1028, 0x1008]
 
-    def test_unscaled_addresses(self):
-        stream = IndirectStream(base=0, num_elements=2, elem_bytes=4,
-                                index_base=0, index_bytes=4, scaled=False)
-        indices = np.asarray([16, 64])
-        assert list(stream.element_addresses(indices)) == [16, 64]
-
     def test_index_addresses(self):
         stream = IndirectStream(base=0, num_elements=4, elem_bytes=4,
                                 index_base=0x40, index_bytes=2)

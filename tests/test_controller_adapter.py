@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.axi.builder import RequestBuilder
 from repro.axi.pack import PackUserField
 from repro.axi.port import AxiPort
+from repro.axi.signals import WBeat
 from repro.axi.stream import ContiguousStream, IndirectStream, StridedStream
 from repro.axi.transaction import BusRequest
 from repro.controller.adapter import AxiPackAdapter
@@ -377,3 +378,62 @@ class TestAdapterConstruction:
         banked = BankedMemory("mem", memory, MemoryStorage(1 << 12))
         with pytest.raises(ProtocolError, match=message):
             AxiPackAdapter("adapter", AxiPort("port", port_bytes), banked)
+
+
+class TestWRouting:
+    """The adapter's W routing decides which write burst each W beat
+    belongs to: one ``(converter, burst record)`` entry per burst still
+    owed data, in AW-acceptance order."""
+
+    @staticmethod
+    def _write(addr, elems, stride=None):
+        pack = {} if stride is None else dict(pack=PackUserField.strided(stride))
+        return BusRequest(addr=addr, is_write=True, num_elements=elems,
+                          elem_bytes=4, bus_bytes=32,
+                          contiguous=stride is None, **pack)
+
+    def test_w_beats_fill_bursts_in_acceptance_order(self):
+        """Each W beat goes to the oldest burst still owed data, whichever
+        converter holds it; once every accepted burst has its beats, there
+        is no one to take more, and the spare beat stays on the channel."""
+        port = AxiPort("port", 32)
+        storage = MemoryStorage(1 << 12)
+        memory = BankedMemory("mem", BankedMemoryConfig(), storage)
+        adapter = AxiPackAdapter("adapter", port, memory)
+        requests = [
+            self._write(0x000, 16, stride=2),  # two beats, strided converter
+            self._write(0x400, 8),             # one beat, base converter
+            self._write(0x800, 8, stride=2),   # one beat, strided converter
+        ]
+        for request in requests:
+            port.aw.push(request)
+        responses = []
+
+        def run(cycles):
+            for cycle in cycles:
+                for queue in port.all_queues():
+                    queue.commit()
+                while port.b.can_pop():
+                    responses.append(port.b.pop().txn_id)
+                adapter.tick(cycle)
+                memory.tick(cycle)
+
+        run(range(3))  # one AW accepted per cycle
+        assert [(converter, burst.request)
+                for converter, burst in adapter._w_routing] == [
+            (adapter.strided_write, requests[0]),
+            (adapter.base, requests[1]),
+            (adapter.strided_write, requests[2]),
+        ]
+        bursts = [burst for _, burst in adapter._w_routing]
+        payloads = [bytes([beat + 1]) * 32 for beat in range(4)]
+        for payload in payloads + [bytes(32)]:  # one beat too many
+            port.w.push(WBeat(payload, 32, True))
+        run(range(3, 40))
+        assert [burst.w_beats_received for burst in bursts] == [2, 1, 1]
+        assert not adapter._w_routing and len(port.w) == 1
+        assert responses == [request.txn_id for request in requests]
+        elements = storage.read_array(0x000, 32, np.uint32)[::2]
+        assert elements.tobytes() == payloads[0] + payloads[1]
+        assert storage.read_bytes(0x400, 32) == payloads[2]
+        assert storage.read_array(0x800, 16, np.uint32)[::2].tobytes() == payloads[3]

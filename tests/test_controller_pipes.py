@@ -10,6 +10,7 @@ import pytest
 
 from repro.axi.pack import PackUserField
 from repro.axi.port import AxiPort
+from repro.axi.signals import RBeat
 from repro.axi.transaction import BusRequest
 from repro.axi.types import Resp
 from repro.controller.adapter import AxiPackAdapter
@@ -93,13 +94,14 @@ class TestReadPipe:
         pipe = _read_pipe(request)
         fifos = _fifos()
         assert pipe.issue(ALL_PORTS, fifos) == 0
-        assert pipe.pop_ready_beat() is None
+        assert pipe.pop_ready_r_beat() is None
         _respond(_tags(fifos), lambda port: bytes([port] * 4))
-        useful, data, req, resp = pipe.pop_ready_beat()
-        assert req is request
-        assert useful == 32
-        assert data == bytes(sum([[p] * 4 for p in range(8)], []))
-        assert resp is Resp.OKAY
+        beat = pipe.pop_ready_r_beat()
+        assert beat.txn_id == request.txn_id
+        assert beat.useful_bytes == 32
+        assert beat.data == bytes(sum([[p] * 4 for p in range(8)], []))
+        assert beat.resp is Resp.OKAY
+        assert pipe.pop_ready_r_beat() is None
 
     def test_beats_emitted_in_order(self):
         pipe = _read_pipe(_strided_request(16), queue_depth=8)
@@ -111,14 +113,16 @@ class TestReadPipe:
         second = [fifo[1] for fifo in fifos]
         # Answer the second beat's words first: nothing can be emitted yet.
         _respond(second, lambda port: b"\x01" * 4)
-        assert pipe.pop_ready_beat() is None
+        assert pipe.pop_ready_r_beat() is None
         _respond(first, lambda port: b"\x00" * 4)
-        first_beat = pipe.pop_ready_beat()
-        second_beat = pipe.pop_ready_beat()
+        first_beat = pipe.pop_ready_r_beat()
+        second_beat = pipe.pop_ready_r_beat()
         # Each beat's payload identifies it: beat 0 carries zeros.
-        assert first_beat[1] == b"\x00" * 32 and second_beat[1] == b"\x01" * 32
+        assert first_beat.data == b"\x00" * 32 and second_beat.data == b"\x01" * 32
+        assert (first_beat.last, second_beat.last) == (False, True)
 
     def test_r_beat_wrapper(self):
+        """A complete beat leaves the pipe as the R-channel record."""
         request = _strided_request(4)
         pipe = _read_pipe(request)
         fifos = _fifos()
@@ -126,9 +130,8 @@ class TestReadPipe:
         assert pipe.issue(ALL_PORTS, fifos) == 0xF0
         _respond(_tags(fifos), lambda port: b"\xAA" * 4)
         beat = pipe.pop_ready_r_beat()
-        assert beat.txn_id == request.txn_id
-        assert beat.useful_bytes == 16
-        assert beat.last
+        assert type(beat) is RBeat
+        assert beat == (request.txn_id, b"\xAA" * 16, 16, True, Resp.OKAY)
 
     def test_poisoned_beat_carries_the_error(self):
         """A word the memory answered with an error poisons its beat at
@@ -173,11 +176,18 @@ def _strided_write(stride):
     return request, pipe, burst
 
 
+def _route_w(pipe, burst, payload):
+    """Hand ``burst`` its next W beat, as the adapter's W routing does."""
+    beat = burst.w_beats_received
+    burst.w_beats_received = beat + 1
+    pipe.arm_beat(burst.batch, beat, payload, burst)
+
+
 class TestWritePipe:
     def test_write_flow_and_b_response(self):
         request, pipe, burst = _strided_write(2)
         assert not burst.all_w_received  # the burst still expects W data
-        assert pipe.take_w_beat(bytes(range(32))) is burst
+        _route_w(pipe, burst, bytes(range(32)))
         assert burst.all_w_received
         fifos = _fifos()
         assert pipe.issue(ALL_PORTS, fifos) == 0
@@ -191,26 +201,28 @@ class TestWritePipe:
         assert beat is not None and beat.txn_id == request.txn_id
         assert not pipe.busy()
 
-    def test_w_beats_fill_bursts_in_acceptance_order(self):
-        """Each W beat goes to the oldest burst still owed data; once every
-        accepted burst has its beats, there is no one to take more."""
+    def test_arming_a_beat_issues_only_its_words(self):
+        """Arming a beat queues its own word writes and nothing else: the
+        burst's second beat issues nothing until its W data arms it."""
+        request = BusRequest(addr=0, is_write=True, num_elements=16,
+                             elem_bytes=4, bus_bytes=32,
+                             pack=PackUserField.strided(2))
         pipe = LaneWritePipe("w", _config())
-        bursts = []
-        for elems in (16, 8):  # two beats, then one
-            request = BusRequest(addr=0, is_write=True, num_elements=elems,
-                                 elem_bytes=4, bus_bytes=32,
-                                 pack=PackUserField.strided(2))
-            bursts.append(pipe.accept(request, batch_strided(request, 4, 8)))
-        taken = [pipe.take_w_beat(bytes(32)) for _ in range(4)]
-        assert taken == [bursts[0], bursts[0], bursts[1], None]
-        assert [burst.w_beats_received for burst in bursts] == [2, 1]
+        burst = pipe.accept(request, batch_strided(request, 4, 8))
+        fifos = _fifos()
+        assert pipe.issue(ALL_PORTS, fifos) == ALL_PORTS
+        _route_w(pipe, burst, bytes(range(32)))
+        assert pipe.issue(ALL_PORTS, fifos) == 0
+        assert [tag[2] for tag in _tags(fifos)] == list(range(8))
+        assert burst.batch.beat_payload == [bytes(range(32)), None]
+        assert pipe.issue(ALL_PORTS, fifos) == ALL_PORTS
 
     def test_memory_writes_the_payload_slots(self):
         """Issued into a banked memory's FIFOs, each word's data comes from
         its slot of the W beat's payload."""
-        _, pipe, _ = _strided_write(3)
+        _, pipe, burst = _strided_write(3)
         payload = bytes(range(32))
-        pipe.take_w_beat(payload)
+        _route_w(pipe, burst, payload)
         storage = MemoryStorage(1 << 12)
         memory = BankedMemory("mem", BankedMemoryConfig(), storage)
         assert pipe.issue(ALL_PORTS, memory.req_fifos) == 0

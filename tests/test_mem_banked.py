@@ -307,6 +307,31 @@ class TestFaults:
         assert all(not any(pipe.in_flight) for pipe in self.pipes(adapter))
         assert not adapter.busy() and not memory.busy()
 
+    def test_lost_two_beat_write_between_kept_writes(self):
+        """A lost burst owns exactly its own W beats: the two of a lost
+        two-beat write are discarded, and the kept writes on either side
+        land with their own data."""
+        port, adapter, memory, storage, stats = self.channel("lost")
+        kept_first, lost, kept_last = (
+            BusRequest(addr=addr, is_write=True, num_elements=elems,
+                       elem_bytes=4, bus_bytes=32, contiguous=True)
+            for addr, elems in ((0x200, 8), (0x100, 16), (0x300, 8)))
+        payloads = [bytes([beat + 1]) * 32 for beat in range(4)]
+        for request in (kept_first, lost, kept_last):
+            port.aw.push(request)
+        for beat, payload in enumerate(payloads):
+            port.w.push(WBeat(data=payload, useful_bytes=32,
+                              last=beat != 1))
+        beats = self.drain(port, adapter, memory)
+        assert [beat.txn_id for beat in beats] == [kept_first.txn_id,
+                                                   kept_last.txn_id]
+        assert storage.read_bytes(0x200, 32) == payloads[0]
+        assert storage.read_bytes(0x100, 64) == bytes(64)
+        assert storage.read_bytes(0x300, 32) == payloads[3]
+        assert stats.get("adapter.w_beats") == 4
+        assert port.w.is_empty() and not adapter._w_routing
+        assert not adapter.busy() and not memory.busy()
+
 
 class TestVectorizedArbitration:
     """The batched arbiter grants exactly what the scalar reference would."""

@@ -377,8 +377,8 @@ class TestBeatRangeCheck:
         while not engine._w_backlog and cycle < 64:
             _tick(engine, port, cycle)
             cycle += 1
-        request, beat, chunk, _ = engine._w_backlog[0]
-        engine._w_backlog[0] = (request, beat, chunk, 33)
+        store, position, beat = engine._w_backlog[0]
+        engine._w_backlog[0] = (store, position, beat._replace(useful_bytes=33))
         with pytest.raises(SimulationError,
                            match="W beat of 33 useful bytes on a 32-byte bus"):
             for cycle in range(cycle, cycle + 64):
