@@ -6,7 +6,7 @@ The adapter owns the five burst converters.  Per cycle it:
    slot in the issuing converter pipe;
 2. runs the indirect converters' housekeeping (index extraction, beat
    planning);
-3. demultiplexes at most one AR and one AW request onto the right converter;
+3. routes at most one AR and one AW request to the converter of its mode;
 4. routes at most one W data beat to the write converter expecting it;
 5. lets the converters issue word accesses onto the free memory ports (the
    bank port mux: each port carries at most one access per cycle);
@@ -25,12 +25,11 @@ then the memory's, as two sibling calls.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple, Union
 
+from repro.axi.pack import PackMode
 from repro.axi.port import AxiPort
-from repro.axi.transaction import BusRequest
 from repro.controller.base_converter import BaseAxi4Converter
-from repro.controller.converter import Converter
 from repro.controller.indirect_read import IndirectReadConverter
 from repro.controller.indirect_write import IndirectWriteConverter
 from repro.controller.lanes import _ActiveWriteBurst
@@ -41,6 +40,16 @@ from repro.mem.banked import BankedMemory
 from repro.sim.component import IDLE, Component, WakeHint
 from repro.sim.stats import StatsRegistry
 
+ReadConverter = Union[BaseAxi4Converter, StridedReadConverter, IndirectReadConverter]
+WriteConverter = Union[BaseAxi4Converter, StridedWriteConverter, IndirectWriteConverter]
+Converter = Union[
+    BaseAxi4Converter,
+    StridedReadConverter,
+    StridedWriteConverter,
+    IndirectReadConverter,
+    IndirectWriteConverter,
+]
+
 
 class AxiPackAdapter:
     """Translates AXI / AXI-Pack bursts into banked word accesses.
@@ -49,6 +58,11 @@ class AxiPackAdapter:
     together with its memory.  The adapter and its converters take their
     geometry from the memory's config: one word lane per memory port, and
     an AXI port exactly that many words wide.
+
+    Each converter names its lane pipes once: ``pipes`` holds all of them
+    in issue order, ``reads`` is the pipe whose R beats a read converter
+    emits and ``writes`` the one whose B responses a write converter emits.
+    The adapter's scan tables and the stream macro-step read them there.
     """
 
     def __init__(
@@ -69,76 +83,78 @@ class AxiPackAdapter:
         self.memory = memory
         self.stats = stats if stats is not None else StatsRegistry()
 
-        self.base = BaseAxi4Converter(f"{name}.base", memory, self.stats)
-        self.strided_read = StridedReadConverter(
+        self.base = base = BaseAxi4Converter(f"{name}.base", memory, self.stats)
+        self.strided_read = strided_read = StridedReadConverter(
             f"{name}.strided_read", memory, self.stats
         )
-        self.strided_write = StridedWriteConverter(
+        self.strided_write = strided_write = StridedWriteConverter(
             f"{name}.strided_write", memory, self.stats
         )
-        self.indirect_read = IndirectReadConverter(
+        self.indirect_read = indirect_read = IndirectReadConverter(
             f"{name}.indirect_read", memory, self.stats
         )
-        self.indirect_write = IndirectWriteConverter(
+        self.indirect_write = indirect_write = IndirectWriteConverter(
             f"{name}.indirect_write", memory, self.stats
         )
+        #: the converters in issue and R-emission round-robin order
         self.converters: List[Converter] = [
-            self.base,
-            self.strided_read,
-            self.strided_write,
-            self.indirect_read,
-            self.indirect_write,
+            base,
+            strided_read,
+            strided_write,
+            indirect_read,
+            indirect_write,
         ]
-        #: converters that can ever emit a B response (write-capable)
-        self._write_converters: List[Converter] = [
-            converter
-            for converter in self.converters
-            if type(converter).pop_ready_b_beat is not Converter.pop_ready_b_beat
-        ]
-        # Prebound per-converter scan tables, derived from the converters
-        # themselves (see Converter.unissued_deques/r_beat_deques/
-        # b_beat_deques) so they can never desynchronize from the converter
-        # list.  Reading the deques' truth values directly is behaviourally
-        # identical to the busy()/pop_ready_*() scans (a pop attempt with
-        # nothing ready is a side-effect-free None) but avoids two method
-        # calls per converter per cycle.
-        #: unissued-slot deques, in self.converters order
+        #: the converter that serves a read or write burst of each mode
+        self._readers: Dict[PackMode, ReadConverter] = {
+            PackMode.NONE: base,
+            PackMode.STRIDED: strided_read,
+            PackMode.INDIRECT: indirect_read,
+        }
+        self._writers: Dict[PackMode, WriteConverter] = {
+            PackMode.NONE: base,
+            PackMode.STRIDED: strided_write,
+            PackMode.INDIRECT: indirect_write,
+        }
+        # Scan tables read from the converters' pipes, so that the per-cycle
+        # scans test deque truth values instead of calling a converter that
+        # has nothing to do.
+        #: unissued-slot deques of each converter's pipes, in converter order
         self._conv_unissued: List[Tuple] = [
-            converter.unissued_deques() for converter in self.converters
-        ]
-        #: R-emission table aligned to self.converters: None for converters
-        #: that can never emit an R beat, else (pop_ready_r_beat, deques)
-        self._conv_r_emitters: List[Optional[Tuple]] = [
-            None
-            if converter.r_beat_deques() is None
-            else (converter.pop_ready_r_beat, converter.r_beat_deques())
+            tuple(pipe._unissued for pipe in converter.pipes)
             for converter in self.converters
         ]
-        #: B-emission table: (pop_ready_b_beat, deques) per write converter.
-        #: Fail fast at construction if a converter overrides
-        #: pop_ready_b_beat without exposing its gating containers — a None
-        #: here would otherwise only surface mid-simulation.
-        self._conv_b_emitters: List[Tuple] = []
-        for converter in self._write_converters:
-            b_deques = converter.b_beat_deques()
-            if b_deques is None:
-                raise ProtocolError(
-                    f"{converter.name} overrides pop_ready_b_beat but "
-                    "b_beat_deques() returned None; write-capable converters "
-                    "must expose their B-gating containers"
-                )
-            self._conv_b_emitters.append((converter.pop_ready_b_beat, b_deques))
+        # R and B emission: what pops a beat, then the containers it waits
+        # on.  A base or strided converter pops through its pipe, an
+        # indirect one through itself, as it retires its planned bursts.
+        r_emitters = {
+            base: (base.reads.pop_ready_r_beat, base.reads._beats),
+            strided_read: (strided_read.reads.pop_ready_r_beat, strided_read.reads._beats),
+            indirect_read: (indirect_read.pop_ready_r_beat, indirect_read.reads._beats),
+        }
+        #: R emission in converter order, None for a write converter
+        self._conv_r_emitters: List[Optional[Tuple]] = [
+            r_emitters.get(converter) for converter in self.converters
+        ]
+        #: B emission of the write converters, in converter order
+        self._conv_b_emitters: List[Tuple] = [
+            (pop, writes._bursts, writes._beats)
+            for pop, writes in (
+                (base.writes.pop_ready_b_beat, base.writes),
+                (strided_write.writes.pop_ready_b_beat, strided_write.writes),
+                (indirect_write.pop_ready_b_beat, indirect_write.writes),
+            )
+        ]
         #: (prebound step, index-stage burst deque) of the two converters
         #: with per-cycle housekeeping, the indirect ones
         self._stepping_info: List[Tuple] = [
-            (self.indirect_read.step, self.indirect_read._index.bursts),
-            (self.indirect_write.step, self.indirect_write._index.bursts),
+            (indirect_read.step, indirect_read._index.bursts),
+            (indirect_write.step, indirect_write._index.bursts),
         ]
         #: ``(converter, burst record)`` of every write burst still owed W
         #: beats, in AW-acceptance order; a lost burst's converter is
         #: ``None``, and its beats are discarded
         self._w_routing: Deque[
-            Tuple[Optional[Converter], _ActiveWriteBurst]
+            Tuple[Optional[WriteConverter], _ActiveWriteBurst]
         ] = deque()
         #: whether a fault plan may lose bursts on this channel, so that
         #: fault-free runs skip :meth:`BankedMemory.loses` per request
@@ -175,21 +191,6 @@ class AxiPackAdapter:
         self._c_ar_accepted = self.stats.counter("adapter.ar_accepted")
         self._c_aw_accepted = self.stats.counter("adapter.aw_accepted")
         self._c_b_beats = self.stats.counter("adapter.b_beats")
-
-    # ------------------------------------------------------------ conversion
-    def _read_converter_for(self, request: BusRequest) -> Converter:
-        if request.mode.is_packed:
-            if request.mode.name == "STRIDED":
-                return self.strided_read
-            return self.indirect_read
-        return self.base
-
-    def _write_converter_for(self, request: BusRequest) -> Converter:
-        if request.mode.is_packed:
-            if request.mode.name == "STRIDED":
-                return self.strided_write
-            return self.indirect_write
-        return self.base
 
     # ------------------------------------------------------------------ tick
     def tick(self, cycle: int) -> int:
@@ -257,30 +258,37 @@ class AxiPackAdapter:
 
     # ---------------------------------------------------------------- demux
     def _demux_requests(self) -> None:
-        # A burst the fault plan loses is dropped whole here: it issues no
-        # word and never sees an R beat or a B response.
+        """Route at most one AR and one AW to the converter of its mode.
+
+        A burst the fault plan loses is dropped whole here: it issues no
+        word and never sees an R beat or a B response.
+        """
         ar = self._ar
         if ar._storage:
             request = ar._storage[0]
+            if request.is_write:
+                raise ProtocolError("write request arrived on the AR channel")
             if self._may_lose and self.memory.loses(request):
                 ar.pop()
             else:
-                converter = self._read_converter_for(request)
-                if converter.can_accept_read(request):
-                    converter.accept_read(ar.pop())
+                reader = self._readers[request.mode]
+                if reader.can_accept_read(request):
+                    reader.accept_read(ar.pop())
                     self._open_read_bursts += 1
                     self._c_ar_accepted.value += 1
         aw = self._aw
         if aw._storage:
             request = aw._storage[0]
+            if not request.is_write:
+                raise ProtocolError("read request arrived on the AW channel")
             if self._may_lose and self.memory.loses(request):
                 aw.pop()
                 self._w_routing.append((None, _ActiveWriteBurst(request, None)))
             else:
-                converter = self._write_converter_for(request)
-                if converter.can_accept_write(request):
-                    burst = converter.accept_write(aw.pop())
-                    self._w_routing.append((converter, burst))
+                writer = self._writers[request.mode]
+                if writer.can_accept_write(request):
+                    burst = writer.accept_write(aw.pop())
+                    self._w_routing.append((writer, burst))
                     self._open_write_bursts += 1
                     self._c_aw_accepted.value += 1
 
@@ -377,13 +385,8 @@ class AxiPackAdapter:
             if index >= count:
                 index -= count
             emitter = emitters[index]
-            if emitter is None:
-                # Write-only converter: can never produce an R beat.
-                continue
-            for beats in emitter[1]:
-                if beats:
-                    break
-            else:
+            # A write converter never emits an R beat.
+            if emitter is None or not emitter[1]:
                 continue
             beat = emitter[0]()
             if beat is not None:
@@ -399,11 +402,8 @@ class AxiPackAdapter:
         b = self._b
         if b._count >= b.depth:
             return
-        for pop_b, deques in self._conv_b_emitters:
-            for container in deques:
-                if container:
-                    break
-            else:
+        for pop_b, bursts, beats in self._conv_b_emitters:
+            if not bursts and not beats:
                 continue
             beat = pop_b()
             if beat is not None:

@@ -18,7 +18,7 @@ element-to-index size ratio of ``r`` — see paper §III-E).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, List, Optional
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from repro.controller.lanes import (
     batch_index_fetch,
     batch_indexed_beat,
 )
+from repro.errors import SimulationError
 from repro.mem.banked import BankedMemory
 from repro.mem.storage import MemoryStorage
 from repro.sim.stats import StatsRegistry
@@ -71,20 +72,18 @@ def read_index_oracle(storage: MemoryStorage, request: BusRequest) -> np.ndarray
 class IndirectBurst:
     """Per-burst progress of an indirect burst.
 
-    Decoded index lines are appended to ``index_list`` and consumed by
-    slice via ``index_pos``.  ``write`` is the write pipe's record of an
-    indirect write burst, None for a read.
+    Decoded index lines are appended to ``index_list``, and each planned
+    beat slices its offsets off it from ``elements_planned`` on.  ``write``
+    is the write pipe's record of an indirect write burst, None for a read.
     """
 
     __slots__ = (
         "request",
         "write",
         "index_list",
-        "index_pos",
         "elements_planned",
         "next_beat",
         "index_oracle",
-        "oracle_pos",
         "index_resp",
     )
 
@@ -92,12 +91,10 @@ class IndirectBurst:
         self.request = request
         self.write = write
         self.index_list: List[int] = []
-        self.index_pos = 0
         self.elements_planned = 0
         self.next_beat = 0
         #: materialized lazily on the first poisoned index line
         self.index_oracle: Optional[np.ndarray] = None
-        self.oracle_pos = 0
         #: worst response over the burst's index-fetch lines so far; element
         #: beats planned after a fault inherit it
         self.index_resp = _RESP_OKAY
@@ -123,7 +120,6 @@ class IndexStage:
         self.config = memory.config
         self.pipe = LaneReadPipe(f"{name}.index", self.config)
         self.bursts: Deque[IndirectBurst] = deque()
-        self._by_txn: Dict[int, IndirectBurst] = {}
         self._storage = memory.storage
         # Prebound hot-path counters (see repro.sim.stats).
         self._c_bursts = stats.counter(f"{counters}.bursts")
@@ -133,9 +129,8 @@ class IndexStage:
         """Take a burst and queue the fetch of its index lines."""
         burst = IndirectBurst(request, write)
         self.bursts.append(burst)
-        self._by_txn[request.txn_id] = burst
         config = self.config
-        self.pipe.accept(
+        self.pipe.add_batch(
             request,
             batch_index_fetch(
                 request, config.bus_bytes, config.word_bytes, config.num_ports
@@ -146,29 +141,39 @@ class IndexStage:
     def extract_indices(self) -> None:
         """Offsets extraction: decode returned index lines into index lists.
 
-        A poisoned line's payload bytes are invalid, so its values come
-        from the burst's oracle (see :func:`read_index_oracle`) instead;
-        ``oracle_pos`` advances for every line so a mid-burst fault slices
-        the oracle at the right position.  Values are kept as a Python list
-        so beat planning slices them without per-element ``int()`` boxing.
+        The pipe returns lines in burst order, so a line belongs to the
+        oldest burst whose index list is still short.  A poisoned line's
+        payload bytes are invalid, so its values come from the burst's
+        oracle (see :func:`read_index_oracle`) instead, sliced from the
+        index list's length on.  Values are kept as a Python list so beat
+        planning slices them without per-element ``int()`` boxing.
         """
         pipe = self.pipe
         while True:
             line = pipe.pop_ready_r_beat()
             if line is None:
                 return
-            burst = self._by_txn.get(line.txn_id)
-            if burst is not None:
-                index_bytes = burst.request.pack.index_bytes
-                pos = burst.oracle_pos
-                count = line.useful_bytes // index_bytes
-                burst.oracle_pos = pos + count
-                resp = line.resp
-                if resp is _RESP_OKAY:
-                    values = np.frombuffer(line.data, dtype=INDEX_DTYPES[index_bytes])
-                else:
-                    values = self._note_index_fault(burst, resp)[pos : pos + count]
-                burst.index_list.extend(values.tolist())
+            owner = None
+            for burst in self.bursts:
+                if len(burst.index_list) < burst.request.num_elements:
+                    owner = burst
+                    break
+            if owner is None or owner.request.txn_id != line.txn_id:
+                raise SimulationError(
+                    f"{pipe.name}: index line of txn {line.txn_id} does not "
+                    "belong to the oldest burst still owed indices"
+                )
+            index_list = owner.index_list
+            index_bytes = owner.request.pack.index_bytes
+            resp = line.resp
+            if resp is _RESP_OKAY:
+                values = np.frombuffer(line.data, dtype=INDEX_DTYPES[index_bytes])
+            else:
+                pos = len(index_list)
+                values = self._note_index_fault(owner, resp)[
+                    pos : pos + line.useful_bytes // index_bytes
+                ]
+            index_list.extend(values.tolist())
             self._c_index_lines.value += 1
 
     def _note_index_fault(self, burst: IndirectBurst, resp: Resp) -> np.ndarray:
@@ -205,11 +210,10 @@ class IndexStage:
         if remaining <= 0:
             return None
         beat_elems = min(request.bus_bytes // request.elem_bytes, remaining)
-        pos = burst.index_pos
+        pos = burst.elements_planned
         index_list = burst.index_list
         if len(index_list) - pos < beat_elems:
             return None
-        burst.index_pos = pos + beat_elems
         config = self.config
         batch = batch_indexed_beat(
             request,
@@ -218,17 +222,11 @@ class IndexStage:
             config.word_bytes,
             config.num_ports,
         )
-        burst.elements_planned += beat_elems
+        burst.elements_planned = pos + beat_elems
         burst.next_beat += 1
         return batch
-
-    def retire_oldest(self) -> None:
-        """Drop the oldest burst's record; its index lines have all come back."""
-        burst = self.bursts.popleft()
-        self._by_txn.pop(burst.request.txn_id, None)
 
     def reset(self) -> None:
         """Drop all state (component reset)."""
         self.bursts.clear()
-        self._by_txn.clear()
         self.pipe.reset()

@@ -15,29 +15,28 @@ from __future__ import annotations
 
 from typing import Deque, List, Optional
 
-from repro.axi.pack import PackMode
 from repro.axi.signals import RBeat
 from repro.axi.transaction import BusRequest
-from repro.controller.converter import MAX_OPEN_BURSTS, Converter
 from repro.controller.index_stage import IndexStage
-from repro.controller.lanes import LaneReadPipe
+from repro.controller.lanes import MAX_OPEN_BURSTS, LaneReadPipe
 from repro.mem.banked import BankedMemory
 from repro.sim.stats import StatsRegistry
 
 
-class IndirectReadConverter(Converter):
+class IndirectReadConverter:
     """Serves AXI-Pack indirect read bursts with bank-side indirection."""
 
     def __init__(self, name: str, memory: BankedMemory, stats: StatsRegistry) -> None:
-        super().__init__(name, memory)
+        self.name = name
         self._index = IndexStage(name, "controller.indirect_read", memory, stats)
-        self._index_pipe = self._index.pipe
-        self._element_pipe = LaneReadPipe(f"{name}.element", self.config)
+        #: the element pipe, whose R beats the converter emits
+        self.reads = LaneReadPipe(f"{name}.element", memory.config)
+        #: every lane pipe, in issue order: element fetches have priority,
+        #: index fetches use the leftover ports
+        self.pipes = (self.reads, self._index.pipe)
 
     # ------------------------------------------------------------ acceptance
     def can_accept_read(self, request: BusRequest) -> bool:
-        if request.mode is not PackMode.INDIRECT or request.is_write:
-            return False
         return len(self._index.bursts) < MAX_OPEN_BURSTS
 
     def accept_read(self, request: BusRequest) -> None:
@@ -53,40 +52,33 @@ class IndirectReadConverter(Converter):
         burst = index.unplanned()
         if burst is None:
             return
-        pipe = self._element_pipe
+        pipe = self.reads
         batch = index.next_beat(burst)
         while batch is not None:
             pipe.add_batch(burst.request, batch, burst.index_resp)
             batch = index.next_beat(burst)
 
     def issue(self, free_ports: int, out: List[Deque[tuple]]) -> int:
-        # Element fetches have priority; index fetches use the leftover ports.
-        free_ports = self._element_pipe.issue(free_ports, out)
-        return self._index_pipe.issue(free_ports, out)
-
-    def unissued_deques(self):
-        return (self._element_pipe._unissued, self._index_pipe._unissued)
-
-    def r_beat_deques(self):
-        return (self._element_pipe._beats,)
+        free_ports = self.reads.issue(free_ports, out)
+        return self._index.pipe.issue(free_ports, out)
 
     def pop_ready_r_beat(self) -> Optional[RBeat]:
-        beat = self._element_pipe.pop_ready_r_beat()
+        beat = self.reads.pop_ready_r_beat()
         if beat is not None:
             # A burst record is only needed until all its beats are planned;
             # emission is tracked by the element pipe itself.
             bursts = self._index.bursts
             while bursts and bursts[0].fully_planned:
-                self._index.retire_oldest()
+                bursts.popleft()
         return beat
 
     # ----------------------------------------------------------------- state
     def busy(self) -> bool:
-        # Inlined pipe checks: this runs several times per adapter cycle.
+        # Inlined pipe checks: every stream macro-step attempt asks this.
         return bool(
-            self._index.bursts or self._index_pipe._beats or self._element_pipe._beats
+            self._index.bursts or self._index.pipe._beats or self.reads._beats
         )
 
     def reset(self) -> None:
         self._index.reset()
-        self._element_pipe.reset()
+        self.reads.reset()

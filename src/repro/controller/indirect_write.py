@@ -10,24 +10,25 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional
 
-from repro.axi.pack import PackMode
 from repro.axi.signals import BBeat
 from repro.axi.transaction import BusRequest
-from repro.controller.converter import MAX_OPEN_BURSTS, Converter
 from repro.controller.index_stage import IndexStage
-from repro.controller.lanes import LaneWritePipe, _ActiveWriteBurst
+from repro.controller.lanes import MAX_OPEN_BURSTS, LaneWritePipe, _ActiveWriteBurst
 from repro.mem.banked import BankedMemory
 from repro.sim.stats import StatsRegistry
 
 
-class IndirectWriteConverter(Converter):
+class IndirectWriteConverter:
     """Serves AXI-Pack indirect write bursts with bank-side indirection."""
 
     def __init__(self, name: str, memory: BankedMemory, stats: StatsRegistry) -> None:
-        super().__init__(name, memory)
+        self.name = name
         self._index = IndexStage(name, "controller.indirect_write", memory, stats)
-        self._index_pipe = self._index.pipe
-        self._write_pipe = LaneWritePipe(f"{name}.element", self.config)
+        #: the element pipe, whose B responses the converter emits
+        self.writes = LaneWritePipe(f"{name}.element", memory.config)
+        #: every lane pipe, in issue order: element writes have priority,
+        #: index fetches use the leftover ports
+        self.pipes = (self.writes, self._index.pipe)
         #: W beat payloads not yet planned, in arrival order.  W beats arrive
         #: in burst order and bursts are planned in order, so the head always
         #: belongs to the burst being planned.
@@ -35,12 +36,10 @@ class IndirectWriteConverter(Converter):
 
     # ------------------------------------------------------------ acceptance
     def can_accept_write(self, request: BusRequest) -> bool:
-        if request.mode is not PackMode.INDIRECT or not request.is_write:
-            return False
         return len(self._index.bursts) < MAX_OPEN_BURSTS
 
     def accept_write(self, request: BusRequest) -> _ActiveWriteBurst:
-        burst = self._write_pipe.accept(request, None)
+        burst = self.writes.accept(request, None)
         self._index.accept(request, burst)
         return burst
 
@@ -62,7 +61,7 @@ class IndirectWriteConverter(Converter):
         burst = index.unplanned()
         if burst is None:
             return
-        pipe = self._write_pipe
+        pipe = self.writes
         while payloads:
             batch = index.next_beat(burst)
             if batch is None:
@@ -72,34 +71,28 @@ class IndirectWriteConverter(Converter):
             )
 
     def issue(self, free_ports: int, out: List[Deque[tuple]]) -> int:
-        free_ports = self._write_pipe.issue(free_ports, out)
-        return self._index_pipe.issue(free_ports, out)
-
-    def unissued_deques(self):
-        return (self._write_pipe._unissued, self._index_pipe._unissued)
-
-    def b_beat_deques(self):
-        return (self._write_pipe._bursts, self._write_pipe._beats)
+        free_ports = self.writes.issue(free_ports, out)
+        return self._index.pipe.issue(free_ports, out)
 
     def pop_ready_b_beat(self) -> Optional[BBeat]:
-        beat = self._write_pipe.pop_ready_b_beat()
+        beat = self.writes.pop_ready_b_beat()
         if beat is not None:
             bursts = self._index.bursts
             while bursts and bursts[0].fully_planned and bursts[0].write.complete:
-                self._index.retire_oldest()
+                bursts.popleft()
         return beat
 
     # ----------------------------------------------------------------- state
     def busy(self) -> bool:
-        # Inlined pipe checks: this runs several times per adapter cycle.
+        # Inlined pipe checks: every stream macro-step attempt asks this.
         return bool(
             self._index.bursts
-            or self._index_pipe._beats
-            or self._write_pipe._bursts
-            or self._write_pipe._beats
+            or self._index.pipe._beats
+            or self.writes._bursts
+            or self.writes._beats
         )
 
     def reset(self) -> None:
         self._index.reset()
-        self._write_pipe.reset()
+        self.writes.reset()
         self._payloads.clear()

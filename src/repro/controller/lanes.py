@@ -46,6 +46,11 @@ from repro.mem.banked import BankedMemoryConfig
 #: Prebound default: compared on every beat completion.
 _RESP_OKAY = Resp.OKAY
 
+#: How many accepted-but-unfinished bursts a write converter (and either
+#: indirect converter) may hold; lets back-to-back bursts keep the word
+#: lanes busy.
+MAX_OPEN_BURSTS = 4
+
 
 class SlotBatch:
     """All word accesses of one planning unit, as parallel flat arrays.
@@ -599,10 +604,6 @@ class LaneReadPipe(_LanePipe):
         if batch.num_slots:
             self._unissued.append([batch, 0, batch.num_slots])
 
-    def accept(self, request: BusRequest, batch: SlotBatch) -> None:
-        """Accept a burst whose beats are fully described by ``batch``."""
-        self.add_batch(request, batch)
-
     # --------------------------------------------------------------- packing
     def _check_issued(self, batch: SlotBatch, k: int) -> None:
         """Consistency guard: a beat with word accesses cannot complete
@@ -669,10 +670,6 @@ class _ActiveWriteBurst:
         self.w_beats_received = 0
         self.beats_completed = 0
         self.resp = _RESP_OKAY
-
-    @property
-    def all_w_received(self) -> bool:
-        return self.w_beats_received >= self.request.num_beats
 
     @property
     def complete(self) -> bool:
@@ -759,7 +756,9 @@ class LaneWritePipe(_LanePipe):
         if not self._bursts:
             return None
         burst = self._bursts[0]
-        if burst.all_w_received and burst.complete:
+        # (A beat completes only after its W beat armed it, so a complete
+        # burst received all its W data.)
+        if burst.complete:
             self._bursts.popleft()
             return new_beat(BBeat, (burst.request.txn_id, burst.resp))
         return None

@@ -9,12 +9,9 @@ words return from the banks.
 
 from __future__ import annotations
 
-from typing import Deque, List, Optional
+from typing import Deque, List
 
-from repro.axi.pack import PackMode
-from repro.axi.signals import RBeat
 from repro.axi.transaction import BusRequest
-from repro.controller.converter import Converter
 from repro.controller.lanes import LaneReadPipe, batch_strided
 from repro.mem.banked import BankedMemory
 from repro.sim.stats import StatsRegistry
@@ -23,40 +20,33 @@ from repro.sim.stats import StatsRegistry
 _MAX_PENDING_BEATS = 1024
 
 
-class StridedReadConverter(Converter):
+class StridedReadConverter:
     """Serves AXI-Pack strided read bursts."""
 
     def __init__(self, name: str, memory: BankedMemory, stats: StatsRegistry) -> None:
-        super().__init__(name, memory)
-        self._pipe = LaneReadPipe(name, self.config)
+        self.name = name
+        self.config = memory.config
+        #: the pipe whose R beats the converter emits
+        self.reads = LaneReadPipe(name, self.config)
+        #: every lane pipe, in issue order
+        self.pipes = (self.reads,)
         self._c_bursts = stats.counter("controller.strided_read.bursts")
 
     def can_accept_read(self, request: BusRequest) -> bool:
-        if request.mode is not PackMode.STRIDED or request.is_write:
-            return False
-        return self._pipe.pending_beats() + request.num_beats <= _MAX_PENDING_BEATS
+        return self.reads.pending_beats() + request.num_beats <= _MAX_PENDING_BEATS
 
     def accept_read(self, request: BusRequest) -> None:
         config = self.config
-        self._pipe.accept(
+        self.reads.add_batch(
             request, batch_strided(request, config.word_bytes, config.num_ports)
         )
         self._c_bursts.value += 1
 
     def issue(self, free_ports: int, out: List[Deque[tuple]]) -> int:
-        return self._pipe.issue(free_ports, out)
-
-    def unissued_deques(self):
-        return (self._pipe._unissued,)
-
-    def r_beat_deques(self):
-        return (self._pipe._beats,)
-
-    def pop_ready_r_beat(self) -> Optional[RBeat]:
-        return self._pipe.pop_ready_r_beat()
+        return self.reads.issue(free_ports, out)
 
     def busy(self) -> bool:
-        return bool(self._pipe._beats)
+        return self.reads.busy()
 
     def reset(self) -> None:
-        self._pipe.reset()
+        self.reads.reset()

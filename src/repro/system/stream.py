@@ -43,8 +43,7 @@ from repro.axi.signals import BBeat, RBeat, new_beat
 from repro.axi.types import Resp
 from repro.controller.adapter import BankedChannel
 from repro.controller.base_converter import _MAX_PENDING_READ_BEATS
-from repro.controller.converter import MAX_OPEN_BURSTS
-from repro.controller.lanes import SlotBatch, _ActiveWriteBurst
+from repro.controller.lanes import MAX_OPEN_BURSTS, SlotBatch, _ActiveWriteBurst
 from repro.errors import SimulationError
 from repro.sim.component import IDLE
 from repro.sim.engine import Engine
@@ -97,25 +96,20 @@ class StreamStep:
         self._retry_gap = 1
         self._ports_of = _PortsOf()
         adapter = channel.adapter
-        base = adapter.base
-        pipes_of = {
-            base: (base._reads, base._writes),
-            adapter.strided_read: (adapter.strided_read._pipe,),
-            adapter.strided_write: (adapter.strided_write._pipe,),
-        }
         converters = adapter.converters
-        count = len(converters)
+        indirect = (adapter.indirect_read, adapter.indirect_write)
         #: pipes in issue order for each issue round-robin pointer: the
-        #: adapter calls the converters from the pointer on, and the base
-        #: converter issues its reads before its writes (the indirect
-        #: converters hold nothing inside a window)
+        #: adapter calls the converters from the pointer on, and each issues
+        #: its pipes in order (the indirect converters hold nothing inside a
+        #: window)
         self._issue_orders = tuple(
             tuple(
                 pipe
-                for offset in range(count)
-                for pipe in pipes_of.get(converters[(rr + offset) % count], ())
+                for converter in converters[rr:] + converters[:rr]
+                if converter not in indirect
+                for pipe in converter.pipes
             )
-            for rr in range(count)
+            for rr in range(len(converters))
         )
         memory = channel.memory
         #: (bit, request FIFO, in-flight deque, response FIFO) per memory
@@ -257,16 +251,16 @@ class StreamStep:
         base = adapter.base
         strided = adapter.strided_read
         strided_write = adapter.strided_write
-        b_pipe = base._reads
+        b_pipe = base.reads
         b_beats = b_pipe._beats
         b_unissued = b_pipe._unissued
-        s_pipe = strided._pipe
+        s_pipe = strided.reads
         s_beats = s_pipe._beats
         s_unissued = s_pipe._unissued
-        bw_pipe = base._writes
+        bw_pipe = base.writes
         bw_bursts = bw_pipe._bursts
         bw_unissued = bw_pipe._unissued
-        sw_pipe = strided_write._pipe
+        sw_pipe = strided_write.writes
         sw_bursts = sw_pipe._bursts
         sw_unissued = sw_pipe._unissued
         #: write pipes in B-emission order (the adapter's converter order)
@@ -569,7 +563,7 @@ class StreamStep:
                                 w_routing.popleft()
                             batch = burst.batch
                             batch.beat_payload[k] = w_store.popleft()[0]
-                            pipe = bw_pipe if converter is base else sw_pipe
+                            pipe = converter.writes
                             pipe._beats.append((batch, k, burst))
                             start = batch.beat_start[k]
                             end = batch.beat_start[k + 1]

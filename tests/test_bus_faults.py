@@ -34,7 +34,6 @@ from repro.axi.transaction import BusRequest
 from repro.axi.types import Resp, worst_resp
 from repro.cli import main
 from repro.controller.index_stage import IndexStage
-from repro.controller.lanes import LaneReadPipe, LaneWritePipe
 from repro.errors import (
     ConfigurationError,
     DeadlockError,
@@ -352,9 +351,8 @@ class TestLostStoreContract:
         the banked channel ends the aborted run with nothing in flight."""
         soc = _lost_store_run(kind, channels=1)
         adapter = soc.endpoint.adapter
-        pipes = [value for converter in adapter.converters
-                 for value in vars(converter).values()
-                 if isinstance(value, (LaneReadPipe, LaneWritePipe))]
+        pipes = [pipe for converter in adapter.converters
+                 for pipe in converter.pipes]
         assert pipes and all(not any(pipe.in_flight) for pipe in pipes)
         assert not soc.endpoint.busy()
 

@@ -6,29 +6,37 @@ resulting data is compared byte for byte with the zero-time functional model
 or reordered a single element, these tests fail.
 """
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.axi.builder import RequestBuilder
-from repro.axi.pack import PackUserField
+from repro.axi.pack import PackMode, PackUserField
 from repro.axi.port import AxiPort
 from repro.axi.signals import WBeat
 from repro.axi.stream import ContiguousStream, IndirectStream, StridedStream
 from repro.axi.transaction import BusRequest
 from repro.controller.adapter import AxiPackAdapter
 from repro.controller.base_converter import BaseAxi4Converter
-from repro.controller.index_stage import read_index_oracle
+from repro.controller.index_stage import IndexStage, read_index_oracle
 from repro.controller.indirect_read import IndirectReadConverter
 from repro.controller.indirect_write import IndirectWriteConverter
-from repro.controller.lanes import LaneReadPipe, LaneWritePipe
+from repro.controller.lanes import (
+    LaneReadPipe,
+    LaneWritePipe,
+    batch_contiguous,
+    batch_index_fetch,
+)
 from repro.controller.strided_read import StridedReadConverter
 from repro.controller.strided_write import StridedWriteConverter
 from repro.controller.testbench import ControllerTestbench
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, SimulationError
 from repro.mem.banked import BankedMemory, BankedMemoryConfig
 from repro.mem.functional import read_burst_payload
 from repro.mem.storage import MemoryStorage
+from repro.sim.stats import StatsRegistry
 
 
 def make_testbench(num_banks: int = 17) -> ControllerTestbench:
@@ -276,13 +284,13 @@ ENTRY_POINTS = [
     (IndirectWriteConverter, "step"),
 ]
 
-#: Lane pipes each converter drives its word accesses through.
+#: Lane pipes each converter drives its word accesses through, in issue order.
 CONVERTER_PIPES = {
     "base": ["LaneReadPipe", "LaneWritePipe"],
     "strided_read": ["LaneReadPipe"],
     "strided_write": ["LaneWritePipe"],
     "indirect_read": ["LaneReadPipe", "LaneReadPipe"],
-    "indirect_write": ["LaneReadPipe", "LaneWritePipe"],
+    "indirect_write": ["LaneWritePipe", "LaneReadPipe"],
 }
 
 
@@ -330,12 +338,33 @@ class TestConverterEntryPoints:
 
     @pytest.mark.parametrize("attr", sorted(CONVERTER_PIPES))
     def test_converter_runs_on_lane_pipes(self, attr):
+        """``pipes`` names every lane pipe the converter owns, its index
+        stage's included, and work in any of them keeps the converter
+        ``busy``, is issued by its ``issue`` and goes on ``reset``, so no
+        pipe misses the adapter's issue scan or the stream step's issue
+        order; ``reads`` and ``writes`` are among them."""
         converter = getattr(make_testbench().adapter, attr)
-        pipes = sorted(
-            type(value).__name__ for value in vars(converter).values()
-            if isinstance(value, (LaneReadPipe, LaneWritePipe))
-        )
-        assert pipes == CONVERTER_PIPES[attr]
+        pipes = converter.pipes
+        assert [type(pipe).__name__ for pipe in pipes] == CONVERTER_PIPES[attr]
+        owned = [value for part in vars(converter).values()
+                 for value in (part, *getattr(part, "__dict__", {}).values())
+                 if isinstance(value, (LaneReadPipe, LaneWritePipe))]
+        assert {id(pipe) for pipe in owned} == {id(pipe) for pipe in pipes}
+        for name, kind in (("reads", LaneReadPipe), ("writes", LaneWritePipe)):
+            pipe = getattr(converter, name, None)
+            assert pipe is None or (isinstance(pipe, kind) and pipe in pipes)
+        request = BusRequest(addr=0, is_write=False, num_elements=8,
+                             elem_bytes=4, bus_bytes=32, contiguous=True)
+        for pipe in pipes:
+            batch = batch_contiguous(request, 4, 8)
+            pipe._unissued.append([batch, 0, batch.num_slots])
+            pipe._beats.append((batch, 0, request))
+            assert converter.busy()
+            fifos = [deque() for _ in range(8)]
+            assert converter.issue(0xFF, fifos) == 0
+            assert [tag[0] for fifo in fifos for tag in fifo] == [pipe] * 8
+            converter.reset()
+            assert not converter.busy() and not pipe._unissued
 
 
 class TestIndexOracle:
@@ -362,6 +391,29 @@ class TestIndexOracle:
         assert values.tolist() == [7, 8, 9, 0, 0, 0, 0, 0]
 
 
+class TestIndexStage:
+    def test_a_line_of_another_burst_raises(self):
+        """The index pipe returns lines in burst order, so a line that is
+        not the oldest owed burst's is a bookkeeping fault, never dropped."""
+        memory = BankedMemory("mem", BankedMemoryConfig(), MemoryStorage(1 << 12))
+        stage = IndexStage("stage", "controller.indirect_read", memory,
+                           StatsRegistry())
+        owed, other = (
+            BusRequest(addr=0, is_write=False, num_elements=8, elem_bytes=4,
+                       bus_bytes=32, pack=PackUserField.indirect(4, 0x400))
+            for _ in range(2))
+        stage.accept(owed)
+        # Replace the owed burst's fetch by a returned line of ``other``.
+        stage.pipe.reset()
+        batch = batch_index_fetch(other, 32, 4, 8)
+        stage.pipe.add_batch(other, batch)
+        stage.pipe._unissued.clear()
+        batch.beat_remaining[0] = 0
+        with pytest.raises(SimulationError, match=f"line of txn {other.txn_id} "
+                                                  "does not belong"):
+            stage.extract_indices()
+
+
 class TestAdapterConstruction:
     """The adapter refuses an AXI port that is not one memory word per
     word port wide."""
@@ -378,6 +430,61 @@ class TestAdapterConstruction:
         banked = BankedMemory("mem", memory, MemoryStorage(1 << 12))
         with pytest.raises(ProtocolError, match=message):
             AxiPackAdapter("adapter", AxiPort("port", port_bytes), banked)
+
+
+#: The converter that serves a burst of each (mode, is_write).
+ROUTES = {
+    (PackMode.NONE, False): "base",
+    (PackMode.NONE, True): "base",
+    (PackMode.STRIDED, False): "strided_read",
+    (PackMode.STRIDED, True): "strided_write",
+    (PackMode.INDIRECT, False): "indirect_read",
+    (PackMode.INDIRECT, True): "indirect_write",
+}
+
+#: A user field of each mode.
+PACKS = {
+    PackMode.NONE: PackUserField(),
+    PackMode.STRIDED: PackUserField.strided(2),
+    PackMode.INDIRECT: PackUserField.indirect(4, 0x400),
+}
+
+
+class TestRouting:
+    """The adapter hands each burst to the converter its mode names, and
+    refuses a burst on the other direction's address channel, as the IDEAL
+    endpoint does."""
+
+    @pytest.mark.parametrize("is_write", [False, True], ids=["read", "write"])
+    @pytest.mark.parametrize("mode", list(PackMode), ids=lambda mode: mode.value)
+    def test_burst_lands_on_its_converter_and_only_on_its_channel(
+        self, mode, is_write
+    ):
+        def adapter_with(channel_of):
+            port = AxiPort("port", 32)
+            memory = BankedMemory("mem", BankedMemoryConfig(),
+                                  MemoryStorage(1 << 12))
+            adapter = AxiPackAdapter("adapter", port, memory)
+            channel = channel_of(port)
+            channel.push(BusRequest(
+                addr=0, is_write=is_write, num_elements=8, elem_bytes=4,
+                bus_bytes=32, contiguous=mode is PackMode.NONE,
+                pack=PACKS[mode]))
+            channel.commit()
+            return adapter
+
+        adapter = adapter_with(lambda port: port.aw if is_write else port.ar)
+        adapter.tick(0)
+        busy = [name for name in sorted(set(ROUTES.values()))
+                if getattr(adapter, name).busy()]
+        assert busy == [ROUTES[mode, is_write]]
+
+        adapter = adapter_with(lambda port: port.ar if is_write else port.aw)
+        direction, channel = ("write", "AR") if is_write else ("read", "AW")
+        with pytest.raises(ProtocolError,
+                           match=f"{direction} request arrived on the {channel} "
+                                 "channel"):
+            adapter.tick(0)
 
 
 class TestWRouting:

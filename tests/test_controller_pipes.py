@@ -36,7 +36,7 @@ def _config(queue_depth=4):
 
 def _read_pipe(request, queue_depth=4):
     pipe = LaneReadPipe("p", _config(queue_depth))
-    pipe.accept(request, batch_strided(request, 4, 8))
+    pipe.add_batch(request, batch_strided(request, 4, 8))
     return pipe
 
 
@@ -159,7 +159,7 @@ class TestReadPipe:
         pipe = LaneReadPipe("p", _config())
         assert not pipe.busy()
         request = _strided_request(8)
-        pipe.accept(request, batch_strided(request, 4, 8))
+        pipe.add_batch(request, batch_strided(request, 4, 8))
         assert pipe.busy()
         assert pipe.issue(ALL_PORTS, _fifos()) == 0
         assert pipe.in_flight == [1] * 8
@@ -186,9 +186,9 @@ def _route_w(pipe, burst, payload):
 class TestWritePipe:
     def test_write_flow_and_b_response(self):
         request, pipe, burst = _strided_write(2)
-        assert not burst.all_w_received  # the burst still expects W data
+        assert burst.w_beats_received == 0  # the burst still expects W data
         _route_w(pipe, burst, bytes(range(32)))
-        assert burst.all_w_received
+        assert burst.w_beats_received == request.num_beats == 1
         fifos = _fifos()
         assert pipe.issue(ALL_PORTS, fifos) == 0
         tags = _tags(fifos)

@@ -9,7 +9,7 @@ from repro.axi.signals import BBeat, WBeat
 from repro.axi.transaction import BusRequest
 from repro.axi.types import Resp
 from repro.controller.adapter import AxiPackAdapter
-from repro.controller.lanes import LaneReadPipe, LaneWritePipe, SlotBatch
+from repro.controller.lanes import SlotBatch
 from repro.errors import ConfigurationError
 from repro.mem.banked import BankedMemory, BankedMemoryConfig
 from repro.mem.storage import MemoryStorage
@@ -268,9 +268,8 @@ class TestFaults:
 
     @staticmethod
     def pipes(adapter):
-        return [value for converter in adapter.converters
-                for value in vars(converter).values()
-                if isinstance(value, (LaneReadPipe, LaneWritePipe))]
+        return [pipe for converter in adapter.converters
+                for pipe in converter.pipes]
 
     def test_lost_read_is_dropped_at_acceptance(self):
         """A lost read burst issues no word and sends no R beat; the read
